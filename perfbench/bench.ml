@@ -38,9 +38,11 @@ let e2e_units =
 let setup_reps = 7
 let setup_before = 4
 
-(* The daemon's measured phase is cut into this many equal runs of
-   completed requests; its throughput and CPU time are medians over them. *)
-let segments = 8
+(* The daemon's measured phase is cut into this many segments of
+   requests, with the reference kernel timed between two segments while
+   no request is in flight; each segment's times are scaled by the kernel
+   samples on either side of it. *)
+let segments = 80
 
 (* Rounds of the in-process warm replay on the batch workloads. *)
 let warm_rounds = 4
@@ -389,8 +391,9 @@ let run_daemon ~cli ~seed ~colds ~traced =
   in
   if not (Sys.file_exists run_dir) then Sys.mkdir run_dir 0o755;
   let live = ref [] in
+  (* a set-up's time, scaled by the kernel samples on either side *)
   let setup k =
-    sample_speed ();
+    let k0 = time_alloc_kernel () in
     let t0 = now_ns () in
     let d =
       Daemon.spawn ~cli
@@ -401,8 +404,7 @@ let run_daemon ~cli ~seed ~colds ~traced =
     let refs = Array.map (Daemon.request c) warm_lines in
     Daemon.close c;
     let s = secs_since t0 in
-    sample_speed ();
-    (d, refs, s)
+    (d, refs, s *. (alloc_scale k0 (time_alloc_kernel ())).wall)
   in
   let reap d = live := List.filter (fun x -> x != d) !live in
   Fun.protect ~finally:(fun () -> List.iter Daemon.kill !live) @@ fun () ->
@@ -414,16 +416,21 @@ let run_daemon ~cli ~seed ~colds ~traced =
   in
   let before = List.init (setup_before - 1) (fun k -> setup_only (k + 1)) in
   let d, refs, s = setup 0 in
-  (* the measured phase, cut into [segments] equal runs of completions;
-     throughput and daemon CPU are medians over them *)
+  (* the measured phase in [segments] segments of an even number of
+     requests, so both connections get the same share of each; between
+     two of them the daemon is idle: the end of one (wall clock, daemon
+     CPU), a kernel sample, the start of the next *)
   let n = Array.length lines in
-  let every = max 1 (n / segments) in
-  let marks = ref [ (now_ns (), proc_cpu_s d.pid) ] in
-  let replies, lat, order =
+  let every = 2 * max 1 (n / (2 * segments)) in
+  let segs = (n + every - 1) / every in
+  let ends = Array.make (segs + 1) (0L, 0.) and starts = Array.make (segs + 1) (0L, 0.) in
+  let kernels = Array.make (segs + 1) (0., 0.) in
+  let replies, lat =
     Daemon.drive d ~n_conns:2 ~every
-      ~tick:(fun now ->
-        marks := (now, proc_cpu_s d.pid) :: !marks;
-        sample_speed ())
+      ~idle:(fun k ->
+        ends.(k) <- (now_ns (), proc_cpu_s d.pid);
+        kernels.(k) <- time_alloc_kernel ();
+        starts.(k) <- (now_ns (), proc_cpu_s d.pid))
       lines
   in
   let stats =
@@ -440,7 +447,6 @@ let run_daemon ~cli ~seed ~colds ~traced =
   in
   let setup_s = median (s :: List.map fst (before @ after)) in
   let words = measured_words -. median (List.map snd (before @ after)) in
-  let marks = Array.of_list (List.rev !marks) in
   (* off the clock from here *)
   let problems = ref [] in
   let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
@@ -501,42 +507,41 @@ let run_daemon ~cli ~seed ~colds ~traced =
   let field r k =
     Option.get (Option.bind (record_field r [ "record"; k ]) Json.to_int_opt)
   in
+  (* the kernel runs in this process, between segments: the daemon is
+     taken to share the host's speed of that moment *)
+  let seg_scale = Array.init segs (fun k -> alloc_scale kernels.(k) kernels.(k + 1)) in
+  let seg_sum f =
+    let acc = ref 0. in
+    for k = 0 to segs - 1 do
+      let (t0, c0), (t1, c1) = (starts.(k), ends.(k + 1)) in
+      acc := !acc +. f seg_scale.(k) (Int64.to_float (Int64.sub t1 t0) /. 1e9) (c1 -. c0)
+    done;
+    !acc
+  in
   (* a failed request counts as an infinite latency *)
   let all_lat = Array.mapi (fun i l -> if ok.(i) then l else infinity) lat in
-  let pick cold =
+  let scaled_lat = Array.mapi (fun i l -> l *. seg_scale.(i / every).wall) all_lat in
+  let pick a cold =
     Array.of_list
       (List.filter_map
-         (fun i -> if Inputs.is_cold kinds.(i) = cold then Some all_lat.(i) else None)
+         (fun i -> if Inputs.is_cold kinds.(i) = cold then Some a.(i) else None)
          (List.init n Fun.id))
   in
-  let warm_lat = pick false and cold_lat = pick true in
+  let warm_lat = pick all_lat false and cold_lat = pick all_lat true in
   let n_ok = n - errs in
-  let segs = Array.length marks - 1 in
-  let per_segment f = median (List.init segs (fun k -> f k marks.(k) marks.(k + 1))) in
-  let rps =
-    per_segment (fun k (t0, _) (t1, _) ->
-        let ok_k = ref 0 in
-        for j = k * every to ((k + 1) * every) - 1 do
-          if ok.(order.(j)) then incr ok_k
-        done;
-        float_of_int !ok_k /. (Int64.to_float (Int64.sub t1 t0) /. 1e9))
-  in
-  let cpu = per_segment (fun _ (_, c0) (_, c1) -> c1 -. c0) in
-  (* the kernel runs in this process around every set-up and at every
-     segment mark: the daemon is taken to share the host's speed *)
-  let scale = host_scale () in
-  let scaled a = Array.map (fun l -> l *. scale.wall) a in
+  let scale = median_scale (Array.to_list seg_scale) in
   let e2e =
     [
-      metric "setup_s" "s" (setup_s *. scale.wall);
-      metric "compile_s" "s" (float_of_int segs *. cpu *. scale.cpu);
-      metric "throughput_rps" "1/s" (rps /. scale.wall);
-      pct "latency_p50_ms" (scaled all_lat) 0.50;
-      pct "latency_p95_ms" (scaled all_lat) 0.95;
-      pct "warm_latency_p50_ms" (scaled warm_lat) 0.50;
-      pct "warm_latency_p99_ms" (scaled warm_lat) 0.99;
-      pct "cold_latency_p50_ms" (scaled cold_lat) 0.50;
-      pct "cold_latency_p99_ms" (scaled cold_lat) 0.99;
+      metric "setup_s" "s" setup_s;
+      metric "compile_s" "s" (seg_sum (fun sc _ cpu -> cpu *. sc.cpu));
+      metric "throughput_rps" "1/s"
+        (float_of_int n_ok /. seg_sum (fun sc wall _ -> wall *. sc.wall));
+      pct "latency_p50_ms" scaled_lat 0.50;
+      pct "latency_p95_ms" scaled_lat 0.95;
+      pct "warm_latency_p50_ms" (pick scaled_lat false) 0.50;
+      pct "warm_latency_p99_ms" (pick scaled_lat false) 0.99;
+      pct "cold_latency_p50_ms" (pick scaled_lat true) 0.50;
+      pct "cold_latency_p99_ms" (pick scaled_lat true) 0.99;
       metric "ok_ratio" "ratio" (n_ok /: n);
       metric "makespan_ratio_gm" "ratio"
         (geomean

@@ -121,21 +121,23 @@ let kill d =
   try Unix.unlink d.sock with Unix.Unix_error _ -> ()
 
 (* The closed loop: [n_conns] connections, one outstanding request each,
-   the request list dealt round-robin. Returns each request's reply, its
-   latency in ms (send to full reply) and the order requests completed
-   in; [tick] runs after every [every]-th completion, with its time. *)
-let drive d ~n_conns ~every ~tick (lines : string array) =
+   the request list dealt round-robin. The list is cut into segments of
+   [every] requests: segment [k] is requests [k * every] onwards, and
+   between two segments no request is in flight. [idle k] runs before
+   segment [k] and [idle segs] after the last one. Returns each request's
+   reply and its latency in ms (send to full reply). *)
+let drive d ~n_conns ~every ~idle (lines : string array) =
   let n = Array.length lines in
   let replies = Array.make n "" and lat = Array.make n 0. in
-  let order = Array.make n 0 and completed = ref 0 in
   let conns = Array.init n_conns (fun _ -> connect d) in
   let next = Array.init n_conns Fun.id in
   let pending = Array.make n_conns (-1) in
   let sent_at = Array.make n_conns 0L in
   let chunk = Bytes.create 65536 in
+  let limit = ref 0 in
   let issue k =
     let i = next.(k) in
-    if i < n then begin
+    if i < !limit then begin
       next.(k) <- i + n_conns;
       pending.(k) <- i;
       sent_at.(k) <- Measure.now_ns ();
@@ -143,41 +145,44 @@ let drive d ~n_conns ~every ~tick (lines : string array) =
     end
     else pending.(k) <- -1
   in
-  Array.iteri (fun k _ -> issue k) conns;
   let busy () = Array.exists (fun p -> p >= 0) pending in
-  while busy () do
-    let fds =
-      List.filter_map
-        (fun k -> if pending.(k) >= 0 then Some conns.(k).fd else None)
-        (List.init n_conns Fun.id)
-    in
-    match Unix.select fds [] [] 120. with
-    | [], _, _ -> fail "daemon-mixed: no reply within 120 s"
-    | ready, _, _ ->
-      List.iter
-        (fun fd ->
-          let k = ref 0 in
-          while conns.(!k).fd <> fd do incr k done;
-          let c = conns.(!k) in
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> fail "daemon-mixed: daemon closed a connection"
-          | got -> (
-            Buffer.add_subbytes c.buf chunk 0 got;
-            let s = Buffer.contents c.buf in
-            match String.index_opt s '\n' with
-            | None -> ()
-            | Some j ->
-              let now = Measure.now_ns () in
-              let i = pending.(!k) in
-              replies.(i) <- String.sub s 0 j;
-              lat.(i) <- Int64.to_float (Int64.sub now sent_at.(!k)) /. 1e6;
-              order.(!completed) <- i;
-              incr completed;
-              Buffer.clear c.buf;
-              Buffer.add_substring c.buf s (j + 1) (String.length s - j - 1);
-              issue !k;
-              if !completed mod every = 0 then tick now))
-        ready
+  let segs = (n + every - 1) / every in
+  for seg = 0 to segs - 1 do
+    idle seg;
+    limit := min n ((seg + 1) * every);
+    Array.iteri (fun k _ -> issue k) conns;
+    while busy () do
+      let fds =
+        List.filter_map
+          (fun k -> if pending.(k) >= 0 then Some conns.(k).fd else None)
+          (List.init n_conns Fun.id)
+      in
+      match Unix.select fds [] [] 120. with
+      | [], _, _ -> fail "daemon-mixed: no reply within 120 s"
+      | ready, _, _ ->
+        List.iter
+          (fun fd ->
+            let k = ref 0 in
+            while conns.(!k).fd <> fd do incr k done;
+            let c = conns.(!k) in
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> fail "daemon-mixed: daemon closed a connection"
+            | got -> (
+              Buffer.add_subbytes c.buf chunk 0 got;
+              let s = Buffer.contents c.buf in
+              match String.index_opt s '\n' with
+              | None -> ()
+              | Some j ->
+                let now = Measure.now_ns () in
+                let i = pending.(!k) in
+                replies.(i) <- String.sub s 0 j;
+                lat.(i) <- Int64.to_float (Int64.sub now sent_at.(!k)) /. 1e6;
+                Buffer.clear c.buf;
+                Buffer.add_substring c.buf s (j + 1) (String.length s - j - 1);
+                issue !k))
+          ready
+    done
   done;
+  idle segs;
   Array.iter close conns;
-  (replies, lat, order)
+  (replies, lat)

@@ -123,7 +123,10 @@ let is_cold = function Cold _ -> true | Warm _ -> false
    gates on one of the four evaluation devices with the sc, ion or atom
    durations. The shapes (width, gates, device, profile) are a balanced
    design dealt to the colds in a seeded order, so every seed asks for the
-   same amount of work and only the circuits themselves differ. *)
+   same amount of work and only the circuits themselves differ. Likewise
+   every warm circuit is asked for equally often (to within one), in a
+   seeded order: a warm request's latency grows with its circuit, so a
+   random draw moved the warm median with the mix. *)
 let daemon_mixed ~seed ~colds ~n_warm =
   let st = rng ~seed 3 in
   let cold = shuffle st (Array.init (8 * colds) (fun i -> i < colds)) in
@@ -137,10 +140,15 @@ let daemon_mixed ~seed ~colds ~n_warm =
              devices.(k / 9 mod 4),
              profiles.(k / 36 mod 3) )))
   in
-  let next = ref 0 in
+  let warms = shuffle st (Array.init (7 * colds) (fun j -> j mod n_warm)) in
+  let next = ref 0 and next_warm = ref 0 in
   Array.mapi
     (fun i cold ->
-      if not cold then Warm (Random.State.int st n_warm)
+      if not cold then begin
+        let k = warms.(!next_warm) in
+        incr next_warm;
+        Warm k
+      end
       else begin
         let n, gates, arch, durations = shapes.(!next) in
         incr next;

@@ -24,13 +24,14 @@ let median = function
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
 (* Host speed. The reference box is a shared 2-vCPU VM whose speed drifts
-   by up to 1.7x in phases lasting seconds to minutes. Each run times a
-   fixed reference kernel (dependent loads and stores over a 512 KB array;
-   no program code, and no allocation, so the program's heap cannot slow
-   it) at many points and reports its time metrics scaled by
-   [nominal_kernel_s / median kernel time]: a host phase that slows
-   everything cancels out, while a change to the program does not. Rows
-   print the scales beside the metrics. *)
+   by up to 1.7x in phases lasting seconds to minutes. Each batch run
+   times a fixed reference kernel (dependent loads and stores over a
+   512 KB array; no program code, and no allocation, so the program's
+   heap cannot slow it) at many points and reports its time metrics
+   scaled by [nominal_kernel_s / median kernel time]: a host phase that
+   slows everything cancels out, while a change to the program does not.
+   Rows print the scales beside the metrics. daemon-mixed uses
+   [alloc_kernel] below instead. *)
 let nominal_kernel_s = 0.0025
 
 let kernel_buf = Array.make 65536 0
@@ -66,6 +67,52 @@ let host_scale () =
       cpu = nominal_kernel_s /. median (List.map fst l);
       wall = nominal_kernel_s /. median (List.map snd l);
     }
+
+(* The daemon's reference kernel. The host's slow phases hurt
+   allocation-heavy OCaml code, which the daemon runs, more than the
+   load-and-store loop above: in two runs of alternating samples on the
+   reference box (60 s and 45 s), an in-process route's time followed
+   this kernel's with correlations of 0.81 and 0.94 (windows of ~1 s) and
+   moved as much, while [kernel]'s correlated 0.53 and 0.85. It builds
+   and folds short lists whose cells die young, so it runs in the minor
+   heap; and it runs in the benchmark process, never in the daemon, so no
+   change to the program speeds or slows it. The batch workloads keep
+   [kernel]: over eight paper-batch runs scaled both ways, this kernel's
+   whole-run scale left their time metrics two to three times as spread
+   as [kernel]'s. *)
+let nominal_alloc_kernel_s = 0.008
+
+let alloc_kernel () =
+  let rec build n acc =
+    if n = 0 then acc else build (n - 1) ((n, string_of_int n) :: acc)
+  in
+  let total = ref 0 in
+  for _ = 1 to 24 do
+    let l = List.map (fun (a, s) -> (a * 3, s ^ "x")) (build 2000 []) in
+    total := List.fold_left (fun acc (a, s) -> acc + a + String.length s) !total l
+  done;
+  ignore (Sys.opaque_identity !total)
+
+(* (CPU seconds, wall seconds) of one [alloc_kernel] run *)
+let time_alloc_kernel () =
+  let c0 = cpu_s () and t0 = now_ns () in
+  alloc_kernel ();
+  (cpu_s () -. c0, secs_since t0)
+
+(* The scale of a stretch of work between two [time_alloc_kernel]
+   samples: their geometric mean against the nominal. *)
+let alloc_scale (c0, w0) (c1, w1) =
+  {
+    cpu = nominal_alloc_kernel_s /. sqrt (c0 *. c1);
+    wall = nominal_alloc_kernel_s /. sqrt (w0 *. w1);
+  }
+
+(* The median of many scales, printed beside a row. *)
+let median_scale l =
+  {
+    cpu = median (List.map (fun s -> s.cpu) l);
+    wall = median (List.map (fun s -> s.wall) l);
+  }
 
 (* Read a whole file in chunks: /proc files report a length of 0. *)
 let read_file path =
