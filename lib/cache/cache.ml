@@ -4,7 +4,15 @@
    list + counters); operations are O(1) plus hashing. Sizes are accounted
    as key length + compact-JSON length of the record — the same bytes a
    persistence file or a service reply pays — so the byte cap tracks real
-   memory within a small constant. *)
+   memory within a small constant.
+
+   The request memo maps a request key (the request text and its options,
+   built by the caller) straight to a record's node, so a repeated request
+   skips parsing and fingerprinting. Keys hang off their node: they count
+   toward its size, at most [memo_per_record] per node, and go with the
+   node when it is evicted, replaced or cleared. All keys together stay
+   under [memo_max_bytes]. The memo holds no records of its own and is
+   never persisted. *)
 
 (* [cache.ml] is the library's entry module: re-export the fingerprint so
    users see [Cache.Fingerprint]. *)
@@ -13,7 +21,8 @@ module Fingerprint = Fingerprint
 type node = {
   key : string;
   record : Report.Record.t;
-  size : int;
+  mutable size : int;  (* key + record, plus the memo keys *)
+  mutable memo_keys : string list;  (* newest first *)
   mutable prev : node option; (* towards MRU *)
   mutable next : node option; (* towards LRU *)
 }
@@ -22,6 +31,10 @@ type t = {
   max_entries : int;
   max_bytes : int option;
   table : (string, node) Hashtbl.t;
+  memo : (string, node) Hashtbl.t;
+      (* request key -> node; a string key is hashed whole and compared
+         byte for byte, so a hash collision can only miss *)
+  mutable memo_bytes : int;
   counters : Codar.Stats.cache;
   m : Mutex.t;
   mutable head : node option; (* MRU *)
@@ -44,6 +57,8 @@ let create ?max_bytes ~max_entries () =
     max_entries;
     max_bytes;
     table = Hashtbl.create 64;
+    memo = Hashtbl.create 64;
+    memo_bytes = 0;
     counters = Codar.Stats.cache_create ();
     m = Mutex.create ();
     head = None;
@@ -68,18 +83,35 @@ let push_front t n =
   (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
   t.head <- Some n
 
-let drop_lru t =
-  match t.tail with
-  | None -> ()
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.table n.key;
-    t.bytes <- t.bytes - n.size;
-    t.counters.Codar.Stats.evictions <- t.counters.Codar.Stats.evictions + 1
+(* Unlink [n] and drop it with its memo keys. *)
+let remove t n =
+  unlink t n;
+  Hashtbl.remove t.table n.key;
+  List.iter
+    (fun k ->
+      Hashtbl.remove t.memo k;
+      t.memo_bytes <- t.memo_bytes - String.length k)
+    n.memo_keys;
+  t.bytes <- t.bytes - n.size
 
 let over_caps t =
   Hashtbl.length t.table > t.max_entries
   || match t.max_bytes with Some b -> t.bytes > b | None -> false
+
+(* Evict LRU entries until both caps hold — but never [keep], the entry
+   just inserted or keyed: a single record larger than max_bytes still
+   caches (alone) rather than thrashing. *)
+let enforce_caps t ~keep =
+  let rec go () =
+    match t.tail with
+    | Some lru when over_caps t && lru != keep ->
+      remove t lru;
+      t.counters.Codar.Stats.evictions <-
+        t.counters.Codar.Stats.evictions + 1;
+      go ()
+    | Some _ | None -> ()
+  in
+  go ()
 
 let find t key =
   locked t (fun () ->
@@ -93,30 +125,63 @@ let find t key =
         push_front t n;
         Some n.record)
 
+let find_memo t request =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.memo request with
+      | None -> None
+      | Some n ->
+        t.counters.Codar.Stats.hits <- t.counters.Codar.Stats.hits + 1;
+        t.counters.Codar.Stats.memo_hits <-
+          t.counters.Codar.Stats.memo_hits + 1;
+        unlink t n;
+        push_front t n;
+        Some (n.key, n.record))
+
+let memo_per_record = 4
+
+(* Without a byte cap, 1024 records x 4 keys of up to an 8 MiB request
+   frame each could pin 32 GiB of request text; the warm texts of the
+   paper suite are at most 16 KB. *)
+let memo_max_bytes = 16 * 1024 * 1024
+
+let memoise t request ~fingerprint =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table fingerprint with
+      | Some n
+        when (not (Hashtbl.mem t.memo request))
+             && t.memo_bytes + String.length request <= memo_max_bytes ->
+        let forget k =
+          Hashtbl.remove t.memo k;
+          n.size <- n.size - String.length k;
+          t.bytes <- t.bytes - String.length k;
+          t.memo_bytes <- t.memo_bytes - String.length k
+        in
+        (* a record keeps its newest few keys *)
+        List.iteri
+          (fun i k -> if i >= memo_per_record - 1 then forget k)
+          n.memo_keys;
+        n.memo_keys <-
+          request
+          :: List.filteri (fun i _ -> i < memo_per_record - 1) n.memo_keys;
+        Hashtbl.replace t.memo request n;
+        n.size <- n.size + String.length request;
+        t.bytes <- t.bytes + String.length request;
+        t.memo_bytes <- t.memo_bytes + String.length request;
+        enforce_caps t ~keep:n
+      | Some _ | None -> ())
+
 let add t key record =
   let size = entry_size key record in
   locked t (fun () ->
-      (match Hashtbl.find_opt t.table key with
-      | Some old ->
-        (* replace silently: same fingerprint, refreshed record *)
-        unlink t old;
-        Hashtbl.remove t.table key;
-        t.bytes <- t.bytes - old.size
-      | None -> ());
-      let n = { key; record; size; prev = None; next = None } in
+      (* replace silently: same fingerprint, refreshed record *)
+      Option.iter (remove t) (Hashtbl.find_opt t.table key);
+      let n = { key; record; size; memo_keys = []; prev = None; next = None } in
       Hashtbl.replace t.table key n;
       push_front t n;
       t.bytes <- t.bytes + size;
       t.counters.Codar.Stats.insertions <-
         t.counters.Codar.Stats.insertions + 1;
-      (* never evict the entry just inserted: a single record larger than
-         max_bytes still caches (alone) rather than thrashing *)
-      let tail_is_new () =
-        match t.tail with Some m -> m == n | None -> true
-      in
-      while over_caps t && not (tail_is_new ()) do
-        drop_lru t
-      done)
+      enforce_caps t ~keep:n)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let bytes t = locked t (fun () -> t.bytes)
@@ -128,6 +193,8 @@ let clear t =
       t.counters.Codar.Stats.invalidations <-
         t.counters.Codar.Stats.invalidations + Hashtbl.length t.table;
       Hashtbl.reset t.table;
+      Hashtbl.reset t.memo;
+      t.memo_bytes <- 0;
       t.head <- None;
       t.tail <- None;
       t.bytes <- 0)
@@ -140,7 +207,10 @@ let counters t =
         insertions = t.counters.Codar.Stats.insertions;
         evictions = t.counters.Codar.Stats.evictions;
         invalidations = t.counters.Codar.Stats.invalidations;
+        memo_hits = t.counters.Codar.Stats.memo_hits;
       })
+
+let memo_length t = locked t (fun () -> Hashtbl.length t.memo)
 
 (* ------------------------------------------------------------ persistence *)
 

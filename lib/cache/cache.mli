@@ -9,9 +9,14 @@
     {!Codar.Stats.cache} values, shared with the daemon's [stats] reply.
 
     Capacity is bounded by an entry cap and an optional byte cap
-    (accounted as key + compact-JSON size per entry); the least recently
-    used entries are evicted first. An oversized single entry is kept
-    (alone) rather than thrashed. *)
+    (accounted as key + compact-JSON size per entry, plus the entry's
+    memo keys); the least recently used entries are evicted first. An
+    oversized single entry is kept (alone) rather than thrashed.
+
+    A request memo lets a repeated request skip parsing and
+    fingerprinting: {!memoise} attaches a request key to a cached record,
+    {!find_memo} answers it. The memo holds no records — its keys go with
+    their record — and is never persisted. *)
 
 module Fingerprint : module type of Fingerprint
 (** Request fingerprinting — the cache key ([Cache.Fingerprint]). *)
@@ -29,10 +34,36 @@ val add : t -> string -> Report.Record.t -> unit
 (** Insert (or replace) as most-recent, then evict LRU entries until both
     caps hold. Counts one insertion (plus any evictions). *)
 
+val find_memo : t -> string -> (string * Report.Record.t) option
+(** [find_memo t request] is the fingerprint and record that [request] was
+    memoised to, when that record is still cached. A hit counts one cache
+    hit (and one memo hit) and refreshes recency, as {!find} does; a miss
+    counts nothing, so the caller's fallback {!find} counts it once.
+    Request keys are hashed whole and compared byte for byte: a hash
+    collision can only miss. *)
+
+val memoise : t -> string -> fingerprint:string -> unit
+(** [memoise t request ~fingerprint] attaches the request key to the
+    record cached under [fingerprint] — a no-op when there is none, the
+    key is already attached, or it would take all keys past
+    {!memo_max_bytes}. A record keeps its {!memo_per_record} newest keys;
+    their bytes count toward its size, so the byte cap bounds them (LRU
+    entries other than this one are evicted to respect it). Keys go with
+    their record on eviction, replacement and {!clear}. *)
+
+val memo_per_record : int
+
+val memo_max_bytes : int
+(** The bytes all memo keys may hold together, whatever the caps
+    (16 MiB). *)
+
+val memo_length : t -> int
+(** Request keys currently memoised. *)
+
 val length : t -> int
 val bytes : t -> int
 (** Current approximate footprint in bytes (the persistence-file size of
-    the entries, minus framing). *)
+    the entries, minus framing, plus their memo keys). *)
 
 val max_entries : t -> int
 val max_bytes : t -> int option

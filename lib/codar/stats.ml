@@ -59,17 +59,26 @@ type cache = {
   mutable insertions : int;
   mutable evictions : int;
   mutable invalidations : int;
+  mutable memo_hits : int;
 }
 
 let cache_create () =
-  { hits = 0; misses = 0; insertions = 0; evictions = 0; invalidations = 0 }
+  {
+    hits = 0;
+    misses = 0;
+    insertions = 0;
+    evictions = 0;
+    invalidations = 0;
+    memo_hits = 0;
+  }
 
 let cache_reset c =
   c.hits <- 0;
   c.misses <- 0;
   c.insertions <- 0;
   c.evictions <- 0;
-  c.invalidations <- 0
+  c.invalidations <- 0;
+  c.memo_hits <- 0
 
 let cache_hit_rate c =
   let total = c.hits + c.misses in
@@ -78,10 +87,10 @@ let cache_hit_rate c =
 let pp_cache ppf c =
   Fmt.pf ppf
     "cache: %d hits, %d misses (%.1f%% hit rate); %d insertions; %d \
-     evictions; %d invalidations"
+     evictions; %d invalidations; %d memo hits"
     c.hits c.misses
     (100. *. cache_hit_rate c)
-    c.insertions c.evictions c.invalidations
+    c.insertions c.evictions c.invalidations c.memo_hits
 
 (* ----------------------------------------------- routing-service counters *)
 

@@ -54,6 +54,9 @@ type cache = {
   mutable insertions : int;  (** entries stored (one per route computed) *)
   mutable evictions : int;  (** entries dropped to respect a cap *)
   mutable invalidations : int;  (** entries dropped by an explicit clear *)
+  mutable memo_hits : int;
+      (** hits found through the request memo, without a parse; each is
+          also one of [hits] *)
 }
 
 val cache_create : unit -> cache

@@ -21,4 +21,5 @@ val reverse_traversal :
     [initial] is what makes SABRE-style random-restart portfolios work: seed
     each restart with a different random layout and let the traversal refine
     it ({!Codar.Portfolio} wires this up). Raises [Invalid_argument] when
-    [initial]'s dimensions disagree with the circuit or device. *)
+    [iterations < 1] or when [initial]'s dimensions disagree with the
+    circuit or device. *)

@@ -10,7 +10,12 @@
     minimised over the SWAPs incident to the front gates' physical qubits,
     with per-qubit decay factors discouraging consecutive SWAPs on the same
     qubit. The emitted order is duration-{e un}aware; the caller scores it
-    with {!Schedule.Asap} under the device's real durations. *)
+    with {!Schedule.Asap} under the device's real durations.
+
+    The front is maintained incrementally: pending-predecessor counts per
+    gate, the front kept in ascending gate order, and the extended set
+    rebuilt only when gates issue. The DAG and all per-gate scratch live in
+    flat arrays, one set per domain, reused across routes. *)
 
 type config = {
   extended_size : int;  (** look-ahead window |E| (default 20) *)
@@ -38,5 +43,16 @@ val route_gates :
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
   Qc.Gate.t list * Arch.Layout.t
-(** The raw physical gate sequence and final layout (used by the
-    reverse-traversal initial-mapping pass, which needs layouts only). *)
+(** The raw physical gate sequence and final layout. *)
+
+val final_layout :
+  ?config:config ->
+  ?reverse:bool ->
+  maqam:Arch.Maqam.t ->
+  initial:Arch.Layout.t ->
+  Qc.Circuit.t ->
+  Arch.Layout.t
+(** The final layout alone, built without the gate sequence: the
+    reverse-traversal initial-mapping pass needs layouts only. With
+    [reverse] (default [false]) the circuit's gates are routed last to
+    first, as for {!Qc.Circuit.reverse}[ circuit]. *)

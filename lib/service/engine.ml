@@ -206,6 +206,55 @@ let spec_of_route_req (r : Protocol.route_req) =
       collect_stats = r.Protocol.collect_stats;
     }
 
+(* Every field, each self-delimiting (strings length-prefixed, ints
+   ';'-terminated), so distinct requests never share a key. The record
+   pattern names every field: a new request field fails to compile here
+   until the key covers it. *)
+let request_key
+    {
+      Protocol.source;
+      arch;
+      durations;
+      router;
+      placement;
+      objective;
+      metric;
+      restarts;
+      seed;
+      collect_stats;
+    } =
+  let kind, text =
+    match source with `Bench name -> ('b', name) | `Qasm text -> ('q', text)
+  in
+  let b = Buffer.create (String.length text + 64) in
+  let str s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  let opt = function
+    | None -> Buffer.add_char b '-'
+    | Some s ->
+      Buffer.add_char b '+';
+      str s
+  in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ';'
+  in
+  Buffer.add_char b kind;
+  str text;
+  str arch;
+  str durations;
+  str router;
+  str placement;
+  opt objective;
+  opt metric;
+  int restarts;
+  int seed;
+  Buffer.add_char b (if collect_stats then 't' else 'f');
+  Buffer.contents b
+
 let fingerprint spec =
   Cache.Fingerprint.compute ~collect_stats:spec.collect_stats
     ~objective:(objectives_string spec.objectives)

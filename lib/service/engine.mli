@@ -57,6 +57,11 @@ val spec_of_route_req : Protocol.route_req -> (spec, string) result
 val fingerprint : spec -> string
 (** {!Cache.Fingerprint.compute} over the resolved spec. *)
 
+val request_key : Protocol.route_req -> string
+(** The request-memo key ({!Cache.find_memo}): the QASM text or benchmark
+    name and every option, unparsed. Equal keys resolve to equal specs;
+    texts that differ in any byte get distinct keys. *)
+
 val route : spec -> Report.Record.t * Schedule.Routed.t
 (** Compute the initial placement and route, timing the whole job into
     the record's [wall_s]. May raise (router/placement internal errors);

@@ -272,37 +272,35 @@ let rec flush_out st c =
    [pending] (enqueueing a fresh one under admission control). *)
 let route_slot st now (rr : Protocol.route_req) =
   let resolution =
-    match Engine.spec_of_route_req rr with
-    | Error msg -> `Done (Ops.item_err Protocol.Bad_request msg)
-    | Ok spec ->
-      let fp = Engine.fingerprint spec in
-      locked st (fun () ->
-          match Cache.find st.cache fp with
-          | Some record -> `Done (Ops.item_ok ~fingerprint:fp record)
-          | None ->
-            if st.stop then `Done Ops.stopping_item
-            else begin
-              match Hashtbl.find_opt st.inflight fp with
-              | Some p ->
-                st.svc.Codar.Stats.coalesced <-
-                  st.svc.Codar.Stats.coalesced + 1;
+    match
+      Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
+        ~miss:(fun fp spec ->
+          if st.stop then `Done Ops.stopping_item
+          else begin
+            match Hashtbl.find_opt st.inflight fp with
+            | Some p ->
+              st.svc.Codar.Stats.coalesced <- st.svc.Codar.Stats.coalesced + 1;
+              `Wait p
+            | None ->
+              (* admission control: a full queue is an immediate typed
+                 refusal, never a parked request *)
+              if Queue.length st.jobq >= st.cfg.queue_capacity then begin
+                st.svc.Codar.Stats.overloads <-
+                  st.svc.Codar.Stats.overloads + 1;
+                `Done (Ops.overloaded_item st.cfg.queue_capacity)
+              end
+              else begin
+                let p = { fp; spec; outcome = None } in
+                Hashtbl.add st.inflight fp p;
+                Queue.add p st.jobq;
+                Condition.broadcast st.cond;
                 `Wait p
-              | None ->
-                (* admission control: a full queue is an immediate typed
-                   refusal, never a parked request *)
-                if Queue.length st.jobq >= st.cfg.queue_capacity then begin
-                  st.svc.Codar.Stats.overloads <-
-                    st.svc.Codar.Stats.overloads + 1;
-                  `Done (Ops.overloaded_item st.cfg.queue_capacity)
-                end
-                else begin
-                  let p = { fp; spec; outcome = None } in
-                  Hashtbl.add st.inflight fp p;
-                  Queue.add p st.jobq;
-                  Condition.broadcast st.cond;
-                  `Wait p
-                end
-            end)
+              end
+          end)
+    with
+    | `Bad msg -> `Done (Ops.item_err Protocol.Bad_request msg)
+    | `Hit (fp, record) -> `Done (Ops.item_ok ~fingerprint:fp record)
+    | (`Done _ | `Wait _) as r -> r
   in
   match resolution with
   | `Done item -> { item = Some item; pend = None; slot_deadline = None }

@@ -30,6 +30,29 @@ let overloaded_item queue_capacity =
 
 let stopping_item = item_err Protocol.Io "server is shutting down"
 
+let locked m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let lookup_route ~m ~cache ~miss rr =
+  let key = Engine.request_key rr in
+  match locked m (fun () -> Cache.find_memo (cache ()) key) with
+  | Some (fp, record) -> `Hit (fp, record)
+  | None -> (
+    match Engine.spec_of_route_req rr with
+    | Error msg -> `Bad msg
+    | Ok spec ->
+      let fp = Engine.fingerprint spec in
+      locked m (fun () ->
+          let cache = cache () in
+          match Cache.find cache fp with
+          | Some record ->
+            (* admitted on a hit only: one-shot colds and texts that do
+               not parse never enter the memo *)
+            Cache.memoise cache key ~fingerprint:fp;
+            `Hit (fp, record)
+          | None -> miss fp spec))
+
 let outcome_item ~fp = function
   | Ok record -> item_ok ~fingerprint:fp record
   | Error msg -> item_err Protocol.Route_failed msg
@@ -83,6 +106,7 @@ let cache_info_json cache =
     [
       ("entries", Json.Int (Cache.length cache));
       ("bytes", Json.Int (Cache.bytes cache));
+      ("memo_keys", Json.Int (Cache.memo_length cache));
       ("max_entries", Json.Int (Cache.max_entries cache));
       ( "max_bytes",
         match Cache.max_bytes cache with

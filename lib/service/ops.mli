@@ -18,6 +18,23 @@ val overloaded_item : int -> Json.t
 val stopping_item : Json.t
 (** The [io] item a route receives when the daemon is draining. *)
 
+val lookup_route :
+  m:Mutex.t ->
+  cache:(unit -> Cache.t) ->
+  miss:
+    (string ->
+    Engine.spec ->
+    ([> `Hit of string * Report.Record.t | `Bad of string ] as 'a)) ->
+  Protocol.route_req ->
+  'a
+(** The cache lookup of one route request, shared by both servers. A
+    request whose {!Engine.request_key} is memoised answers [`Hit (fp,
+    record)] without parsing; any other is resolved ([`Bad] on a bad
+    request), fingerprinted and looked up, and memoised when that lookup
+    hits. On a miss, [miss fp spec] decides the answer. Cache access —
+    [miss] included — runs under [m], the caller's lock, so the caller can
+    enqueue atomically with the lookup; parsing runs outside it. *)
+
 val outcome_item :
   fp:string -> (Report.Record.t, string) result -> Json.t
 (** A finished routing outcome as an item ([ok] or [route_failed]). *)

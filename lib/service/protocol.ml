@@ -274,6 +274,7 @@ let cache_counters_to_json (c : Codar.Stats.cache) =
       ("insertions", Json.Int c.Codar.Stats.insertions);
       ("evictions", Json.Int c.Codar.Stats.evictions);
       ("invalidations", Json.Int c.Codar.Stats.invalidations);
+      ("memo_hits", Json.Int c.Codar.Stats.memo_hits);
     ]
 
 let service_counters_to_json (s : Codar.Stats.service) =

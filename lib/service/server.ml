@@ -174,72 +174,65 @@ let ticker st =
 (* Resolve, look up, possibly enqueue, wait, and return one route result as
    a JSON item (shared by [route] and each [batch] element). *)
 let route_item st (rr : Protocol.route_req) =
-  match Engine.spec_of_route_req rr with
-  | Error msg -> Ops.item_err Protocol.Bad_request msg
-  | Ok spec -> (
-    let fp = Engine.fingerprint spec in
-    let resolution =
-      locked st (fun () ->
-          match Cache.find st.cache fp with
-          | Some record -> `Hit record
+  let resolution =
+    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
+      ~miss:(fun fp spec ->
+        if st.stop then `Stopping
+        else begin
+          match Hashtbl.find_opt st.inflight fp with
+          | Some p ->
+            st.svc.Codar.Stats.coalesced <- st.svc.Codar.Stats.coalesced + 1;
+            `Wait p
           | None ->
-            if st.stop then `Stopping
+            (* admission control: a full queue is an immediate typed
+               refusal, not a blocked connection thread *)
+            if Queue.length st.jobq >= st.cfg.queue_capacity then begin
+              st.svc.Codar.Stats.overloads <- st.svc.Codar.Stats.overloads + 1;
+              `Overloaded
+            end
             else begin
-              match Hashtbl.find_opt st.inflight fp with
-              | Some p ->
-                st.svc.Codar.Stats.coalesced <-
-                  st.svc.Codar.Stats.coalesced + 1;
-                `Wait p
-              | None ->
-                (* admission control: a full queue is an immediate typed
-                   refusal, not a blocked connection thread *)
-                if Queue.length st.jobq >= st.cfg.queue_capacity then begin
-                  st.svc.Codar.Stats.overloads <-
-                    st.svc.Codar.Stats.overloads + 1;
-                  `Overloaded
-                end
-                else begin
-                  let p = { fp; spec; outcome = None } in
-                  Hashtbl.add st.inflight fp p;
-                  Queue.add p st.jobq;
-                  Condition.broadcast st.cond;
-                  `Wait p
-                end
-            end)
+              let p = { fp; spec; outcome = None } in
+              Hashtbl.add st.inflight fp p;
+              Queue.add p st.jobq;
+              Condition.broadcast st.cond;
+              `Wait p
+            end
+        end)
+  in
+  match resolution with
+  | `Bad msg -> Ops.item_err Protocol.Bad_request msg
+  | `Hit (fp, record) -> Ops.item_ok ~fingerprint:fp record
+  | `Stopping -> Ops.stopping_item
+  | `Overloaded -> Ops.overloaded_item st.cfg.queue_capacity
+  | `Wait p -> (
+    let deadline =
+      Option.map
+        (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+        st.cfg.timeout_ms
     in
-    match resolution with
-    | `Hit record -> Ops.item_ok ~fingerprint:fp record
-    | `Stopping -> Ops.stopping_item
-    | `Overloaded -> Ops.overloaded_item st.cfg.queue_capacity
-    | `Wait p -> (
-      let deadline =
-        Option.map
-          (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
-          st.cfg.timeout_ms
-      in
-      let outcome =
-        locked st (fun () ->
-            let rec wait () =
-              match p.outcome with
-              | Some o -> Some o
-              | None -> (
-                match deadline with
-                | Some d when Unix.gettimeofday () >= d ->
-                  st.svc.Codar.Stats.timeouts <-
-                    st.svc.Codar.Stats.timeouts + 1;
-                  None
-                | Some _ | None ->
-                  Condition.wait st.cond st.m;
-                  wait ())
-            in
-            wait ())
-      in
-      match outcome with
-      | None ->
-        (* the job itself keeps running and will land in the cache; only
-           this waiter gives up *)
-        Ops.deadline_item st.cfg.timeout_ms
-      | Some o -> Ops.outcome_item ~fp o))
+    let outcome =
+      locked st (fun () ->
+          let rec wait () =
+            match p.outcome with
+            | Some o -> Some o
+            | None -> (
+              match deadline with
+              | Some d when Unix.gettimeofday () >= d ->
+                st.svc.Codar.Stats.timeouts <-
+                  st.svc.Codar.Stats.timeouts + 1;
+                None
+              | Some _ | None ->
+                Condition.wait st.cond st.m;
+                wait ())
+          in
+          wait ())
+    in
+    match outcome with
+    | None ->
+      (* the job itself keeps running and will land in the cache; only
+         this waiter gives up *)
+      Ops.deadline_item st.cfg.timeout_ms
+    | Some o -> Ops.outcome_item ~fp:p.fp o)
 
 let handle_cache st ?id action =
   Ops.handle_cache ~cfg:st.cfg

@@ -11,7 +11,7 @@ let qft ?(reversal = true) n =
       (fun i ->
         Qc.Gate.h i
         :: List.concat_map
-             (fun j -> Qc.Decompose.cphase (pi /. float_of_int (1 lsl (j - i))) j i)
+             (fun j -> Qc.Decompose.cphase (Float.ldexp pi (-(j - i))) j i)
              (List.init (n - i - 1) (fun k -> i + 1 + k)))
       (List.init n Fun.id)
   in
@@ -203,7 +203,7 @@ let phase_estimation ~counting ~phase =
     List.concat_map
       (fun k ->
         Qc.Decompose.cphase
-          (2. *. pi *. phase *. float_of_int (1 lsl k))
+          (Float.ldexp (2. *. pi *. phase) k)
           k eigen)
       (List.init counting Fun.id)
   in

@@ -211,6 +211,171 @@ let test_clear_counts_invalidations () =
   counters_check t ~hits:0 ~misses:0 ~insertions:2 ~evictions:0
     ~invalidations:2
 
+(* ---------------------------------------------------------- request memo *)
+
+let qft4_req =
+  {
+    Service.Protocol.source = `Bench "qft_4";
+    arch = "tokyo";
+    durations = "sc";
+    router = "codar";
+    placement = "sabre";
+    objective = None;
+    metric = None;
+    restarts = 2;
+    seed = 0;
+    collect_stats = false;
+  }
+
+let qft4_qasm =
+  lazy
+    (Qasm.Printer.to_string
+       (Lazy.force (Option.get (Workloads.Suite.find "qft_4")).circuit))
+
+(* The daemon's lookup path in-process: a miss routes and inserts. *)
+let lookup cache rr =
+  Service.Ops.lookup_route ~m:(Mutex.create ()) ~cache:(fun () -> cache) rr
+    ~miss:(fun fp spec ->
+      let record = fst (Service.Engine.route spec) in
+      Cache.add cache fp record;
+      `Routed (fp, record))
+
+let memo_hits t = (Cache.counters t).Codar.Stats.memo_hits
+
+let test_memo_whitespace_variants () =
+  let t = Cache.create ~max_entries:8 () in
+  let text = Lazy.force qft4_qasm in
+  let a = { qft4_req with source = `Qasm text } in
+  let b = { qft4_req with source = `Qasm ("  \n" ^ text ^ "\n\n") } in
+  let fp_of = function
+    | `Routed (fp, _) | `Hit (fp, _) -> fp
+    | `Bad msg -> Alcotest.failf "bad request: %s" msg
+  in
+  let fp = fp_of (lookup t a) in
+  (* a cold miss admits nothing: only a hit proves the key worth keeping *)
+  Alcotest.(check int) "no key after a miss" 0 (Cache.memo_length t);
+  List.iter
+    (fun rr ->
+      match lookup t rr with
+      | `Hit (fp', _) -> Alcotest.(check string) "same fingerprint" fp fp'
+      | `Routed _ | `Bad _ -> Alcotest.fail "expected a hit")
+    [ a; b; a; b ];
+  Alcotest.(check int) "one cache entry" 1 (Cache.length t);
+  Alcotest.(check int) "two memo keys" 2 (Cache.memo_length t);
+  Alcotest.(check int) "memo hits counted" 2 (memo_hits t);
+  counters_check t ~hits:4 ~misses:1 ~insertions:1 ~evictions:0
+    ~invalidations:0;
+  (* a text that does not parse is refused and never memoised *)
+  (match lookup t { qft4_req with source = `Qasm "OPENQASM 2.0; bogus" } with
+  | `Bad _ -> ()
+  | `Hit _ | `Routed _ -> Alcotest.fail "garbage accepted");
+  Alcotest.(check int) "no key for a parse failure" 2 (Cache.memo_length t)
+
+(* Two request keys with one [Hashtbl.hash], found by a birthday search
+   over seeds: the second must miss, never answer with the first's
+   record. *)
+let test_memo_hash_collision_misses () =
+  let key seed = Service.Engine.request_key { qft4_req with seed } in
+  let by_hash = Hashtbl.create 1024 in
+  let rec search seed =
+    let k = key seed in
+    match Hashtbl.find_opt by_hash (Hashtbl.hash k) with
+    | Some k' -> (k', k)
+    | None ->
+      Hashtbl.add by_hash (Hashtbl.hash k) k;
+      search (seed + 1)
+  in
+  let k1, k2 = search 0 in
+  Alcotest.(check bool) "distinct keys" false (String.equal k1 k2);
+  Alcotest.(check int) "colliding hashes" (Hashtbl.hash k1) (Hashtbl.hash k2);
+  let t = Cache.create ~max_entries:8 () in
+  Cache.add t "fp1" (Lazy.force r_qft4);
+  Cache.memoise t k1 ~fingerprint:"fp1";
+  Alcotest.(check bool) "the memoised key hits" true
+    (Option.is_some (Cache.find_memo t k1));
+  Alcotest.(check bool) "the colliding key misses" true
+    (Cache.find_memo t k2 = None);
+  Alcotest.(check int) "only the real hit counted" 1 (memo_hits t);
+  counters_check t ~hits:1 ~misses:0 ~insertions:1 ~evictions:0
+    ~invalidations:0
+
+let test_memo_keys_go_with_record () =
+  let r = Lazy.force r_qft4 in
+  let t = Cache.create ~max_entries:1 () in
+  Cache.add t "fp1" r;
+  let bytes0 = Cache.bytes t in
+  Cache.memoise t "k1" ~fingerprint:"fp1";
+  Alcotest.(check int) "a key counts toward the record's size"
+    (bytes0 + String.length "k1") (Cache.bytes t);
+  Cache.memoise t "k0" ~fingerprint:"absent";
+  Alcotest.(check int) "no key for an absent record" 1 (Cache.memo_length t);
+  (* eviction takes the keys: the request falls back to a fingerprint
+     lookup, which counts the one miss *)
+  Cache.add t "fp2" r;
+  Alcotest.(check int) "evicted with its record" 0 (Cache.memo_length t);
+  Alcotest.(check bool) "memo misses" true (Cache.find_memo t "k1" = None);
+  Alcotest.(check bool) "fingerprint misses" true (Cache.find t "fp1" = None);
+  counters_check t ~hits:0 ~misses:1 ~insertions:2 ~evictions:1
+    ~invalidations:0;
+  (* a record keeps its newest few keys *)
+  for i = 1 to Cache.memo_per_record + 2 do
+    Cache.memoise t (Printf.sprintf "key%d" i) ~fingerprint:"fp2"
+  done;
+  Alcotest.(check int) "capped per record" Cache.memo_per_record
+    (Cache.memo_length t);
+  Alcotest.(check bool) "oldest key dropped" true
+    (Cache.find_memo t "key1" = None);
+  Alcotest.(check bool) "newest key kept" true
+    (Cache.find_memo t (Printf.sprintf "key%d" (Cache.memo_per_record + 2))
+    <> None);
+  (* replacement and clear take them too *)
+  Cache.add t "fp2" r;
+  Alcotest.(check int) "replaced with its record" 0 (Cache.memo_length t);
+  Alcotest.(check int) "bytes back to the bare record" bytes0 (Cache.bytes t);
+  Cache.memoise t "k2" ~fingerprint:"fp2";
+  Cache.clear t;
+  Alcotest.(check int) "cleared" 0 (Cache.memo_length t);
+  Alcotest.(check int) "no bytes left" 0 (Cache.bytes t)
+
+(* All keys together stay under a fixed budget, caps or not: a request
+   frame may be megabytes of padding around a small circuit. *)
+let test_memo_budget () =
+  let r = Lazy.force r_qft4 in
+  let t = Cache.create ~max_entries:2 () in
+  Cache.add t "fp1" r;
+  Cache.add t "fp2" r;
+  let big = String.make (Cache.memo_max_bytes - 10) 'k' in
+  Cache.memoise t big ~fingerprint:"fp1";
+  Cache.memoise t (String.make 20 'x') ~fingerprint:"fp2";
+  Alcotest.(check int) "the key past the budget is refused" 1
+    (Cache.memo_length t);
+  Alcotest.(check bool) "the big key hits" true (Cache.find_memo t big <> None);
+  (* its record goes, and its bytes with it *)
+  Cache.add t "fp3" r;
+  Cache.add t "fp4" r;
+  Cache.memoise t (String.make 20 'x') ~fingerprint:"fp4";
+  Alcotest.(check int) "budget freed with the record" 1 (Cache.memo_length t);
+  Cache.memoise t (String.make (Cache.memo_max_bytes + 1) 'y')
+    ~fingerprint:"fp3";
+  Alcotest.(check int) "a key longer than the budget never enters" 1
+    (Cache.memo_length t)
+
+(* With a byte cap, memo keys are bounded like records: keying the MRU
+   record evicts from the LRU end, never the record being keyed. *)
+let test_memo_byte_cap () =
+  let r = Lazy.force r_qft4 in
+  let t = Cache.create ~max_entries:8 () in
+  Cache.add t "fp1" r;
+  let one = Cache.bytes t in
+  let t = Cache.create ~max_bytes:((2 * one) + 10) ~max_entries:8 () in
+  Cache.add t "fp1" r;
+  Cache.add t "fp2" r;
+  Cache.memoise t (String.make 20 'k') ~fingerprint:"fp2";
+  Alcotest.(check bool) "LRU record evicted for the key" true
+    (Cache.find t "fp1" = None);
+  Alcotest.(check bool) "keyed record kept" true
+    (Cache.find_memo t (String.make 20 'k') <> None)
+
 (* ----------------------------------------------------------- persistence *)
 
 let test_persistence_round_trip () =
@@ -424,6 +589,17 @@ let () =
             test_byte_cap_keeps_oversized;
           Alcotest.test_case "clear invalidates" `Quick
             test_clear_counts_invalidations;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "whitespace variants" `Quick
+            test_memo_whitespace_variants;
+          Alcotest.test_case "hash collision misses" `Quick
+            test_memo_hash_collision_misses;
+          Alcotest.test_case "keys go with their record" `Quick
+            test_memo_keys_go_with_record;
+          Alcotest.test_case "byte cap bounds keys" `Quick test_memo_byte_cap;
+          Alcotest.test_case "memo byte budget" `Quick test_memo_budget;
         ] );
       ( "persistence",
         [

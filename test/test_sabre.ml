@@ -118,6 +118,155 @@ let test_extended_window_config () =
           Schedule.Verify.pp_error e)
     [ 0; 5; 50 ]
 
+let test_iterations_guard () =
+  let circuit = Workloads.Builders.qft 4 in
+  List.iter
+    (fun iterations ->
+      Alcotest.(check bool)
+        (Printf.sprintf "iterations = %d refused" iterations)
+        true
+        (try
+           ignore
+             (Sabre.Initial_mapping.reverse_traversal ~iterations
+                ~maqam:maqam_tokyo circuit);
+           false
+         with Invalid_argument _ -> true))
+    [ 0; -1; min_int ]
+
+(* --- the incremental router against the verbatim pre-incremental one --- *)
+
+let layout_t = Alcotest.testable Arch.Layout.pp Arch.Layout.equal
+let gates_t = Alcotest.(list (testable Qc.Gate.pp Qc.Gate.equal))
+
+(* Equal placement layouts, then equal gate lists and final layouts when
+   routing from that placement. *)
+let check_against_reference ~what maqam circuit =
+  let placed = Sabre.Initial_mapping.reverse_traversal ~maqam circuit in
+  Alcotest.check layout_t (what ^ ": placement")
+    (Reference_sabre.reverse_traversal ~maqam circuit)
+    placed;
+  let gates, final = Sabre.Router.route_gates ~maqam ~initial:placed circuit in
+  let ref_gates, ref_final =
+    Reference_sabre.route_gates ~maqam ~initial:placed circuit
+  in
+  Alcotest.check gates_t (what ^ ": gates") ref_gates gates;
+  Alcotest.check layout_t (what ^ ": final layout") ref_final final
+
+let fig8_maqams =
+  List.map
+    (fun c -> Arch.Maqam.make ~coupling:c ~durations:sc)
+    Arch.Devices.evaluation_devices
+
+(* the Fig. 8 protocol's cells: 16-qubit-or-smaller entries everywhere, all
+   71 on Sycamore *)
+let fig8_cells maqam =
+  let device = Arch.Maqam.coupling maqam in
+  if Arch.Coupling.n_qubits device >= 54 then Workloads.Suite.all
+  else Workloads.Suite.fitting ~max_qubits:16
+
+let test_reference_fig8 () =
+  let cells = ref 0 in
+  List.iter
+    (fun maqam ->
+      List.iter
+        (fun (e : Workloads.Suite.entry) ->
+          if e.name <> "rand_16_30k" then begin
+            incr cells;
+            check_against_reference
+              ~what:
+                (e.name ^ " on "
+                ^ Arch.Coupling.name (Arch.Maqam.coupling maqam))
+              maqam (Lazy.force e.circuit)
+          end)
+        (fig8_cells maqam))
+    fig8_maqams;
+  Alcotest.(check int) "cells" 271 !cells
+
+let test_reference_rand_prefix () =
+  let full =
+    Lazy.force (Option.get (Workloads.Suite.find "rand_16_30k")).circuit
+  in
+  let prefix =
+    Qc.Circuit.make ~n_qubits:(Qc.Circuit.n_qubits full)
+      (List.filteri (fun i _ -> i < 3000) (Qc.Circuit.gates full))
+  in
+  List.iter
+    (fun maqam ->
+      check_against_reference
+        ~what:("rand_16_30k[0,3000) on "
+              ^ Arch.Coupling.name (Arch.Maqam.coupling maqam))
+        maqam prefix)
+    fig8_maqams
+
+let devices_small =
+  [ maqam_linear 5; maqam_tokyo;
+    Arch.Maqam.make ~coupling:(Arch.Devices.grid ~rows:2 ~cols:3) ~durations:sc;
+    Arch.Maqam.make ~coupling:Arch.Devices.ibm_q5 ~durations:sc ]
+
+let prop_reference_fuzz =
+  QCheck.Test.make ~count:150 ~name:"incremental = reference on Fuzz.Gen"
+    QCheck.(pair (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, d) ->
+      let maqam = List.nth devices_small d in
+      let rng = Random.State.make [| seed |] in
+      let cfg =
+        Fuzz.Gen.config
+          ~n_qubits:(1 + Random.State.int rng (Arch.Maqam.n_qubits maqam))
+          ~gates:(Random.State.int rng 60) ()
+      in
+      let circuit = Fuzz.Gen.circuit_rng rng cfg in
+      let n_logical = Qc.Circuit.n_qubits circuit in
+      let initial =
+        Arch.Layout.random rng ~n_logical
+          ~n_physical:(Arch.Maqam.n_qubits maqam)
+      in
+      (* a rare thrashing input exhausts the SWAP budget: both routers
+         must then give up alike *)
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception (Sabre.Router.Stuck m | Reference_sabre.Stuck m) -> Error m
+      in
+      let same_route (g, l) (g', l') =
+        List.equal Qc.Gate.equal g g' && Arch.Layout.equal l l'
+      in
+      Result.equal ~ok:same_route ~error:String.equal
+        (outcome (fun () -> Sabre.Router.route_gates ~maqam ~initial circuit))
+        (outcome (fun () ->
+             Reference_sabre.route_gates ~maqam ~initial circuit))
+      && Result.equal ~ok:Arch.Layout.equal ~error:String.equal
+           (outcome (fun () ->
+                Sabre.Initial_mapping.reverse_traversal ~initial ~maqam
+                  circuit))
+           (outcome (fun () ->
+                Reference_sabre.reverse_traversal ~initial ~maqam circuit)))
+
+(* Systhreads of one domain share its scratch set: a route that finds it
+   busy must work on its own, never on the other route's arrays. *)
+let test_threads_share_domain () =
+  let circuit = Workloads.Builders.qft 12 in
+  let expected =
+    Sabre.Initial_mapping.reverse_traversal ~maqam:maqam_tokyo circuit
+  in
+  let ok = Atomic.make true in
+  let threads =
+    List.init 4 (fun _ ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 60 do
+              match
+                Sabre.Initial_mapping.reverse_traversal ~maqam:maqam_tokyo
+                  circuit
+              with
+              | l -> if not (Arch.Layout.equal l expected) then Atomic.set ok false
+              | exception _ -> Atomic.set ok false
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "every thread's layout equals the sequential one"
+    true (Atomic.get ok)
+
 let () =
   Alcotest.run "sabre"
     [
@@ -134,6 +283,19 @@ let () =
             test_extended_window_config;
         ] );
       ( "initial mapping",
-        [ Alcotest.test_case "reverse traversal" `Quick test_reverse_traversal ]
-      );
+        [
+          Alcotest.test_case "reverse traversal" `Quick test_reverse_traversal;
+          Alcotest.test_case "iterations < 1 refused" `Quick
+            test_iterations_guard;
+          Alcotest.test_case "systhreads of one domain" `Quick
+            test_threads_share_domain;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "fig8 cells but rand_16_30k" `Quick
+            test_reference_fig8;
+          Alcotest.test_case "rand_16_30k prefix, every device" `Quick
+            test_reference_rand_prefix;
+          QCheck_alcotest.to_alcotest prop_reference_fuzz;
+        ] );
     ]

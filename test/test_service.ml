@@ -397,6 +397,79 @@ let test_cache_survives_restart () =
         (counter [ "cache"; "hits" ] stats);
       ignore (shutdown_and_join sock server))
 
+(* ----------------------------------------------------------- request memo *)
+
+let qasm_frame text =
+  Json.to_string ~indent:0
+    (Json.Obj
+       [
+         ("op", Json.String "route");
+         ("qasm", Json.String text);
+         ("restarts", Json.Int 2);
+       ])
+
+(* Whitespace variants share one record under two memo keys; repeats are
+   memo hits, each counted as exactly one cache hit; the replies stay
+   byte-identical. Both io models run the one lookup. *)
+let test_memo_whitespace_variants () =
+  let text =
+    Qasm.Printer.to_string
+      (Lazy.force (Option.get (Workloads.Suite.find "qft_4")).circuit)
+  in
+  let a = qasm_frame text and b = qasm_frame ("\n  " ^ text ^ "\n") in
+  List.iter
+    (fun io_model ->
+      let sock = temp_sock "memo" in
+      let server =
+        start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
+      in
+      let cold = request sock a in
+      Alcotest.(check bool) "cold route ok" true (reply_ok cold);
+      List.iter
+        (fun frame ->
+          Alcotest.(check string) "replay byte-identical" cold
+            (request sock frame))
+        [ a; b; a; b; a ];
+      let stats = request sock {|{"op":"stats"}|} in
+      Alcotest.(check int) "one route computed" 1
+        (counter [ "service"; "routes_computed" ] stats);
+      Alcotest.(check int) "one hit per warm request" 5
+        (counter [ "cache"; "hits" ] stats);
+      Alcotest.(check int) "three of them memo hits" 3
+        (counter [ "cache"; "memo_hits" ] stats);
+      Alcotest.(check int) "one miss" 1 (counter [ "cache"; "misses" ] stats);
+      let info = request sock {|{"op":"cache","action":"info"}|} in
+      Alcotest.(check int) "one cache entry" 1
+        (counter [ "cache"; "entries" ] info);
+      Alcotest.(check int) "two memo keys" 2
+        (counter [ "cache"; "memo_keys" ] info);
+      ignore (shutdown_and_join sock server))
+    [ Service.Config.Evented; Service.Config.Threaded ]
+
+(* A memoised request whose record was evicted falls back to parsing: it
+   is counted as one miss, not two, and routed again. *)
+let test_memo_after_eviction () =
+  let sock = temp_sock "memo-evict" in
+  let server =
+    start
+      (Service.Server.config ~jobs:1 ~cache_entries:1 ~socket_path:sock ())
+  in
+  let route_ghz = {|{"op":"route","bench":"ghz_3","restarts":2}|} in
+  let cold = request sock route_qft4 in
+  Alcotest.(check string) "hit, memoised" cold (request sock route_qft4);
+  Alcotest.(check bool) "other route ok" true (reply_ok (request sock route_ghz));
+  let again = request sock route_qft4 in
+  Alcotest.(check bool) "evicted request routes again" true (reply_ok again);
+  let stats = request sock {|{"op":"stats"}|} in
+  Alcotest.(check int) "three misses" 3 (counter [ "cache"; "misses" ] stats);
+  Alcotest.(check int) "one hit" 1 (counter [ "cache"; "hits" ] stats);
+  Alcotest.(check int) "no memo hit" 0 (counter [ "cache"; "memo_hits" ] stats);
+  Alcotest.(check int) "two evictions" 2
+    (counter [ "cache"; "evictions" ] stats);
+  Alcotest.(check int) "three routes" 3
+    (counter [ "service"; "routes_computed" ] stats);
+  ignore (shutdown_and_join sock server)
+
 (* ------------------------------------------------- evented loop details *)
 
 (* The select-timeout computation is pure; pin that the nearest armed
@@ -672,6 +745,10 @@ let () =
             test_hostile_frame_battery;
           Alcotest.test_case "cache survives restart" `Quick
             test_cache_survives_restart;
+          Alcotest.test_case "memo: whitespace variants" `Quick
+            test_memo_whitespace_variants;
+          Alcotest.test_case "memo: after eviction" `Quick
+            test_memo_after_eviction;
         ] );
       ( "evented",
         [

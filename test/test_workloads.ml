@@ -394,6 +394,31 @@ let test_algorithms () =
     all;
   Alcotest.(check bool) "find" true (Workloads.Algorithms.find "qft_5" <> None)
 
+(* The controlled phases are pi / 2^d for qubit distance d: computed
+   through an integer shift they overflowed at d >= 62 (negative at 62,
+   u1(inf) at 63), and the printed qft_64 did not parse. *)
+let test_qft_64_angles () =
+  let c = Workloads.Builders.qft 64 in
+  let u1s =
+    List.filter_map
+      (function
+        | Qc.Gate.One (Qc.Gate.U1 a, _) -> Some a
+        | _ -> None)
+      (Qc.Circuit.gates c)
+  in
+  Alcotest.(check bool) "every angle finite and non-zero" true
+    (List.for_all (fun a -> Float.is_finite a && a <> 0.) u1s);
+  (* each cphase is u1(t/2) . u1(-t/2) . u1(t/2): with every t positive,
+     two thirds of the angles are *)
+  let positive = List.length (List.filter (fun a -> a > 0.) u1s) in
+  Alcotest.(check int) "every phase positive" (2 * List.length u1s / 3)
+    positive;
+  Alcotest.(check (float 0.)) "smallest phase" (Float.ldexp Float.pi (-64))
+    (List.fold_left Float.min infinity (List.map Float.abs u1s));
+  let text = Qasm.Printer.to_string c in
+  Alcotest.(check bool) "printed qft_64 parses back" true
+    (Qc.Circuit.equal c (Qasm.Parser.parse text))
+
 let () =
   Alcotest.run "workloads"
     [
@@ -406,6 +431,7 @@ let () =
           Alcotest.test_case "grover" `Quick test_grover_amplifies;
           Alcotest.test_case "w state" `Quick test_w_state;
           Alcotest.test_case "qft = dft" `Quick test_qft_matches_dft;
+          Alcotest.test_case "qft_64 angles" `Quick test_qft_64_angles;
           Alcotest.test_case "phase estimation" `Quick test_phase_estimation;
           Alcotest.test_case "shapes" `Quick test_simon_and_qaoa_shapes;
           Alcotest.test_case "random reproducible" `Quick
