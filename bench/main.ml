@@ -739,6 +739,34 @@ let smoke () =
   Fmt.pr "smoke: qft_16 on tokyo: %d evals (ceiling %d), %d rescores@."
     stats16.Codar.Stats.heuristic_evals eval_ceiling
     stats16.Codar.Stats.swap_rescores;
+  (* allocation fence: one cold route of the daemon's cold shape (12
+     qubits, 400 gates with rz angles) on Tokyo, SABRE placement then
+     CODAR, counted from an emptied minor heap. The count is
+     deterministic; the ceiling is 1.5x the 190k words measured when the
+     fence was set (the scoring and commutation paths before it took
+     468k), so a revert to allocating hot paths fails runtest. *)
+  let cold =
+    Workloads.Builders.random_circuit ~n:12 ~gates:400
+      ~two_qubit_fraction:0.45 ~seed:17
+  in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let initial_cold = Sabre.Initial_mapping.reverse_traversal ~maqam cold in
+  let routed_cold = Codar.Remapper.run ~maqam ~initial:initial_cold cold in
+  let cold_words = Gc.minor_words () -. w0 in
+  (match Schedule.Verify.check_all ~maqam ~original:cold routed_cold with
+  | Ok () -> ()
+  | Error e ->
+    Fmt.failwith "smoke: cold route verify failed: %a" Schedule.Verify.pp_error
+      e);
+  let words_ceiling = 285_000. in
+  if cold_words > words_ceiling then
+    Fmt.failwith
+      "smoke: cold 12q x 400 route on tokyo allocated %.0f minor words \
+       (ceiling %.0f) — a hot path allocates again"
+      cold_words words_ceiling;
+  Fmt.pr "smoke: cold 12q x 400 on tokyo: %.0f minor words (ceiling %.0f)@."
+    cold_words words_ceiling;
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

@@ -5,9 +5,9 @@ let make ~coupling ~durations = { coupling; durations }
 let coupling t = t.coupling
 let durations t = t.durations
 let n_qubits t = Coupling.n_qubits t.coupling
-let adjacent t = Coupling.adjacent t.coupling
-let distance t = Coupling.distance t.coupling
-let duration t = Durations.of_gate t.durations
+let adjacent t a b = Coupling.adjacent t.coupling a b
+let distance t a b = Coupling.distance t.coupling a b
+let duration t g = Durations.of_gate t.durations g
 
 let fits t layout g =
   match g with

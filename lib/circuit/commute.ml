@@ -1,8 +1,11 @@
 (* The router's CF tracker asks "do these gates commute?" once per
    (predecessor, gate) slot pair — tens of thousands of times per route —
-   so both the structural rules and the cache-key construction are written
-   allocation-free for the unitary One/Two gate shapes. The generic
-   list-based fallback only runs for Barrier/Measure operands. *)
+   so the structural rules, the Z-phase rule and the flat-table key are
+   written allocation-free, with no closures, for the unitary One/Two gate
+   shapes. Only Barrier/Measure operands go through qubit lists. *)
+
+let rec any_shared qa qb =
+  match qa with [] -> false | q :: rest -> List.mem q qb || any_shared rest qb
 
 let disjoint a b =
   match (a, b) with
@@ -12,58 +15,63 @@ let disjoint a b =
     p <> q1 && p <> q2
   | Gate.Two (_, p1, p2), Gate.Two (_, q1, q2) ->
     p1 <> q1 && p1 <> q2 && p2 <> q1 && p2 <> q2
-  | _ ->
-    let qa = Gate.qubits a in
-    let qb = Gate.qubits b in
-    not (List.exists (fun q -> List.mem q qb) qa)
+  | _ -> not (any_shared (Gate.qubits a) (Gate.qubits b))
 
-let shared a b =
-  let qb = Gate.qubits b in
-  List.filter (fun q -> List.mem q qb) (Gate.qubits a)
+(* Both gates act diagonally on [q] in the same (Z or X) basis. *)
+let basis_match a b q =
+  (Gate.diagonal_on a q && Gate.diagonal_on b q)
+  || (Gate.x_like_on a q && Gate.x_like_on b q)
+
+(* [q] is not shared with unitary [b], or both act on it in one basis. *)
+let agrees a b q =
+  match b with
+  | Gate.One (_, p) -> q <> p || basis_match a b q
+  | Gate.Two (_, p1, p2) -> (q <> p1 && q <> p2) || basis_match a b q
+  | Gate.Barrier _ | Gate.Measure _ -> false
 
 (* Sufficient structural rule: two gates sharing qubits commute if, on every
    shared qubit, both act diagonally in the same (Z or X) basis. Controlled
    gates decompose as sums of projectors on such a qubit, so the argument in
-   DESIGN.md §5 applies. *)
-let commutes_by_rule a b =
+   DESIGN.md §5 applies. 1: commute, 0: do not, -1: undecided. *)
+let rule a b =
   if not (Gate.is_unitary a && Gate.is_unitary b) then
-    Some (disjoint a b)
-  else if disjoint a b then Some true
-  else if Gate.equal a b then Some true
+    if disjoint a b then 1 else 0
+  else if disjoint a b then 1
+  else if Gate.equal a b then 1
   else
-    let basis_match q =
-      (Gate.diagonal_on a q && Gate.diagonal_on b q)
-      || (Gate.x_like_on a q && Gate.x_like_on b q)
-    in
-    (* [for_all basis_match (shared a b)] with a's (arity <= 2) operands
-       enumerated directly instead of materialising the intersection *)
-    let on_b q =
-      match b with
-      | Gate.One (_, p) -> q = p
-      | Gate.Two (_, p1, p2) -> q = p1 || q = p2
-      | Gate.Barrier _ | Gate.Measure _ -> List.mem q (Gate.qubits b)
-    in
     let decided =
       match a with
-      | Gate.One (_, p) -> (not (on_b p)) || basis_match p
-      | Gate.Two (_, p1, p2) ->
-        ((not (on_b p1)) || basis_match p1)
-        && ((not (on_b p2)) || basis_match p2)
-      | Gate.Barrier _ | Gate.Measure _ ->
-        List.for_all basis_match (shared a b)
+      | Gate.One (_, p) -> agrees a b p
+      | Gate.Two (_, p1, p2) -> agrees a b p1 && agrees a b p2
+      | Gate.Barrier _ | Gate.Measure _ -> false
     in
-    if decided then Some true else None
+    if decided then 1 else -1
 
-(* The exact fallback builds and multiplies up-to-8×8 matrices; routers ask
-   the same structural question (e.g. "H then CX sharing a qubit") millions
-   of times, so results are cached under qubit-relabelling canonicalisation
-   (commutation is invariant under it). *)
-let cache : (Gate.t * Gate.t, bool) Hashtbl.t = Hashtbl.create 256
+let commutes_by_rule a b =
+  match rule a b with 1 -> Some true | 0 -> Some false | _ -> None
+
+(* [g] is X, Y or H on [q], or a CX with target [q]. *)
+let flips_on g q =
+  match g with
+  | Gate.One ((X | Y | H), p) -> p = q
+  | Gate.Two (CX, _, t) -> t = q
+  | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ -> false
+
+(* A Z phase (rz θ or u1 θ) on a qubit that [b] flips: the commutator has
+   an entry of modulus 2|sin(θ/2)| (√2|sin(θ/2)| against H), so past the
+   1e-6 margin it is far beyond [Matrix.commute]'s 1e-9 tolerance and the
+   pair does not commute. Angles within the margin of a multiple of 2π —
+   and NaN, for which the test is false — go to the exact check. *)
+let phase_flipped a b =
+  match a with
+  | Gate.One ((Rz t | U1 t), q) ->
+    flips_on b q && Float.abs (Float.sin (t /. 2.)) > 1e-6
+  | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ -> false
 
 (* Parameter-free gate pairs are fully determined by their kinds plus the
    qubit-identification pattern, so their verdicts live in a flat int table
    indexed by a packed key — no gate rebuilding, no structural hashing.
-   Parametrised kinds (angles change the answer) take the Hashtbl path. *)
+   Parametrised kinds (angles change the answer) go to the exact check. *)
 let pf_code g =
   match g with
   | Gate.One ((I | X | Y | Z | H | S | Sdg | T | Tdg) as k, _) -> (
@@ -85,13 +93,14 @@ let pf_code g =
 
 let n_pf = 12
 
-(* kind_a * kind_b * (4 operand slots renamed to 0..3, 2 bits each) *)
+(* kind_a * kind_b * (4 operand slots renamed to 0..3, 2 bits each). The
+   one piece of process-wide state: fixed-size, and every write for a key
+   stores the same verdict, so concurrent routes may race on it. *)
 let pf_table = Array.make (n_pf * n_pf * 256) (-1)
 
 (* First-occurrence renaming of the (at most 4) operands as straight-line
-   int arithmetic — this runs once per uncached-by-rule check, so no
-   closures, no ref cells. A One gate contributes its operand twice, which
-   packs the same as the arity-aware encoding would. *)
+   int arithmetic. A One gate contributes its operand twice, which packs
+   the same as the arity-aware encoding would. *)
 let pf_key a b ka kb =
   let a1, a2 =
     match a with
@@ -117,9 +126,33 @@ let pf_key a b ka kb =
   in
   (((ka * n_pf) + kb) lsl 8) lor (ra2 lsl 4) lor (rb1 lsl 2) lor rb2
 
+(* Rules, then the Z-phase rule, then the flat table, then [exact]. *)
+let decide ~exact a b =
+  match rule a b with
+  | 1 -> true
+  | 0 -> false
+  | _ ->
+    if phase_flipped a b || phase_flipped b a then false
+    else
+      let ka = pf_code a and kb = pf_code b in
+      if ka >= 0 && kb >= 0 then begin
+        let key = pf_key a b ka kb in
+        let v = pf_table.(key) in
+        if v >= 0 then v = 1
+        else begin
+          let r = Matrix.commute a b in
+          pf_table.(key) <- (if r then 1 else 0);
+          r
+        end
+      end
+      else exact a b
+
+let matrix_commute a b = Matrix.commute a b
+let commutes a b = decide ~exact:matrix_commute a b
+
 (* First-occurrence renaming, like a per-call table would do but over the
    at most 4 distinct qubits two unitary gates can touch (the only gates
-   that reach the exact fallback). Qubit indices are non-negative, so -1 is
+   that reach the exact check). Qubit indices are non-negative, so -1 is
    a safe empty slot. *)
 let canonical a b =
   let q0 = ref (-1) and q1 = ref (-1) and q2 = ref (-1) and q3 = ref (-1) in
@@ -140,27 +173,19 @@ let canonical a b =
   let b' = Gate.remap rename b in
   (a', b')
 
-let commutes a b =
-  match commutes_by_rule a b with
-  | Some r -> r
-  | None ->
-    let ka = pf_code a and kb = pf_code b in
-    if ka >= 0 && kb >= 0 then begin
-      let key = pf_key a b ka kb in
-      let v = pf_table.(key) in
-      if v >= 0 then v = 1
-      else begin
-        let r = Matrix.commute a b in
-        pf_table.(key) <- (if r then 1 else 0);
-        r
-      end
-    end
-    else begin
-      let key = canonical a b in
-      match Hashtbl.find_opt cache key with
-      | Some r -> r
-      | None ->
-        let r = Matrix.commute a b in
-        Hashtbl.replace cache key r;
-        r
-    end
+(* A route asks the same parametrised question (one rx angle against one
+   cx shape) many times: memoise the exact check under qubit-relabelling
+   canonicalisation (commutation is invariant under it), for the caller's
+   lifetime only. *)
+let memoised () =
+  let memo = Hashtbl.create 64 in
+  let exact a b =
+    let key = canonical a b in
+    match Hashtbl.find_opt memo key with
+    | Some r -> r
+    | None ->
+      let r = Matrix.commute a b in
+      Hashtbl.replace memo key r;
+      r
+  in
+  fun a b -> decide ~exact a b

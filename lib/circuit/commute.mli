@@ -2,15 +2,25 @@
 
     CODAR's Commutative-Front detection (paper §IV-B) needs a fast, exact
     answer to "do these two gates commute?". Gates on disjoint qubits always
-    commute; for gates sharing qubits we apply cheap sufficient rules
-    (Z-basis-diagonal vs X-basis-diagonal structure per shared qubit) and fall
-    back to the exact matrix commutator for the remaining cases. *)
+    commute. For gates sharing qubits the checks run in order: cheap
+    sufficient rules (Z-basis-diagonal vs X-basis-diagonal structure per
+    shared qubit), the Z-phase rule (an rz or u1 whose angle is not within
+    1e-6 of a multiple of 2π does not commute with x, y, h or a cx target on
+    its qubit), a fixed-size table of verdicts for parameter-free pairs,
+    and finally the exact matrix commutator. *)
 
 val commutes : Gate.t -> Gate.t -> bool
 (** [commutes a b] is [true] iff the two gates commute as operators.
     Non-unitary gates ([Barrier], [Measure]) commute only with gates on
-    disjoint qubits. *)
+    disjoint qubits. Keeps no state but the fixed-size parameter-free
+    table: a parametrised pair that reaches the exact check pays for its
+    matrices on every call. *)
+
+val memoised : unit -> Gate.t -> Gate.t -> bool
+(** [memoised ()] is a fresh [commutes] that also memoises the exact check
+    of parametrised pairs, up to qubit relabelling. Its memo lives as long
+    as the returned function: take one per route or verification. *)
 
 val commutes_by_rule : Gate.t -> Gate.t -> bool option
 (** The fast path only: [Some b] when a structural rule decides, [None] when
-    the exact check would be consulted. Exposed for tests and ablation. *)
+    the later checks would be consulted. Exposed for tests and ablation. *)

@@ -23,6 +23,8 @@ type state = {
   stats : Stats.t;
   gates : Qc.Gate.t array;
   issued : bool array;
+  blocked : int array;  (* per gate: the last [call] that found it blocked *)
+  mutable call : int;  (* [issue_executable] calls so far *)
   cf : Cf_front.t;  (* incremental front over [gates]/[issued] *)
   scorer : Swap_scorer.t;  (* incremental SWAP candidate scoring *)
   mutable head : int;  (* first unissued index *)
@@ -42,12 +44,24 @@ type state = {
 
 let cf_front st = Cf_front.front ~stats:st.stats st.cf st.head
 
-let lock_free_phys st p = st.locks.(p) <= st.time
+let rec lock_free st = function
+  | [] -> true
+  | q :: rest ->
+    st.locks.(Arch.Layout.phys_of_log st.layout q) <= st.time
+    && lock_free st rest
 
-let phys_qubits st g =
-  List.map (Arch.Layout.phys_of_log st.layout) (Qc.Gate.qubits g)
-
-let lock_free_gate st g = List.for_all (lock_free_phys st) (phys_qubits st g)
+(* Every qubit lock-free and, for a two-qubit gate, the pair adjacent. *)
+let executable st g =
+  match g with
+  | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) ->
+    st.locks.(Arch.Layout.phys_of_log st.layout q) <= st.time
+  | Qc.Gate.Two (_, q1, q2) ->
+    let p1 = Arch.Layout.phys_of_log st.layout q1
+    and p2 = Arch.Layout.phys_of_log st.layout q2 in
+    st.locks.(p1) <= st.time
+    && st.locks.(p2) <= st.time
+    && Arch.Maqam.adjacent st.maqam p1 p2
+  | Qc.Gate.Barrier qs -> lock_free st qs
 
 let emit st ~inserted gate duration =
   st.events_rev <-
@@ -72,18 +86,30 @@ let issue_gate st i =
 
 (* Step 2: issue every directly executable CF gate at the current time.
    Issuing can unblock further CF gates (the issued gate leaves the
-   sequence), so iterate to a fixpoint. Returns whether anything issued. *)
-let rec issue_executable st issued_any =
-  let progressed = ref false in
-  List.iter
-    (fun i ->
-      let g = st.gates.(i) in
-      if lock_free_gate st g && Arch.Maqam.fits st.maqam st.layout g then begin
-        issue_gate st i;
-        progressed := true
-      end)
-    (cf_front st);
-  if !progressed then issue_executable st true else issued_any
+   sequence), so iterate to a fixpoint. Within one call locks only rise and
+   the layout is fixed, so a gate found blocked stays blocked: it is
+   stamped with the call and later passes test only gates new to the
+   front. Returns whether anything issued. *)
+let rec issue_pass st progressed = function
+  | [] -> progressed
+  | i :: rest ->
+    if st.blocked.(i) = st.call then issue_pass st progressed rest
+    else if executable st st.gates.(i) then begin
+      issue_gate st i;
+      issue_pass st true rest
+    end
+    else begin
+      st.blocked.(i) <- st.call;
+      issue_pass st progressed rest
+    end
+
+let rec issue_fixpoint st issued_any =
+  if issue_pass st false (cf_front st) then issue_fixpoint st true
+  else issued_any
+
+let issue_executable st =
+  st.call <- st.call + 1;
+  issue_fixpoint st false
 
 (* Logical operand pairs of CF two-qubit gates (for the heuristic), cached
    per front. *)
@@ -191,9 +217,12 @@ let force_swap st =
             st.time st.remaining))
 
 let next_unlock st =
-  Array.fold_left
-    (fun acc l -> if l > st.time then min acc l else acc)
-    max_int st.locks
+  let next = ref max_int in
+  for p = 0 to Array.length st.locks - 1 do
+    let l = st.locks.(p) in
+    if l > st.time && l < !next then next := l
+  done;
+  !next
 
 let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   let n_physical = Arch.Maqam.n_qubits maqam in
@@ -207,7 +236,8 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   let gates = Qc.Circuit.gate_array circuit in
   let issued = Array.make (Array.length gates) false in
   let commutes =
-    if config.use_commutativity then Qc.Commute.commutes else fun _ _ -> false
+    if config.use_commutativity then Qc.Commute.memoised ()
+    else fun _ _ -> false
   in
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let locks = Array.make n_physical 0 in
@@ -218,6 +248,8 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
       stats;
       gates;
       issued;
+      blocked = Array.make (Array.length gates) 0;
+      call = 0;
       cf =
         Cf_front.create ~window:config.window ~max_chain:config.max_chain
           ~commutes ~gates ~issued ();
@@ -237,7 +269,7 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
     }
   in
   while st.remaining > 0 do
-    let issued = issue_executable st false in
+    let issued = issue_executable st in
     let swapped = if st.remaining > 0 then insert_swaps st else false in
     if st.remaining > 0 then begin
       let next = next_unlock st in

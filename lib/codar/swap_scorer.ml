@@ -246,51 +246,44 @@ let touch_set t p v =
 
 let adjacent t a b = Arch.Maqam.adjacent t.maqam a b
 
+(* Σ over pairs [ks] at [u], bar the one at [v] too, of how much closer
+   moving [u] to [v] brings the pair's other endpoint. *)
+let rec gain_flat t dist u v acc = function
+  | [] -> acc
+  | k :: ks ->
+    let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
+    let acc =
+      if o <> v then acc + dist.((u * t.n) + o) - dist.((v * t.n) + o)
+      else acc
+    in
+    gain_flat t dist u v acc ks
+
+(* Point queries, not row fetches: a big device's routing working set
+   exceeds the bounded row cache, so materialising whole rows here would
+   recompute O(V)-sized BFS per score — the early-exit point query costs
+   only the ball around the pair. *)
+let rec gain_rows t c u v acc = function
+  | [] -> acc
+  | k :: ks ->
+    let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
+    let acc =
+      if o <> v then
+        acc + Arch.Coupling.distance_raw c u o
+        - Arch.Coupling.distance_raw c v o
+      else acc
+    in
+    gain_rows t c u v acc ks
+
 (* Hbasic of swapping (u,v): only pairs incident to u or v contribute; the
    pair (u,v) itself (both endpoints swapped) contributes 0 and is
    skipped. *)
 let compute_basic t u v =
   t.stats.Stats.swap_rescores <- t.stats.Stats.swap_rescores + 1;
-  let basic = ref 0 in
-  (match t.dsrc with
+  match t.dsrc with
   | Flat dist ->
-    let n = t.n in
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
-        if o <> v then
-          basic := !basic + dist.((u * n) + o) - dist.((v * n) + o))
-      (inc_get t u);
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = v then t.pb.(k) else t.pa.(k) in
-        if o <> u then
-          basic := !basic + dist.((v * n) + o) - dist.((u * n) + o))
-      (inc_get t v)
+    gain_flat t dist v u (gain_flat t dist u v 0 (inc_get t u)) (inc_get t v)
   | Rows c ->
-    (* point queries, not row fetches: a big device's routing working
-       set exceeds the bounded row cache, so materialising whole rows
-       here would recompute O(V)-sized BFS per score — the early-exit
-       point query costs only the ball around the pair *)
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
-        if o <> v then
-          basic :=
-            !basic
-            + Arch.Coupling.distance_raw c u o
-            - Arch.Coupling.distance_raw c v o)
-      (inc_get t u);
-    List.iter
-      (fun k ->
-        let o = if t.pa.(k) = v then t.pb.(k) else t.pa.(k) in
-        if o <> u then
-          basic :=
-            !basic
-            + Arch.Coupling.distance_raw c v o
-            - Arch.Coupling.distance_raw c u o)
-      (inc_get t v));
-  !basic
+    gain_rows t c v u (gain_rows t c u v 0 (inc_get t u)) (inc_get t v)
 
 (* Objective score of (u,v) given its Hbasic. Bonus-free objectives
    (makespan, t2) have [bonus_bound = 0] and skip the call entirely, so
@@ -357,7 +350,10 @@ let begin_cycle t ~time ~phys_pairs =
   t.plist <- phys_pairs;
   t.plist_valid <- true;
   (* score range: [-scale*m, scale*m + bonus_bound] *)
-  t.buckets <- Array.make ((2 * t.scale * m) + t.bonus_bound + 1) [];
+  let n_buckets = (2 * t.scale * m) + t.bonus_bound + 1 in
+  if Array.length t.buckets < n_buckets then
+    t.buckets <- Array.make (max n_buckets (2 * Array.length t.buckets)) []
+  else Array.fill t.buckets 0 n_buckets [];
   (* register pairs; collect the qubits that gained their first incident
      non-adjacent pair — candidate edges sit only around those *)
   let seeds = ref [] in

@@ -124,18 +124,29 @@ and parse_factor st =
   | Lexer.String _ ->
     fail st "expected expression"
 
-let rec eval env = function
+let rec eval st env = function
   | Num f -> f
   | Pi -> Float.pi
   | Var v -> (
     match List.assoc_opt v env with
     | Some f -> f
-    | None -> raise (Parse_error (0, "unbound parameter " ^ v)))
-  | Neg e -> -.eval env e
-  | Add (a, b) -> eval env a +. eval env b
-  | Sub (a, b) -> eval env a -. eval env b
-  | Mul (a, b) -> eval env a *. eval env b
-  | Div (a, b) -> eval env a /. eval env b
+    | None -> fail_stmt st ("unbound parameter " ^ v))
+  | Neg e -> -.eval st env e
+  | Add (a, b) -> eval st env a +. eval st env b
+  | Sub (a, b) -> eval st env a -. eval st env b
+  | Mul (a, b) -> eval st env a *. eval st env b
+  | Div (a, b) -> eval st env a /. eval st env b
+
+(* A gate parameter's value. NaN and infinities (say [0/0], [1/0]) are
+   refused here: no gate means anything with them, and the printer would
+   write them as [nan]/[inf], which no reader accepts back. *)
+let param st env e =
+  let f = eval st env e in
+  if Float.is_finite f then f
+  else
+    fail_stmt st
+      (if Float.is_nan f then "gate parameter is NaN"
+       else "gate parameter is infinite")
 
 (* --- built-in gate applications --------------------------------------- *)
 
@@ -204,7 +215,7 @@ let rec apply_gate st name params qubits =
       let qenv = List.combine m.qformals qubits in
       List.iter
         (fun s ->
-          let sub_params = List.map (eval penv) s.m_params in
+          let sub_params = List.map (param st penv) s.m_params in
           let sub_qubits =
             List.map
               (fun v ->
@@ -492,7 +503,7 @@ let rec parse_statement st =
     parse_statement st
   | Some (Lexer.Ident _) ->
     let name = ident st in
-    let params = List.map (eval []) (parse_params st) in
+    let params = List.map (param st []) (parse_params st) in
     let ops = parse_operands st in
     let resolved = List.map (resolve_q st) ops in
     broadcast st resolved (fun qubits -> apply_gate st name params qubits);

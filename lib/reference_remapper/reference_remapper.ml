@@ -30,15 +30,12 @@ type state = {
   mutable time : int;
   mutable events_rev : Schedule.Routed.event list;
   mutable swap_budget : int;
+  commutes : Qc.Gate.t -> Qc.Gate.t -> bool;
 }
-
-let commutes_fn st =
-  if st.config.use_commutativity then Qc.Commute.commutes
-  else fun _ _ -> false
 
 let cf_front st =
   Codar.Cf_front.compute ~window:st.config.window ~max_chain:st.config.max_chain
-    ~commutes:(commutes_fn st) ~gates:st.gates ~issued:st.issued st.head
+    ~commutes:st.commutes ~gates:st.gates ~issued:st.issued st.head
 
 let lock_free_phys st p = st.locks.(p) <= st.time
 
@@ -250,6 +247,10 @@ let run ?(config = default_config) ~maqam ~initial circuit =
       events_rev = [];
       swap_budget =
         10 * (Array.length gates + 1) * (n_physical + 1);
+      (* the exact-check memo is per route since [Qc.Commute] keeps none *)
+      commutes =
+        (if config.use_commutativity then Qc.Commute.memoised ()
+         else fun _ _ -> false);
     }
   in
   while st.remaining > 0 do

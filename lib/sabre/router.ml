@@ -38,6 +38,11 @@ type scratch = {
   mutable seen : int array;  (* per gate: extended-set BFS stamp *)
   mutable queue : int array;  (* extended-set BFS queue *)
   mutable marked : int array;  (* per physical qubit: front-pair stamp *)
+  mutable pair_at : int array;
+      (* per physical qubit: its first F/E pair endpoint slot, valid while
+         [pair_stamp] holds the step's stamp; [next_at] chains the rest *)
+  mutable pair_stamp : int array;
+  mutable next_at : int array;  (* per slot: the next on its qubit, or -1 *)
   mutable stamp : int;
   mutable busy : bool;
 }
@@ -57,6 +62,9 @@ let empty_scratch () =
     seen = [||];
     queue = [||];
     marked = [||];
+    pair_at = [||];
+    pair_stamp = [||];
+    next_at = [||];
     stamp = 0;
     busy = false;
   }
@@ -105,6 +113,8 @@ let load s ~reverse circuit ~n_physical =
   s.queue <- grow s.queue n 0;
   s.last <- grow s.last (Qc.Circuit.n_qubits circuit) 0;
   s.marked <- grow s.marked n_physical 0;
+  s.pair_at <- grow s.pair_at n_physical 0;
+  s.pair_stamp <- grow s.pair_stamp n_physical 0;
   s.loaded <- n;
   List.iteri
     (fun k g -> s.gates.(if reverse then n - 1 - k else k) <- g)
@@ -147,37 +157,40 @@ type state = {
   layout : Arch.Layout.t;  (* a private copy, swapped in place *)
   emit : bool;  (* placement passes keep only the final layout *)
   mutable out_rev : (Qc.Gate.t * bool) list;
-  dist : int -> int -> int;
+  dist : int -> int -> int;  (* negative for an unreachable pair *)
   decay : float array;
   mutable swaps_since_reset : int;
   mutable swap_budget : int;
-  (* The front's two-qubit gates (F) and the extended set (E) as logical
-     pairs, valid while [pairs_stale] is false: SWAPs do not change the
-     front, so consecutive SWAP steps share them. [fp]/[ep] hold their
-     physical positions during one step's scoring. *)
+  (* The front's two-qubit gates (F) and then the extended set (E) as
+     logical pairs, pair k in slots 2k and 2k+1, valid while [pairs_stale]
+     is false: SWAPs do not change the front, so consecutive SWAP steps
+     share them. [pp] holds their physical positions and [pd] each pair's
+     distance during one step's scoring. *)
   mutable pairs_stale : bool;
   mutable n_f : int;
-  fl : int array;  (* logical, 2k and 2k+1 for pair k *)
-  fp : int array;
   mutable n_e : int;
-  el : int array;
-  ep : int array;
+  pl : int array;
+  pp : int array;
+  pd : int array;
+  mutable total_f : int;  (* Σ D over F, then over E, as placed *)
+  mutable total_e : int;
+  mutable delta_f : int;  (* one candidate's change to the totals *)
+  mutable delta_e : int;
+  mutable at_stamp : int;  (* the step's [pair_stamp] *)
   best : float array;  (* the best score so far, unboxed *)
   mutable best_a : int;  (* its edge; -1 before the first *)
   mutable best_b : int;
 }
 
-(* Distances through the flat table on dense devices; an unreachable pair
-   goes to [Coupling.distance], which raises for it as it always has. *)
+(* Distances through the flat table on dense devices, negative for an
+   unreachable pair. *)
 let distance_fn coupling =
   match Arch.Coupling.backend coupling with
   | Arch.Coupling.Dense ->
     let table = Arch.Coupling.distance_table coupling in
     let n = Arch.Coupling.n_qubits coupling in
-    fun a b ->
-      let d = table.((a * n) + b) in
-      if d < 0 then Arch.Coupling.distance coupling a b else d
-  | Arch.Coupling.Sparse -> Arch.Coupling.distance coupling
+    fun a b -> table.((a * n) + b)
+  | Arch.Coupling.Sparse -> Arch.Coupling.distance_raw coupling
 
 (* One gate issued: its successors with no pending predecessor left are
    appended after the front. *)
@@ -246,8 +259,8 @@ let collect_pairs st =
   for j = 0 to st.n_front - 1 do
     match sc.gates.(sc.front.(j)) with
     | Qc.Gate.Two (_, q1, q2) ->
-      st.fl.(2 * !n_f) <- q1;
-      st.fl.((2 * !n_f) + 1) <- q2;
+      st.pl.(2 * !n_f) <- q1;
+      st.pl.((2 * !n_f) + 1) <- q2;
       incr n_f
     | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ()
   done;
@@ -273,8 +286,9 @@ let collect_pairs st =
     incr head;
     (match sc.gates.(i) with
     | Qc.Gate.Two (_, q1, q2) ->
-      st.el.(2 * !n_e) <- q1;
-      st.el.((2 * !n_e) + 1) <- q2;
+      let k = st.n_f + !n_e in
+      st.pl.(2 * k) <- q1;
+      st.pl.((2 * k) + 1) <- q2;
       incr n_e
     | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ());
     push_succs i
@@ -282,39 +296,79 @@ let collect_pairs st =
   st.n_e <- !n_e;
   st.pairs_stale <- false
 
-let place st logical physical n =
-  for k = 0 to (2 * n) - 1 do
-    physical.(k) <- Arch.Layout.phys_of_log st.layout logical.(k)
+let place st =
+  for k = 0 to (2 * (st.n_f + st.n_e)) - 1 do
+    st.pp.(k) <- Arch.Layout.phys_of_log st.layout st.pl.(k)
   done
 
-(* Σ D over pairs as placed after exchanging physical qubits [a] and [b].
-   Integer sums are exact, so the float scores equal a float fold's. *)
-let sum_after st ps n a b =
-  let acc = ref 0 in
-  for k = 0 to n - 1 do
-    let p = ps.(2 * k) and q = ps.((2 * k) + 1) in
-    let p = if p = a then b else if p = b then a else p in
-    let q = if q = a then b else if q = b then a else q in
-    acc := !acc + st.dist p q
+(* Once per SWAP step, at its first candidate (a step with none raises
+   [Stuck] before reading any distance): Σ D over F and over E as placed,
+   each pair's distance, and each physical qubit's pair endpoints. A pair
+   in disconnected components stays so after any SWAP, so
+   [Coupling.distance] raises for it here, as scoring always has. *)
+let totals st =
+  let sc = st.sc in
+  let stamp = next_stamp sc in
+  st.at_stamp <- stamp;
+  let tf = ref 0 and te = ref 0 in
+  for k = 0 to st.n_f + st.n_e - 1 do
+    let p = st.pp.(2 * k) and q = st.pp.((2 * k) + 1) in
+    let d = st.dist p q in
+    if d < 0 then
+      ignore (Arch.Coupling.distance (Arch.Maqam.coupling st.maqam) p q);
+    st.pd.(k) <- d;
+    if k < st.n_f then tf := !tf + d else te := !te + d;
+    for s = 2 * k to (2 * k) + 1 do
+      let x = st.pp.(s) in
+      sc.next_at.(s) <-
+        (if sc.pair_stamp.(x) = stamp then sc.pair_at.(x) else -1);
+      sc.pair_at.(x) <- s;
+      sc.pair_stamp.(x) <- stamp
+    done
   done;
-  !acc
+  st.total_f <- !tf;
+  st.total_e <- !te
+
+(* Add to [delta_f]/[delta_e] the change of the pairs on [p] when [p]
+   moves to [q]. The pair on both [p] and [q] keeps its distance. *)
+let shift st p q =
+  let sc = st.sc in
+  if sc.pair_stamp.(p) = st.at_stamp then begin
+    let s = ref sc.pair_at.(p) in
+    while !s >= 0 do
+      let o = st.pp.(!s lxor 1) in
+      if o <> q then begin
+        let d = st.dist q o - st.pd.(!s lsr 1) in
+        if !s < 2 * st.n_f then st.delta_f <- st.delta_f + d
+        else st.delta_e <- st.delta_e + d
+      end;
+      s := sc.next_at.(!s)
+    done
+  end
 
 (* Score the SWAP of each coupling edge [(p, p')] over [p]'s neighbours,
    keeping the best in [st]: the lowest H wins, ties to the least
    [(min, max)] edge — the first strict minimum in ascending edge order. An
    edge joining two front qubits is seen from both ends and scored from its
-   lower one. *)
+   lower one. A SWAP moves only the pairs on its two qubits, so each score
+   is the step's totals plus their change; integer sums are exact, so the
+   float scores equal a float fold's over every pair. *)
 let rec score_edges st stamp p = function
   | [] -> ()
   | p' :: rest ->
     if st.sc.marked.(p') <> stamp || p < p' then begin
       let a = if p < p' then p else p' and b = if p < p' then p' else p in
+      if st.best_a < 0 then totals st;
+      st.delta_f <- 0;
+      st.delta_e <- 0;
+      shift st a b;
+      shift st b a;
       let nf = float_of_int (if st.n_f > 1 then st.n_f else 1) in
       let ne = float_of_int (if st.n_e > 1 then st.n_e else 1) in
       let base =
-        (float_of_int (sum_after st st.fp st.n_f a b) /. nf)
+        (float_of_int (st.total_f + st.delta_f) /. nf)
         +. (st.config.extended_weight
-            *. float_of_int (sum_after st st.ep st.n_e a b)
+            *. float_of_int (st.total_e + st.delta_e)
             /. ne)
       in
       (* Float.max, inlined: decays are positive *)
@@ -338,11 +392,11 @@ let best_swap st =
   let coupling = Arch.Maqam.coupling st.maqam in
   let stamp = next_stamp st.sc in
   for k = 0 to (2 * st.n_f) - 1 do
-    st.sc.marked.(st.fp.(k)) <- stamp
+    st.sc.marked.(st.pp.(k)) <- stamp
   done;
   st.best_a <- -1;
   for k = 0 to (2 * st.n_f) - 1 do
-    score_edges st stamp st.fp.(k) (Arch.Coupling.neighbors coupling st.fp.(k))
+    score_edges st stamp st.pp.(k) (Arch.Coupling.neighbors coupling st.pp.(k))
   done;
   if st.best_a < 0 then
     raise (Stuck "SABRE: no SWAP candidate — disconnected device?");
@@ -365,8 +419,7 @@ let apply_swap st (p1, p2) =
 
 let swap_step st =
   if st.pairs_stale then collect_pairs st;
-  place st st.fl st.fp st.n_f;
-  place st st.el st.ep st.n_e;
+  place st;
   apply_swap st (best_swap st)
 
 let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
@@ -379,7 +432,9 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
       incr n_front
     end
   done;
-  let n_e = max 0 (min config.extended_size n) in
+  let n_pairs = n_logical + max 0 (min config.extended_size n) in
+  if Array.length sc.next_at < 2 * n_pairs then
+    sc.next_at <- Array.make (2 * n_pairs) 0;
   let st =
     {
       maqam;
@@ -397,11 +452,15 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
       swap_budget = 10 * (n + 1) * (n_physical + 1);
       pairs_stale = true;
       n_f = 0;
-      fl = Array.make (2 * n_logical) 0;
-      fp = Array.make (2 * n_logical) 0;
       n_e = 0;
-      el = Array.make (2 * n_e) 0;
-      ep = Array.make (2 * n_e) 0;
+      pl = Array.make (2 * n_pairs) 0;
+      pp = Array.make (2 * n_pairs) 0;
+      pd = Array.make n_pairs 0;
+      total_f = 0;
+      total_e = 0;
+      delta_f = 0;
+      delta_e = 0;
+      at_stamp = 0;
       best = [| 0. |];
       best_a = -1;
       best_b = -1;

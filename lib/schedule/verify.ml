@@ -100,6 +100,7 @@ let check_equivalence ~original (r : Routed.t) =
   let originals = Qc.Circuit.gate_array original in
   let n = Array.length originals in
   let used = Array.make n false in
+  let commutes = Qc.Commute.memoised () in
   (* Greedy commutative matching: a replayed gate must equal some unused
      original gate that commutes with every unused gate preceding it.
      [lo] is the smallest possibly-unused index — every slot below it is
@@ -119,7 +120,7 @@ let check_equivalence ~original (r : Routed.t) =
           if j >= i then true
           else if used.(j) then commutes_with_prefix (j + 1)
           else
-            Qc.Commute.commutes originals.(j) g && commutes_with_prefix (j + 1)
+            commutes originals.(j) g && commutes_with_prefix (j + 1)
         in
         if commutes_with_prefix !lo then begin
           used.(i) <- true;

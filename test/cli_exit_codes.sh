@@ -39,6 +39,9 @@ expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
 
 # 3: QASM that does not parse
 expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrz(0/0) q[0];\n' \
+  > "$DIR/nan.qasm"
+expect 3 "non-finite gate parameter" "$CLI" map -i "$DIR/nan.qasm"
 
 # 4: a circuit that cannot be placed on the device
 expect 4 "circuit too big for device" "$CLI" map -b qft_8 -a q5

@@ -155,6 +155,47 @@ let test_parse_error_line () =
   with Qasm.Parser.Parse_error (line, _) ->
     Alcotest.(check int) "error on line 3" 3 line
 
+(* A NaN or infinite angle is refused at its statement's line, directly or
+   through a macro: routed, it would print as [nan], which no reader takes
+   back, and commute with everything in the matrix check. *)
+let test_parse_non_finite () =
+  let error_line src =
+    match parse src with
+    | _ -> Alcotest.failf "accepted %S" src
+    | exception Qasm.Parser.Parse_error (line, _) -> line
+  in
+  List.iter
+    (fun (what, src, line) ->
+      Alcotest.(check int) what line (error_line src))
+    [
+      ("rz(0/0)", "qreg q[1];\nh q[0];\nrz(0/0) q[0];", 3);
+      ("rz(1/0)", "qreg q[1];\nrz(1/0) q[0];", 2);
+      ("u3 with -1/0", "qreg q[1];\nu3(0, -1/0, 0) q[0];", 2);
+      ( "through a macro",
+        "qreg q[1];\ngate g(a) x { rz(a/0) x; }\ng(0) q[0];",
+        3 );
+      ("literal overflow", "qreg q[1];\nrz(1e999) q[0];", 2);
+    ];
+  (* finite values built from large parts still parse *)
+  Alcotest.(check int) "1/(1/0) is 0" 1
+    (Qc.Circuit.length (parse "qreg q[1];\nrz(1/(1/0)) q[0];"))
+
+let test_parse_unbound_param_line () =
+  List.iter
+    (fun (what, src, line) ->
+      match parse src with
+      | _ -> Alcotest.failf "accepted %S" src
+      | exception Qasm.Parser.Parse_error (l, msg) ->
+        Alcotest.(check int) what line l;
+        Alcotest.(check bool) (what ^ ": message") true
+          (String.starts_with ~prefix:"unbound parameter" msg))
+    [
+      ("top level", "qreg q[1];\nh q[0];\nrz(theta) q[0];", 3);
+      ( "in a macro body",
+        "qreg q[1];\ngate g(a) x { rz(b) x; }\nh q[0];\ng(1) q[0];",
+        4 );
+    ]
+
 (* ---------------------------------------------------------------- printer *)
 
 let test_printer_forms () =
@@ -327,6 +368,10 @@ let () =
           Alcotest.test_case "nested macro" `Quick test_parse_nested_macro;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error line" `Quick test_parse_error_line;
+          Alcotest.test_case "non-finite parameter" `Quick
+            test_parse_non_finite;
+          Alcotest.test_case "unbound parameter line" `Quick
+            test_parse_unbound_param_line;
         ] );
       ( "printer",
         [

@@ -240,38 +240,68 @@ let exhaustive_gate_pool extra_angles =
         ])
       two_kinds
 
+(* The Z-phase rule answers "does not commute" without matrices for an rz
+   or u1 meeting x, y, h or a cx target. Its cases sit at and next to the
+   angles where it must hand over to the exact check: multiples of 2π,
+   1e-12 off them, and either side of the 1e-6 margin, with the phase gate
+   on the cx target and on its control, in both argument orders. *)
+let phase_margin_pairs =
+  let tau = 2. *. Float.pi in
+  let angles =
+    [ 0.; tau; -.tau; 2. *. tau; 1e-12; -1e-12; tau +. 1e-12; tau -. 1e-12;
+      1e-7; -1e-7; 1e-5; -1e-5 ]
+  in
+  let others =
+    [ Qc.Gate.x 1; Qc.Gate.y 1; Qc.Gate.h 1; Qc.Gate.cx 0 1; Qc.Gate.cx 1 0 ]
+  in
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun p -> List.concat_map (fun o -> [ (p, o); (o, p) ]) others)
+        [ Qc.Gate.rz a 1; Qc.Gate.u1 a 1 ])
+    angles
+
 let test_commute_exhaustive () =
   let rng = Random.State.make [| 2020 |] in
   let random_angles =
     List.init 2 (fun _ -> Random.State.float rng (2. *. Float.pi) -. Float.pi)
   in
   let pool = exhaustive_gate_pool random_angles in
-  let pairs = ref 0 and fallbacks = ref 0 in
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) pool) pool
+    @ phase_margin_pairs
+  in
+  (* a route's memoised check must answer as the stateless one does *)
+  let memoised = Qc.Commute.memoised () in
+  let fallbacks = ref 0 and commuting = ref 0 in
   List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          incr pairs;
-          let expected = Qc.Matrix.commute a b in
-          let got = Qc.Commute.commutes a b in
-          if got <> expected then
-            Alcotest.failf "commutes %s / %s: got %b, oracle says %b"
-              (Qc.Gate.to_string a) (Qc.Gate.to_string b) got expected;
-          (* the structural fast path must never contradict the oracle *)
-          (match Qc.Commute.commutes_by_rule a b with
-          | None -> incr fallbacks
-          | Some r ->
-            if r <> expected then
-              Alcotest.failf "rule %s / %s: got %b, oracle says %b"
-                (Qc.Gate.to_string a) (Qc.Gate.to_string b) r expected);
-          if Qc.Commute.commutes b a <> got then
-            Alcotest.failf "asymmetric: %s / %s" (Qc.Gate.to_string a)
-              (Qc.Gate.to_string b))
-        pool)
-    pool;
-  Alcotest.(check bool) "cross product is big" true (!pairs > 10_000);
+    (fun (a, b) ->
+      let expected = Qc.Matrix.commute a b in
+      if expected then incr commuting;
+      let got = Qc.Commute.commutes a b in
+      if got <> expected then
+        Alcotest.failf "commutes %s / %s: got %b, oracle says %b"
+          (Qc.Gate.to_string a) (Qc.Gate.to_string b) got expected;
+      if memoised a b <> expected then
+        Alcotest.failf "memoised %s / %s: got %b, oracle says %b"
+          (Qc.Gate.to_string a) (Qc.Gate.to_string b) (not expected) expected;
+      (* the structural fast path must never contradict the oracle *)
+      (match Qc.Commute.commutes_by_rule a b with
+      | None -> incr fallbacks
+      | Some r ->
+        if r <> expected then
+          Alcotest.failf "rule %s / %s: got %b, oracle says %b"
+            (Qc.Gate.to_string a) (Qc.Gate.to_string b) r expected);
+      if Qc.Commute.commutes b a <> got then
+        Alcotest.failf "asymmetric: %s / %s" (Qc.Gate.to_string a)
+          (Qc.Gate.to_string b))
+    pairs;
+  Alcotest.(check int) "z-phase cases" 240 (List.length phase_margin_pairs);
+  Alcotest.(check bool) "cross product is big" true (List.length pairs > 10_000);
   Alcotest.(check bool) "some pairs used the exact fallback" true
-    (!fallbacks > 0)
+    (!fallbacks > 0);
+  Alcotest.(check bool) "both verdicts occur" true
+    (!commuting > 0 && !commuting < List.length pairs)
 
 (* Barrier and Measure are not unitary: they commute exactly with gates
    on disjoint qubits, never with overlapping ones. *)

@@ -198,6 +198,40 @@ let test_reference_rand_prefix () =
         maqam prefix)
     fig8_maqams
 
+(* Devices over 64 qubits take their distances from the sparse provider,
+   point queries instead of a table: delta scoring asks it for different
+   pairs than a full rescore, so pin both against the reference there. *)
+let test_reference_sparse () =
+  List.iter
+    (fun (name, seed) ->
+      let coupling = Option.get (Arch.Devices.by_name name) in
+      Alcotest.(check bool) (name ^ " is sparse") true
+        (Arch.Coupling.backend coupling = Arch.Coupling.Sparse);
+      let maqam = Arch.Maqam.make ~coupling ~durations:sc in
+      let circuit =
+        Workloads.Builders.random_circuit ~n:80 ~gates:300
+          ~two_qubit_fraction:0.45 ~seed
+      in
+      check_against_reference
+        ~what:(Printf.sprintf "random 80q x 300 (seed %d) on %s" seed name)
+        maqam circuit)
+    [ ("grid-10x10", 5); ("heavy-hex-7", 7) ]
+
+(* A pair across components stays unreachable after any SWAP: placement
+   fails with [Invalid_argument] as the reference does, rather than
+   scoring with a negative distance. *)
+let test_reference_disconnected () =
+  let coupling = Arch.Coupling.make ~name:"islands" ~n:4 [ (0, 1); (2, 3) ] in
+  let maqam = Arch.Maqam.make ~coupling ~durations:sc in
+  let circuit = Qc.Circuit.make ~n_qubits:4 [ Qc.Gate.cx 1 2; Qc.Gate.cx 0 3 ] in
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "reference refuses" true
+    (refused (fun () -> Reference_sabre.reverse_traversal ~maqam circuit));
+  Alcotest.(check bool) "incremental refuses" true
+    (refused (fun () -> Sabre.Initial_mapping.reverse_traversal ~maqam circuit))
+
 let devices_small =
   [ maqam_linear 5; maqam_tokyo;
     Arch.Maqam.make ~coupling:(Arch.Devices.grid ~rows:2 ~cols:3) ~durations:sc;
@@ -296,6 +330,10 @@ let () =
             test_reference_fig8;
           Alcotest.test_case "rand_16_30k prefix, every device" `Quick
             test_reference_rand_prefix;
+          Alcotest.test_case "sparse devices: grid-10x10, heavy-hex-7" `Quick
+            test_reference_sparse;
+          Alcotest.test_case "disconnected device" `Quick
+            test_reference_disconnected;
           QCheck_alcotest.to_alcotest prop_reference_fuzz;
         ] );
     ]
