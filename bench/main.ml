@@ -457,10 +457,7 @@ let objectives_table ?json () =
               | Error e ->
                 Fmt.failwith "objectives: %s/%s/%s verify failed: %a" wname
                   device name Schedule.Verify.pp_error e);
-              let depth =
-                Qc.Metrics.depth
-                  (Schedule.Routed.to_physical_circuit ~n_physical routed)
-              in
+              let depth = Schedule.Routed.raw_depth ~n_physical routed in
               let swaps = Schedule.Routed.swap_count routed in
               let esp =
                 Option.map
@@ -742,9 +739,12 @@ let smoke () =
   (* allocation fence: one cold route of the daemon's cold shape (12
      qubits, 400 gates with rz angles) on Tokyo, SABRE placement then
      CODAR, counted from an emptied minor heap. The count is
-     deterministic; the ceiling is 1.5x the 190k words measured when the
-     fence was set (the scoring and commutation paths before it took
-     468k), so a revert to allocating hot paths fails runtest. *)
+     deterministic; the ceiling is 1.5x the 35,170 words measured once the
+     CF tracker and the SWAP cycle ran on flat arrays (190k before them,
+     468k before the allocation-free scoring and commutation paths), so a
+     revert to allocating hot paths fails runtest. Most of the count is
+     the exact checks that fill parameter-free verdicts this process has
+     not met yet; a second identical route allocates 14,467. *)
   let cold =
     Workloads.Builders.random_circuit ~n:12 ~gates:400
       ~two_qubit_fraction:0.45 ~seed:17
@@ -759,7 +759,7 @@ let smoke () =
   | Error e ->
     Fmt.failwith "smoke: cold route verify failed: %a" Schedule.Verify.pp_error
       e);
-  let words_ceiling = 285_000. in
+  let words_ceiling = 52_755. in
   if cold_words > words_ceiling then
     Fmt.failwith
       "smoke: cold 12q x 400 route on tokyo allocated %.0f minor words \
@@ -767,6 +767,31 @@ let smoke () =
       cold_words words_ceiling;
   Fmt.pr "smoke: cold 12q x 400 on tokyo: %.0f minor words (ceiling %.0f)@."
     cold_words words_ceiling;
+  (* CODAR-alone allocation fence: qft_16 on Tokyo from the identity
+     layout, routing only, counted from an emptied minor heap. The count
+     is deterministic; the ceiling is 1.5x the 21,402 words measured with
+     the flat-array CF tracker and SWAP cycle (the list- and option-based
+     ones allocated 228,682). *)
+  let identity16 =
+    Arch.Layout.identity
+      ~n_logical:(Qc.Circuit.n_qubits circuit16)
+      ~n_physical:(Arch.Maqam.n_qubits maqam)
+  in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let (_ : Schedule.Routed.t) =
+    Codar.Remapper.run ~maqam ~initial:identity16 circuit16
+  in
+  let codar_words = Gc.minor_words () -. w0 in
+  let codar_ceiling = 32_103. in
+  if codar_words > codar_ceiling then
+    Fmt.failwith
+      "smoke: CODAR alone on qft_16/tokyo allocated %.0f minor words \
+       (ceiling %.0f) — the routing cycle allocates again"
+      codar_words codar_ceiling;
+  Fmt.pr "smoke: codar qft_16 on tokyo from identity: %.0f minor words \
+          (ceiling %.0f)@."
+    codar_words codar_ceiling;
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

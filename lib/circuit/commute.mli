@@ -21,6 +21,22 @@ val memoised : unit -> Gate.t -> Gate.t -> bool
     of parametrised pairs, up to qubit relabelling. Its memo lives as long
     as the returned function: take one per route or verification. *)
 
+(** A per-route checker over the indices of one gate array. *)
+module Compiled : sig
+  type t
+
+  val make : Gate.t array -> t
+  (** [make gates] precomputes, once, each gate's operands, Z/X-basis
+      bits, Z-phase and flip flags and parameter-free code, and takes a
+      fresh exact-check memo like {!memoised}'s. O(gates). *)
+
+  val commutes : t -> int -> int -> bool
+  (** [commutes c i j] = [memoised () gates.(i) gates.(j)]: the same
+      steps in the same order (rules, Z phase, the shared parameter-free
+      table, the memoised exact check), read from the precomputed arrays.
+      [Gate.equal] runs only for pairs whose kinds and operands match. *)
+end
+
 val commutes_by_rule : Gate.t -> Gate.t -> bool option
 (** The fast path only: [Some b] when a structural rule decides, [None] when
     the later checks would be consulted. Exposed for tests and ablation. *)

@@ -51,86 +51,95 @@ let compute ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued head =
 
 (* -------------------------------------------------- incremental tracker *)
 
-(* The scan above defines CF membership, for a gate [g] at (0-based)
-   position [k] among the unissued window gates on each of its qubits, as
+(* The scan above defines CF membership, for a gate [g] whose first slot
+   on qubit [q] has [k_q(g)] earlier window slots of other gates before it
+   (a gate that lists [q] twice holds two adjacent slots there), as
 
      CF(g)  ⟺  ∀q ∈ qubits(g).  k_q(g) ≤ max_chain
                ∧ ∀h earlier unissued window gate on q.  commutes h g
 
-   (for [k ≤ max_chain] the scan's chain holds exactly the [k] earlier
-   gates; the saturation flag is set by the gate at position [max_chain]
-   and blocks positions [> max_chain]). That formulation is maintainable
-   by events: issuing a CF gate only {e relaxes} the conditions of later
-   gates on its qubits, so nothing needs a full rescan —
+   That formulation is maintainable by events: issuing a CF gate only
+   {e relaxes} the conditions of later gates on its qubits, so nothing
+   needs a full rescan —
 
-   - each blocked slot {e watches} its earliest non-commuting predecessor
+   - each blocked slot {e watches} its latest non-commuting predecessor
      (the SAT watched-literal trick): when the watcher's blocker is
-     issued, the slot rescans forward from the blocker's old successor
-     only, amortising each slot's total rescan work to one prefix walk;
-   - a slot at position [max_chain + 1] that drops to [max_chain] is the
-     only one whose saturation status can change per removal, found with
-     a bounded [max_chain]-step walk;
+     issued, the slot rescans back from the blocker's old predecessor
+     only, so a slot's total rescan work is one prefix walk. Gates on a
+     line of mutually non-commuting gates issue in line order, so a slot
+     there wakes once, when its neighbour issues; watching the earliest
+     blocker instead woke every such slot at every issue on its line
+     (6.3× the commutation checks on 1000 daemon-mixed colds);
+   - on a qubit line that holds saturated slots, a removal re-evaluates
+     those now within [max_chain] of the line's start, found with a
+     bounded walk;
    - the window admits exactly the next unissued gate past its tail,
      checked once against the (≤ [max_chain]-long) prefixes of its
      qubits.
 
-   Everything else — the vast majority of the window — keeps its cached
-   verdict. The remapper feeds issues in via {!notify_issued};
-   {!invalidate} (arbitrary external [issued] flips) falls back to a full
-   rebuild. *)
+   All of it lives in int arrays. Slots come from a pool (ids into the
+   [s_*] arrays, free ones chained through [s_next]); each qubit line is a
+   doubly-linked slot list; each gate's slots are chained through
+   [s_gnext]; each watcher list is chained through [s_wnext]. Only CF
+   gates issue, and a CF gate's slots are all [ok], so a slot is never in
+   a watcher list when it is freed. The window's CF gates form an
+   ascending doubly-linked list, so [front] walks the front, not the
+   window. *)
 
-type slot_state =
-  | S_ok
-  | S_blocked of int  (* earliest non-commuting predecessor (gate index) *)
-  | S_saturated  (* position > max_chain: conservatively blocked *)
-
-type slot = {
-  s_gate : int;
-  s_qubit : int;
-  mutable s_prev : slot option;
-  mutable s_next : slot option;
-  mutable s_state : slot_state;
-}
-
-type qline = {
-  mutable q_first : slot option;
-  mutable q_last : slot option;
-  mutable q_count : int;  (* uncapped count of window slots on this qubit *)
-}
+let ok = -1
+let saturated = -2
+(* a slot state >= 0 is the gate index of its blocker *)
 
 type t = {
   window : int;
   max_chain : int;
-  commutes : Qc.Gate.t -> Qc.Gate.t -> bool;
+  commutes : int -> int -> bool;
   gates : Qc.Gate.t array;
   issued : bool array;
   n : int;
-  qlines : qline array;
-  slots : slot list array;  (* per gate: its slots while in the window *)
-  bad : int array;  (* per gate: number of blocking slots; CF ⟺ 0 *)
+  (* per qubit: the line of window slots, in window order *)
+  q_first : int array;
+  q_last : int array;
+  q_count : int array;
+  q_sat : int array;  (* saturated slots on the line *)
+  (* the slot pool *)
+  mutable s_gate : int array;
+  mutable s_qubit : int array;
+  mutable s_prev : int array;
+  mutable s_next : int array;  (* line successor; free-list link *)
+  mutable s_state : int array;  (* [ok], [saturated] or the blocker *)
+  mutable s_gnext : int array;  (* next slot of the same gate *)
+  mutable s_wnext : int array;  (* next slot watching the same blocker *)
+  mutable free : int;
+  (* per gate *)
+  gslot : int array;  (* first slot while in the window, else -1 *)
+  bad : int array;  (* blocking slots; CF ⟺ 0 *)
   in_window : bool array;
-  watchers : slot list array;  (* per gate: slots blocked by it *)
-  (* window gates in ascending order, as a doubly-linked index list *)
-  gprev : int array;
-  gnext : int array;
-  mutable gfirst : int;
-  mutable glast : int;
+  whead : int array;  (* first slot blocked by this gate, -1 if none *)
   mutable win_count : int;
   mutable scan_next : int;  (* next gate index to examine for admission *)
+  (* the window's CF gates in ascending order *)
+  in_cf : bool array;
+  cprev : int array;
+  cnext : int array;
+  mutable cfirst : int;
+  mutable clast : int;
   mutable built : bool;  (* incremental structures mirror [issued] *)
   mutable list_valid : bool;  (* [cached] mirrors the structures *)
   mutable cached : int list;
   mutable cached_head : int;
 }
 
+let max_qubit acc g =
+  match g with
+  | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) -> max acc q
+  | Qc.Gate.Two (_, a, b) -> max acc (max a b)
+  | Qc.Gate.Barrier qs -> List.fold_left max acc qs
+
 let create ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued () =
   let n = Array.length gates in
-  let n_qubits =
-    1
-    + Array.fold_left
-        (fun acc g -> List.fold_left max acc (Qc.Gate.qubits g))
-        (-1) gates
-  in
+  let n_qubits = 1 + Array.fold_left max_qubit (-1) gates in
+  let cap = 2 * (min window n + 2) in
   {
     window;
     max_chain;
@@ -138,19 +147,29 @@ let create ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued () =
     gates;
     issued;
     n;
-    qlines =
-      Array.init n_qubits (fun _ ->
-          { q_first = None; q_last = None; q_count = 0 });
-    slots = Array.make n [];
+    q_first = Array.make n_qubits (-1);
+    q_last = Array.make n_qubits (-1);
+    q_count = Array.make n_qubits 0;
+    q_sat = Array.make n_qubits 0;
+    s_gate = Array.make cap 0;
+    s_qubit = Array.make cap 0;
+    s_prev = Array.make cap (-1);
+    s_next = Array.make cap (-1);
+    s_state = Array.make cap ok;
+    s_gnext = Array.make cap (-1);
+    s_wnext = Array.make cap (-1);
+    free = -1;
+    gslot = Array.make n (-1);
     bad = Array.make n 0;
     in_window = Array.make n false;
-    watchers = Array.make n [];
-    gprev = Array.make n (-1);
-    gnext = Array.make n (-1);
-    gfirst = -1;
-    glast = -1;
+    whead = Array.make n (-1);
     win_count = 0;
     scan_next = 0;
+    in_cf = Array.make n false;
+    cprev = Array.make n (-1);
+    cnext = Array.make n (-1);
+    cfirst = -1;
+    clast = -1;
     built = false;
     list_valid = false;
     cached = [];
@@ -161,111 +180,165 @@ let invalidate t =
   t.built <- false;
   t.list_valid <- false
 
-(* First non-commuting predecessor of [sl] starting the walk at [from]
-   (every slot before [from] is already known to commute). Removed slots
-   keep their [s_next] into the live line, so a stale resume pointer is
-   walked through harmlessly via the [issued] guard. *)
-let rec first_blocker t g sl from =
-  match from with
-  | None -> None
-  | Some c ->
-    if c == sl then None
-    else if t.issued.(c.s_gate) then first_blocker t g sl c.s_next
-    else if t.commutes t.gates.(c.s_gate) g then first_blocker t g sl c.s_next
-    else Some c.s_gate
+(* Chain slots [lo, hi) onto the free list. *)
+let free_range t lo hi =
+  for s = hi - 1 downto lo do
+    t.s_next.(s) <- t.free;
+    t.free <- s
+  done
 
-(* Re-derive [sl]'s verdict from scratch on its own line and update the
-   owning gate's bad-count relative to [was_bad]. *)
-let reeval t sl ~was_bad =
-  let line = t.qlines.(sl.s_qubit) in
-  let g = t.gates.(sl.s_gate) in
-  let state =
-    match first_blocker t g sl line.q_first with
-    | Some b ->
-      t.watchers.(b) <- sl :: t.watchers.(b);
-      S_blocked b
-    | None -> S_ok
+let grow t =
+  let cap = Array.length t.s_gate in
+  let cap' = 2 * cap in
+  let extend a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
   in
-  sl.s_state <- state;
-  let is_bad = state <> S_ok in
-  if was_bad && not is_bad then t.bad.(sl.s_gate) <- t.bad.(sl.s_gate) - 1
-  else if (not was_bad) && is_bad then
-    t.bad.(sl.s_gate) <- t.bad.(sl.s_gate) + 1
+  t.s_gate <- extend t.s_gate 0;
+  t.s_qubit <- extend t.s_qubit 0;
+  t.s_prev <- extend t.s_prev (-1);
+  t.s_next <- extend t.s_next (-1);
+  t.s_state <- extend t.s_state ok;
+  t.s_gnext <- extend t.s_gnext (-1);
+  t.s_wnext <- extend t.s_wnext (-1);
+  free_range t cap cap'
 
-(* After a removal on [line], the slot now at position [max_chain] (if
-   any) may have crossed the saturation boundary from above. *)
-let fix_saturation t line =
-  if line.q_count > t.max_chain then begin
-    let rec nth cur k =
-      match cur with
-      | None -> None
-      | Some c -> if k = 0 then Some c else nth c.s_next (k - 1)
-    in
-    match nth line.q_first t.max_chain with
-    | Some c when c.s_state = S_saturated -> reeval t c ~was_bad:true
-    | Some _ | None -> ()
+let alloc_slot t =
+  if t.free < 0 then grow t;
+  let s = t.free in
+  t.free <- t.s_next.(s);
+  s
+
+let add_watcher t b s =
+  t.s_wnext.(s) <- t.whead.(b);
+  t.whead.(b) <- s
+
+(* Insert CF gate [g] into the ascending CF list. The list is the front,
+   a handful of gates, so the walk from the tail is short. *)
+let cf_insert t g =
+  let p = ref t.clast in
+  while !p > g do
+    p := t.cprev.(!p)
+  done;
+  let nx = if !p >= 0 then t.cnext.(!p) else t.cfirst in
+  t.cprev.(g) <- !p;
+  t.cnext.(g) <- nx;
+  if !p >= 0 then t.cnext.(!p) <- g else t.cfirst <- g;
+  if nx >= 0 then t.cprev.(nx) <- g else t.clast <- g;
+  t.in_cf.(g) <- true;
+  t.list_valid <- false
+
+let cf_remove t g =
+  if t.in_cf.(g) then begin
+    let p = t.cprev.(g) and nx = t.cnext.(g) in
+    if p >= 0 then t.cnext.(p) <- nx else t.cfirst <- nx;
+    if nx >= 0 then t.cprev.(nx) <- p else t.clast <- p;
+    t.in_cf.(g) <- false;
+    t.list_valid <- false
+  end
+
+(* The latest non-commuting predecessor of gate [g] at or before slot
+   [c], walking the line back towards its start (every slot after [c] is
+   already known to commute); [ok] when none. Slots of [g] itself are not
+   predecessors. *)
+let rec first_blocker t g c =
+  if c < 0 then ok
+  else begin
+    let h = t.s_gate.(c) in
+    if h = g || t.commutes h g then first_blocker t g t.s_prev.(c) else h
+  end
+
+(* One fewer blocking slot for gate [g]. *)
+let relax t g =
+  let b = t.bad.(g) - 1 in
+  t.bad.(g) <- b;
+  if b = 0 then cf_insert t g
+
+(* The saturated slot [c] is now within [max_chain] of its line's start:
+   derive its verdict from its whole prefix. *)
+let reeval t c =
+  let q = t.s_qubit.(c) and g = t.s_gate.(c) in
+  t.q_sat.(q) <- t.q_sat.(q) - 1;
+  let b = first_blocker t g t.s_prev.(c) in
+  t.s_state.(c) <- b;
+  if b >= 0 then add_watcher t b c else relax t g
+
+(* Re-evaluate the saturated slots of a line whose gate position (the
+   count of earlier slots of other gates) is back within [max_chain]. *)
+let rec fix_line t c idx pos prev =
+  if c >= 0 then begin
+    let g = t.s_gate.(c) in
+    let pos = if g = prev then pos else idx in
+    if pos <= t.max_chain then begin
+      let next = t.s_next.(c) in
+      if t.s_state.(c) = saturated then reeval t c;
+      fix_line t next (idx + 1) pos g
+    end
+  end
+
+(* A slot for gate [i] on qubit [q], its verdict taken against the line
+   as it stands (none of [i]'s slots linked yet, so a gate listing a
+   qubit twice is checked as the scan checks it). *)
+let stage t i q =
+  let s = alloc_slot t in
+  t.s_gate.(s) <- i;
+  t.s_qubit.(s) <- q;
+  t.s_state.(s) <-
+    (if t.q_count.(q) > t.max_chain then saturated
+     else first_blocker t i t.q_last.(q));
+  s
+
+let rec stage_list t i = function
+  | [] -> -1
+  | q :: rest ->
+    let s = stage t i q in
+    let next = stage_list t i rest in
+    (* read [s_gnext] only now: staging [rest] may have grown the pool *)
+    t.s_gnext.(s) <- next;
+    s
+
+(* Append gate [i]'s staged slots to their lines. *)
+let rec link t i s =
+  if s >= 0 then begin
+    let q = t.s_qubit.(s) in
+    let last = t.q_last.(q) in
+    t.s_prev.(s) <- last;
+    t.s_next.(s) <- -1;
+    if last >= 0 then t.s_next.(last) <- s else t.q_first.(q) <- s;
+    t.q_last.(q) <- s;
+    t.q_count.(q) <- t.q_count.(q) + 1;
+    let state = t.s_state.(s) in
+    if state <> ok then begin
+      t.bad.(i) <- t.bad.(i) + 1;
+      if state >= 0 then add_watcher t state s
+      else t.q_sat.(q) <- t.q_sat.(q) + 1
+    end;
+    link t i t.s_gnext.(s)
   end
 
 let admit t i =
-  let g = t.gates.(i) in
-  let qs = Qc.Gate.qubits g in
-  (* verdicts first, against lines not yet containing [g] (a gate listing
-     a qubit twice must not be checked against itself, mirroring the
-     scan's check-all-then-add order) *)
-  let staged =
-    List.map
-      (fun q ->
-        let line = t.qlines.(q) in
-        if line.q_count > t.max_chain then (q, S_saturated)
-        else
-          match
-            first_blocker t g { s_gate = i; s_qubit = q; s_prev = None;
-                                s_next = None; s_state = S_ok }
-              line.q_first
-          with
-          | Some b -> (q, S_blocked b)
-          | None -> (q, S_ok))
-      qs
+  let first =
+    match t.gates.(i) with
+    | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) ->
+      let s = stage t i q in
+      t.s_gnext.(s) <- -1;
+      s
+    | Qc.Gate.Two (_, a, b) ->
+      let sa = stage t i a in
+      let sb = stage t i b in
+      t.s_gnext.(sa) <- sb;
+      t.s_gnext.(sb) <- -1;
+      sa
+    | Qc.Gate.Barrier qs -> stage_list t i qs
   in
-  let bad = ref 0 in
-  let slots =
-    List.map
-      (fun (q, state) ->
-        let line = t.qlines.(q) in
-        let sl =
-          { s_gate = i; s_qubit = q; s_prev = line.q_last; s_next = None;
-            s_state = state }
-        in
-        (match line.q_last with
-        | Some last -> last.s_next <- Some sl
-        | None -> line.q_first <- Some sl);
-        line.q_last <- Some sl;
-        line.q_count <- line.q_count + 1;
-        (match state with
-        | S_ok -> ()
-        | S_blocked b ->
-          t.watchers.(b) <- sl :: t.watchers.(b);
-          incr bad
-        | S_saturated -> incr bad);
-        sl)
-      staged
-  in
-  t.slots.(i) <- slots;
-  t.bad.(i) <- !bad;
+  t.gslot.(i) <- first;
+  t.bad.(i) <- 0;
+  link t i first;
   t.in_window.(i) <- true;
-  if t.glast < 0 then begin
-    t.gfirst <- i;
-    t.glast <- i;
-    t.gprev.(i) <- -1;
-    t.gnext.(i) <- -1
-  end
-  else begin
-    t.gnext.(t.glast) <- i;
-    t.gprev.(i) <- t.glast;
-    t.gnext.(i) <- -1;
-    t.glast <- i
-  end;
-  t.win_count <- t.win_count + 1
+  t.win_count <- t.win_count + 1;
+  (* [i] is the highest window index: a CF [i] goes to the list's tail *)
+  if t.bad.(i) = 0 then cf_insert t i
 
 let admit_pending t =
   while t.win_count < t.window && t.scan_next < t.n do
@@ -274,74 +347,86 @@ let admit_pending t =
   done
 
 let rebuild t =
-  Array.iter
-    (fun line ->
-      line.q_first <- None;
-      line.q_last <- None;
-      line.q_count <- 0)
-    t.qlines;
-  Array.fill t.slots 0 t.n [];
+  Array.fill t.q_first 0 (Array.length t.q_first) (-1);
+  Array.fill t.q_last 0 (Array.length t.q_last) (-1);
+  Array.fill t.q_count 0 (Array.length t.q_count) 0;
+  Array.fill t.q_sat 0 (Array.length t.q_sat) 0;
+  t.free <- -1;
+  free_range t 0 (Array.length t.s_gate);
+  Array.fill t.gslot 0 t.n (-1);
   Array.fill t.bad 0 t.n 0;
   Array.fill t.in_window 0 t.n false;
-  Array.fill t.watchers 0 t.n [];
-  t.gfirst <- -1;
-  t.glast <- -1;
+  Array.fill t.whead 0 t.n (-1);
+  Array.fill t.in_cf 0 t.n false;
+  t.cfirst <- -1;
+  t.clast <- -1;
   t.win_count <- 0;
   t.scan_next <- 0;
   admit_pending t;
   t.built <- true
 
-let remove_slot t sl =
-  let line = t.qlines.(sl.s_qubit) in
-  (match sl.s_prev with
-  | Some p -> p.s_next <- sl.s_next
-  | None -> line.q_first <- sl.s_next);
-  (match sl.s_next with
-  | Some nx -> nx.s_prev <- sl.s_prev
-  | None -> line.q_last <- sl.s_prev);
-  line.q_count <- line.q_count - 1
+let unlink_slot t s =
+  let q = t.s_qubit.(s) in
+  let p = t.s_prev.(s) and nx = t.s_next.(s) in
+  if p >= 0 then t.s_next.(p) <- nx else t.q_first.(q) <- nx;
+  if nx >= 0 then t.s_prev.(nx) <- p else t.q_last.(q) <- p;
+  t.q_count.(q) <- t.q_count.(q) - 1
+
+(* Wake slot [w], blocked by the just-issued gate [i]: the slots between
+   [i] and [w] commute with [w], so rescan back from the predecessor of
+   [i]'s (unlinked) slot on [w]'s qubit. Unlinking leaves that slot's
+   [s_prev] on the live line, also when [i] lists the qubit twice. *)
+let rec resume t q s =
+  if s < 0 then assert false (* a blocker has a slot on its watchers' line *)
+  else if t.s_qubit.(s) = q then t.s_prev.(s)
+  else resume t q t.s_gnext.(s)
+
+let wake t i w =
+  let g = t.s_gate.(w) in
+  let b = first_blocker t g (resume t t.s_qubit.(w) t.gslot.(i)) in
+  t.s_state.(w) <- b;
+  if b >= 0 then add_watcher t b w else relax t g
 
 let notify_issued t i =
   if t.built then begin
     if i >= t.scan_next then ()  (* never admitted; admission will skip it *)
-    else if not t.in_window.(i) then
-      (* inconsistent external mutation; fall back to a rebuild *)
+    else if (not t.in_window.(i)) || t.bad.(i) > 0 then
+      (* not a CF gate of the window: an external mutation the events do
+         not model; fall back to a rebuild *)
       invalidate t
     else begin
-      t.list_valid <- false;
       t.in_window.(i) <- false;
-      (* unlink from the global window order *)
-      let p = t.gprev.(i) and nx = t.gnext.(i) in
-      if p >= 0 then t.gnext.(p) <- nx else t.gfirst <- nx;
-      if nx >= 0 then t.gprev.(nx) <- p else t.glast <- p;
       t.win_count <- t.win_count - 1;
-      let removed = t.slots.(i) in
-      t.slots.(i) <- [];
-      List.iter (fun sl -> remove_slot t sl) removed;
-      (* wake the slots that watched [i] as their blocker: each rescans
-         forward from [i]'s old successor on its qubit only *)
-      let ws = t.watchers.(i) in
-      t.watchers.(i) <- [];
-      List.iter
-        (fun w ->
-          if t.in_window.(w.s_gate) && not t.issued.(w.s_gate) then begin
-            let resume =
-              match
-                List.find_opt (fun sl -> sl.s_qubit = w.s_qubit) removed
-              with
-              | Some sl -> sl.s_next
-              | None -> t.qlines.(w.s_qubit).q_first  (* defensive *)
-            in
-            match first_blocker t t.gates.(w.s_gate) w resume with
-            | Some b ->
-              t.watchers.(b) <- w :: t.watchers.(b);
-              w.s_state <- S_blocked b
-            | None ->
-              w.s_state <- S_ok;
-              t.bad.(w.s_gate) <- t.bad.(w.s_gate) - 1
-          end)
-        ws;
-      List.iter (fun sl -> fix_saturation t t.qlines.(sl.s_qubit)) removed;
+      cf_remove t i;
+      let s = ref t.gslot.(i) in
+      while !s >= 0 do
+        unlink_slot t !s;
+        s := t.s_gnext.(!s)
+      done;
+      let w = ref t.whead.(i) in
+      t.whead.(i) <- -1;
+      while !w >= 0 do
+        let next = t.s_wnext.(!w) in
+        wake t i !w;
+        w := next
+      done;
+      s := t.gslot.(i);
+      while !s >= 0 do
+        let q = t.s_qubit.(!s) in
+        if t.q_sat.(q) > 0 then fix_line t t.q_first.(q) 0 0 (-1);
+        s := t.s_gnext.(!s)
+      done;
+      (* free [i]'s slots last: the wakes and the saturation fix read
+         them *)
+      s := t.gslot.(i);
+      while !s >= 0 do
+        let next = t.s_gnext.(!s) in
+        t.s_next.(!s) <- t.free;
+        t.free <- !s;
+        s := next
+      done;
+      t.gslot.(i) <- -1;
+      t.list_valid <- false;
       admit_pending t
     end
   end
@@ -359,10 +444,10 @@ let front ?stats t head =
     | None -> ());
     if not t.built then rebuild t;
     let acc = ref [] in
-    let i = ref t.glast in
+    let i = ref t.clast in
     while !i >= 0 do
-      if !i >= head && t.bad.(!i) = 0 then acc := !i :: !acc;
-      i := t.gprev.(!i)
+      if !i >= head then acc := !i :: !acc;
+      i := t.cprev.(!i)
     done;
     t.cached <- !acc;
     t.cached_head <- head;

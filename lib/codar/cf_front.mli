@@ -31,14 +31,20 @@ val compute :
     locks or simulated time — so it can be maintained by events instead of
     rescanned. {!t} keeps, for every gate in the window, a per-qubit {e slot}
     carrying a cached verdict: commuting with its whole prefix, blocked (it
-    watches its earliest non-commuting predecessor, SAT watched-literal
+    watches its latest non-commuting predecessor, SAT watched-literal
     style), or saturation-blocked (chain position beyond [max_chain]).
     Issuing a gate via {!notify_issued} can only {e relax} later gates'
-    conditions, so the update touches just the issued gate's watchers, at
-    most one saturation-boundary slot per qubit, and the single gate
-    admitted at the window tail — O(affected slots), not O(window × chain).
-    Profiling had the full rescan at >80% of CODAR route time; this is the
-    PR-6 change that removed it. *)
+    conditions, so the update touches just the issued gate's watchers, the
+    saturated slots that move back within [max_chain] of a line's start,
+    and the single gate admitted at the window tail — O(affected slots),
+    not O(window × chain).
+
+    The state is flat: slots are ids into a pool of int arrays, qubit
+    lines, watcher lists and each gate's slots are intrusive lists through
+    them, and the window's CF gates are an ascending linked list kept as
+    bad counts reach zero and CF gates issue. After the first build the
+    tracker allocates only when the pool grows and for {!front}'s
+    returned list. *)
 
 type t
 (** A stateful front tracker over a fixed gate array and issued flags
@@ -47,12 +53,15 @@ type t
 val create :
   ?window:int ->
   ?max_chain:int ->
-  commutes:(Qc.Gate.t -> Qc.Gate.t -> bool) ->
+  commutes:(int -> int -> bool) ->
   gates:Qc.Gate.t array ->
   issued:bool array ->
   unit ->
   t
-(** Same defaults as {!compute}. The cache starts invalid. *)
+(** Same defaults as {!compute}. [commutes i j] answers for [gates.(i)]
+    (the earlier gate) and [gates.(j)] — a
+    {!Qc.Commute.Compiled.commutes} over [gates] on the router's path.
+    The cache starts invalid. *)
 
 val front : ?stats:Stats.t -> t -> int -> int list
 (** [front t head] is [compute ~gates ~issued head], served from the cache
@@ -61,12 +70,15 @@ val front : ?stats:Stats.t -> t -> int -> int list
     remapper's invariant) — the incremental window starts there. The
     returned list is physically the cached list ([==]-stable across hits),
     which callers may use to key derived caches. [stats], when given,
-    counts the hit/recompute (a "recompute" is now an O(window) relist of
-    cached verdicts, not a rescan). *)
+    counts the hit/recompute. A recompute walks the CF list — O(front),
+    not O(window) — after a full O(window × chain) rebuild if
+    {!invalidate} intervened. *)
 
 val notify_issued : t -> int -> unit
 (** [notify_issued t i]: gate [i] just had its [issued] flag set; update
-    the tracked verdicts incrementally. O(slots affected by [i]). *)
+    the tracked verdicts incrementally. O(slots affected by [i]). When
+    [i] is a window gate that is not CF, the events cannot model the
+    change and the call is {!invalidate}. *)
 
 val invalidate : t -> unit
 (** Discard all tracked state; the next {!front} rebuilds from the shared

@@ -65,6 +65,20 @@ let evaluate_phys ~maqam ~phys_pairs ~swap:(p1, p2) =
       phys_pairs);
   { basic = !basic; fine = !fine }
 
+(* [evaluate_phys]'s fine fold alone, over pair arrays: the same float
+   operations in the same pair order, so the bits are equal. *)
+let fine_phys ~coords ~pa ~pb ~n_pairs ~u ~v =
+  match coords with
+  | None -> 0.
+  | Some cs ->
+    let fine = ref 0. in
+    for k = 0 to n_pairs - 1 do
+      let xa, ya = cs.(moved u v pa.(k)) and xb, yb = cs.(moved u v pb.(k)) in
+      let vd = Float.abs (ya -. yb) and hd = Float.abs (xa -. xb) in
+      fine := !fine -. Float.abs (vd -. hd)
+    done;
+    !fine
+
 let evaluate ~maqam ~layout ~cf_pairs ~swap =
   let phys_pairs =
     List.map

@@ -41,6 +41,18 @@ val evaluate_phys :
     equality by the tie-breaking logic, and the routed output is pinned
     byte-for-byte against the reference router. *)
 
+val fine_phys :
+  coords:(float * float) array option ->
+  pa:int array ->
+  pb:int array ->
+  n_pairs:int ->
+  u:int ->
+  v:int ->
+  float
+(** The [fine] of [evaluate_phys] for the SWAP [(u, v)] over the pairs
+    [(pa.(k), pb.(k))], [k < n_pairs], in that order: the same float
+    fold, so the result is bit-identical. [0.] without coordinates. *)
+
 val distance_sum :
   maqam:Arch.Maqam.t -> layout:Arch.Layout.t -> (int * int) list -> int
 (** Σ of coupling distances of the logical pairs under the layout. *)

@@ -38,8 +38,7 @@ let metric_value ~metric ~calibration ~n_physical (r : Schedule.Routed.t) =
   match metric with
   | Makespan -> float_of_int r.Schedule.Routed.makespan
   | Depth ->
-    float_of_int
-      (Qc.Metrics.depth (Schedule.Routed.to_physical_circuit ~n_physical r))
+    float_of_int (Schedule.Routed.raw_depth ~n_physical r)
   | Esp -> (
     match calibration with
     | Some c -> Sim.Reliability.estimated_success ~calibration:c ~n_physical r

@@ -31,15 +31,21 @@ type state = {
   mutable remaining : int;
   locks : int array;  (* per physical qubit: busy until this time *)
   layout : Arch.Layout.t;  (* private copy, mutated in place on SWAPs *)
+  phys_of : int -> int;  (* [Arch.Layout.phys_of_log layout], built once *)
   mutable layout_version : int;  (* bumped on every SWAP *)
   mutable time : int;
   mutable events_rev : Schedule.Routed.event list;
   mutable swap_budget : int;
   (* Per-cycle derived caches, keyed by the physical identity of the cached
      front list (which is [==]-stable across Cf_front cache hits) and, for
-     the physical resolution, the layout version. *)
-  mutable pairs_cache : (int list * (int * int) list) option;
-  mutable phys_cache : (int list * int * (int * int) list) option;
+     the physical resolution, the layout version. Pair [k] is
+     [(x.(2k), x.(2k+1))]; the arrays only grow. *)
+  mutable pairs_front : int list;
+  mutable lpairs : int array;  (* logical operands of the CF pairs *)
+  mutable n_pairs : int;
+  mutable phys_front : int list;
+  mutable phys_version : int;
+  mutable ppairs : int array;  (* [lpairs] under the layout *)
 }
 
 let cf_front st = Cf_front.front ~stats:st.stats st.cf st.head
@@ -63,11 +69,23 @@ let executable st g =
     && Arch.Maqam.adjacent st.maqam p1 p2
   | Qc.Gate.Barrier qs -> lock_free st qs
 
+let rec lock_all st until = function
+  | [] -> ()
+  | p :: rest ->
+    st.locks.(p) <- until;
+    lock_all st until rest
+
 let emit st ~inserted gate duration =
   st.events_rev <-
     { Schedule.Routed.gate; start = st.time; duration; inserted }
     :: st.events_rev;
-  List.iter (fun p -> st.locks.(p) <- st.time + duration) (Qc.Gate.qubits gate)
+  let until = st.time + duration in
+  match gate with
+  | Qc.Gate.One (_, p) | Qc.Gate.Measure (p, _) -> st.locks.(p) <- until
+  | Qc.Gate.Two (_, p1, p2) ->
+    st.locks.(p1) <- until;
+    st.locks.(p2) <- until
+  | Qc.Gate.Barrier ps -> lock_all st until ps
 
 let advance_head st =
   while st.head < Array.length st.gates && st.issued.(st.head) do
@@ -76,8 +94,8 @@ let advance_head st =
 
 let issue_gate st i =
   let g = st.gates.(i) in
-  let phys = Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) g in
-  emit st ~inserted:false phys (Arch.Maqam.duration st.maqam g);
+  emit st ~inserted:false (Qc.Gate.remap st.phys_of g)
+    (Arch.Maqam.duration st.maqam g);
   st.issued.(i) <- true;
   Cf_front.notify_issued st.cf i;
   st.remaining <- st.remaining - 1;
@@ -111,22 +129,28 @@ let issue_executable st =
   st.call <- st.call + 1;
   issue_fixpoint st false
 
+(* [a] with room for [len] entries. *)
+let room a len = if Array.length a >= len then a else Array.make (2 * len) 0
+
 (* Logical operand pairs of CF two-qubit gates (for the heuristic), cached
    per front. *)
+let rec fill_pairs st k = function
+  | [] -> k
+  | i :: rest -> (
+    match st.gates.(i) with
+    | Qc.Gate.Two (_, q1, q2) ->
+      st.lpairs.(2 * k) <- q1;
+      st.lpairs.((2 * k) + 1) <- q2;
+      fill_pairs st (k + 1) rest
+    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ ->
+      fill_pairs st k rest)
+
 let cf_pairs st front =
-  match st.pairs_cache with
-  | Some (f, pairs) when f == front -> pairs
-  | Some _ | None ->
-    let pairs =
-      List.filter_map
-        (fun i ->
-          match st.gates.(i) with
-          | Qc.Gate.Two (_, q1, q2) -> Some (q1, q2)
-          | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> None)
-        front
-    in
-    st.pairs_cache <- Some (front, pairs);
-    pairs
+  if st.pairs_front != front then begin
+    st.lpairs <- room st.lpairs (2 * List.length front);
+    st.n_pairs <- fill_pairs st 0 front;
+    st.pairs_front <- front
+  end
 
 (* Physical endpoints of the CF pairs under the current layout, cached per
    (front, layout version) so SWAP scoring does not re-resolve the layout
@@ -134,31 +158,30 @@ let cf_pairs st front =
    typed routing failure, not a distance-table sentinel leaking into the
    heuristic arithmetic. *)
 let phys_pairs st front =
-  match st.phys_cache with
-  | Some (f, v, pp) when f == front && v = st.layout_version -> pp
-  | Some _ | None ->
+  if st.phys_front != front || st.phys_version <> st.layout_version then begin
+    cf_pairs st front;
     let coupling = Arch.Maqam.coupling st.maqam in
-    let pp =
-      List.map
-        (fun (q1, q2) ->
-          let p1 = Arch.Layout.phys_of_log st.layout q1
-          and p2 = Arch.Layout.phys_of_log st.layout q2 in
-          if not (Arch.Coupling.reachable coupling p1 p2) then
-            raise
-              (Stuck
-                 (Fmt.str
-                    "two-qubit gate on physical qubits %d and %d, which lie \
-                     in disconnected components of %s — unroutable placement"
-                    p1 p2
-                    (Arch.Coupling.name coupling)));
-          (p1, p2))
-        (cf_pairs st front)
-    in
+    st.ppairs <- room st.ppairs (Array.length st.lpairs);
+    for k = 0 to st.n_pairs - 1 do
+      let p1 = Arch.Layout.phys_of_log st.layout st.lpairs.(2 * k)
+      and p2 = Arch.Layout.phys_of_log st.layout st.lpairs.((2 * k) + 1) in
+      if not (Arch.Coupling.reachable coupling p1 p2) then
+        raise
+          (Stuck
+             (Fmt.str
+                "two-qubit gate on physical qubits %d and %d, which lie in \
+                 disconnected components of %s — unroutable placement"
+                p1 p2
+                (Arch.Coupling.name coupling)));
+      st.ppairs.(2 * k) <- p1;
+      st.ppairs.((2 * k) + 1) <- p2
+    done;
     st.stats.Stats.pair_resolutions <- st.stats.Stats.pair_resolutions + 1;
-    st.phys_cache <- Some (front, st.layout_version, pp);
-    pp
+    st.phys_front <- front;
+    st.phys_version <- st.layout_version
+  end
 
-let issue_swap st (p1, p2) =
+let issue_swap st p1 p2 =
   if st.swap_budget <= 0 then
     raise
       (Stuck
@@ -180,35 +203,39 @@ let issue_swap st (p1, p2) =
    exactly the candidates a committed SWAP touched instead of regenerating
    and re-scoring the whole set (the seed's O(candidates × pairs) per
    SWAP). Returns whether any SWAP issued. *)
+let rec swap_loop st sc issue_min issued_any =
+  let e = Swap_scorer.best sc in
+  if e >= 0 && Swap_scorer.basic sc e > issue_min then begin
+    let x = Swap_scorer.edge_u sc e and y = Swap_scorer.edge_v sc e in
+    issue_swap st x y;
+    Swap_scorer.commit sc x y;
+    swap_loop st sc issue_min true
+  end
+  else issued_any
+
 let insert_swaps st =
   let front = cf_front st in
-  Swap_scorer.begin_cycle st.scorer ~time:st.time
-    ~phys_pairs:(phys_pairs st front);
-  let issued_any = ref false in
-  let issue_min = Swap_scorer.issue_min st.scorer in
-  let rec loop () =
-    match Swap_scorer.best st.scorer with
-    | Some (e, basic) when basic > issue_min ->
-      issue_swap st e;
-      Swap_scorer.commit st.scorer e;
-      issued_any := true;
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
-  !issued_any
+  phys_pairs st front;
+  Swap_scorer.begin_cycle st.scorer ~time:st.time ~pairs:st.ppairs
+    ~n_pairs:st.n_pairs;
+  swap_loop st st.scorer (Swap_scorer.issue_min st.scorer) false
 
 (* Deadlock escape: every qubit is free yet nothing could be issued. Force
-   the SWAP that most reduces the oldest pending two-qubit gate — one such
-   SWAP always reduces it by one, guaranteeing progress — with the global
-   priority as tiebreak. The scorer's cycle state is current: force is only
+   the SWAP that most reduces the oldest pending two-qubit gate, with the
+   global priority as tiebreak. On a connected device some candidate
+   shortens that pair by one, so each forced SWAP gains one step for it —
+   but nothing stops the next cycle's greedy SWAPs from undoing the step,
+   so this alone does not guarantee progress (see the stall-valve item in
+   ROADMAP.md). The scorer's cycle state is current: force is only
    reached when this cycle issued no gate and committed no SWAP. *)
 let force_swap st =
-  match Swap_scorer.force_best st.scorer with
-  | Some e ->
-    issue_swap st e;
+  let e = Swap_scorer.force_best st.scorer in
+  if e >= 0 then begin
+    issue_swap st (Swap_scorer.edge_u st.scorer e)
+      (Swap_scorer.edge_v st.scorer e);
     st.stats.Stats.forced_swaps <- st.stats.Stats.forced_swaps + 1
-  | None ->
+  end
+  else
     raise
       (Stuck
          (Fmt.str
@@ -236,11 +263,14 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   let gates = Qc.Circuit.gate_array circuit in
   let issued = Array.make (Array.length gates) false in
   let commutes =
-    if config.use_commutativity then Qc.Commute.memoised ()
+    if config.use_commutativity then
+      let c = Qc.Commute.Compiled.make gates in
+      fun i j -> Qc.Commute.Compiled.commutes c i j
     else fun _ _ -> false
   in
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let locks = Array.make n_physical 0 in
+  let layout = Arch.Layout.copy initial in
   let st =
     {
       maqam;
@@ -259,13 +289,18 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
       head = 0;
       remaining = Array.length gates;
       locks;
-      layout = Arch.Layout.copy initial;
+      layout;
+      phys_of = Arch.Layout.phys_of_log layout;
       layout_version = 0;
       time = 0;
       events_rev = [];
       swap_budget = 10 * (Array.length gates + 1) * (n_physical + 1);
-      pairs_cache = None;
-      phys_cache = None;
+      pairs_front = [ -1 ];
+      lpairs = [||];
+      n_pairs = 0;
+      phys_front = [ -1 ];
+      phys_version = -1;
+      ppairs = [||];
     }
   in
   while st.remaining > 0 do

@@ -14,7 +14,10 @@
     + advances [t] to the next lock-expiry; if instead every qubit is free
       and nothing could be issued ("deadlock", §IV-D), force-issues the best
       SWAP even with non-positive priority, preferring one that shortens the
-      oldest pending gate so progress is guaranteed.
+      oldest pending gate. Each forced SWAP shortens that pair by one, but
+      later greedy SWAPs may undo it, so progress is not guaranteed: the
+      swap budget below is the only bound (see the stall-valve item in
+      ROADMAP.md).
 
     The emitted events carry their start times; the makespan is the weighted
     depth the paper reports. *)

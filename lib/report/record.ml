@@ -48,8 +48,7 @@ let make ~source ~router ~placement ?(objective = "makespan") ~wall_s ?stats
         ~weight:(Arch.Durations.of_gate durations)
         original;
     weighted_depth = routed.Schedule.Routed.makespan;
-    raw_depth =
-      Qc.Metrics.depth (Schedule.Routed.to_physical_circuit ~n_physical routed);
+    raw_depth = Schedule.Routed.raw_depth ~n_physical routed;
     events = Schedule.Routed.gate_count routed;
     swaps = Schedule.Routed.swap_count routed;
     esp =

@@ -19,6 +19,12 @@ let gate_count t = List.length t.events
 let to_physical_circuit ~n_physical t =
   Qc.Circuit.make ~n_qubits:n_physical (List.map (fun e -> e.gate) t.events)
 
+let raw_depth ~n_physical t =
+  let ready = Array.make n_physical 0 in
+  List.fold_left
+    (fun acc e -> max acc (Qc.Metrics.finish_time ready e.gate 1))
+    0 t.events
+
 let events_by_start t =
   List.stable_sort (fun a b -> Stdlib.compare a.start b.start) t.events
 

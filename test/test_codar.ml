@@ -149,7 +149,8 @@ let test_cf_incremental_cache () =
   let gates = Qc.Circuit.gate_array (Workloads.Builders.qft 5) in
   let issued = Array.make (Array.length gates) false in
   let stats = Codar.Stats.create () in
-  let t = Codar.Cf_front.create ~commutes:Qc.Commute.commutes ~gates ~issued () in
+  let commutes = Qc.Commute.Compiled.(commutes (make gates)) in
+  let t = Codar.Cf_front.create ~commutes ~gates ~issued () in
   let f1 = Codar.Cf_front.front ~stats t 0 in
   let f2 = Codar.Cf_front.front ~stats t 0 in
   Alcotest.(check bool) "hit returns the cached list (==)" true (f1 == f2);
@@ -170,6 +171,110 @@ let test_cf_incremental_cache () =
   Alcotest.(check (list int)) "rescanned front = pure compute"
     (Codar.Cf_front.compute ~commutes:Qc.Commute.commutes ~gates ~issued !head)
     f3
+
+(* The tracker driven event by event against the reference scan: issue a
+   random CF gate (notify_issued), now and then a gate that is not CF
+   (the tracker must fall back to a rebuild), now and then an external
+   issue followed by invalidate; after every step [front] must equal
+   [compute]. Circuits carry barriers (one listing a qubit twice, one
+   empty), mid-circuit measures and rz/u1 at 2πk ± 1e-7, the Z-phase
+   rule's margin; [window] and [max_chain] include 0 and 1. *)
+let prop_cf_tracker_matches_compute =
+  QCheck.Test.make ~count:300 ~name:"incremental tracker = Cf_front.compute"
+    QCheck.(
+      quad (int_bound 1_000_000) (int_range 1 6) (int_range 0 12)
+        (int_range 0 4))
+    (fun (seed, n, window_ix, max_chain) ->
+      (* shrinking may step outside the generators' ranges *)
+      let n = max 1 n and window_ix = max 0 (min 12 window_ix) in
+      let max_chain = max 0 max_chain in
+      let rng = Random.State.make [| 0xcf; seed |] in
+      let window = [| 0; 1; 2; 3; 5; 8; 13; 20; 40; 200; 1; 0; 4 |].(window_ix) in
+      let base =
+        Fuzz.Gen.circuit_rng rng
+          (Fuzz.Gen.config ~measures:Fuzz.Gen.Trailing ~n_qubits:n
+             ~gates:(Random.State.int rng 60) ())
+      in
+      let near_2pi_k () =
+        (2. *. Float.pi *. float_of_int (Random.State.int rng 3))
+        +. if Random.State.bool rng then 1e-7 else -1e-7
+      in
+      let q () = Random.State.int rng n in
+      let gates =
+        List.concat_map
+          (fun g ->
+            match Random.State.int rng 12 with
+            | 0 -> [ Qc.Gate.barrier [ q (); q () ]; g ]
+            | 1 ->
+              let a = q () in
+              [ g; Qc.Gate.barrier [ a; a ] ]
+            | 2 -> [ Qc.Gate.barrier []; g ]
+            | 3 -> [ g; Qc.Gate.measure (q ()) 0 ]
+            | 4 -> [ Qc.Gate.rz (near_2pi_k ()) (q ()); g ]
+            | 5 -> [ g; Qc.Gate.u1 (near_2pi_k ()) (q ()) ]
+            | _ -> [ g ])
+          (Qc.Circuit.gates base)
+      in
+      let gates = Array.of_list gates in
+      let n_gates = Array.length gates in
+      let issued = Array.make n_gates false in
+      let c = Qc.Commute.Compiled.make gates in
+      let t =
+        Codar.Cf_front.create ~window ~max_chain
+          ~commutes:(fun i j -> Qc.Commute.Compiled.commutes c i j)
+          ~gates ~issued ()
+      in
+      let head = ref 0 in
+      let advance () =
+        while !head < n_gates && issued.(!head) do incr head done
+      in
+      let check step =
+        let expected =
+          Codar.Cf_front.compute ~window ~max_chain
+            ~commutes:Qc.Commute.commutes ~gates ~issued !head
+        in
+        let got = Codar.Cf_front.front t !head in
+        if got <> expected then
+          QCheck.Test.fail_reportf
+            "step %d (window %d, max_chain %d): tracker [%s], compute [%s]"
+            step window max_chain
+            (String.concat "; " (List.map string_of_int got))
+            (String.concat "; " (List.map string_of_int expected))
+      in
+      let unissued () =
+        List.filter (fun i -> not issued.(i)) (List.init n_gates Fun.id)
+      in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let step = ref 0 in
+      check !step;
+      while !head < n_gates do
+        incr step;
+        let front = Codar.Cf_front.front t !head in
+        (match Random.State.int rng 10 with
+        | 0 ->
+          (* a gate outside the front, told to the tracker *)
+          let i = pick (unissued ()) in
+          issued.(i) <- true;
+          Codar.Cf_front.notify_issued t i
+        | 1 ->
+          (* an external issue, then invalidate *)
+          let i = pick (unissued ()) in
+          issued.(i) <- true;
+          Codar.Cf_front.invalidate t
+        | _ -> (
+          match front with
+          | [] ->
+            let i = pick (unissued ()) in
+            issued.(i) <- true;
+            Codar.Cf_front.notify_issued t i
+          | _ ->
+            let i = pick front in
+            issued.(i) <- true;
+            Codar.Cf_front.notify_issued t i));
+        advance ();
+        check !step
+      done;
+      true)
 
 (* -------------------------------------------------------------- heuristic *)
 
@@ -540,6 +645,26 @@ let random_device rng ~n =
   done;
   Arch.Coupling.make ~name:"qcheck-random" ~n !edges
 
+(* The scorer's array API seen as the pair list and option it replaced,
+   so the properties below state their assertions on physical edges. *)
+let begin_cycle scorer ~time ~phys_pairs =
+  let pairs = Array.make (2 * List.length phys_pairs) 0 in
+  List.iteri
+    (fun k (a, b) ->
+      pairs.(2 * k) <- a;
+      pairs.((2 * k) + 1) <- b)
+    phys_pairs;
+  Codar.Swap_scorer.begin_cycle scorer ~time ~pairs
+    ~n_pairs:(List.length phys_pairs)
+
+let scorer_best scorer =
+  match Codar.Swap_scorer.best scorer with
+  | -1 -> None
+  | e ->
+    Some
+      ( (Codar.Swap_scorer.edge_u scorer e, Codar.Swap_scorer.edge_v scorer e),
+        Codar.Swap_scorer.basic scorer e )
+
 (* CF fronts may repeat qubits across pairs (gates sharing a qubit can all
    commute), so pairs here are independent draws with distinct endpoints. *)
 let random_pairs rng ~n =
@@ -597,7 +722,7 @@ let prop_scorer_matches_scratch =
             None expected
         with
         | Some (e, p) when p.Codar.Heuristic.basic > 0 -> (
-          match Codar.Swap_scorer.best scorer with
+          match scorer_best scorer with
           | Some (e', b') when e' = e && b' = p.Codar.Heuristic.basic -> ()
           | Some ((u, v), b') ->
             QCheck.Test.fail_reportf
@@ -621,7 +746,7 @@ let prop_scorer_matches_scratch =
                  !time + 1 + Random.State.int rng 3
                else min l !time))
           locks;
-        Codar.Swap_scorer.begin_cycle scorer ~time:!time ~phys_pairs:!pairs;
+        begin_cycle scorer ~time:!time ~phys_pairs:!pairs;
         check "after begin_cycle";
         for _step = 1 to Random.State.int rng 4 do
           match Codar.Swap_scorer.candidates scorer with
@@ -636,7 +761,7 @@ let prop_scorer_matches_scratch =
             locks.(y) <- !time + d;
             let mv p = if p = x then y else if p = y then x else p in
             pairs := List.map (fun (a, b) -> (mv a, mv b)) !pairs;
-            Codar.Swap_scorer.commit scorer (x, y);
+            Codar.Swap_scorer.commit scorer x y;
             check "after commit"
         done
       done;
@@ -773,7 +898,7 @@ let prop_scorer_objective_scores =
               let e, _, _ = List.hd tied in
               e
           in
-          (match Codar.Swap_scorer.best scorer with
+          (match scorer_best scorer with
           | Some (e', b') ->
             if e' <> reference || b' <> tied_basic then
               QCheck.Test.fail_reportf
@@ -795,7 +920,7 @@ let prop_scorer_objective_scores =
                  !time + 1 + Random.State.int rng 3
                else min l !time))
           locks;
-        Codar.Swap_scorer.begin_cycle scorer ~time:!time ~phys_pairs:!pairs;
+        begin_cycle scorer ~time:!time ~phys_pairs:!pairs;
         check "after begin_cycle";
         for _step = 1 to Random.State.int rng 4 do
           match Codar.Swap_scorer.candidates scorer with
@@ -809,7 +934,7 @@ let prop_scorer_objective_scores =
             locks.(y) <- !time + d;
             let mv p = if p = x then y else if p = y then x else p in
             pairs := List.map (fun (a, b) -> (mv a, mv b)) !pairs;
-            Codar.Swap_scorer.commit scorer (x, y);
+            Codar.Swap_scorer.commit scorer x y;
             check "after commit"
         done
       done;
@@ -991,6 +1116,7 @@ let () =
           Alcotest.test_case "max chain" `Quick test_cf_max_chain;
           Alcotest.test_case "dag mode" `Quick test_cf_dag_mode;
           QCheck_alcotest.to_alcotest prop_cf_counted_matches_reference;
+          QCheck_alcotest.to_alcotest prop_cf_tracker_matches_compute;
           Alcotest.test_case "incremental cache" `Quick
             test_cf_incremental_cache;
         ] );

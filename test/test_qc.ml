@@ -206,6 +206,77 @@ let prop_commute_symmetric =
     (QCheck.pair gate_arb gate_arb)
     (fun (a, b) -> Qc.Commute.commutes a b = Qc.Commute.commutes b a)
 
+(* Every gate kind, with and without parameters, plus barriers (empty and
+   with a repeated qubit) and measures, over a 3-qubit window so most
+   pairs share a qubit. Angles include multiples of 2π off by 1e-7 (the
+   Z-phase rule's margin), shared values (so parametrised pairs repeat
+   and the route memo answers) and full-precision draws. *)
+let compiled_gate_gen =
+  let open QCheck.Gen in
+  let angle =
+    oneof
+      [
+        oneofl
+          [ 0.; 0.5; Float.pi /. 4.; -0.8; (2. *. Float.pi) +. 1e-7;
+            (4. *. Float.pi) -. 1e-7; 1e-7; Float.pi ];
+        float_range (-4.) 4.;
+      ]
+  in
+  let q = int_range 0 2 in
+  let one_q =
+    oneof
+      [
+        oneofl Qc.Gate.[ I; X; Y; Z; H; S; Sdg; T; Tdg ];
+        map (fun a -> Qc.Gate.Rx a) angle;
+        map (fun a -> Qc.Gate.Ry a) angle;
+        map (fun a -> Qc.Gate.Rz a) angle;
+        map (fun a -> Qc.Gate.U1 a) angle;
+        map2 (fun a b -> Qc.Gate.U2 (a, b)) angle angle;
+        map3 (fun a b c -> Qc.Gate.U3 (a, b, c)) angle angle angle;
+      ]
+  in
+  let two_q =
+    oneof
+      [
+        oneofl Qc.Gate.[ CX; CZ; Swap ];
+        map (fun a -> Qc.Gate.XX a) angle;
+        map (fun a -> Qc.Gate.Rzz a) angle;
+      ]
+  in
+  frequency
+    [
+      (6, map2 (fun k q -> Qc.Gate.One (k, q)) one_q q);
+      ( 6,
+        let* k = two_q in
+        let* q1 = q in
+        let* d = int_range 1 2 in
+        return (Qc.Gate.Two (k, q1, (q1 + d) mod 3)) );
+      (1, map (fun qs -> Qc.Gate.Barrier qs) (list_size (int_range 0 3) q));
+      (1, map2 (fun q c -> Qc.Gate.Measure (q, c)) q (int_range 0 2));
+    ]
+
+let prop_compiled_matches_commutes =
+  QCheck.Test.make ~count:200
+    ~name:"index checker = Commute.commutes on every ordered pair"
+    QCheck.(
+      make
+        ~print:(fun a ->
+          String.concat "; " (Array.to_list (Array.map Qc.Gate.to_string a)))
+        QCheck.Gen.(array_size (int_range 1 24) compiled_gate_gen))
+    (fun gates ->
+      let c = Qc.Commute.Compiled.make gates in
+      let n = Array.length gates in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if
+            Qc.Commute.Compiled.commutes c i j
+            <> Qc.Commute.commutes gates.(i) gates.(j)
+          then ok := false
+        done
+      done;
+      !ok)
+
 (* Exhaustive cross product of every supported gate kind (parametrised
    kinds at fixed awkward angles plus seeded random ones) over a 3-qubit
    window, checked against the matrix commutator. This is the ground
@@ -738,6 +809,46 @@ let test_basis_translate () =
   Alcotest.(check bool) "input not cx-conformant" false
     (Qc.Basis.conforms Qc.Basis.Cx_based c)
 
+(* The one-pass scan against the DAG's critical path it replaces, on fuzz
+   circuits with barriers (empty ones too), measures between gates, and
+   one-qubit-only circuits. *)
+let prop_depth_scan_matches_dag =
+  QCheck.Test.make ~count:300 ~name:"depth scan = Dag critical path"
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 6) bool)
+    (fun (seed, n, one_qubit_only) ->
+      let rng = Random.State.make [| seed |] in
+      let mix =
+        if one_qubit_only then { Fuzz.Gen.one_qubit = 3; two_qubit = 0; barrier = 1 }
+        else Fuzz.Gen.default_mix
+      in
+      let base =
+        Fuzz.Gen.circuit_rng rng
+          (Fuzz.Gen.config ~mix ~measures:Fuzz.Gen.Trailing ~n_qubits:n
+             ~gates:(Random.State.int rng 40) ())
+      in
+      (* splice in empty barriers and mid-circuit measures *)
+      let gates =
+        List.concat_map
+          (fun g ->
+            match Random.State.int rng 8 with
+            | 0 -> [ Qc.Gate.barrier []; g ]
+            | 1 -> [ g; Qc.Gate.measure (Random.State.int rng n) 0 ]
+            | _ -> [ g ])
+          (Qc.Circuit.gates base)
+      in
+      let c = Qc.Circuit.make ~n_qubits:n gates in
+      let dag = Qc.Dag.of_circuit c in
+      List.for_all
+        (fun weight ->
+          Qc.Metrics.weighted_depth ~weight c
+          = Qc.Dag.critical_path_length dag ~weight)
+        [
+          (fun _ -> 1);
+          Arch.Durations.of_gate Arch.Durations.superconducting;
+          Arch.Durations.of_gate Arch.Durations.ion_trap;
+        ]
+      && Qc.Metrics.depth c = Qc.Dag.critical_path_length dag ~weight:(fun _ -> 1))
+
 let () =
   Alcotest.run "qc"
     [
@@ -767,6 +878,7 @@ let () =
             test_commute_nonunitary;
           QCheck_alcotest.to_alcotest prop_rule_agrees_with_oracle;
           QCheck_alcotest.to_alcotest prop_commute_symmetric;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_commutes;
           QCheck_alcotest.to_alcotest prop_inverse;
         ] );
       ( "circuit",
@@ -776,7 +888,11 @@ let () =
           Alcotest.test_case "inverse" `Quick test_circuit_inverse;
         ] );
       ("dag", [ Alcotest.test_case "structure" `Quick test_dag ]);
-      ("metrics", [ Alcotest.test_case "basic" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "basic" `Quick test_metrics;
+          QCheck_alcotest.to_alcotest prop_depth_scan_matches_dag;
+        ] );
       ( "decompose",
         [
           Alcotest.test_case "toffoli" `Quick test_toffoli;
