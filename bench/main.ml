@@ -767,6 +767,43 @@ let smoke () =
       cold_words words_ceiling;
   Fmt.pr "smoke: cold 12q x 400 on tokyo: %.0f minor words (ceiling %.0f)@."
     cold_words words_ceiling;
+  (* ingest fence: the same circuit as a daemon request frame, through
+     the three calls every request crosses before the router — frame
+     decoding, request resolution (QASM parsing included) and
+     fingerprinting — counted from an emptied minor heap. The count is
+     deterministic; the ceiling is 1.5x the 7,395 words measured
+     with the scanning decoders (130,294 when the frame decoder boxed a
+     char per peek, the QASM lexer consed a token list and the
+     fingerprint went through Printf). *)
+  let frame =
+    Report.Json.to_string ~indent:0
+      (Report.Json.Obj
+         [
+           ("op", Report.Json.String "route");
+           ("qasm", Report.Json.String (Qasm.Printer.to_string cold));
+           ("arch", Report.Json.String "tokyo");
+         ])
+  in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let fp =
+    match Service.Protocol.parse_frame frame with
+    | Ok (_, Service.Protocol.Route rr) -> (
+      match Service.Engine.spec_of_route_req rr with
+      | Ok spec -> Service.Engine.fingerprint spec
+      | Error msg -> Fmt.failwith "smoke: cold frame refused: %s" msg)
+    | Ok _ | Error _ -> Fmt.failwith "smoke: cold frame does not decode"
+  in
+  let ingest_words = Gc.minor_words () -. w0 in
+  ignore (fp : string);
+  let ingest_ceiling = 11_093. in
+  if ingest_words > ingest_ceiling then
+    Fmt.failwith
+      "smoke: cold 12q x 400 frame ingest allocated %.0f minor words \
+       (ceiling %.0f) — a decoder allocates per byte or token again"
+      ingest_words ingest_ceiling;
+  Fmt.pr "smoke: cold 12q x 400 frame ingest: %.0f minor words (ceiling %.0f)@."
+    ingest_words ingest_ceiling;
   (* CODAR-alone allocation fence: qft_16 on Tokyo from the identity
      layout, routing only, counted from an emptied minor heap. The count
      is deterministic; the ceiling is 1.5x the 21,402 words measured with

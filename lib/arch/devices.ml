@@ -189,12 +189,15 @@ let by_name s =
   | "sycamore" | "q54" | "google-q54-sycamore" -> Some sycamore_54
   | "q5" | "ibm-q5" -> Some ibm_q5
   | _ ->
-    if prefixed "linear-" then
-      Option.map linear (int_of_string_opt (suffix "linear-"))
-    else if prefixed "ring-" then
-      Option.map ring (int_of_string_opt (suffix "ring-"))
-    else if prefixed "full-" then
-      Option.map fully_connected (int_of_string_opt (suffix "full-"))
+    (* a size the generator refuses (it would raise) is no device *)
+    let sized min make p =
+      match int_of_string_opt (suffix p) with
+      | Some n when n >= min && n <= Sys.max_array_length -> Some (make n)
+      | Some _ | None -> None
+    in
+    if prefixed "linear-" then sized 0 linear "linear-"
+    else if prefixed "ring-" then sized 3 ring "ring-"
+    else if prefixed "full-" then sized 0 fully_connected "full-"
     else if prefixed "heavy-hex-" then (
       match int_of_string_opt (suffix "heavy-hex-") with
       | Some d when d >= 3 && d mod 2 = 1 -> Some (heavy_hex ~distance:d)
@@ -203,7 +206,10 @@ let by_name s =
       match String.split_on_char 'x' (suffix "grid-") with
       | [ r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
-        | Some rows, Some cols -> Some (grid ~rows ~cols)
-        | (None, _ | _, None) -> None)
+        | Some rows, Some cols
+          when rows >= 0 && cols >= 0
+               && (rows = 0 || cols <= Sys.max_array_length / rows) ->
+          Some (grid ~rows ~cols)
+        | Some _, Some _ | None, _ | _, None -> None)
       | _ -> None
     else None

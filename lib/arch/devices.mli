@@ -51,6 +51,7 @@ val evaluation_devices : Coupling.t list
 val by_name : string -> Coupling.t option
 (** Lookup for the CLI: ["melbourne"], ["tokyo"], ["6x6"] / ["enfield"],
     ["sycamore"], ["q5"], ["linear-<n>"], ["ring-<n>"], ["grid-<r>x<c>"],
-    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names (even
-    heavy-hex distances included) are [None], which the CLI maps to its
-    usage exit code. *)
+    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names, and
+    sizes a generator refuses (negative sizes, rings under 3 qubits, even
+    heavy-hex distances, sizes past [Sys.max_array_length]), are [None],
+    which the CLI maps to its usage exit code. *)

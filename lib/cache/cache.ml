@@ -1,8 +1,9 @@
 (* Thread-safe LRU of routed results, keyed by request fingerprint.
 
    One mutex guards the whole structure (hash table + intrusive recency
-   list + counters); operations are O(1) plus hashing. Sizes are accounted
-   as key length + compact-JSON length of the record — the same bytes a
+   list + counters); operations are O(1) plus hashing. Each entry keeps
+   its record's compact JSON, which a route reply splices in as is. Sizes
+   are accounted as key length + that JSON's length — the same bytes a
    persistence file or a service reply pays — so the byte cap tracks real
    memory within a small constant.
 
@@ -21,6 +22,7 @@ module Fingerprint = Fingerprint
 type node = {
   key : string;
   record : Report.Record.t;
+  json : string;  (* the record's compact JSON *)
   mutable size : int;  (* key + record, plus the memo keys *)
   mutable memo_keys : string list;  (* newest first *)
   mutable prev : node option; (* towards MRU *)
@@ -42,9 +44,9 @@ type t = {
   mutable bytes : int;
 }
 
-let entry_size key record =
-  String.length key
-  + String.length (Report.Json.to_string ~indent:0 (Report.Record.to_json record))
+type hit = { fingerprint : string; record : Report.Record.t; json : string }
+
+let hit_of (n : node) = { fingerprint = n.key; record = n.record; json = n.json }
 
 let create ?max_bytes ~max_entries () =
   if max_entries < 1 then
@@ -113,7 +115,7 @@ let enforce_caps t ~keep =
   in
   go ()
 
-let find t key =
+let find_node t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.table key with
       | None ->
@@ -123,7 +125,10 @@ let find t key =
         t.counters.Codar.Stats.hits <- t.counters.Codar.Stats.hits + 1;
         unlink t n;
         push_front t n;
-        Some n.record)
+        Some n)
+
+let find t key = Option.map (fun (n : node) -> n.record) (find_node t key)
+let find_hit t key = Option.map hit_of (find_node t key)
 
 let find_memo t request =
   locked t (fun () ->
@@ -135,7 +140,7 @@ let find_memo t request =
           t.counters.Codar.Stats.memo_hits + 1;
         unlink t n;
         push_front t n;
-        Some (n.key, n.record))
+        Some (hit_of n))
 
 let memo_per_record = 4
 
@@ -171,11 +176,14 @@ let memoise t request ~fingerprint =
       | Some _ | None -> ())
 
 let add t key record =
-  let size = entry_size key record in
+  let json = Report.Json.to_string ~indent:0 (Report.Record.to_json record) in
+  let size = String.length key + String.length json in
   locked t (fun () ->
       (* replace silently: same fingerprint, refreshed record *)
       Option.iter (remove t) (Hashtbl.find_opt t.table key);
-      let n = { key; record; size; memo_keys = []; prev = None; next = None } in
+      let n =
+        { key; record; json; size; memo_keys = []; prev = None; next = None }
+      in
       Hashtbl.replace t.table key n;
       push_front t n;
       t.bytes <- t.bytes + size;

@@ -8,10 +8,12 @@
     Hit/miss/insertion/eviction/invalidation counters are
     {!Codar.Stats.cache} values, shared with the daemon's [stats] reply.
 
-    Capacity is bounded by an entry cap and an optional byte cap
-    (accounted as key + compact-JSON size per entry, plus the entry's
-    memo keys); the least recently used entries are evicted first. An
-    oversized single entry is kept (alone) rather than thrashed.
+    Each entry keeps its record's compact JSON alongside the record, so
+    a hit can be answered with stored bytes. Capacity is bounded by an
+    entry cap and an optional byte cap (accounted as key + compact-JSON
+    size per entry, plus the entry's memo keys); the least recently used
+    entries are evicted first. An oversized single entry is kept (alone)
+    rather than thrashed.
 
     A request memo lets a repeated request skip parsing and
     fingerprinting: {!memoise} attaches a request key to a cached record,
@@ -30,13 +32,24 @@ val find : t -> string -> Report.Record.t option
 (** Lookup by fingerprint; a hit refreshes recency. Counts one hit or
     miss. *)
 
+type hit = {
+  fingerprint : string;
+  record : Report.Record.t;
+  json : string;
+      (** [Report.Json.to_string ~indent:0 (Report.Record.to_json record)],
+          kept from {!add} so a reply can splice it in *)
+}
+
+val find_hit : t -> string -> hit option
+(** {!find}, with the record's stored JSON. *)
+
 val add : t -> string -> Report.Record.t -> unit
 (** Insert (or replace) as most-recent, then evict LRU entries until both
     caps hold. Counts one insertion (plus any evictions). *)
 
-val find_memo : t -> string -> (string * Report.Record.t) option
-(** [find_memo t request] is the fingerprint and record that [request] was
-    memoised to, when that record is still cached. A hit counts one cache
+val find_memo : t -> string -> hit option
+(** [find_memo t request] is the entry that [request] was memoised to,
+    when that record is still cached. A hit counts one cache
     hit (and one memo hit) and refreshes recency, as {!find} does; a miss
     counts nothing, so the caller's fallback {!find} counts it once.
     Request keys are hashed whole and compared byte for byte: a hash

@@ -1,24 +1,39 @@
 type t = { n_qubits : int; gates : Gate.t list }
 
+let check_qubit n g q =
+  if q < 0 || q >= n then
+    invalid_arg
+      (Fmt.str "Circuit.make: %a references qubit %d outside [0,%d)" Gate.pp
+         g q n)
+
+let rec check_qubits n g = function
+  | [] -> ()
+  | q :: rest ->
+    check_qubit n g q;
+    check_qubits n g rest
+
+(* Operands in order, as [Gate.qubits] lists them, without building the
+   list. *)
 let check_gate n g =
-  let qs = Gate.qubits g in
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg
-          (Fmt.str "Circuit.make: %a references qubit %d outside [0,%d)"
-             Gate.pp g q n))
-    qs;
   match g with
+  | Gate.One (_, q) | Gate.Measure (q, _) -> check_qubit n g q
   | Gate.Two (_, q1, q2) ->
+    check_qubit n g q1;
+    check_qubit n g q2;
     if q1 = q2 then
       invalid_arg
         (Fmt.str "Circuit.make: %a repeats operand %d" Gate.pp g q1)
-  | Gate.One _ | Gate.Barrier _ | Gate.Measure _ -> ()
+  | Gate.Barrier qs -> check_qubits n g qs
+
+let rec check_gates n = function
+  | [] -> ()
+  | g :: rest ->
+    check_gate n g;
+    check_gates n rest
 
 let make ~n_qubits gates =
   if n_qubits < 0 then invalid_arg "Circuit.make: negative width";
-  List.iter (check_gate n_qubits) gates;
+  check_gates n_qubits gates;
   { n_qubits; gates }
 
 let empty n_qubits = make ~n_qubits []

@@ -41,26 +41,23 @@
    set already covers; an objective whose bonus reads wider state sets
    [full_rescore] and every live candidate is repriced after each commit. *)
 
-(* PR 10: distances and edge ids are provider-shaped. On dense couplings
-   the scorer keeps the PR 6 layout byte-for-byte — flat distance table,
-   edge id [u*n + v], n² per-edge slots. On sparse couplings it reads the
-   memoised per-source rows and numbers edges by their rank in the sorted
-   edge list (CSR), so per-edge state is O(E), not O(V²). Both numberings
-   are lexicographic in [(u, v)], so "smallest edge id" tie-breaks select
-   the same physical edge and routed output is identical across
-   backends. *)
+(* PR 10: distances are provider-shaped: a flat table on dense couplings,
+   the memoised per-source rows on sparse ones. Edges are numbered by
+   their rank in the sorted edge list on every device, so per-edge state
+   has one slot per coupling edge, and each qubit keeps the ids of its
+   edges beside its neighbour list. The numbering is lexicographic in
+   [(u, v)], so a "smallest edge id" tie-break selects the
+   lexicographically smallest physical edge on every backend. *)
 
 type dsource =
   | Flat of int array  (* Coupling.distance_table: flat row-major, live *)
   | Rows of Arch.Coupling.t  (* read through Coupling.distance_row *)
 
-type eindex =
-  | Square of int  (* edge id = u*n + v, u < v: dense, O(1) both ways *)
-  | Csr of {
-      eoff : int array;  (* eoff.(u) .. eoff.(u+1)-1: edges with lo = u *)
-      eu : int array;  (* edge id -> lower endpoint *)
-      ev : int array;  (* edge id -> higher endpoint (sorted within u) *)
-    }
+type eindex = {
+  eu : int array;  (* edge id -> lower endpoint *)
+  ev : int array;  (* edge id -> higher endpoint *)
+  nbe : int array array;  (* nbe.(p).(i): the id of (p, neighbors.(p).(i)) *)
+}
 
 (* Every per-cycle structure is an int array: the scorer allocates only
    when one of them grows (more pairs, a fuller bucket or active set than
@@ -148,30 +145,41 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
                 < scale" O.name);
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
-  let dsrc, eidx =
+  let dsrc =
     match Arch.Coupling.backend coupling with
-    | Arch.Coupling.Dense ->
-      (Flat (Arch.Coupling.distance_table coupling), Square n)
-    | Arch.Coupling.Sparse ->
-      (* edges are normalised (lo, hi) and lex-sorted, so their list rank
-         is a lexicographic edge numbering: eoff groups by the lower
-         endpoint, ev ascends inside each group *)
-      let edges = Array.of_list (Arch.Coupling.edges coupling) in
-      let m = Array.length edges in
-      let eu = Array.make m 0 and ev = Array.make m 0 in
-      let eoff = Array.make (n + 1) 0 in
-      Array.iteri
-        (fun i (u, v) ->
-          eu.(i) <- u;
-          ev.(i) <- v;
-          eoff.(u + 1) <- eoff.(u + 1) + 1)
-        edges;
-      for q = 0 to n - 1 do
-        eoff.(q + 1) <- eoff.(q) + eoff.(q + 1)
-      done;
-      (Rows coupling, Csr { eoff; eu; ev })
+    | Arch.Coupling.Dense -> Flat (Arch.Coupling.distance_table coupling)
+    | Arch.Coupling.Sparse -> Rows coupling
   in
-  let edge_slots = match eidx with Square n -> n * n | Csr c -> Array.length c.eu in
+  let neighbors =
+    Array.init n (fun p -> Array.of_list (Arch.Coupling.neighbors coupling p))
+  in
+  let eidx =
+    (* edges are normalised (lo, hi) and lex-sorted, so their list rank
+       is a lexicographic edge numbering *)
+    let edges = Array.of_list (Arch.Coupling.edges coupling) in
+    let m = Array.length edges in
+    let eu = Array.make m 0 and ev = Array.make m 0 in
+    let nbe =
+      Array.map (fun nbs -> Array.make (Array.length nbs) 0) neighbors
+    in
+    let set p q e =
+      let nbs = neighbors.(p) in
+      let i = ref 0 in
+      while nbs.(!i) <> q do
+        incr i
+      done;
+      nbe.(p).(!i) <- e
+    in
+    Array.iteri
+      (fun e (u, v) ->
+        eu.(e) <- u;
+        ev.(e) <- v;
+        set u v e;
+        set v u e)
+      edges;
+    { eu; ev; nbe }
+  in
+  let edge_slots = Array.length eidx.eu in
   (* [visit] doubles as a per-qubit marker in [commit], so it must cover
      qubit ids even when the edge count is below n (trees) *)
   let visit_slots = max edge_slots n in
@@ -181,9 +189,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
       n;
       dsrc;
       eidx;
-      neighbors =
-        Array.init n (fun p ->
-            Array.of_list (Arch.Coupling.neighbors coupling p));
+      neighbors;
       coords = Arch.Coupling.coords coupling;
       use_fine = use_fine && O.use_fine;
       stats;
@@ -241,22 +247,8 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
 
 let issue_min t = t.issue_min
 
-(* Only ever called on coupling edges (u, v adjacent). Csr: a
-   degree-bounded scan of u's higher-neighbour slice. *)
-let rec csr_scan ev u v i hi =
-  if i >= hi then
-    invalid_arg (Fmt.str "Swap_scorer.eid: (%d,%d) is not an edge" u v)
-  else if ev.(i) = v then i
-  else csr_scan ev u v (i + 1) hi
-
-let eid t u v =
-  let lo = if u < v then u else v and hi = if u < v then v else u in
-  match t.eidx with
-  | Square n -> (lo * n) + hi
-  | Csr c -> csr_scan c.ev lo hi c.eoff.(lo) c.eoff.(lo + 1)
-
-let edge_u t e = match t.eidx with Square n -> e / n | Csr c -> c.eu.(e)
-let edge_v t e = match t.eidx with Square n -> e mod n | Csr c -> c.ev.(e)
+let edge_u t e = t.eidx.eu.(e)
+let edge_v t e = t.eidx.ev.(e)
 let basic t e = t.sbasic.(e)
 let alive t e = t.edge_stamp.(e) = t.epoch && t.in_set.(e)
 let lock_free t p = t.locks.(p) <= t.time
@@ -341,8 +333,8 @@ let push t e score =
   t.bk_len.(idx) <- len + 1;
   if idx > t.qmax then t.qmax <- idx
 
-let try_activate t u v =
-  let e = eid t u v in
+(* [e] is the edge (u, v) *)
+let try_activate t u v e =
   if
     (not (alive t e))
     && (touch_get t u > 0 || touch_get t v > 0)
@@ -365,7 +357,7 @@ let try_activate t u v =
 let activate_around t p =
   let nbs = t.neighbors.(p) in
   for i = 0 to Array.length nbs - 1 do
-    try_activate t p nbs.(i)
+    try_activate t p nbs.(i) t.eidx.nbe.(p).(i)
   done
 
 let deactivate t e = if alive t e then t.in_set.(e) <- false
@@ -525,13 +517,13 @@ let best t =
 let deactivate_around t p =
   let nbs = t.neighbors.(p) in
   for i = 0 to Array.length nbs - 1 do
-    deactivate t (eid t p nbs.(i))
+    deactivate t t.eidx.nbe.(p).(i)
   done
 
 let rescore_around t z =
   let nbs = t.neighbors.(z) in
   for i = 0 to Array.length nbs - 1 do
-    let e = eid t z nbs.(i) in
+    let e = t.eidx.nbe.(z).(i) in
     if alive t e then rescore t e
   done
 
@@ -541,7 +533,7 @@ let unjustify_around t p =
   let nbs = t.neighbors.(p) in
   for i = 0 to Array.length nbs - 1 do
     let nb = nbs.(i) in
-    let e = eid t p nb in
+    let e = t.eidx.nbe.(p).(i) in
     if alive t e && touch_get t nb = 0 then deactivate t e
   done
 

@@ -1,4 +1,18 @@
+(* One pass over the source: the parser pulls tokens from [Lexer.t], which
+   holds a single lookahead token in mutable fields, and appends gates as
+   each statement is read. Identifiers become strings only where a string
+   is needed (register and macro names on first sight); a built-in gate
+   name is matched in place, and register operands resolve to qubit
+   indices in reused int arrays.
+
+   Braces read as the identifiers [__lbrace__] and [__rbrace__] wherever an
+   identifier may stand, and those two identifiers read as braces. That
+   is how texts have always parsed (braces were once rewritten into those
+   names before lexing), so no text changes meaning. *)
+
 exception Parse_error of int * string
+
+module L = Lexer
 
 type expr =
   | Num of float
@@ -10,16 +24,39 @@ type expr =
   | Mul of expr * expr
   | Div of expr * expr
 
-(* A statement inside a gate-macro body: gate name, parameter expressions,
-   formal qubit arguments. *)
-type macro_stmt = { m_name : string; m_params : expr list; m_qargs : string list }
+type builtin =
+  | B_id | B_x | B_y | B_z | B_h | B_s | B_sdg | B_t | B_tdg
+  | B_rx | B_ry | B_rz | B_u1 | B_u2 | B_u3
+  | B_cx | B_cz | B_swap | B_rzz | B_rxx
+  | B_ccx | B_cswap | B_cu1 | B_crz
+  | Other  (* not a built-in: a macro, or unknown *)
 
-type macro = { formals : string list; qformals : string list; body : macro_stmt list }
+(* A statement inside a gate-macro body: gate name (its built-in, if it
+   names one), parameter expressions, formal qubit arguments. *)
+type macro_stmt = {
+  m_name : string;
+  m_builtin : builtin;
+  m_params : expr list;
+  m_qargs : string list;
+}
 
-type operand = Indexed of string * int | Whole of string
+type macro = {
+  formals : string list;
+  qformals : string list;
+  body : macro_stmt list;
+  mutable expanding : bool;  (* on the expansion stack: a re-entry recurses *)
+}
+
+(* the register a name last resolved to, so a repeated name is matched
+   against the source bytes instead of being built and hashed *)
+type reg = { mutable name : string; mutable off : int; mutable size : int }
+
+(* How a gate application names its gate in messages: [Here] is the
+   current statement's own name, read back from the source on error. *)
+type gname = Here | Named of string
 
 type state = {
-  mutable toks : Lexer.located list;
+  lx : L.t;
   qregs : (string, int * int) Hashtbl.t;  (* name -> offset, size *)
   cregs : (string, int * int) Hashtbl.t;
   macros : (string, macro) Hashtbl.t;
@@ -27,101 +64,154 @@ type state = {
   mutable n_clbits : int;
   mutable gates_rev : Qc.Gate.t list;
   mutable stmt_line : int;  (* line of the statement being elaborated *)
+  mutable name_start : int;  (* the statement's gate name, for [Here] *)
+  mutable name_stop : int;
+  qlast : reg;
+  clast : reg;
+  (* statement scratch: evaluated parameters; resolved operands (offset,
+     and size or -1 for one qubit); one broadcast instance's qubits *)
+  mutable pbuf : float array;
+  mutable roff : int array;
+  mutable rsize : int array;
+  mutable qbuf : int array;
 }
 
-let line st = match st.toks with { Lexer.line; _ } :: _ -> line | [] -> 0
-
-let fail st msg = raise (Parse_error (line st, msg))
+(* a syntax error is reported at the line of the token after the one that
+   failed (0 at the end of input) *)
+let fail st msg =
+  raise
+    (Parse_error ((if st.lx.L.kind = L.K_eof then 0 else st.lx.L.tline), msg))
 
 (* semantic errors surface after the statement's tokens are consumed; report
    them at the statement's own line *)
 let fail_stmt st msg = raise (Parse_error (st.stmt_line, msg))
 
-let peek st = match st.toks with t :: _ -> Some t.Lexer.token | [] -> None
+let end_of_input () = raise (Parse_error (0, "unexpected end of input"))
 
-let next st =
-  match st.toks with
-  | t :: rest ->
-    st.toks <- rest;
-    t.Lexer.token
-  | [] -> raise (Parse_error (0, "unexpected end of input"))
+(* consume the lookahead, whatever it is *)
+let skip st =
+  if st.lx.L.kind = L.K_eof then end_of_input ();
+  L.next st.lx
 
-let expect st tok what =
-  let got = next st in
-  if got <> tok then fail st ("expected " ^ what)
+let expect st k what =
+  if st.lx.L.kind = L.K_eof then end_of_input ();
+  let ok = st.lx.L.kind = k in
+  L.next st.lx;
+  if not ok then fail st ("expected " ^ what)
 
 let ident st =
-  match next st with
-  | Lexer.Ident s -> s
-  | Lexer.Number _ | Lexer.Pi | Lexer.Arrow | Lexer.LParen | Lexer.RParen
-  | Lexer.LBracket | Lexer.RBracket | Lexer.Comma | Lexer.Semicolon
-  | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash | Lexer.String _ ->
+  let lx = st.lx in
+  match lx.L.kind with
+  | L.K_ident ->
+    let s = L.text lx in
+    L.next lx;
+    s
+  | L.K_lbrace ->
+    L.next lx;
+    "__lbrace__"
+  | L.K_rbrace ->
+    L.next lx;
+    "__rbrace__"
+  | L.K_eof -> end_of_input ()
+  | L.K_number | L.K_pi | L.K_arrow | L.K_lparen | L.K_rparen | L.K_lbracket
+  | L.K_rbracket | L.K_comma | L.K_semicolon | L.K_plus | L.K_minus
+  | L.K_star | L.K_slash | L.K_string ->
+    L.next lx;
     fail st "expected identifier"
 
+let rec same_from src start w i =
+  i >= String.length w
+  || (String.unsafe_get src (start + i) = String.unsafe_get w i
+     && same_from src start w (i + 1))
+
+(* the source bytes [start, stop) are [w] *)
+let source_is lx start stop w =
+  stop - start = String.length w && same_from lx.L.src start w 0
+
+(* the lookahead is the identifier [w] *)
+let at_word st w =
+  st.lx.L.kind = L.K_ident && source_is st.lx st.lx.L.start st.lx.L.stop w
+
+let at_lbrace st = st.lx.L.kind = L.K_lbrace || at_word st "__lbrace__"
+let at_rbrace st = st.lx.L.kind = L.K_rbrace || at_word st "__rbrace__"
+
+(* 2^62 as a float: every integral float below it converts exactly *)
+let int_limit = 0x1p62
+
+(* A register index or size: an exact non-negative integer that fits an
+   int ([1.0] is 1; [1e30] and a 20-digit literal are refused). *)
 let integer st =
-  match next st with
-  | Lexer.Number f when Float.is_integer f && f >= 0. -> int_of_float f
-  | Lexer.Number _ -> fail st "expected non-negative integer"
-  | Lexer.Ident _ | Lexer.Pi | Lexer.Arrow | Lexer.LParen | Lexer.RParen
-  | Lexer.LBracket | Lexer.RBracket | Lexer.Comma | Lexer.Semicolon
-  | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash | Lexer.String _ ->
+  let lx = st.lx in
+  match lx.L.kind with
+  | L.K_number ->
+    let v =
+      if lx.L.int_value >= -1 then lx.L.int_value
+      else
+        let f = lx.L.float_value in
+        if Float.is_integer f && f >= 0. then
+          if f < int_limit then int_of_float f else -1
+        else -2
+    in
+    L.next lx;
+    if v = -2 then fail st "expected non-negative integer";
+    if v = -1 then fail_stmt st "integer too large";
+    v
+  | L.K_eof -> end_of_input ()
+  | L.K_ident | L.K_pi | L.K_arrow | L.K_lparen | L.K_rparen | L.K_lbracket
+  | L.K_rbracket | L.K_lbrace | L.K_rbrace | L.K_comma | L.K_semicolon
+  | L.K_plus | L.K_minus | L.K_star | L.K_slash | L.K_string ->
+    L.next lx;
     fail st "expected integer"
 
 (* --- expressions ------------------------------------------------------ *)
 
-let rec parse_expr st =
-  let lhs = parse_term st in
-  let rec loop lhs =
-    match peek st with
-    | Some Lexer.Plus ->
-      ignore (next st);
-      loop (Add (lhs, parse_term st))
-    | Some Lexer.Minus ->
-      ignore (next st);
-      loop (Sub (lhs, parse_term st))
-    | Some
-        ( Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-        | Lexer.LParen | Lexer.RParen | Lexer.LBracket | Lexer.RBracket
-        | Lexer.Comma | Lexer.Semicolon | Lexer.Star | Lexer.Slash
-        | Lexer.String _ )
-    | None ->
-      lhs
-  in
-  loop lhs
+let rec parse_expr st = expr_rest st (parse_term st)
 
-and parse_term st =
-  let lhs = parse_factor st in
-  let rec loop lhs =
-    match peek st with
-    | Some Lexer.Star ->
-      ignore (next st);
-      loop (Mul (lhs, parse_factor st))
-    | Some Lexer.Slash ->
-      ignore (next st);
-      loop (Div (lhs, parse_factor st))
-    | Some
-        ( Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-        | Lexer.LParen | Lexer.RParen | Lexer.LBracket | Lexer.RBracket
-        | Lexer.Comma | Lexer.Semicolon | Lexer.Plus | Lexer.Minus
-        | Lexer.String _ )
-    | None ->
-      lhs
-  in
-  loop lhs
+and expr_rest st lhs =
+  match st.lx.L.kind with
+  | L.K_plus ->
+    L.next st.lx;
+    expr_rest st (Add (lhs, parse_term st))
+  | L.K_minus ->
+    L.next st.lx;
+    expr_rest st (Sub (lhs, parse_term st))
+  | _ -> lhs
+
+and parse_term st = term_rest st (parse_factor st)
+
+and term_rest st lhs =
+  match st.lx.L.kind with
+  | L.K_star ->
+    L.next st.lx;
+    term_rest st (Mul (lhs, parse_factor st))
+  | L.K_slash ->
+    L.next st.lx;
+    term_rest st (Div (lhs, parse_factor st))
+  | _ -> lhs
 
 and parse_factor st =
-  match next st with
-  | Lexer.Minus -> Neg (parse_factor st)
-  | Lexer.Number f -> Num f
-  | Lexer.Pi -> Pi
-  | Lexer.Ident v -> Var v
-  | Lexer.LParen ->
+  let lx = st.lx in
+  match lx.L.kind with
+  | L.K_minus ->
+    L.next lx;
+    Neg (parse_factor st)
+  | L.K_number ->
+    let f = L.number lx in
+    L.next lx;
+    Num f
+  | L.K_pi ->
+    L.next lx;
+    Pi
+  | L.K_ident | L.K_lbrace | L.K_rbrace -> Var (ident st)
+  | L.K_lparen ->
+    L.next lx;
     let e = parse_expr st in
-    expect st Lexer.RParen ")";
+    expect st L.K_rparen ")";
     e
-  | Lexer.Arrow | Lexer.RParen | Lexer.LBracket | Lexer.RBracket
-  | Lexer.Comma | Lexer.Semicolon | Lexer.Plus | Lexer.Star | Lexer.Slash
-  | Lexer.String _ ->
+  | L.K_eof -> end_of_input ()
+  | L.K_arrow | L.K_rparen | L.K_lbracket | L.K_rbracket | L.K_comma
+  | L.K_semicolon | L.K_plus | L.K_star | L.K_slash | L.K_string ->
+    L.next lx;
     fail st "expected expression"
 
 let rec eval st env = function
@@ -148,377 +238,464 @@ let param st env e =
       (if Float.is_nan f then "gate parameter is NaN"
        else "gate parameter is infinite")
 
+let rec params_rest st acc =
+  let e = parse_expr st in
+  match st.lx.L.kind with
+  | L.K_comma ->
+    L.next st.lx;
+    params_rest st (e :: acc)
+  | L.K_rparen ->
+    L.next st.lx;
+    List.rev (e :: acc)
+  | L.K_eof -> end_of_input ()
+  | _ ->
+    L.next st.lx;
+    fail st "expected , or ) in parameter list"
+
+(* [(e1, e2, …)] after a gate name, or nothing *)
+let parse_params st =
+  if st.lx.L.kind <> L.K_lparen then []
+  else begin
+    L.next st.lx;
+    params_rest st []
+  end
+
 (* --- built-in gate applications --------------------------------------- *)
 
-let builtin st name params qubits =
-  let p i = List.nth params i in
-  let q i = List.nth qubits i in
-  let arity_check n_p n_q =
-    if List.length params <> n_p then
-      fail_stmt st (Fmt.str "%s expects %d parameter(s)" name n_p);
-    if List.length qubits <> n_q then
-      fail_stmt st (Fmt.str "%s expects %d qubit(s)" name n_q)
-  in
-  match String.lowercase_ascii name with
-  | "id" -> arity_check 0 1; Some [ Qc.Gate.i (q 0) ]
-  | "x" -> arity_check 0 1; Some [ Qc.Gate.x (q 0) ]
-  | "y" -> arity_check 0 1; Some [ Qc.Gate.y (q 0) ]
-  | "z" -> arity_check 0 1; Some [ Qc.Gate.z (q 0) ]
-  | "h" -> arity_check 0 1; Some [ Qc.Gate.h (q 0) ]
-  | "s" -> arity_check 0 1; Some [ Qc.Gate.s (q 0) ]
-  | "sdg" -> arity_check 0 1; Some [ Qc.Gate.sdg (q 0) ]
-  | "t" -> arity_check 0 1; Some [ Qc.Gate.t (q 0) ]
-  | "tdg" -> arity_check 0 1; Some [ Qc.Gate.tdg (q 0) ]
-  | "rx" -> arity_check 1 1; Some [ Qc.Gate.rx (p 0) (q 0) ]
-  | "ry" -> arity_check 1 1; Some [ Qc.Gate.ry (p 0) (q 0) ]
-  | "rz" -> arity_check 1 1; Some [ Qc.Gate.rz (p 0) (q 0) ]
-  | "u1" | "p" -> arity_check 1 1; Some [ Qc.Gate.u1 (p 0) (q 0) ]
-  | "u2" -> arity_check 2 1; Some [ Qc.Gate.u2 (p 0) (p 1) (q 0) ]
-  | "u3" | "u" -> arity_check 3 1; Some [ Qc.Gate.u3 (p 0) (p 1) (p 2) (q 0) ]
-  | "cx" -> arity_check 0 2; Some [ Qc.Gate.cx (q 0) (q 1) ]
-  | "cz" -> arity_check 0 2; Some [ Qc.Gate.cz (q 0) (q 1) ]
-  | "swap" -> arity_check 0 2; Some [ Qc.Gate.swap (q 0) (q 1) ]
-  | "rzz" -> arity_check 1 2; Some [ Qc.Gate.rzz (p 0) (q 0) (q 1) ]
-  | "rxx" | "xx" -> arity_check 1 2; Some [ Qc.Gate.xx (p 0) (q 0) (q 1) ]
-  | "ccx" -> arity_check 0 3; Some (Qc.Decompose.toffoli (q 0) (q 1) (q 2))
-  | "cswap" ->
-    arity_check 0 3;
-    Some (Qc.Decompose.controlled_swap (q 0) (q 1) (q 2))
-  | "cu1" | "cp" ->
-    arity_check 1 2;
-    Some (Qc.Decompose.cphase (p 0) (q 0) (q 1))
-  | "crz" ->
-    arity_check 1 2;
-    Some
+(* Built-in names are matched in any case, in place. *)
+let builtin_of src i len =
+  let c k = L.lower (String.unsafe_get src (i + k)) in
+  match len with
+  | 1 -> (
+    match c 0 with
+    | 'x' -> B_x
+    | 'y' -> B_y
+    | 'z' -> B_z
+    | 'h' -> B_h
+    | 's' -> B_s
+    | 't' -> B_t
+    | 'p' -> B_u1
+    | 'u' -> B_u3
+    | _ -> Other)
+  | 2 -> (
+    match (c 0, c 1) with
+    | 'i', 'd' -> B_id
+    | 'r', 'x' -> B_rx
+    | 'r', 'y' -> B_ry
+    | 'r', 'z' -> B_rz
+    | 'u', '1' -> B_u1
+    | 'u', '2' -> B_u2
+    | 'u', '3' -> B_u3
+    | 'c', 'x' -> B_cx
+    | 'c', 'z' -> B_cz
+    | 'c', 'p' -> B_cu1
+    | 'x', 'x' -> B_rxx
+    | _ -> Other)
+  | 3 -> (
+    match (c 0, c 1, c 2) with
+    | 's', 'd', 'g' -> B_sdg
+    | 't', 'd', 'g' -> B_tdg
+    | 'r', 'z', 'z' -> B_rzz
+    | 'r', 'x', 'x' -> B_rxx
+    | 'c', 'c', 'x' -> B_ccx
+    | 'c', 'u', '1' -> B_cu1
+    | 'c', 'r', 'z' -> B_crz
+    | _ -> Other)
+  | 4 when c 0 = 's' && c 1 = 'w' && c 2 = 'a' && c 3 = 'p' -> B_swap
+  | 5 when c 0 = 'c' && c 1 = 's' && c 2 = 'w' && c 3 = 'a' && c 4 = 'p' ->
+    B_cswap
+  | _ -> Other
+
+let name_of st = function
+  | Here -> String.sub st.lx.L.src st.name_start (st.name_stop - st.name_start)
+  | Named s -> s
+
+let arity st gname np nq n_p n_q =
+  if np <> n_p then
+    fail_stmt st (Fmt.str "%s expects %d parameter(s)" (name_of st gname) n_p);
+  if nq <> n_q then
+    fail_stmt st (Fmt.str "%s expects %d qubit(s)" (name_of st gname) n_q)
+
+(* a two- or three-qubit gate takes distinct qubits *)
+let distinct st gname q nq =
+  if q.(0) = q.(1) || (nq = 3 && (q.(0) = q.(2) || q.(1) = q.(2))) then
+    fail_stmt st (name_of st gname ^ " applies to one qubit twice")
+
+let push st g = st.gates_rev <- g :: st.gates_rev
+let push_all st gs = List.iter (push st) gs
+
+(* arity, and distinct qubits, of a two- or three-qubit gate *)
+let multi st gname np q nq n_p n_q =
+  arity st gname np nq n_p n_q;
+  distinct st gname q nq
+
+let builtin st gname b (p : float array) np (q : int array) nq =
+  match b with
+  | B_id -> arity st gname np nq 0 1; push st (Qc.Gate.i q.(0))
+  | B_x -> arity st gname np nq 0 1; push st (Qc.Gate.x q.(0))
+  | B_y -> arity st gname np nq 0 1; push st (Qc.Gate.y q.(0))
+  | B_z -> arity st gname np nq 0 1; push st (Qc.Gate.z q.(0))
+  | B_h -> arity st gname np nq 0 1; push st (Qc.Gate.h q.(0))
+  | B_s -> arity st gname np nq 0 1; push st (Qc.Gate.s q.(0))
+  | B_sdg -> arity st gname np nq 0 1; push st (Qc.Gate.sdg q.(0))
+  | B_t -> arity st gname np nq 0 1; push st (Qc.Gate.t q.(0))
+  | B_tdg -> arity st gname np nq 0 1; push st (Qc.Gate.tdg q.(0))
+  | B_rx -> arity st gname np nq 1 1; push st (Qc.Gate.rx p.(0) q.(0))
+  | B_ry -> arity st gname np nq 1 1; push st (Qc.Gate.ry p.(0) q.(0))
+  | B_rz -> arity st gname np nq 1 1; push st (Qc.Gate.rz p.(0) q.(0))
+  | B_u1 -> arity st gname np nq 1 1; push st (Qc.Gate.u1 p.(0) q.(0))
+  | B_u2 -> arity st gname np nq 2 1; push st (Qc.Gate.u2 p.(0) p.(1) q.(0))
+  | B_u3 ->
+    arity st gname np nq 3 1;
+    push st (Qc.Gate.u3 p.(0) p.(1) p.(2) q.(0))
+  | B_cx -> multi st gname np q nq 0 2; push st (Qc.Gate.cx q.(0) q.(1))
+  | B_cz -> multi st gname np q nq 0 2; push st (Qc.Gate.cz q.(0) q.(1))
+  | B_swap -> multi st gname np q nq 0 2; push st (Qc.Gate.swap q.(0) q.(1))
+  | B_rzz -> multi st gname np q nq 1 2; push st (Qc.Gate.rzz p.(0) q.(0) q.(1))
+  | B_rxx -> multi st gname np q nq 1 2; push st (Qc.Gate.xx p.(0) q.(0) q.(1))
+  | B_ccx ->
+    multi st gname np q nq 0 3;
+    push_all st (Qc.Decompose.toffoli q.(0) q.(1) q.(2))
+  | B_cswap ->
+    multi st gname np q nq 0 3;
+    push_all st (Qc.Decompose.controlled_swap q.(0) q.(1) q.(2))
+  | B_cu1 ->
+    multi st gname np q nq 1 2;
+    push_all st (Qc.Decompose.cphase p.(0) q.(0) q.(1))
+  | B_crz ->
+    multi st gname np q nq 1 2;
+    push_all st
       [
-        Qc.Gate.rz (p 0 /. 2.) (q 1);
-        Qc.Gate.cx (q 0) (q 1);
-        Qc.Gate.rz (-.p 0 /. 2.) (q 1);
-        Qc.Gate.cx (q 0) (q 1);
+        Qc.Gate.rz (p.(0) /. 2.) q.(1);
+        Qc.Gate.cx q.(0) q.(1);
+        Qc.Gate.rz (-.p.(0) /. 2.) q.(1);
+        Qc.Gate.cx q.(0) q.(1);
       ]
-  | _ -> None
+  | Other -> assert false
 
 (* --- gate application (built-in or macro, recursive expansion) -------- *)
 
-let rec apply_gate st name params qubits =
-  match builtin st name params qubits with
-  | Some gates -> List.iter (fun g -> st.gates_rev <- g :: st.gates_rev) gates
-  | None -> (
+let rec apply st gname b p np q nq =
+  if b <> Other then builtin st gname b p np q nq
+  else
+    let name = name_of st gname in
     match Hashtbl.find_opt st.macros name with
     | None -> fail_stmt st ("unknown gate " ^ name)
     | Some m ->
-      if List.length m.formals <> List.length params then
+      if List.length m.formals <> np then
         fail_stmt st (name ^ ": parameter count mismatch");
-      if List.length m.qformals <> List.length qubits then
+      if List.length m.qformals <> nq then
         fail_stmt st (name ^ ": qubit count mismatch");
-      let penv = List.combine m.formals params in
-      let qenv = List.combine m.qformals qubits in
+      if m.expanding then
+        fail_stmt st (name ^ ": gate definition is recursive");
+      let penv = List.combine m.formals (List.init np (Array.get p)) in
+      let qenv = List.combine m.qformals (List.init nq (Array.get q)) in
+      m.expanding <- true;
       List.iter
         (fun s ->
-          let sub_params = List.map (param st penv) s.m_params in
-          let sub_qubits =
-            List.map
-              (fun v ->
-                match List.assoc_opt v qenv with
-                | Some q -> q
-                | None -> fail_stmt st ("unbound qubit argument " ^ v))
-              s.m_qargs
+          let sp = Array.of_list (List.map (param st penv) s.m_params) in
+          let sq =
+            Array.of_list
+              (List.map
+                 (fun v ->
+                   match List.assoc_opt v qenv with
+                   | Some q -> q
+                   | None -> fail_stmt st ("unbound qubit argument " ^ v))
+                 s.m_qargs)
           in
-          apply_gate st s.m_name sub_params sub_qubits)
-        m.body)
+          apply st (Named s.m_name) s.m_builtin sp (Array.length sp) sq
+            (Array.length sq))
+        m.body;
+      m.expanding <- false
 
 (* --- operands ---------------------------------------------------------- *)
 
-let parse_operand st =
-  let name = ident st in
-  match peek st with
-  | Some Lexer.LBracket ->
-    ignore (next st);
+let grow a i = if i < Array.length a then a else Array.append a a
+
+(* The register the lookahead identifier names, consuming it. *)
+let register st ~quantum =
+  let lx = st.lx in
+  let last = if quantum then st.qlast else st.clast in
+  if lx.L.kind = L.K_ident && source_is lx lx.L.start lx.L.stop last.name
+  then begin
+    L.next lx;
+    last
+  end
+  else begin
+    let name = ident st in
+    match Hashtbl.find_opt (if quantum then st.qregs else st.cregs) name with
+    | Some (off, size) ->
+      last.name <- name;
+      last.off <- off;
+      last.size <- size;
+      last
+    | None ->
+      fail_stmt st
+        ((if quantum then "unknown qreg " else "unknown creg ") ^ name)
+  end
+
+(* [name] or [name[i]], resolved into operand slot [i] *)
+let operand st ~quantum i =
+  st.roff <- grow st.roff i;
+  st.rsize <- grow st.rsize i;
+  let r = register st ~quantum in
+  if st.lx.L.kind = L.K_lbracket then begin
+    L.next st.lx;
     let idx = integer st in
-    expect st Lexer.RBracket "]";
-    Indexed (name, idx)
-  | Some
-      ( Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-      | Lexer.LParen | Lexer.RParen | Lexer.RBracket | Lexer.Comma
-      | Lexer.Semicolon | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash
-      | Lexer.String _ )
-  | None ->
-    Whole name
+    expect st L.K_rbracket "]";
+    if idx >= r.size then
+      fail_stmt st
+        (Fmt.str "index out of range for %s %s"
+           (if quantum then "qreg" else "creg")
+           r.name);
+    st.roff.(i) <- r.off + idx;
+    st.rsize.(i) <- -1
+  end
+  else begin
+    st.roff.(i) <- r.off;
+    st.rsize.(i) <- r.size
+  end
 
-let resolve_q st = function
-  | Indexed (name, idx) -> (
-    match Hashtbl.find_opt st.qregs name with
-    | Some (off, size) when idx < size -> `Scalar (off + idx)
-    | Some _ -> fail_stmt st (Fmt.str "index out of range for qreg %s" name)
-    | None -> fail_stmt st ("unknown qreg " ^ name))
-  | Whole name -> (
-    match Hashtbl.find_opt st.qregs name with
-    | Some (off, size) -> `Register (off, size)
-    | None -> fail_stmt st ("unknown qreg " ^ name))
-
-let resolve_c st = function
-  | Indexed (name, idx) -> (
-    match Hashtbl.find_opt st.cregs name with
-    | Some (off, size) when idx < size -> `Scalar (off + idx)
-    | Some _ -> fail_stmt st (Fmt.str "index out of range for creg %s" name)
-    | None -> fail_stmt st ("unknown creg " ^ name))
-  | Whole name -> (
-    match Hashtbl.find_opt st.cregs name with
-    | Some (off, size) -> `Register (off, size)
-    | None -> fail_stmt st ("unknown creg " ^ name))
-
-(* Broadcast a gate over operands: registers must share a size; scalars are
-   repeated. *)
-let broadcast st resolved apply =
-  let size =
-    List.fold_left
-      (fun acc r ->
-        match (r, acc) with
-        | `Scalar _, acc -> acc
-        | `Register (_, s), None -> Some s
-        | `Register (_, s), Some s' ->
-          if s <> s' then fail_stmt st "register size mismatch in broadcast"
-          else acc)
-      None resolved
-  in
-  match size with
-  | None ->
-    apply
-      (List.map
-         (function `Scalar q -> q | `Register _ -> assert false)
-         resolved)
-  | Some s ->
-    for k = 0 to s - 1 do
-      apply
-        (List.map
-           (function `Scalar q -> q | `Register (off, _) -> off + k)
-           resolved)
-    done
+(* [op, op, …;] into the operand slots from [i]; returns how many *)
+let rec operands st i =
+  operand st ~quantum:true i;
+  match st.lx.L.kind with
+  | L.K_comma ->
+    L.next st.lx;
+    operands st (i + 1)
+  | L.K_semicolon ->
+    L.next st.lx;
+    i + 1
+  | L.K_eof -> end_of_input ()
+  | _ ->
+    L.next st.lx;
+    fail st "expected , or ; after operand"
 
 (* --- statements -------------------------------------------------------- *)
 
-let parse_params st =
-  match peek st with
-  | Some Lexer.LParen ->
-    ignore (next st);
-    let rec loop acc =
-      let e = parse_expr st in
-      match next st with
-      | Lexer.Comma -> loop (e :: acc)
-      | Lexer.RParen -> List.rev (e :: acc)
-      | Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-      | Lexer.LParen | Lexer.LBracket | Lexer.RBracket | Lexer.Semicolon
-      | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash | Lexer.String _
-        ->
-        fail st "expected , or ) in parameter list"
-    in
-    loop []
-  | Some
-      ( Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-      | Lexer.RParen | Lexer.LBracket | Lexer.RBracket | Lexer.Comma
-      | Lexer.Semicolon | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash
-      | Lexer.String _ )
-  | None ->
-    []
+(* top-level parameter values into [pbuf]; returns how many *)
+let rec eval_params st i = function
+  | [] -> i
+  | e :: rest ->
+    st.pbuf <- grow st.pbuf i;
+    st.pbuf.(i) <- param st [] e;
+    eval_params st (i + 1) rest
 
-let parse_operands st =
-  let rec loop acc =
-    let op = parse_operand st in
-    match next st with
-    | Lexer.Comma -> loop (op :: acc)
-    | Lexer.Semicolon -> List.rev (op :: acc)
-    | Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow | Lexer.LParen
-    | Lexer.RParen | Lexer.LBracket | Lexer.RBracket | Lexer.Plus
-    | Lexer.Minus | Lexer.Star | Lexer.Slash | Lexer.String _ ->
-      fail st "expected , or ; after operand"
+(* A gate statement, broadcast over registers: registers must share a
+   size; single qubits are repeated. *)
+let gate_statement st =
+  let lx = st.lx in
+  let b =
+    if lx.L.kind = L.K_ident then
+      builtin_of lx.L.src lx.L.start (lx.L.stop - lx.L.start)
+    else Other
   in
-  loop []
-
-(* gate-definition body statement list, between { and } — we only tokenize
-   { } as idents? No: OpenQASM uses { }; the lexer has no brace token, so we
-   treat gate bodies textually. Instead, braces are lexed as errors — so we
-   handle them here by scanning tokens. *)
-
-let parse_macro_body st =
-  (* statements: name(params)? qargs ; … until '}' — but '}' isn't a token;
-     the lexer rejects it. See [preprocess_braces] below: braces are turned
-     into sentinel idents. *)
-  let rec loop acc =
-    match peek st with
-    | Some (Lexer.Ident "__rbrace__") ->
-      ignore (next st);
-      List.rev acc
-    | Some (Lexer.Ident "barrier") ->
-      (* barriers inside macros are ignored (qelib1 has none; some emitters
-         add them) *)
-      ignore (next st);
-      let rec skip () =
-        match next st with
-        | Lexer.Semicolon -> ()
-        | Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-        | Lexer.LParen | Lexer.RParen | Lexer.LBracket | Lexer.RBracket
-        | Lexer.Comma | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash
-        | Lexer.String _ ->
-          skip ()
-      in
-      skip ();
-      loop acc
-    | Some _ ->
-      let m_name = ident st in
-      let m_params = parse_params st in
-      let rec qargs acc =
-        let v = ident st in
-        match next st with
-        | Lexer.Comma -> qargs (v :: acc)
-        | Lexer.Semicolon -> List.rev (v :: acc)
-        | Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-        | Lexer.LParen | Lexer.RParen | Lexer.LBracket | Lexer.RBracket
-        | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash
-        | Lexer.String _ ->
-          fail st "expected , or ; in gate body"
-      in
-      let m_qargs = qargs [] in
-      loop ({ m_name; m_params; m_qargs } :: acc)
-    | None -> fail st "unterminated gate body"
+  let gname =
+    if b <> Other then begin
+      st.name_start <- lx.L.start;
+      st.name_stop <- lx.L.stop;
+      L.next lx;
+      Here
+    end
+    else Named (ident st)
   in
-  loop []
+  let np = eval_params st 0 (parse_params st) in
+  let nops = operands st 0 in
+  let size = ref (-1) in
+  for i = 0 to nops - 1 do
+    let s = st.rsize.(i) in
+    if s >= 0 then
+      if !size < 0 then size := s
+      else if s <> !size then fail_stmt st "register size mismatch in broadcast"
+  done;
+  if !size < 0 then apply st gname b st.pbuf np st.roff nops
+  else begin
+    st.qbuf <- grow st.qbuf nops;
+    for k = 0 to !size - 1 do
+      for i = 0 to nops - 1 do
+        st.qbuf.(i) <-
+          (if st.rsize.(i) < 0 then st.roff.(i) else st.roff.(i) + k)
+      done;
+      apply st gname b st.pbuf np st.qbuf nops
+    done
+  end
 
-let parse_gate_def st =
+let barrier_statement st =
+  let nops = operands st 0 in
+  let qubits = ref [] in
+  for i = nops - 1 downto 0 do
+    if st.rsize.(i) < 0 then qubits := st.roff.(i) :: !qubits
+    else
+      for k = st.rsize.(i) - 1 downto 0 do
+        qubits := (st.roff.(i) + k) :: !qubits
+      done
+  done;
+  push st (Qc.Gate.barrier !qubits)
+
+let measure_statement st =
+  operand st ~quantum:true 0;
+  expect st L.K_arrow "->";
+  operand st ~quantum:false 1;
+  expect st L.K_semicolon ";";
+  let qs = st.rsize.(0) and cs = st.rsize.(1) in
+  if qs < 0 && cs < 0 then push st (Qc.Gate.measure st.roff.(0) st.roff.(1))
+  else if qs >= 0 && qs = cs then
+    for k = 0 to qs - 1 do
+      push st (Qc.Gate.measure (st.roff.(0) + k) (st.roff.(1) + k))
+    done
+  else
+    fail_stmt st
+      "measure operands must both be scalars or equal-size registers"
+
+let register_decl st ~quantum =
+  let name = ident st in
+  expect st L.K_lbracket "[";
+  let size = integer st in
+  expect st L.K_rbracket "]";
+  expect st L.K_semicolon ";";
+  let table = if quantum then st.qregs else st.cregs in
+  let width = if quantum then st.n_qubits else st.n_clbits in
+  let kind = if quantum then "qreg " else "creg " in
+  if Hashtbl.mem table name then fail_stmt st ("duplicate " ^ kind ^ name);
+  if size > max_int - width then fail_stmt st (kind ^ name ^ " is too large");
+  Hashtbl.replace table name (width, size);
+  if quantum then st.n_qubits <- width + size else st.n_clbits <- width + size
+
+(* a gate-macro body statement: name(params)? qargs ; *)
+let macro_stmt st =
+  let lx = st.lx in
+  let m_builtin =
+    if lx.L.kind = L.K_ident then
+      builtin_of lx.L.src lx.L.start (lx.L.stop - lx.L.start)
+    else Other
+  in
+  let m_name = ident st in
+  let m_params = parse_params st in
+  let rec qargs acc =
+    let v = ident st in
+    match lx.L.kind with
+    | L.K_comma ->
+      L.next lx;
+      qargs (v :: acc)
+    | L.K_semicolon ->
+      L.next lx;
+      List.rev (v :: acc)
+    | L.K_eof -> end_of_input ()
+    | _ ->
+      L.next lx;
+      fail st "expected , or ; in gate body"
+  in
+  { m_name; m_builtin; m_params; m_qargs = qargs [] }
+
+let gate_def st =
+  let lx = st.lx in
   let name = ident st in
   let formals =
-    match peek st with
-    | Some Lexer.LParen ->
-      ignore (next st);
-      (match peek st with
-      | Some Lexer.RParen ->
-        ignore (next st);
+    if lx.L.kind <> L.K_lparen then []
+    else begin
+      L.next lx;
+      if lx.L.kind = L.K_rparen then begin
+        L.next lx;
         []
-      | Some _ | None ->
+      end
+      else
         let rec loop acc =
           let v = ident st in
-          match next st with
-          | Lexer.Comma -> loop (v :: acc)
-          | Lexer.RParen -> List.rev (v :: acc)
-          | Lexer.Ident _ | Lexer.Number _ | Lexer.Pi | Lexer.Arrow
-          | Lexer.LParen | Lexer.LBracket | Lexer.RBracket
-          | Lexer.Semicolon | Lexer.Plus | Lexer.Minus | Lexer.Star
-          | Lexer.Slash | Lexer.String _ ->
+          match lx.L.kind with
+          | L.K_comma ->
+            L.next lx;
+            loop (v :: acc)
+          | L.K_rparen ->
+            L.next lx;
+            List.rev (v :: acc)
+          | L.K_eof -> end_of_input ()
+          | _ ->
+            L.next lx;
             fail st "expected , or ) in gate formals"
         in
-        loop [])
-    | Some _ | None -> []
+        loop []
+    end
   in
   let rec qformals acc =
     let v = ident st in
-    match peek st with
-    | Some Lexer.Comma ->
-      ignore (next st);
+    if lx.L.kind = L.K_comma then begin
+      L.next lx;
       qformals (v :: acc)
-    | Some (Lexer.Ident "__lbrace__") ->
-      ignore (next st);
+    end
+    else if at_lbrace st then begin
+      L.next lx;
       List.rev (v :: acc)
-    | Some _ | None -> fail st "expected { after gate header"
+    end
+    else fail st "expected { after gate header"
   in
   let qformals = qformals [] in
-  let body = parse_macro_body st in
-  Hashtbl.replace st.macros name { formals; qformals; body }
+  let rec body acc =
+    if at_rbrace st then begin
+      L.next lx;
+      List.rev acc
+    end
+    else if at_word st "barrier" then begin
+      (* barriers inside macros are ignored (qelib1 has none; some
+         emitters add them) *)
+      L.next lx;
+      let rec to_semicolon () =
+        let semicolon = lx.L.kind = L.K_semicolon in
+        skip st;
+        if not semicolon then to_semicolon ()
+      in
+      to_semicolon ();
+      body acc
+    end
+    else if lx.L.kind = L.K_eof then fail st "unterminated gate body"
+    else body (macro_stmt st :: acc)
+  in
+  let body = body [] in
+  Hashtbl.replace st.macros name { formals; qformals; body; expanding = false }
 
-let preprocess_braces src =
-  (* the lexer has no brace tokens; replace them with sentinel identifiers *)
-  String.concat " __lbrace__ "
-    (String.split_on_char '{' src)
-  |> String.split_on_char '}'
-  |> String.concat " __rbrace__ "
-
-let rec parse_statement st =
-  (match st.toks with
-  | t :: _ -> st.stmt_line <- t.Lexer.line
-  | [] -> ());
-  match peek st with
-  | None -> ()
-  | Some (Lexer.Ident "OPENQASM") | Some (Lexer.Ident "openqasm") ->
-    ignore (next st);
-    ignore (next st);
-    expect st Lexer.Semicolon ";";
-    parse_statement st
-  | Some (Lexer.Ident "include") ->
-    ignore (next st);
-    ignore (next st);
-    expect st Lexer.Semicolon ";";
-    parse_statement st
-  | Some (Lexer.Ident "qreg") ->
-    ignore (next st);
-    let name = ident st in
-    expect st Lexer.LBracket "[";
-    let size = integer st in
-    expect st Lexer.RBracket "]";
-    expect st Lexer.Semicolon ";";
-    if Hashtbl.mem st.qregs name then fail_stmt st ("duplicate qreg " ^ name);
-    Hashtbl.replace st.qregs name (st.n_qubits, size);
-    st.n_qubits <- st.n_qubits + size;
-    parse_statement st
-  | Some (Lexer.Ident "creg") ->
-    ignore (next st);
-    let name = ident st in
-    expect st Lexer.LBracket "[";
-    let size = integer st in
-    expect st Lexer.RBracket "]";
-    expect st Lexer.Semicolon ";";
-    if Hashtbl.mem st.cregs name then fail_stmt st ("duplicate creg " ^ name);
-    Hashtbl.replace st.cregs name (st.n_clbits, size);
-    st.n_clbits <- st.n_clbits + size;
-    parse_statement st
-  | Some (Lexer.Ident "gate") ->
-    ignore (next st);
-    parse_gate_def st;
-    parse_statement st
-  | Some (Lexer.Ident "barrier") ->
-    ignore (next st);
-    let ops = parse_operands st in
-    let resolved = List.map (resolve_q st) ops in
-    let qubits =
-      List.concat_map
-        (function
-          | `Scalar q -> [ q ]
-          | `Register (off, size) -> List.init size (fun k -> off + k))
-        resolved
-    in
-    st.gates_rev <- Qc.Gate.barrier qubits :: st.gates_rev;
-    parse_statement st
-  | Some (Lexer.Ident "measure") ->
-    ignore (next st);
-    let qop = parse_operand st in
-    expect st Lexer.Arrow "->";
-    let cop = parse_operand st in
-    expect st Lexer.Semicolon ";";
-    (match (resolve_q st qop, resolve_c st cop) with
-    | `Scalar q, `Scalar c ->
-      st.gates_rev <- Qc.Gate.measure q c :: st.gates_rev
-    | `Register (qo, qs), `Register (co, cs) when qs = cs ->
-      for k = 0 to qs - 1 do
-        st.gates_rev <- Qc.Gate.measure (qo + k) (co + k) :: st.gates_rev
-      done
-    | (`Scalar _ | `Register _), (`Scalar _ | `Register _) ->
-      fail_stmt st "measure operands must both be scalars or equal-size registers");
-    parse_statement st
-  | Some (Lexer.Ident _) ->
-    let name = ident st in
-    let params = List.map (param st []) (parse_params st) in
-    let ops = parse_operands st in
-    let resolved = List.map (resolve_q st) ops in
-    broadcast st resolved (fun qubits -> apply_gate st name params qubits);
-    parse_statement st
-  | Some
-      ( Lexer.Number _ | Lexer.Pi | Lexer.Arrow | Lexer.LParen | Lexer.RParen
-      | Lexer.LBracket | Lexer.RBracket | Lexer.Comma | Lexer.Semicolon
-      | Lexer.Plus | Lexer.Minus | Lexer.Star | Lexer.Slash | Lexer.String _
-        ) ->
+let rec statements st =
+  let lx = st.lx in
+  st.stmt_line <- lx.L.tline;
+  match lx.L.kind with
+  | L.K_eof -> ()
+  | L.K_ident ->
+    (match lx.L.src.[lx.L.start] with
+    | ('O' | 'o') when at_word st "OPENQASM" || at_word st "openqasm" ->
+      L.next lx;
+      skip st;
+      expect st L.K_semicolon ";"
+    | 'i' when at_word st "include" ->
+      L.next lx;
+      skip st;
+      expect st L.K_semicolon ";"
+    | 'q' when at_word st "qreg" ->
+      L.next lx;
+      register_decl st ~quantum:true
+    | 'c' when at_word st "creg" ->
+      L.next lx;
+      register_decl st ~quantum:false
+    | 'g' when at_word st "gate" ->
+      L.next lx;
+      gate_def st
+    | 'b' when at_word st "barrier" ->
+      L.next lx;
+      barrier_statement st
+    | 'm' when at_word st "measure" ->
+      L.next lx;
+      measure_statement st
+    | _ -> gate_statement st);
+    statements st
+  | L.K_lbrace | L.K_rbrace ->
+    gate_statement st;
+    statements st
+  | L.K_number | L.K_pi | L.K_arrow | L.K_lparen | L.K_rparen | L.K_lbracket
+  | L.K_rbracket | L.K_comma | L.K_semicolon | L.K_plus | L.K_minus
+  | L.K_star | L.K_slash | L.K_string ->
     fail st "expected statement"
 
 let parse src =
   let st =
     {
-      toks = Lexer.tokenize (preprocess_braces src);
+      lx = L.create src;
       qregs = Hashtbl.create 4;
       cregs = Hashtbl.create 4;
       macros = Hashtbl.create 16;
@@ -526,9 +703,17 @@ let parse src =
       n_clbits = 0;
       gates_rev = [];
       stmt_line = 1;
+      name_start = 0;
+      name_stop = 0;
+      qlast = { name = ""; off = 0; size = 0 };
+      clast = { name = ""; off = 0; size = 0 };
+      pbuf = Array.make 4 0.;
+      roff = Array.make 4 0;
+      rsize = Array.make 4 0;
+      qbuf = Array.make 4 0;
     }
   in
-  parse_statement st;
+  statements st;
   Qc.Circuit.make ~n_qubits:st.n_qubits (List.rev st.gates_rev)
 
 let parse_file path =

@@ -15,6 +15,18 @@ exception Parse_error of int * string
 (** line, message *)
 
 val parse : string -> Qc.Circuit.t
-(** Raises {!Parse_error} or {!Lexer.Lex_error}. *)
+(** One pass over the text. Raises {!Parse_error} or {!Lexer.Lex_error}
+    and nothing else, whatever the text.
+
+    Beyond syntax, unknown names and arity, these are refused with
+    {!Parse_error} at the statement's line:
+    - a two- or three-qubit gate applied to one qubit twice, written
+      directly or reached through a gate macro ([cx q[0],q[0];]);
+    - a register index or size that is not an exact non-negative integer
+      ([q[1.0]] reads as [q[1]]; [q[0.5]] is refused), or that exceeds
+      [max_int] ([q[1e30]], a 20-digit index), and a register that takes
+      the running qubit or clbit count past [max_int];
+    - a gate macro whose expansion reaches itself;
+    - a NaN or infinite gate parameter. *)
 
 val parse_file : string -> Qc.Circuit.t

@@ -31,8 +31,7 @@ let float_repr f =
     let s = Printf.sprintf "%.12g" f in
     if Float.of_string s = f then s else Printf.sprintf "%.17g" f
 
-let to_string ?(indent = 2) t =
-  let b = Buffer.create 256 in
+let to_buffer ?(indent = 2) b t =
   let pad level =
     if indent > 0 then begin
       Buffer.add_char b '\n';
@@ -70,7 +69,11 @@ let to_string ?(indent = 2) t =
       pad level;
       Buffer.add_char b '}'
   in
-  go 0 t;
+  go 0 t
+
+let to_string ?indent t =
+  let b = Buffer.create 256 in
+  to_buffer ?indent b t;
   Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
@@ -101,101 +104,136 @@ let rec equal a b =
 exception Parse of int * string
 (* position, message — internal; [parse] converts to a result *)
 
-let parse_exn s =
+let fail pos msg = raise (Parse (pos, msg))
+
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | 'A' .. 'F' -> Char.code c - 55
+  | _ -> -1
+
+(* The value of the four hex digits at [i], which must all be there. *)
+let hex4 s i =
+  if i + 4 > String.length s then fail i "truncated \\u escape";
+  let v = ref 0 in
+  for k = i to i + 3 do
+    let d = hex_digit (String.unsafe_get s k) in
+    if d < 0 then fail i "invalid \\u escape";
+    v := (!v lsl 4) lor d
+  done;
+  !v
+
+let utf8_length v = if v < 0x80 then 1 else if v < 0x800 then 2 else 3
+
+(* The string whose opening quote is at [s.[!pos - 1]]: returns its decoded
+   bytes and leaves [pos] after its closing quote. A first scan finds the
+   end, checks every escape and sizes the result; a string without
+   escapes is then one [String.sub], any other is filled run by run into
+   bytes of exactly its length. BMP [\u] escapes are re-encoded as UTF-8
+   so that emitter-escaped control characters round-trip to their raw
+   bytes. *)
+let parse_string s pos =
+  let i = !pos in
   let n = String.length s in
-  let fail pos msg = raise (Parse (pos, msg)) in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some _ | None -> ()
+  let rec scan j len =
+    if j >= n then fail j "unterminated string"
+    else
+      match String.unsafe_get s j with
+      | '"' -> (j, len)
+      | '\\' ->
+        if j + 1 >= n then fail (j + 1) "unterminated escape"
+        else begin
+          match String.unsafe_get s (j + 1) with
+          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+            scan (j + 2) (len + 1)
+          | 'u' -> scan (j + 6) (len + utf8_length (hex4 s (j + 2)))
+          | c -> fail (j + 1) (Printf.sprintf "invalid escape \\%c" c)
+        end
+      | c when Char.code c < 0x20 -> fail j "raw control character in string"
+      | _ -> scan (j + 1) (len + 1)
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail !pos (Printf.sprintf "expected %C, found %C" c c')
-    | None -> fail !pos (Printf.sprintf "expected %C, found end of input" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail !pos (Printf.sprintf "invalid literal (expected %s)" word)
-  in
-  let parse_hex4 () =
-    if !pos + 4 > n then fail !pos "truncated \\u escape";
-    let v =
-      try int_of_string ("0x" ^ String.sub s !pos 4)
-      with Failure _ -> fail !pos "invalid \\u escape"
+  let close, len = scan i 0 in
+  pos := close + 1;
+  if len = close - i then String.sub s i len
+  else begin
+    let b = Bytes.create len in
+    let put o c =
+      Bytes.unsafe_set b o c;
+      o + 1
     in
-    pos := !pos + 4;
-    v
-  in
-  (* Decodes escapes; BMP \u escapes are re-encoded as UTF-8 so that
-     emitter-escaped control characters round-trip to their raw bytes. *)
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail !pos "unterminated string"
-      | Some '"' ->
-        advance ();
-        Buffer.contents b
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | None -> fail !pos "unterminated escape"
-        | Some c ->
-          advance ();
-          (match c with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
+    (* copy the run [j, k) and decode the escape at [k], until [close] *)
+    let rec fill j o =
+      if j < close then begin
+        let k = ref j in
+        while !k < close && String.unsafe_get s !k <> '\\' do
+          incr k
+        done;
+        let k = !k in
+        Bytes.blit_string s j b o (k - j);
+        let o = o + (k - j) in
+        if k < close then
+          match String.unsafe_get s (k + 1) with
+          | 'b' -> fill (k + 2) (put o '\b')
+          | 'f' -> fill (k + 2) (put o '\012')
+          | 'n' -> fill (k + 2) (put o '\n')
+          | 'r' -> fill (k + 2) (put o '\r')
+          | 't' -> fill (k + 2) (put o '\t')
           | 'u' ->
-            let v = parse_hex4 () in
-            if v < 0x80 then Buffer.add_char b (Char.chr v)
-            else if v < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xc0 lor (v lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (v land 0x3f)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xe0 lor (v lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((v lsr 6) land 0x3f)));
-              Buffer.add_char b (Char.chr (0x80 lor (v land 0x3f)))
-            end
-          | c -> fail (!pos - 1) (Printf.sprintf "invalid escape \\%c" c));
-          go ())
-      | Some c when Char.code c < 0x20 ->
-        fail !pos "raw control character in string"
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
+            let v = hex4 s (k + 2) in
+            let o =
+              if v < 0x80 then put o (Char.chr v)
+              else if v < 0x800 then
+                put (put o (Char.chr (0xc0 lor (v lsr 6))))
+                  (Char.chr (0x80 lor (v land 0x3f)))
+              else
+                put
+                  (put
+                     (put o (Char.chr (0xe0 lor (v lsr 12))))
+                     (Char.chr (0x80 lor ((v lsr 6) land 0x3f))))
+                  (Char.chr (0x80 lor (v land 0x3f)))
+            in
+            fill (k + 6) o
+          | c (* '"', '\\' or '/' *) -> fill (k + 2) (put o c)
+      end
     in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
+    fill i 0;
+    Bytes.unsafe_to_string b
+  end
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* the value of the digits in [s.[k .. stop - 1]], or -1 if any other
+   character is there *)
+let rec digits s k stop v =
+  if k >= stop then v
+  else
+    match String.unsafe_get s k with
+    | '0' .. '9' as c -> digits s (k + 1) stop ((v * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* The number at [!pos]: the longest run of number characters. An
+   integral literal in range is an [Int]; anything with [.], [e] or [E],
+   and ["-0"], is a [Float]. A short run of digits is read in place. *)
+let parse_number s pos =
+  let i = !pos in
+  let n = String.length s in
+  let j = ref i in
+  while !j < n && is_num_char (String.unsafe_get s !j) do
+    incr j
+  done;
+  let stop = !j in
+  pos := stop;
+  let neg = String.unsafe_get s i = '-' in
+  let first = if neg then i + 1 else i in
+  (* 18 digits cannot overflow an int *)
+  let short = stop > first && stop - first <= 18 in
+  let v = if short then digits s first stop 0 else -1 in
+  if v > 0 || (v = 0 && not neg) then Int (if neg then -v else v)
+  else
+    let text = String.sub s i (stop - i) in
     let is_float =
       String.exists (function '.' | 'e' | 'E' -> true | _ -> false) text
       || text = "-0"
@@ -207,11 +245,43 @@ let parse_exn s =
         (* out of int range: fall back to float *)
         match float_of_string_opt text with
         | Some f -> Float f
-        | None -> fail start (Printf.sprintf "invalid number %S" text))
+        | None -> fail i (Printf.sprintf "invalid number %S" text))
     else
       match float_of_string_opt text with
       | Some f -> Float f
-      | None -> fail start (Printf.sprintf "invalid number %S" text)
+      | None -> fail i (Printf.sprintf "invalid number %S" text)
+
+let parse_exn s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let rec skip_ws () =
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
+  in
+  let expect c =
+    if !pos >= n then
+      fail !pos (Printf.sprintf "expected %C, found end of input" c)
+    else
+      let c' = String.unsafe_get s !pos in
+      if c' = c then incr pos
+      else fail !pos (Printf.sprintf "expected %C, found %C" c c')
+  in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let literal word value =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      value
+    end
+    else fail !pos (Printf.sprintf "invalid literal (expected %s)" word)
+  in
+  let string () =
+    expect '"';
+    parse_string s pos
   in
   (* Nesting is bounded so hostile input (e.g. 100k copies of '[') gets a
      typed parse error instead of a stack overflow; 256 is far beyond any
@@ -220,42 +290,42 @@ let parse_exn s =
   let rec parse_value depth =
     if depth > max_depth then fail !pos "nesting too deep";
     skip_ws ();
-    match peek () with
-    | None -> fail !pos "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
-      advance ();
+    if !pos >= n then fail !pos "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (string ())
+    | '-' | '0' .. '9' -> parse_number s pos
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
       else begin
         let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
-        while peek () = Some ',' do
-          advance ();
+        while at ',' do
+          incr pos;
           items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
         List (List.rev !items)
       end
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
         let field () =
           skip_ws ();
-          let k = parse_string () in
+          let k = string () in
           skip_ws ();
           expect ':';
           let v = parse_value (depth + 1) in
@@ -263,15 +333,15 @@ let parse_exn s =
         in
         let fields = ref [ field () ] in
         skip_ws ();
-        while peek () = Some ',' do
-          advance ();
+        while at ',' do
+          incr pos;
           fields := field () :: !fields;
           skip_ws ()
         done;
         expect '}';
         Obj (List.rev !fields)
       end
-    | Some c -> fail !pos (Printf.sprintf "unexpected character %C" c)
+    | c -> fail !pos (Printf.sprintf "unexpected character %C" c)
   in
   let v = parse_value 0 in
   skip_ws ();

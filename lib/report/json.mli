@@ -20,6 +20,9 @@ val to_string : ?indent:int -> t -> string
 (** [indent] (default 2) spaces per nesting level; [indent = 0] gives
     compact single-line output. *)
 
+val to_buffer : ?indent:int -> Buffer.t -> t -> unit
+(** {!to_string} appended to a buffer. *)
+
 val pp : Format.formatter -> t -> unit
 (** [to_string ~indent:2], for [%a]. *)
 
@@ -35,8 +38,9 @@ val equal : t -> t -> bool
 val parse : string -> (t, string) result
 (** Parse one JSON value ([Error] carries offset + message). Numbers
     lex as [Int] when they are integral literals in range (no [.]/[e]),
-    else [Float]; BMP [\u] escapes decode to UTF-8. Raw control
-    characters inside strings are rejected, as is trailing garbage.
+    else [Float]; BMP [\u] escapes, exactly four hex digits each, decode
+    to UTF-8. Raw control characters inside strings are rejected, as is
+    trailing garbage.
     Nesting deeper than 256 levels is rejected with a parse error, so
     hostile input cannot overflow the stack. *)
 

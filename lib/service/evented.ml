@@ -269,40 +269,41 @@ let rec flush_out st c =
 
 (* Resolve a route request without blocking: a cache hit, refusal or
    bad request resolves now; otherwise the slot waits on the in-flight
-   [pending] (enqueueing a fresh one under admission control). *)
-let route_slot st now (rr : Protocol.route_req) =
-  let resolution =
-    match
-      Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
-        ~miss:(fun fp spec ->
-          if st.stop then `Done Ops.stopping_item
-          else begin
-            match Hashtbl.find_opt st.inflight fp with
-            | Some p ->
-              st.svc.Codar.Stats.coalesced <- st.svc.Codar.Stats.coalesced + 1;
+   [pending] (enqueueing a fresh one under admission control). A hit
+   stays a [`Hit], so a route reply can splice its stored JSON. *)
+let resolve_route st (rr : Protocol.route_req) =
+  match
+    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
+      ~miss:(fun fp spec ->
+        if st.stop then `Done Ops.stopping_item
+        else begin
+          match Hashtbl.find_opt st.inflight fp with
+          | Some p ->
+            st.svc.Codar.Stats.coalesced <- st.svc.Codar.Stats.coalesced + 1;
+            `Wait p
+          | None ->
+            (* admission control: a full queue is an immediate typed
+               refusal, never a parked request *)
+            if Queue.length st.jobq >= st.cfg.queue_capacity then begin
+              st.svc.Codar.Stats.overloads <-
+                st.svc.Codar.Stats.overloads + 1;
+              `Done (Ops.overloaded_item st.cfg.queue_capacity)
+            end
+            else begin
+              let p = { fp; spec; outcome = None } in
+              Hashtbl.add st.inflight fp p;
+              Queue.add p st.jobq;
+              Condition.broadcast st.cond;
               `Wait p
-            | None ->
-              (* admission control: a full queue is an immediate typed
-                 refusal, never a parked request *)
-              if Queue.length st.jobq >= st.cfg.queue_capacity then begin
-                st.svc.Codar.Stats.overloads <-
-                  st.svc.Codar.Stats.overloads + 1;
-                `Done (Ops.overloaded_item st.cfg.queue_capacity)
-              end
-              else begin
-                let p = { fp; spec; outcome = None } in
-                Hashtbl.add st.inflight fp p;
-                Queue.add p st.jobq;
-                Condition.broadcast st.cond;
-                `Wait p
-              end
-          end)
-    with
-    | `Bad msg -> `Done (Ops.item_err Protocol.Bad_request msg)
-    | `Hit (fp, record) -> `Done (Ops.item_ok ~fingerprint:fp record)
-    | (`Done _ | `Wait _) as r -> r
-  in
-  match resolution with
+            end
+        end)
+  with
+  | `Bad msg -> `Done (Ops.item_err Protocol.Bad_request msg)
+  | (`Hit _ | `Done _ | `Wait _) as r -> r
+
+let slot_of st now = function
+  | `Hit hit ->
+    { item = Some (Ops.hit_item hit); pend = None; slot_deadline = None }
   | `Done item -> { item = Some item; pend = None; slot_deadline = None }
   | `Wait p ->
     let deadline =
@@ -321,6 +322,67 @@ let initiate_stop st =
         Condition.broadcast st.cond
       end)
 
+let handle_request st c now ?id req =
+  match req with
+  | Protocol.Ping ->
+    Queue.add (Ready { frame = Ops.ping_frame ?id (); ok = true }) c.replies
+  | Protocol.Stats ->
+    let svc_json, cache_counters =
+      locked st (fun () ->
+          ( Protocol.service_counters_to_json st.svc,
+            Protocol.cache_counters_to_json (Cache.counters st.cache) ))
+    in
+    Queue.add
+      (Ready
+         {
+           frame =
+             Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json
+               ~cache_counters ();
+           ok = true;
+         })
+      c.replies
+  | Protocol.Route rr -> (
+    match resolve_route st rr with
+    | `Hit hit ->
+      Queue.add
+        (Ready { frame = Ops.hit_frame ?id hit; ok = true })
+        c.replies
+    | `Done item ->
+      Queue.add
+        (Ready { frame = Ops.route_frame ?id item; ok = true })
+        c.replies
+    | `Wait _ as w ->
+      Queue.add (Route_r { id; slot = slot_of st now w }) c.replies)
+  | Protocol.Batch rrs ->
+    let slots =
+      Array.of_list
+        (List.map (fun rr -> slot_of st now (resolve_route st rr)) rrs)
+    in
+    Queue.add (Batch_r { id; slots }) c.replies
+  | Protocol.Cache action -> (
+    match
+      Ops.handle_cache ~cfg:st.cfg
+        ~get_cache:(fun () -> locked st (fun () -> st.cache))
+        ~set_cache:(fun cache -> locked st (fun () -> st.cache <- cache))
+        ?id action
+    with
+    | `Reply frame -> Queue.add (Ready { frame; ok = true }) c.replies
+    | `Error (code, msg) ->
+      Queue.add
+        (Ready { frame = Protocol.error_frame ?id code msg; ok = true })
+        c.replies)
+  | Protocol.Shutdown ->
+    Queue.add
+      (Ready { frame = Ops.shutdown_frame ?id (); ok = true })
+      c.replies;
+    (* like the threaded connection loop: nothing after shutdown *)
+    c.reading <- false;
+    Queue.clear c.pending_lines;
+    Buffer.clear c.ibuf;
+    c.frame_start <- None;
+    c.close_after_flush <- true;
+    initiate_stop st
+
 let handle_line st c now line =
   if line = "" then () (* tolerate keep-alive blank lines *)
   else
@@ -331,58 +393,20 @@ let handle_line st c now line =
         c.replies
     | Ok (id, req) -> (
       st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
-      match req with
-      | Protocol.Ping ->
-        Queue.add (Ready { frame = Ops.ping_frame ?id (); ok = true }) c.replies
-      | Protocol.Stats ->
-        let svc_json, cache_counters =
-          locked st (fun () ->
-              ( Protocol.service_counters_to_json st.svc,
-                Protocol.cache_counters_to_json (Cache.counters st.cache) ))
-        in
+      (* the per-request barrier: this runs on the loop's own thread, so a
+         request whose handling raises is answered here, and the loop
+         serves on, rather than the exception stopping the daemon *)
+      try handle_request st c now ?id req
+      with e ->
         Queue.add
           (Ready
              {
                frame =
-                 Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json
-                   ~cache_counters ();
-               ok = true;
+                 Protocol.error_frame ?id Protocol.Bad_request
+                   ("request failed: " ^ Printexc.to_string e);
+               ok = false;
              })
-          c.replies
-      | Protocol.Route rr -> (
-        let slot = route_slot st now rr in
-        match slot.item with
-        | Some item ->
-          Queue.add
-            (Ready { frame = Ops.route_frame ?id item; ok = true })
-            c.replies
-        | None -> Queue.add (Route_r { id; slot }) c.replies)
-      | Protocol.Batch rrs ->
-        let slots = Array.of_list (List.map (route_slot st now) rrs) in
-        Queue.add (Batch_r { id; slots }) c.replies
-      | Protocol.Cache action -> (
-        match
-          Ops.handle_cache ~cfg:st.cfg
-            ~get_cache:(fun () -> locked st (fun () -> st.cache))
-            ~set_cache:(fun cache -> locked st (fun () -> st.cache <- cache))
-            ?id action
-        with
-        | `Reply frame -> Queue.add (Ready { frame; ok = true }) c.replies
-        | `Error (code, msg) ->
-          Queue.add
-            (Ready { frame = Protocol.error_frame ?id code msg; ok = true })
-            c.replies)
-      | Protocol.Shutdown ->
-        Queue.add
-          (Ready { frame = Ops.shutdown_frame ?id (); ok = true })
-          c.replies;
-        (* like the threaded connection loop: nothing after shutdown *)
-        c.reading <- false;
-        Queue.clear c.pending_lines;
-        Buffer.clear c.ibuf;
-        c.frame_start <- None;
-        c.close_after_flush <- true;
-        initiate_stop st)
+          c.replies)
 
 (* The connection violated framing (oversized frame or a mid-frame
    stall): answer once, stop reading, close after the answer flushes. *)

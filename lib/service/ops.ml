@@ -37,7 +37,7 @@ let locked m f =
 let lookup_route ~m ~cache ~miss rr =
   let key = Engine.request_key rr in
   match locked m (fun () -> Cache.find_memo (cache ()) key) with
-  | Some (fp, record) -> `Hit (fp, record)
+  | Some hit -> `Hit hit
   | None -> (
     match Engine.spec_of_route_req rr with
     | Error msg -> `Bad msg
@@ -45,13 +45,15 @@ let lookup_route ~m ~cache ~miss rr =
       let fp = Engine.fingerprint spec in
       locked m (fun () ->
           let cache = cache () in
-          match Cache.find cache fp with
-          | Some record ->
+          match Cache.find_hit cache fp with
+          | Some hit ->
             (* admitted on a hit only: one-shot colds and texts that do
                not parse never enter the memo *)
             Cache.memoise cache key ~fingerprint:fp;
-            `Hit (fp, record)
+            `Hit hit
           | None -> miss fp spec))
+
+let hit_item (hit : Cache.hit) = item_ok ~fingerprint:hit.fingerprint hit.record
 
 let outcome_item ~fp = function
   | Ok record -> item_ok ~fingerprint:fp record
@@ -78,6 +80,25 @@ let route_frame ?id item =
       | Some _ | None -> "route failed"
     in
     Protocol.error_frame ?id code msg
+
+(* The bytes of [route_frame ?id (hit_item hit)], written around the
+   record's stored JSON instead of re-encoding it: the frame is compact,
+   so the record nests at no indentation and its bytes are the stored
+   ones. *)
+let hit_frame ?id (hit : Cache.hit) =
+  let b = Buffer.create (String.length hit.json + 80) in
+  Buffer.add_string b {|{"ok":true,"op":"route"|};
+  (match id with
+  | Some id ->
+    Buffer.add_string b {|,"id":|};
+    Json.to_buffer ~indent:0 b id
+  | None -> ());
+  Buffer.add_string b {|,"fingerprint":|};
+  Json.to_buffer ~indent:0 b (Json.String hit.fingerprint);
+  Buffer.add_string b {|,"record":|};
+  Buffer.add_string b hit.json;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let batch_frame ?id items =
   Protocol.ok_frame ?id ~op:"batch" [ ("results", Json.List items) ]

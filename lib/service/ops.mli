@@ -24,16 +24,23 @@ val lookup_route :
   miss:
     (string ->
     Engine.spec ->
-    ([> `Hit of string * Report.Record.t | `Bad of string ] as 'a)) ->
+    ([> `Hit of Cache.hit | `Bad of string ] as 'a)) ->
   Protocol.route_req ->
   'a
 (** The cache lookup of one route request, shared by both servers. A
-    request whose {!Engine.request_key} is memoised answers [`Hit (fp,
-    record)] without parsing; any other is resolved ([`Bad] on a bad
-    request), fingerprinted and looked up, and memoised when that lookup
-    hits. On a miss, [miss fp spec] decides the answer. Cache access —
-    [miss] included — runs under [m], the caller's lock, so the caller can
-    enqueue atomically with the lookup; parsing runs outside it. *)
+    request whose {!Engine.request_key} is memoised answers [`Hit] without
+    parsing; any other is resolved ([`Bad] on a bad request),
+    fingerprinted and looked up, and memoised when that lookup hits. On a miss, [miss fp spec] decides the answer. Cache
+    access — [miss] included — runs under [m], the caller's lock, so the
+    caller can enqueue atomically with the lookup; parsing runs outside
+    it. *)
+
+val hit_item : Cache.hit -> Json.t
+(** [item_ok] of a cache hit. *)
+
+val hit_frame : ?id:Json.t -> Cache.hit -> string
+(** [route_frame ?id (hit_item hit)], byte for byte, written around the
+    hit's stored record JSON without rebuilding the record's tree. *)
 
 val outcome_item :
   fp:string -> (Report.Record.t, string) result -> Json.t

@@ -171,9 +171,10 @@ let ticker st =
 
 (* ------------------------------------------------------------- requests *)
 
-(* Resolve, look up, possibly enqueue, wait, and return one route result as
-   a JSON item (shared by [route] and each [batch] element). *)
-let route_item st (rr : Protocol.route_req) =
+(* Resolve, look up, possibly enqueue, wait, and return one route result:
+   a cache hit as it is (a [route] reply splices its stored JSON), anything
+   else as a JSON item. *)
+let route_result st (rr : Protocol.route_req) =
   let resolution =
     Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
       ~miss:(fun fp spec ->
@@ -200,11 +201,11 @@ let route_item st (rr : Protocol.route_req) =
         end)
   in
   match resolution with
-  | `Bad msg -> Ops.item_err Protocol.Bad_request msg
-  | `Hit (fp, record) -> Ops.item_ok ~fingerprint:fp record
-  | `Stopping -> Ops.stopping_item
-  | `Overloaded -> Ops.overloaded_item st.cfg.queue_capacity
-  | `Wait p -> (
+  | `Hit hit -> `Hit hit
+  | `Bad msg -> `Item (Ops.item_err Protocol.Bad_request msg)
+  | `Stopping -> `Item Ops.stopping_item
+  | `Overloaded -> `Item (Ops.overloaded_item st.cfg.queue_capacity)
+  | `Wait p ->
     let deadline =
       Option.map
         (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.))
@@ -227,12 +228,17 @@ let route_item st (rr : Protocol.route_req) =
           in
           wait ())
     in
-    match outcome with
-    | None ->
-      (* the job itself keeps running and will land in the cache; only
-         this waiter gives up *)
-      Ops.deadline_item st.cfg.timeout_ms
-    | Some o -> Ops.outcome_item ~fp:p.fp o)
+    `Item
+      (match outcome with
+      | None ->
+        (* the job itself keeps running and will land in the cache; only
+           this waiter gives up *)
+        Ops.deadline_item st.cfg.timeout_ms
+      | Some o -> Ops.outcome_item ~fp:p.fp o)
+
+(* one route result as a JSON item (each [batch] element) *)
+let route_item st rr =
+  match route_result st rr with `Hit hit -> Ops.hit_item hit | `Item i -> i
 
 let handle_cache st ?id action =
   Ops.handle_cache ~cfg:st.cfg
@@ -267,7 +273,11 @@ let handle_request st ?id req =
             Protocol.cache_counters_to_json (Cache.counters st.cache) ))
     in
     (Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json ~cache_counters (), `Keep)
-  | Protocol.Route rr -> (Ops.route_frame ?id (route_item st rr), `Keep)
+  | Protocol.Route rr ->
+    ( (match route_result st rr with
+      | `Hit hit -> Ops.hit_frame ?id hit
+      | `Item item -> Ops.route_frame ?id item),
+      `Keep )
   | Protocol.Batch rrs ->
     (* Resolution and waiting happen per item; items keep their order.
        Under admission control a batch bigger than the queue's free space
@@ -343,8 +353,18 @@ let handle_connection st fd =
       | Ok (id, req) ->
         locked st (fun () ->
             st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1);
-        let frame, next = handle_request st ?id req in
-        let alive = send ~ok:true frame in
+        (* a request whose handling raises is answered, like the evented
+           loop does, before the connection serves on *)
+        let frame, next, ok =
+          match handle_request st ?id req with
+          | frame, next -> (frame, next, true)
+          | exception e ->
+            ( Protocol.error_frame ?id Protocol.Bad_request
+                ("request failed: " ^ Printexc.to_string e),
+              `Keep,
+              false )
+        in
+        let alive = send ~ok frame in
         (match next with `Shutdown -> initiate_stop st | `Keep -> ());
         if alive && next = `Keep then loop ())
   in

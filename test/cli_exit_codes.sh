@@ -42,6 +42,21 @@ expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrz(0/0) q[0];\n' \
   > "$DIR/nan.qasm"
 expect 3 "non-finite gate parameter" "$CLI" map -i "$DIR/nan.qasm"
+# texts that once parsed to a circuit the circuit constructor refused, or
+# wrapped an overflowing index to the wrong qubit
+n=0
+for body in 'qreg q[2];\ncx q[0],q[0];' \
+  'qreg q[2];\nccx q[0],q[0],q[1];' \
+  'qreg q[2];\ngate g a,b { cx a,b; }\ng q[1],q[1];' \
+  'qreg q[2];\nh q[4611686018427387904];' \
+  'qreg q[4000000000000000000];\nqreg r[4000000000000000000];' \
+  'qreg q[2];\nh q[1e30];' \
+  'qreg q[2];\nh q[18446744073709551616];' \
+  'qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[1e30];'; do
+  n=$((n + 1))
+  printf "OPENQASM 2.0;\n$body\n" > "$DIR/hostile$n.qasm"
+  expect 3 "hostile QASM $n" "$CLI" map -i "$DIR/hostile$n.qasm"
+done
 
 # 4: a circuit that cannot be placed on the device
 expect 4 "circuit too big for device" "$CLI" map -b qft_8 -a q5

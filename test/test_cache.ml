@@ -87,6 +87,59 @@ let test_sensitivity () =
 
 (* local circuit generator (each test binary is standalone) covering every
    gate arity the printer emits: bare, one-angle, multi-angle, two-qubit *)
+(* The encoder writes digits and hex straight into its buffer; its bytes
+   must be the Printf-based encoder's (test/reference_fingerprint.ml), or
+   every snapshot written before would miss. Suite circuits on the four
+   paper devices, then fuzz circuits with every gate kind, -0.0 and
+   negative seeds. *)
+let test_reference_bytes () =
+  let same ?collect_stats ?objective ?metric ~maqam ~restarts ~seed what
+      circuit =
+    let enc f =
+      f ?collect_stats ?objective ?metric ~circuit ~maqam ~router:"codar"
+        ~placement:"sabre" ~restarts ~seed ()
+    in
+    let bytes = enc Reference_fingerprint.canonical_bytes in
+    Alcotest.(check string) what bytes (enc Cache.Fingerprint.canonical_bytes);
+    Alcotest.(check string) (what ^ ": digest")
+      Reference_fingerprint.(to_hex (fnv1a64 bytes))
+      (enc Cache.Fingerprint.compute)
+  in
+  let devices =
+    Arch.Devices.
+      [ ibm_q16_melbourne; enfield_6x6; ibm_q20_tokyo; sycamore_54 ]
+  in
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      List.iter
+        (fun coupling ->
+          same
+            ~maqam:(Arch.Maqam.make ~coupling ~durations:sc)
+            ~restarts:8 ~seed:0
+            (e.name ^ " on " ^ Arch.Coupling.name coupling)
+            (Lazy.force e.circuit))
+        devices)
+    Workloads.Suite.all;
+  let every_kind =
+    Qc.Circuit.make ~n_qubits:3
+      Qc.Gate.
+        [ i 0; x 1; y 2; z 0; h 1; s 2; sdg 0; t 1; tdg 2; rx (-0.) 0;
+          ry 0. 1; rz Float.pi 2; u1 (-1e-300) 0; u2 0.5 (-0.) 1;
+          u3 1e300 (-2.5) 4e-324 2; cx 0 1; cz 1 2; swap 2 0; xx (-0.) 0 2;
+          rzz 0.125 1 0; barrier [ 2; 0 ]; barrier []; measure 1 7 ]
+  in
+  same ~maqam:tokyo ~restarts:1 ~seed:(-42) ~collect_stats:true
+    ~objective:"slack" ~metric:"esp" "every gate kind" every_kind;
+  same ~maqam:tokyo ~restarts:max_int ~seed:min_int "extreme ints" every_kind;
+  for seed = 0 to 99 do
+    let cfg =
+      Fuzz.Gen.config ~n_qubits:(2 + (seed mod 6)) ~gates:40
+        ~angles:Fuzz.Gen.Mixed ~measures:Fuzz.Gen.Trailing ()
+    in
+    same ~maqam:tokyo ~restarts:(seed + 1) ~seed:(seed - 50)
+      (Fmt.str "fuzz seed %d" seed) (Fuzz.Gen.circuit ~seed cfg)
+  done
+
 let circuit_gen =
   let open QCheck.Gen in
   let* n = int_range 2 8 in
@@ -248,7 +301,7 @@ let test_memo_whitespace_variants () =
   let a = { qft4_req with source = `Qasm text } in
   let b = { qft4_req with source = `Qasm ("  \n" ^ text ^ "\n\n") } in
   let fp_of = function
-    | `Routed (fp, _) | `Hit (fp, _) -> fp
+    | `Routed (fp, _) | `Hit { Cache.fingerprint = fp; _ } -> fp
     | `Bad msg -> Alcotest.failf "bad request: %s" msg
   in
   let fp = fp_of (lookup t a) in
@@ -257,7 +310,8 @@ let test_memo_whitespace_variants () =
   List.iter
     (fun rr ->
       match lookup t rr with
-      | `Hit (fp', _) -> Alcotest.(check string) "same fingerprint" fp fp'
+      | `Hit { Cache.fingerprint = fp'; _ } ->
+        Alcotest.(check string) "same fingerprint" fp fp'
       | `Routed _ | `Bad _ -> Alcotest.fail "expected a hit")
     [ a; b; a; b ];
   Alcotest.(check int) "one cache entry" 1 (Cache.length t);
@@ -578,6 +632,8 @@ let () =
           Alcotest.test_case "FNV-1a vectors" `Quick test_fnv_vectors;
           Alcotest.test_case "versioned prefix" `Quick test_versioned_prefix;
           Alcotest.test_case "option sensitivity" `Quick test_sensitivity;
+          Alcotest.test_case "reference encoder bytes" `Quick
+            test_reference_bytes;
           QCheck_alcotest.to_alcotest prop_fingerprint_canonical;
           QCheck_alcotest.to_alcotest prop_distinct_circuits_distinct_bytes;
         ] );

@@ -7,36 +7,45 @@ let gate = Alcotest.testable Qc.Gate.pp Qc.Gate.equal
 
 (* ------------------------------------------------------------------ lexer *)
 
+(* the tokens of [src] as (kind, text, line), read off the scanner *)
+let scan src =
+  let lx = Qasm.Lexer.create src in
+  let rec go acc =
+    if lx.Qasm.Lexer.kind = Qasm.Lexer.K_eof then List.rev acc
+    else begin
+      let tok = (lx.Qasm.Lexer.kind, Qasm.Lexer.text lx, lx.Qasm.Lexer.tline) in
+      let number =
+        if lx.Qasm.Lexer.kind = Qasm.Lexer.K_number then [ Qasm.Lexer.number lx ]
+        else []
+      in
+      Qasm.Lexer.next lx;
+      go ((tok, number) :: acc)
+    end
+  in
+  go []
+
 let test_lexer_basics () =
-  let toks = Qasm.Lexer.tokenize "cx q[0], q[1]; // comment\nrz(pi/2) q[0];" in
+  let toks = scan "cx q[0], q[1]; // comment\nrz(pi/2) q[0];" in
   Alcotest.(check int) "token count" 22 (List.length toks);
   (match toks with
-  | { Qasm.Lexer.token = Qasm.Lexer.Ident "cx"; line = 1 } :: _ -> ()
+  | ((Qasm.Lexer.K_ident, "cx", 1), _) :: _ -> ()
   | _ -> Alcotest.fail "first token");
-  let last = List.nth toks (List.length toks - 1) in
-  Alcotest.(check int) "line numbers advance" 2 last.Qasm.Lexer.line
+  let (_, _, last_line), _ = List.nth toks (List.length toks - 1) in
+  Alcotest.(check int) "line numbers advance" 2 last_line
 
 let test_lexer_numbers () =
-  let toks = Qasm.Lexer.tokenize "1.5e-3 2 .25" in
-  let nums =
-    List.filter_map
-      (fun t ->
-        match t.Qasm.Lexer.token with
-        | Qasm.Lexer.Number f -> Some f
-        | _ -> None)
-      toks
-  in
+  let nums = List.concat_map snd (scan "1.5e-3 2 .25") in
   Alcotest.(check (list (float 1e-12))) "numbers" [ 0.0015; 2.; 0.25 ] nums
 
 let test_lexer_errors () =
   Alcotest.(check bool) "bad char" true
     (try
-       ignore (Qasm.Lexer.tokenize "h q[0]; @");
+       ignore (scan "h q[0]; @");
        false
      with Qasm.Lexer.Lex_error (1, _) -> true);
   Alcotest.(check bool) "unterminated string" true
     (try
-       ignore (Qasm.Lexer.tokenize "include \"qelib");
+       ignore (scan "include \"qelib");
        false
      with Qasm.Lexer.Lex_error _ -> true)
 
@@ -322,6 +331,218 @@ let test_multi_register_idempotent () =
   let again = Qasm.Printer.to_string (Qasm.Parser.parse once) in
   Alcotest.(check string) "print |> parse |> print is stable" once again
 
+(* ------------------------------------------- reference differential *)
+
+(* The one-pass parser against the two-pass one kept verbatim in
+   test/reference_qasm.ml: equal circuits on every text the old one
+   accepted, a refusal wherever it refused — a circuit its constructor
+   then refused included. The one-pass parser refuses more: a two- or
+   three-qubit gate on a repeated qubit, an index or size past max_int
+   (once wrapped to some other qubit) and a recursive gate macro (once a
+   stack overflow); those texts are not run through the reference. *)
+
+type outcome = Circuit of Qc.Circuit.t | Refused of string
+
+let run_new text =
+  match Qasm.Parser.parse text with
+  | c -> Circuit c
+  | exception Qasm.Parser.Parse_error (l, m) -> Refused (Fmt.str "%d: %s" l m)
+  | exception Qasm.Lexer.Lex_error (l, m) -> Refused (Fmt.str "%d: %s" l m)
+
+let run_reference text =
+  match Reference_qasm.Parser.parse text with
+  | c -> Circuit c
+  | exception Reference_qasm.Parser.Parse_error (l, m) ->
+    Refused (Fmt.str "%d: %s" l m)
+  | exception Reference_qasm.Lexer.Lex_error (l, m) ->
+    Refused (Fmt.str "%d: %s" l m)
+  | exception Invalid_argument m -> Refused m
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let new_rejection msg =
+  List.exists (contains_sub msg)
+    [
+      "applies to one qubit twice"; "integer too large"; "is too large";
+      "gate definition is recursive";
+    ]
+
+let parsers_agree text =
+  match run_new text with
+  | Refused m when new_rejection m -> true
+  | mine -> (
+    match (mine, run_reference text) with
+    | Circuit a, Circuit b ->
+      Qc.Circuit.equal a b || QCheck.Test.fail_reportf "circuits differ"
+    | Refused _, Refused _ -> true
+    | Circuit _, Refused m ->
+      QCheck.Test.fail_reportf "only the reference refused: %s" m
+    | Refused m, Circuit _ -> QCheck.Test.fail_reportf "only the new parser refused: %s" m)
+
+(* Texts in the shapes the printer never writes: macros with parameters,
+   nesting and barriers in their bodies; register broadcast; whole-register
+   barrier and measure; comments, odd spacing and braces; CX, U and pi in
+   any case; expressions with unary minus, parentheses, .5 and 1e-3. *)
+let qasm_text_gen st =
+  let rnd k = Random.State.int st k in
+  let pick a = a.(rnd (Array.length a)) in
+  let b = Buffer.create 512 in
+  let pr fmt = Printf.bprintf b fmt in
+  let sep () = pick [| " "; "  "; "\t"; "\n"; " // note\n"; "\r\n" |] in
+  if rnd 2 = 0 then pr "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  let nq = 2 + rnd 3 and nr = 1 + rnd 3 in
+  pr "qreg q[%d];%sqreg r[%d];\ncreg c[%d];\n" nq (sep ()) nr nq;
+  let rec expr d =
+    if d = 0 then pick [| "pi"; "Pi"; "PI"; ".5"; "1e-3"; "2"; "0.25"; "3.0"; "1.5e2" |]
+    else
+      match rnd 6 with
+      | 0 -> "-" ^ expr (d - 1)
+      | 1 -> "(" ^ expr (d - 1) ^ ")"
+      | 2 -> expr (d - 1) ^ "+" ^ expr (d - 1)
+      | 3 -> expr (d - 1) ^ " - " ^ expr (d - 1)
+      | 4 -> expr (d - 1) ^ "*" ^ expr (d - 1)
+      | _ -> expr (d - 1) ^ "/(" ^ expr (d - 1) ^ "+7)"
+  in
+  let e () = expr (rnd 3) in
+  let macros = rnd 4 in
+  if macros >= 1 then
+    pr "gate m0(a) x, y {%scx x, y;%srz(a/2) y; barrier x, y;\n}\n" (sep ())
+      (sep ());
+  if macros >= 2 then
+    pr "gate m1(a,b) x,y{m0(a*b) y,x;U(a,b,-a) x;barrier x;h y;}\n";
+  if macros >= 3 then pr "gate m2 x { h x; t x; }\n";
+  let qi () = Printf.sprintf "q[%d]" (rnd nq) in
+  let ri () = Printf.sprintf "r[%d]" (rnd nr) in
+  let two_q () =
+    let i = rnd nq in
+    let j = (i + 1 + rnd (nq - 1)) mod nq in
+    Printf.sprintf "q[%d],%sq[%d]" i (sep ()) j
+  in
+  for _ = 0 to 4 + rnd 16 do
+    (match rnd 14 with
+    | 0 -> pr "%s %s;" (pick [| "h"; "x"; "y"; "z"; "s"; "t"; "sdg"; "tdg"; "id"; "H" |]) (qi ())
+    | 1 -> pr "%s(%s) %s;" (pick [| "rz"; "rx"; "ry"; "u1"; "p"; "RZ" |]) (e ()) (ri ())
+    | 2 -> pr "u2(%s, %s) %s;" (e ()) (e ()) (qi ())
+    | 3 -> pr "%s(%s,%s,%s) %s;" (pick [| "u3"; "U"; "u" |]) (e ()) (e ()) (e ()) (qi ())
+    | 4 -> pr "%s %s;" (pick [| "cx"; "CX"; "cz"; "swap" |]) (two_q ())
+    | 5 -> pr "%s(%s) %s, %s;" (pick [| "rzz"; "rxx"; "crz"; "cu1"; "cp" |]) (e ()) (qi ()) (ri ())
+    | 6 -> pr "%s q[0], q[1], %s;" (pick [| "ccx"; "cswap" |]) (ri ())
+    | 7 -> pr "%s;" (pick [| "h q"; "x r"; "cx q[0], r"; "barrier q"; "barrier q, r"; "barrier q[0], r" |])
+    | 8 -> if nq = nr then pr "cx q, r;" else pr "cx r, q[0];"
+    | 9 -> pr "measure %s -> c[%d];" (qi ()) (rnd nq)
+    | 10 -> pr "measure q -> c;"
+    | 11 when macros >= 1 -> pr "m0(%s) %s, %s;" (e ()) (qi ()) (ri ())
+    | 12 when macros >= 2 -> pr "m1(%s, %s) %s;" (e ()) (e ()) (two_q ())
+    | 13 when macros >= 3 -> pr "m2 %s;" (pick [| "q"; "r"; "q[0]" |])
+    | _ -> pr "// nothing here\n");
+    pr "%s" (sep ())
+  done;
+  Buffer.contents b
+
+let printed_gen st =
+  let cfg = Fuzz.Gen.sample_config st ~max_qubits:6 in
+  Qasm.Printer.to_string (Fuzz.Gen.circuit_rng st cfg)
+
+let mutate_gen text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let byte =
+    frequency
+      [ (1, char);
+        ( 3,
+          oneofl
+            [ ';'; ','; '['; ']'; '{'; '}'; '('; ')'; '0'; '1'; '9'; 'q'; 'c';
+              'x'; 'e'; '.'; '-'; '>'; '/'; '"'; '\n'; ' '; '_' ] ) ]
+  in
+  int_range 0 n >>= fun i ->
+  byte >>= fun c ->
+  int_range 0 2 >|= fun op ->
+  match op with
+  | 0 -> String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+  | 1 when i < n -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | _ when i < n ->
+    String.sub text 0 i ^ String.make 1 c ^ String.sub text (i + 1) (n - i - 1)
+  | _ -> text ^ String.make 1 c
+
+let text_arb gen = QCheck.make ~print:(Fmt.str "%S") gen
+
+let prop_reference_generated =
+  QCheck.Test.make ~count:500 ~name:"one-pass = reference on generated texts"
+    (text_arb qasm_text_gen)
+    (fun text ->
+      (match run_new text with
+      | Circuit _ -> ()
+      | Refused m -> QCheck.Test.fail_reportf "refused: %s" m);
+      parsers_agree text)
+
+let prop_reference_printed =
+  QCheck.Test.make ~count:300 ~name:"one-pass = reference on printed circuits"
+    (text_arb printed_gen) parsers_agree
+
+let prop_reference_mutated =
+  QCheck.Test.make ~count:3000 ~name:"one-pass = reference on mutated texts"
+    (text_arb
+       QCheck.Gen.(
+         frequency [ (2, qasm_text_gen); (1, printed_gen) ] >>= mutate_gen))
+    parsers_agree
+
+(* On any string the parser raises its two exceptions and nothing else. *)
+let prop_total =
+  let soup =
+    QCheck.Gen.(
+      list_size (int_range 0 40)
+        (oneofl
+           [ "qreg"; "creg"; "q"; "c"; "["; "]"; "2"; "0"; "1e30"; "1.0";
+             "4611686018427387904"; ";"; ","; "gate"; "g"; "a"; "{"; "}"; "(";
+             ")"; "cx"; "ccx"; "h"; "rz"; "pi"; "-"; "/"; "0/0"; "measure";
+             "->"; "barrier"; "OPENQASM"; "include"; "\""; " "; "\n"; "//" ])
+      >|= String.concat "")
+  in
+  QCheck.Test.make ~count:3000 ~name:"parse raises only Parse_error or Lex_error"
+    (text_arb
+       QCheck.Gen.(
+         frequency
+           [ (1, string_size ~gen:char (int_range 0 200)); (2, soup);
+             (2, frequency [ (2, qasm_text_gen); (1, printed_gen) ] >>= mutate_gen) ]))
+    (fun text ->
+      match Qasm.Parser.parse text with
+      | _ -> true
+      | exception (Qasm.Parser.Parse_error _ | Qasm.Lexer.Lex_error _) -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* The rejections the two-pass parser lacked, each at its statement's
+   line. *)
+let test_new_rejections () =
+  List.iter
+    (fun (what, src) ->
+      match parse src with
+      | c -> Alcotest.failf "%s: accepted as %a" what Qc.Circuit.pp c
+      | exception Qasm.Parser.Parse_error (line, _) ->
+        Alcotest.(check int) (what ^ ": line") 2 line)
+    [
+      ("cx on one qubit", "qreg q[2];\ncx q[0],q[0];");
+      ("ccx on one qubit twice", "qreg q[2];\nccx q[0],q[0],q[1];");
+      ("cswap on one qubit twice", "qreg q[3];\ncswap q[0],q[1],q[1];");
+      ("through a macro", "qreg q[2]; gate g a,b { cx a,b; }\ng q[1],q[1];");
+      ("index past max_int", "qreg q[2];\nh q[4611686018427387904];");
+      ("float index overflow", "qreg q[2];\nh q[1e30];");
+      ("20-digit index", "qreg q[2];\nh q[18446744073709551616];");
+      ("clbit overflow", "qreg q[2]; creg c[2];\nmeasure q[1] -> c[1e30];");
+      ( "running width overflow",
+        "qreg q[4000000000000000000];\nqreg r[4000000000000000000];" );
+      ("recursive macro", "qreg q[1]; gate g a { g a; }\ng q[0];");
+    ];
+  (* an integral float index still reads as the integer *)
+  Alcotest.check circuit "h q[1.0] is h q[1]"
+    (Qc.Circuit.make ~n_qubits:2 [ Qc.Gate.h 1 ])
+    (parse "qreg q[2]; h q[1.0];");
+  (* a macro on one qubit twice is fine when no gate in it is *)
+  Alcotest.(check int) "one-qubit body on a repeated operand" 2
+    (Qc.Circuit.length (parse "qreg q[1]; gate g a,b { h a; h b; } g q[0],q[0];"))
+
 (* ----------------------------------------------------------- file corpus *)
 
 let corpus_candidates = [ "../examples/qasm"; "examples/qasm" ]
@@ -370,6 +591,7 @@ let () =
           Alcotest.test_case "error line" `Quick test_parse_error_line;
           Alcotest.test_case "non-finite parameter" `Quick
             test_parse_non_finite;
+          Alcotest.test_case "new rejections" `Quick test_new_rejections;
           Alcotest.test_case "unbound parameter line" `Quick
             test_parse_unbound_param_line;
         ] );
@@ -384,6 +606,13 @@ let () =
             test_round_trip_edge_cases;
           Alcotest.test_case "multi-register idempotence" `Quick
             test_multi_register_idempotent;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_reference_generated;
+          QCheck_alcotest.to_alcotest prop_reference_printed;
+          QCheck_alcotest.to_alcotest prop_reference_mutated;
+          QCheck_alcotest.to_alcotest prop_total;
         ] );
       ("corpus", [ Alcotest.test_case "sample files" `Quick test_corpus_parses ]);
     ]

@@ -75,6 +75,13 @@ let test_rejects_unterminated () = parse_err "\"abc"
 let test_rejects_bad_escape () = parse_err {|"\q"|}
 let test_rejects_lone_value_garbage () = parse_err "tru"
 
+(* a \u escape is exactly four hex digits: int_of_string once let
+   "\u1_23" through as U+0123 *)
+let test_rejects_loose_unicode () =
+  List.iter parse_err
+    [ {|"\u1_23"|}; {|"\u_123"|}; {|"\u12 3"|}; {|"\u+123"|}; {|"\u12"|};
+      {|"\uzzzz"|} ]
+
 (* hostile nesting must be a typed error, not a stack overflow *)
 let test_depth_cap () =
   let deep n = String.make n '[' ^ "0" ^ String.make n ']' in
@@ -168,6 +175,92 @@ let prop_round_trip indent =
       | Ok v' -> Json.equal v v'
       | Error msg -> QCheck.Test.fail_reportf "reparse failed: %s" msg)
 
+(* ------------------------------------------- reference differential *)
+
+(* Full byte range in strings, so every escape path runs; trees printed
+   at both indentations, then single-byte mutations of those texts. The
+   scanning decoder and the char-at-a-time one kept in
+   test/reference_json.ml must build equal trees or fail with the same
+   message at the same offset — except that "\u" with anything but four
+   hex digits is now refused where int_of_string let underscores by. *)
+let any_json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_range 0 12) in
+  let base =
+    oneof
+      [ return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun i -> Json.Int i) (int_range (-1000) 1000);
+        map (fun f -> Json.Float f) float;
+        map (fun f -> Json.Float f) (float_range (-1e6) 1e6);
+        map (fun s -> Json.String s) str ]
+  in
+  let rec value n =
+    if n = 0 then base
+    else
+      frequency
+        [ (3, base);
+          (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (value (n - 1))));
+          ( 1,
+            map
+              (fun l -> Json.Obj l)
+              (list_size (int_range 0 4) (pair str (value (n - 1)))) ) ]
+  in
+  value 3
+
+let mutate_gen text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let interesting =
+    oneofl [ '"'; '\\'; 'u'; '0'; 'e'; '-'; '.'; '_'; '{'; '['; ','; ':'; ' ' ]
+  in
+  let byte = frequency [ (1, char); (1, interesting) ] in
+  int_range 0 n >>= fun i ->
+  byte >>= fun c ->
+  int_range 0 2 >|= fun op ->
+  match op with
+  | 0 -> String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+  | 1 when i < n -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | _ when i < n -> String.sub text 0 i ^ String.make 1 c ^ String.sub text (i + 1) (n - i - 1)
+  | _ -> text ^ String.make 1 c
+
+(* the new decoder's only extra rejection: an escape "\u" whose four
+   characters int_of_string read as hex with an underscore *)
+let loose_unicode_at text msg =
+  let prefix = "JSON error at offset " in
+  String.starts_with ~prefix msg
+  &&
+  match String.index_from_opt msg (String.length prefix) ':' with
+  | None -> false
+  | Some colon -> (
+    let off = String.sub msg (String.length prefix) (colon - String.length prefix) in
+    match int_of_string_opt off with
+    | Some i when i + 4 <= String.length text ->
+      let four = String.sub text i 4 in
+      String.contains four '_' && int_of_string_opt ("0x" ^ four) <> None
+    | Some _ | None -> false)
+
+let json_texts_gen =
+  let open QCheck.Gen in
+  any_json_gen >>= fun v ->
+  int_range 0 1 >>= fun i ->
+  let text = Json.to_string ~indent:(2 * i) v in
+  frequency [ (1, return text); (3, mutate_gen text) ]
+
+let prop_reference_json =
+  QCheck.Test.make ~count:3000
+    ~name:"scanning decoder = reference decoder (printed and mutated)"
+    (QCheck.make ~print:(Fmt.str "%S") json_texts_gen)
+    (fun text ->
+      match (Json.parse text, Reference_json.parse text) with
+      | Ok a, Ok b -> Json.equal a b || QCheck.Test.fail_reportf "trees differ"
+      | Error a, Error b ->
+        String.equal a b || QCheck.Test.fail_reportf "errors differ: %s / %s" a b
+      | Error a, Ok _ when loose_unicode_at text a -> true
+      | Ok _, Error b -> QCheck.Test.fail_reportf "only the reference refused: %s" b
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "only the new decoder refused: %s" a)
+
 (* ----------------------------------------------------- record codec *)
 
 let route_record bench =
@@ -235,6 +328,8 @@ let () =
           Alcotest.test_case "rejects truncated literal" `Quick
             test_rejects_lone_value_garbage;
           Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
+          Alcotest.test_case "rejects loose \\u escapes" `Quick
+            test_rejects_loose_unicode;
           Alcotest.test_case "number shapes" `Quick test_number_shapes;
           Alcotest.test_case "field order significant" `Quick
             test_field_order_significant;
@@ -243,6 +338,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest (prop_round_trip 0);
           QCheck_alcotest.to_alcotest (prop_round_trip 2);
+          QCheck_alcotest.to_alcotest prop_reference_json;
         ] );
       ( "record",
         [

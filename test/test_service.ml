@@ -344,6 +344,94 @@ let test_hostile_frame_battery () =
     (reply_ok (request sock {|{"op":"ping"}|}));
   ignore (shutdown_and_join sock server)
 
+(* Route requests of a few dozen bytes that once escaped request handling
+   as exceptions: on the evented loop's thread that stopped the daemon,
+   and the threaded server dropped the connection unanswered. Each must
+   get a typed bad_request, on a connection that then still serves. *)
+let hostile_requests =
+  let qasm body =
+    Json.to_string ~indent:0
+      (Json.Obj
+         [
+           ("op", Json.String "route");
+           ("qasm", Json.String ("OPENQASM 2.0;\n" ^ body));
+         ])
+  in
+  [
+    ("repeated cx operand", qasm "qreg q[2];\ncx q[0],q[0];");
+    ("repeated ccx operand", qasm "qreg q[2];\nccx q[0],q[0],q[1];");
+    ( "repeated operand through a macro",
+      qasm "qreg q[2];\ngate g a,b { cx a,b; }\ng q[1],q[1];" );
+    ("index past max_int", qasm "qreg q[2];\nh q[4611686018427387904];");
+    ( "width past max_int",
+      qasm "qreg q[4000000000000000000];\nqreg r[4000000000000000000];" );
+    ("float index overflow", qasm "qreg q[2];\nh q[1e30];");
+    ("20-digit index", qasm "qreg q[2];\nh q[18446744073709551616];");
+    ( "clbit index overflow",
+      qasm "qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[1e30];" );
+    ("recursive macro", qasm "qreg q[1];\ngate g a { g a; }\ng q[0];");
+    ("ring under 3 qubits", {|{"op":"route","bench":"qft_4","arch":"ring-2"}|});
+    ("negative linear", {|{"op":"route","bench":"qft_4","arch":"linear--3"}|});
+  ]
+
+let test_hostile_requests io_model () =
+  let sock = temp_sock "requests" in
+  let server =
+    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
+  in
+  Service.Client.with_connection sock (fun t ->
+      List.iter
+        (fun (name, frame) ->
+          Alcotest.(check string) name "bad_request"
+            (reply_code (Service.Client.request t frame));
+          Alcotest.(check bool) (name ^ ": ping answers") true
+            (reply_ok (Service.Client.request t {|{"op":"ping"}|})))
+        hostile_requests);
+  Alcotest.(check bool) "daemon survives" true
+    (reply_ok (request sock {|{"op":"ping"}|}));
+  ignore (shutdown_and_join sock server)
+
+(* A warm route reply is written around the cache's stored record JSON;
+   it must be the bytes the tree encoder gives, whatever the echoed id. *)
+let test_spliced_reply () =
+  let spec =
+    match
+      Service.Engine.spec_of_route_req
+        (match Service.Protocol.parse_frame route_qft4 with
+        | Ok (_, Service.Protocol.Route rr) -> rr
+        | _ -> Alcotest.fail "route_qft4 does not decode")
+    with
+    | Ok spec -> spec
+    | Error msg -> Alcotest.fail msg
+  in
+  let record, _ = Service.Engine.route spec in
+  let fp = Service.Engine.fingerprint spec in
+  let cache = Cache.create ~max_entries:4 () in
+  Cache.add cache fp record;
+  let hit =
+    match Cache.find_hit cache fp with
+    | Some h -> h
+    | None -> Alcotest.fail "no hit"
+  in
+  List.iter
+    (fun (name, id) ->
+      Alcotest.(check string) name
+        (Service.Ops.route_frame ?id (Service.Ops.item_ok ~fingerprint:fp record))
+        (Service.Ops.hit_frame ?id hit))
+    [
+      ("no id", None);
+      ("int id", Some (Json.Int 42));
+      ("float id", Some (Json.Float 0.1));
+      ("string id with escapes", Some (Json.String "a\"b\\c\n\x01\xff"));
+      ( "nested id",
+        Some
+          (Json.Obj
+             [
+               ("k", Json.List [ Json.Null; Json.Bool true; Json.Int (-3) ]);
+               ("o", Json.Obj [ ("x", Json.String "y") ]);
+             ]) );
+    ]
+
 (* parse_frame itself must be total: any byte string yields Ok or a
    typed error, never an exception. *)
 let prop_parse_frame_total =
@@ -743,6 +831,10 @@ let () =
             test_survives_hostile_clients;
           Alcotest.test_case "hostile frame battery" `Quick
             test_hostile_frame_battery;
+          Alcotest.test_case "hostile requests: evented" `Quick
+            (test_hostile_requests Service.Config.Evented);
+          Alcotest.test_case "hostile requests: threaded" `Quick
+            (test_hostile_requests Service.Config.Threaded);
           Alcotest.test_case "cache survives restart" `Quick
             test_cache_survives_restart;
           Alcotest.test_case "memo: whitespace variants" `Quick
@@ -767,6 +859,8 @@ let () =
         ] );
       ( "protocol",
         [
+          Alcotest.test_case "warm reply from stored bytes" `Quick
+            test_spliced_reply;
           QCheck_alcotest.to_alcotest prop_parse_frame_total;
           QCheck_alcotest.to_alcotest prop_parse_frame_mutations;
         ] );
