@@ -19,6 +19,12 @@ let guard f =
   | Qasm.Lexer.Lex_error (line, msg) ->
     Fmt.epr "codar_cli: QASM lex error at line %d: %s@." line msg;
     exit exit_parse
+  | Qasm.Parser.Too_wide { line; qubits; limit } ->
+    Fmt.epr
+      "codar_cli: QASM parse error at line %d: circuit needs %d qubits but \
+       the device has only %d@."
+      line qubits limit;
+    exit exit_parse
   | Invalid_argument msg ->
     Fmt.epr "codar_cli: routing error: %s@." msg;
     exit exit_route
@@ -50,9 +56,10 @@ let durations_conv =
     ( durations_of_string,
       fun ppf d -> Fmt.string ppf (Arch.Durations.name d) )
 
-let load_circuit input bench =
+let load_circuit ~arch input bench =
   match (input, bench) with
-  | Some path, None -> Qasm.Parser.parse_file path
+  | Some path, None ->
+    Qasm.Parser.parse_file ~max_qubits:(Arch.Coupling.n_qubits arch) path
   | None, Some name -> (
     match Workloads.Suite.find name with
     | Some e -> Lazy.force e.circuit
@@ -187,7 +194,7 @@ let map_cmd =
     let router, objectives, metric =
       resolve_router_exn ~router ~objective ~metric ~durations
     in
-    let circuit = load_circuit input bench in
+    let circuit = load_circuit ~arch input bench in
     let circuit = if optimize then Qc.Optimize.optimize circuit else circuit in
     let maqam = Arch.Maqam.make ~coupling:arch ~durations in
     let record, result =
@@ -371,7 +378,10 @@ let batch_cmd =
       | None -> []
       | Some n -> List.map of_bench (Workloads.Suite.fitting ~max_qubits:n)
     in
-    let files = List.map (fun p -> (p, Qasm.Parser.parse_file p)) inputs in
+    let max_qubits = Arch.Coupling.n_qubits arch in
+    let files =
+      List.map (fun p -> (p, Qasm.Parser.parse_file ~max_qubits p)) inputs
+    in
     let targets = Array.of_list (named @ suite @ files) in
     if Array.length targets = 0 then
       Fmt.failwith "nothing to route: give --bench, --input or --fitting";

@@ -384,6 +384,11 @@ let distance_table t =
           read rows through distance_row instead of materialising O(V^2)"
          t.name)
 
+type dsource = Flat of int array | Rows of t
+
+let dsource t =
+  match t.provider with Table d -> Flat d.table | Lazy_rows _ -> Rows t
+
 let distance_lower_bound t a b =
   check_pair "distance_lower_bound" t a b;
   if a = b then 0

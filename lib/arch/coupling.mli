@@ -91,6 +91,16 @@ val distance_table : t -> int array
     O(V²) there would defeat it — branch on {!backend} and read
     {!distance_row} instead. *)
 
+type dsource =
+  | Flat of int array  (** {!distance_table}, indexed [a * n + b] *)
+  | Rows of t  (** read through {!distance_raw} *)
+(** How the routers' hot loops read distances: the flat table inline on
+    the {!Dense} backend, point queries on the {!Sparse} one. A router
+    matches on it in an accessor of its own marked for inlining, so a
+    dense read is one load with no call. *)
+
+val dsource : t -> dsource
+
 val distance_row : t -> int -> int array
 (** [distance_row t src] is the full distance row from [src] ([n] entries,
     {!unreachable_distance} for disconnected targets). Sparse: one BFS on

@@ -101,7 +101,7 @@ let pf_table = Array.make (n_pf * n_pf * 256) (-1)
 (* First-occurrence renaming of the (at most 4) operands as straight-line
    int arithmetic. A One gate contributes its operand twice, which packs
    the same as the arity-aware encoding would. *)
-let pattern a1 a2 b1 b2 =
+let pattern (a1 : int) (a2 : int) (b1 : int) (b2 : int) =
   let ra2 = if a2 = a1 then 0 else 1 in
   let fresh = ra2 + 1 in
   let rb1 = if b1 = a1 then 0 else if b1 = a2 then ra2 else fresh in
@@ -326,7 +326,7 @@ module Compiled = struct
       r
 
   (* [agrees a b q] for [q] an operand of [a] whose basis bits are [ab]. *)
-  let agrees ab q bb b0 b1 =
+  let agrees ab (q : int) bb (b0 : int) (b1 : int) =
     if q = b0 then ab land bb land 3 <> 0
     else if q = b1 then ab land (bb lsr 2) land 3 <> 0
     else true
@@ -339,7 +339,8 @@ module Compiled = struct
       and b1 = c.q1.(j) in
       if a0 <> b0 && a0 <> b1 && a1 <> b0 && a1 <> b1 then true
       else if
-        ka = kb && a0 = b0 && a1 = b1 && Gate.equal c.gates.(i) c.gates.(j)
+        ka = kb && a0 = b0 && a1 = b1
+        && (c.pf.(i) >= 0 || Gate.equal c.gates.(i) c.gates.(j))
       then true
       else begin
         let ab = c.bits.(i) and bb = c.bits.(j) in

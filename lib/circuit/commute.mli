@@ -34,7 +34,9 @@ module Compiled : sig
   (** [commutes c i j] = [memoised () gates.(i) gates.(j)]: the same
       steps in the same order (rules, Z phase, the shared parameter-free
       table, the memoised exact check), read from the precomputed arrays.
-      [Gate.equal] runs only for pairs whose kinds and operands match. *)
+      Two gates of one parameter-free kind on the same operands are
+      equal without a call; [Gate.equal] runs only for parametrised pairs
+      whose kinds and operands match. *)
 end
 
 val commutes_by_rule : Gate.t -> Gate.t -> bool option

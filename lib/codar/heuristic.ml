@@ -15,7 +15,8 @@ let distance_sum ~maqam ~layout pairs =
     0 pairs
 
 (* Physical endpoint of [q] after hypothetically swapping p1 <-> p2. *)
-let moved p1 p2 p = if p = p1 then p2 else if p = p2 then p1 else p
+let moved (p1 : int) (p2 : int) (p : int) =
+  if p = p1 then p2 else if p = p2 then p1 else p
 
 (* Hot path: one run per fine tie-break / forced-swap comparison, O(pairs)
    each, so distances are read raw (the [-1] unreachable sentinel is

@@ -19,6 +19,8 @@ exception Stuck of string
 
 type state = {
   maqam : Arch.Maqam.t;
+  dsrc : Arch.Coupling.dsource;
+  n_physical : int;
   config : config;
   stats : Stats.t;
   gates : Qc.Gate.t array;
@@ -30,6 +32,12 @@ type state = {
   mutable head : int;  (* first unissued index *)
   mutable remaining : int;
   locks : int array;  (* per physical qubit: busy until this time *)
+  locked : int array;
+      (* [0, n_locked): every qubit locked past [time], and perhaps some
+         freed since the last [next_unlock]; each at most once *)
+  mutable n_locked : int;
+  listed : bool array;  (* per physical qubit: in [locked] *)
+  connected : bool;  (* the device is connected: every pair is routable *)
   layout : Arch.Layout.t;  (* private copy, mutated in place on SWAPs *)
   phys_of : int -> int;  (* [Arch.Layout.phys_of_log layout], built once *)
   mutable layout_version : int;  (* bumped on every SWAP *)
@@ -50,6 +58,12 @@ type state = {
 
 let cf_front st = Cf_front.front ~stats:st.stats st.cf st.head
 
+(* An edge is a pair at distance 1: one table load on a dense device. *)
+let[@inline] adjacent st a b =
+  match st.dsrc with
+  | Arch.Coupling.Flat dist -> dist.((a * st.n_physical) + b) = 1
+  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
+
 let rec lock_free st = function
   | [] -> true
   | q :: rest ->
@@ -66,13 +80,22 @@ let executable st g =
     and p2 = Arch.Layout.phys_of_log st.layout q2 in
     st.locks.(p1) <= st.time
     && st.locks.(p2) <= st.time
-    && Arch.Maqam.adjacent st.maqam p1 p2
+    && adjacent st p1 p2
   | Qc.Gate.Barrier qs -> lock_free st qs
+
+(* Busy until [until]; a qubit locked past [time] joins [locked]. *)
+let lock st p until =
+  st.locks.(p) <- until;
+  if until > st.time && not st.listed.(p) then begin
+    st.listed.(p) <- true;
+    st.locked.(st.n_locked) <- p;
+    st.n_locked <- st.n_locked + 1
+  end
 
 let rec lock_all st until = function
   | [] -> ()
   | p :: rest ->
-    st.locks.(p) <- until;
+    lock st p until;
     lock_all st until rest
 
 let emit st ~inserted gate duration =
@@ -81,10 +104,10 @@ let emit st ~inserted gate duration =
     :: st.events_rev;
   let until = st.time + duration in
   match gate with
-  | Qc.Gate.One (_, p) | Qc.Gate.Measure (p, _) -> st.locks.(p) <- until
+  | Qc.Gate.One (_, p) | Qc.Gate.Measure (p, _) -> lock st p until
   | Qc.Gate.Two (_, p1, p2) ->
-    st.locks.(p1) <- until;
-    st.locks.(p2) <- until
+    lock st p1 until;
+    lock st p2 until
   | Qc.Gate.Barrier ps -> lock_all st until ps
 
 let advance_head st =
@@ -156,7 +179,7 @@ let cf_pairs st front =
    (front, layout version) so SWAP scoring does not re-resolve the layout
    for every candidate edge. Pairs straddling disconnected components are a
    typed routing failure, not a distance-table sentinel leaking into the
-   heuristic arithmetic. *)
+   heuristic arithmetic; only a disconnected device can have them. *)
 let phys_pairs st front =
   if st.phys_front != front || st.phys_version <> st.layout_version then begin
     cf_pairs st front;
@@ -165,7 +188,8 @@ let phys_pairs st front =
     for k = 0 to st.n_pairs - 1 do
       let p1 = Arch.Layout.phys_of_log st.layout st.lpairs.(2 * k)
       and p2 = Arch.Layout.phys_of_log st.layout st.lpairs.((2 * k) + 1) in
-      if not (Arch.Coupling.reachable coupling p1 p2) then
+      if (not st.connected) && not (Arch.Coupling.reachable coupling p1 p2)
+      then
         raise
           (Stuck
              (Fmt.str
@@ -243,12 +267,21 @@ let force_swap st =
              disconnected device?"
             st.time st.remaining))
 
+(* The earliest lock past [time], or [max_int]: a scan of [locked], which
+   drops the qubits that are free again. *)
 let next_unlock st =
-  let next = ref max_int in
-  for p = 0 to Array.length st.locks - 1 do
+  let next = ref max_int and kept = ref 0 in
+  for i = 0 to st.n_locked - 1 do
+    let p = st.locked.(i) in
     let l = st.locks.(p) in
-    if l > st.time && l < !next then next := l
+    if l > st.time then begin
+      if l < !next then next := l;
+      st.locked.(!kept) <- p;
+      incr kept
+    end
+    else st.listed.(p) <- false
   done;
+  st.n_locked <- !kept;
   !next
 
 let run ?(config = default_config) ?stats ~maqam ~initial circuit =
@@ -274,6 +307,8 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   let st =
     {
       maqam;
+      dsrc = Arch.Coupling.dsource (Arch.Maqam.coupling maqam);
+      n_physical;
       config;
       stats;
       gates;
@@ -289,6 +324,10 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
       head = 0;
       remaining = Array.length gates;
       locks;
+      locked = Array.make n_physical 0;
+      n_locked = 0;
+      listed = Array.make n_physical false;
+      connected = Arch.Coupling.connected (Arch.Maqam.coupling maqam);
       layout;
       phys_of = Arch.Layout.phys_of_log layout;
       layout_version = 0;
@@ -317,7 +356,7 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
          loop again at the same time. *)
     end
   done;
-  let makespan = Array.fold_left max 0 st.locks in
+  let makespan = Array.fold_left Int.max 0 st.locks in
   {
     Schedule.Routed.events = List.rev st.events_rev;
     initial;

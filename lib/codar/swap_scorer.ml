@@ -49,10 +49,6 @@
    [(u, v)], so a "smallest edge id" tie-break selects the
    lexicographically smallest physical edge on every backend. *)
 
-type dsource =
-  | Flat of int array  (* Coupling.distance_table: flat row-major, live *)
-  | Rows of Arch.Coupling.t  (* read through Coupling.distance_row *)
-
 type eindex = {
   eu : int array;  (* edge id -> lower endpoint *)
   ev : int array;  (* edge id -> higher endpoint *)
@@ -63,9 +59,8 @@ type eindex = {
    when one of them grows (more pairs, a fuller bucket or active set than
    any earlier cycle), so a cycle's work is loads and stores. *)
 type t = {
-  maqam : Arch.Maqam.t;
   n : int;
-  dsrc : dsource;
+  dsrc : Arch.Coupling.dsource;
   eidx : eindex;
   neighbors : int array array;
   coords : (float * float) array option;
@@ -145,11 +140,6 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
                 < scale" O.name);
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
-  let dsrc =
-    match Arch.Coupling.backend coupling with
-    | Arch.Coupling.Dense -> Flat (Arch.Coupling.distance_table coupling)
-    | Arch.Coupling.Sparse -> Rows coupling
-  in
   let neighbors =
     Array.init n (fun p -> Array.of_list (Arch.Coupling.neighbors coupling p))
   in
@@ -185,9 +175,8 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   let visit_slots = max edge_slots n in
   let t =
     {
-      maqam;
       n;
-      dsrc;
+      dsrc = Arch.Coupling.dsource coupling;
       eidx;
       neighbors;
       coords = Arch.Coupling.coords coupling;
@@ -259,7 +248,11 @@ let touch_set t p v =
   t.touch.(p) <- v;
   t.touch_stamp.(p) <- t.epoch
 
-let adjacent t a b = Arch.Maqam.adjacent t.maqam a b
+(* An edge is a pair at distance 1: one table load on a dense device. *)
+let[@inline] adjacent t a b =
+  match t.dsrc with
+  | Arch.Coupling.Flat dist -> dist.((a * t.n) + b) = 1
+  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
 
 (* Σ over the pairs on [u]'s incidence list, bar those whose other
    endpoint is [v], of how much closer moving [u] to [v] brings the
@@ -300,9 +293,9 @@ let rec gain_rows t c u v acc node =
 let compute_basic t u v =
   t.stats.Stats.swap_rescores <- t.stats.Stats.swap_rescores + 1;
   match t.dsrc with
-  | Flat dist ->
+  | Arch.Coupling.Flat dist ->
     gain_flat t dist v u (gain_flat t dist u v 0 (inc_first t u)) (inc_first t v)
-  | Rows c ->
+  | Arch.Coupling.Rows c ->
     gain_rows t c v u (gain_rows t c u v 0 (inc_first t u)) (inc_first t v)
 
 (* Objective score of (u,v) given its Hbasic. Bonus-free objectives
@@ -443,7 +436,7 @@ let fine_of t e =
   Heuristic.fine_phys ~coords:t.coords ~pa:t.pa ~pb:t.pb ~n_pairs:t.m
     ~u:(edge_u t e) ~v:(edge_v t e)
 
-let rec min_edge es i len acc =
+let rec min_edge (es : int array) i len acc =
   if i >= len then acc
   else min_edge es (i + 1) len (if es.(i) < acc then es.(i) else acc)
 
@@ -557,7 +550,8 @@ let add_z t x y tok p =
     t.nz <- t.nz + 1
   end
 
-let mapped x y p = if p = x then y else if p = y then x else p
+let mapped (x : int) (y : int) (p : int) =
+  if p = x then y else if p = y then x else p
 
 (* Remap the pairs on an incidence list of [x] or [y], from [node] on. *)
 let rec process t x y tok node =
@@ -646,10 +640,10 @@ let commit t x y =
 let pair_gain t a b e =
   let u = edge_u t e and v = edge_v t e in
   match t.dsrc with
-  | Flat dist ->
+  | Arch.Coupling.Flat dist ->
     let n = t.n in
     dist.((a * n) + b) - dist.((mapped u v a * n) + mapped u v b)
-  | Rows c ->
+  | Arch.Coupling.Rows c ->
     (* skip the lookup entirely for edges touching neither endpoint —
        those cannot move the pair, so their gain is 0 by definition (at
        most degree(a)+degree(b) point queries per call) *)
@@ -700,4 +694,10 @@ let candidates t =
       out := ((edge_u t e, edge_v t e), t.score.(e)) :: !out
     end
   done;
-  List.sort compare !out
+  (* [compare], typed at int *)
+  List.sort
+    (fun ((u, v), s) ((u', v'), s') ->
+      if u <> u' then Int.compare u u'
+      else if v <> v' then Int.compare v v'
+      else Int.compare s s')
+    !out

@@ -11,6 +11,9 @@
    names before lexing), so no text changes meaning. *)
 
 exception Parse_error of int * string
+exception Too_wide of { line : int; qubits : int; limit : int }
+
+let max_gates = 1_000_000
 
 module L = Lexer
 
@@ -62,7 +65,10 @@ type state = {
   macros : (string, macro) Hashtbl.t;
   mutable n_qubits : int;
   mutable n_clbits : int;
+  max_qubits : int;  (* the device's width, or max_int *)
   mutable gates_rev : Qc.Gate.t list;
+  mutable n_gates : int;  (* gates so far, a barrier once per qubit *)
+  mutable n_applied : int;  (* gate-macro applications so far *)
   mutable stmt_line : int;  (* line of the statement being elaborated *)
   mutable name_start : int;  (* the statement's gate name, for [Here] *)
   mutable name_stop : int;
@@ -317,11 +323,19 @@ let arity st gname np nq n_p n_q =
     fail_stmt st (Fmt.str "%s expects %d qubit(s)" (name_of st gname) n_q)
 
 (* a two- or three-qubit gate takes distinct qubits *)
-let distinct st gname q nq =
+let distinct st gname (q : int array) nq =
   if q.(0) = q.(1) || (nq = 3 && (q.(0) = q.(2) || q.(1) = q.(2))) then
     fail_stmt st (name_of st gname ^ " applies to one qubit twice")
 
-let push st g = st.gates_rev <- g :: st.gates_rev
+(* [k] more gates, refused past [max_gates] *)
+let spend st k =
+  if k > max_gates - st.n_gates then
+    fail_stmt st (Fmt.str "circuit expands past %d gates" max_gates);
+  st.n_gates <- st.n_gates + k
+
+let push st g =
+  spend st 1;
+  st.gates_rev <- g :: st.gates_rev
 let push_all st gs = List.iter (push st) gs
 
 (* arity, and distinct qubits, of a two- or three-qubit gate *)
@@ -388,6 +402,11 @@ let rec apply st gname b p np q nq =
         fail_stmt st (name ^ ": qubit count mismatch");
       if m.expanding then
         fail_stmt st (name ^ ": gate definition is recursive");
+      (* an empty macro adds no gate, so applications have a bound too *)
+      if st.n_applied >= max_gates then
+        fail_stmt st
+          (Fmt.str "gate macros expand past %d applications" max_gates);
+      st.n_applied <- st.n_applied + 1;
       let penv = List.combine m.formals (List.init np (Array.get p)) in
       let qenv = List.combine m.qformals (List.init nq (Array.get q)) in
       m.expanding <- true;
@@ -522,6 +541,9 @@ let gate_statement st =
 
 let barrier_statement st =
   let nops = operands st 0 in
+  for i = 0 to nops - 1 do
+    spend st (if st.rsize.(i) < 0 then 1 else st.rsize.(i))
+  done;
   let qubits = ref [] in
   for i = nops - 1 downto 0 do
     if st.rsize.(i) < 0 then qubits := st.roff.(i) :: !qubits
@@ -530,7 +552,7 @@ let barrier_statement st =
         qubits := (st.roff.(i) + k) :: !qubits
       done
   done;
-  push st (Qc.Gate.barrier !qubits)
+  st.gates_rev <- Qc.Gate.barrier !qubits :: st.gates_rev
 
 let measure_statement st =
   operand st ~quantum:true 0;
@@ -558,6 +580,10 @@ let register_decl st ~quantum =
   let kind = if quantum then "qreg " else "creg " in
   if Hashtbl.mem table name then fail_stmt st ("duplicate " ^ kind ^ name);
   if size > max_int - width then fail_stmt st (kind ^ name ^ " is too large");
+  if quantum && width + size > st.max_qubits then
+    raise
+      (Too_wide
+         { line = st.stmt_line; qubits = width + size; limit = st.max_qubits });
   Hashtbl.replace table name (width, size);
   if quantum then st.n_qubits <- width + size else st.n_clbits <- width + size
 
@@ -692,7 +718,7 @@ let rec statements st =
   | L.K_star | L.K_slash | L.K_string ->
     fail st "expected statement"
 
-let parse src =
+let parse ?(max_qubits = max_int) src =
   let st =
     {
       lx = L.create src;
@@ -701,7 +727,10 @@ let parse src =
       macros = Hashtbl.create 16;
       n_qubits = 0;
       n_clbits = 0;
+      max_qubits;
       gates_rev = [];
+      n_gates = 0;
+      n_applied = 0;
       stmt_line = 1;
       name_start = 0;
       name_stop = 0;
@@ -716,9 +745,9 @@ let parse src =
   statements st;
   Qc.Circuit.make ~n_qubits:st.n_qubits (List.rev st.gates_rev)
 
-let parse_file path =
+let parse_file ?max_qubits path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  parse src
+  parse ?max_qubits src

@@ -14,9 +14,24 @@
 exception Parse_error of int * string
 (** line, message *)
 
-val parse : string -> Qc.Circuit.t
+exception Too_wide of { line : int; qubits : int; limit : int }
+(** A [qreg] at [line] takes the width to [qubits], past the [limit] given
+    as [max_qubits]. *)
+
+val max_gates : int
+(** What one text may expand to: 1,000,000 gates, ten times the largest
+    suite circuit ([rand_128_100k]), with a barrier counted once per qubit
+    it lists, and as many gate-macro applications. A short text can name
+    far more through register broadcast and nested macros; the statement
+    that passes either bound is a {!Parse_error} at its line, so the work
+    a text causes is bounded before any router sees it. *)
+
+val parse : ?max_qubits:int -> string -> Qc.Circuit.t
 (** One pass over the text. Raises {!Parse_error} or {!Lexer.Lex_error}
-    and nothing else, whatever the text.
+    and, given [max_qubits] (the device's width, when the caller knows the
+    device), {!Too_wide}; nothing else, whatever the text. A register that
+    makes the circuit wider than [max_qubits] is refused at its
+    declaration, before any gate expands over it.
 
     Beyond syntax, unknown names and arity, these are refused with
     {!Parse_error} at the statement's line:
@@ -27,6 +42,8 @@ val parse : string -> Qc.Circuit.t
       [max_int] ([q[1e30]], a 20-digit index), and a register that takes
       the running qubit or clbit count past [max_int];
     - a gate macro whose expansion reaches itself;
-    - a NaN or infinite gate parameter. *)
+    - a NaN or infinite gate parameter;
+    - a statement that takes the circuit past {!max_gates} gates or
+      macro applications. *)
 
-val parse_file : string -> Qc.Circuit.t
+val parse_file : ?max_qubits:int -> string -> Qc.Circuit.t

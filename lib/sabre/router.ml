@@ -26,6 +26,10 @@ exception Stuck of string
 type scratch = {
   mutable gates : Qc.Gate.t array;  (* [0, loaded) cleared after each route *)
   mutable loaded : int;
+  mutable op_a : int array;
+      (* per gate: a two-qubit gate's logical operands, op_a.(i) and
+         op_b.(i); op_a.(i) is -1 for every other gate *)
+  mutable op_b : int array;
   mutable succ_off : int array;
       (* gate i's successors, ascending: succ.(succ_off.(i)) ..
          succ.(succ_off.(i) + n_succ.(i) - 1); room for one per qubit *)
@@ -43,6 +47,16 @@ type scratch = {
          [pair_stamp] holds the step's stamp; [next_at] chains the rest *)
   mutable pair_stamp : int array;
   mutable next_at : int array;  (* per slot: the next on its qubit, or -1 *)
+  (* The front's two-qubit gates (F) and then the extended set (E) as
+     logical pairs, pair k in slots 2k and 2k+1; [pp] holds their physical
+     positions and [pd] each pair's distance. *)
+  mutable pl : int array;
+  mutable pp : int array;
+  mutable pd : int array;
+  mutable decay : float array;
+      (* per physical qubit: its decay, valid while [decay_stamp] holds the
+         route's decay epoch, else 1 *)
+  mutable decay_stamp : int array;
   mutable stamp : int;
   mutable busy : bool;
 }
@@ -53,6 +67,8 @@ let empty_scratch () =
   {
     gates = [||];
     loaded = 0;
+    op_a = [||];
+    op_b = [||];
     succ_off = [||];
     n_succ = [||];
     succ = [||];
@@ -65,6 +81,11 @@ let empty_scratch () =
     pair_at = [||];
     pair_stamp = [||];
     next_at = [||];
+    pl = [||];
+    pp = [||];
+    pd = [||];
+    decay = [||];
+    decay_stamp = [||];
     stamp = 0;
     busy = false;
   }
@@ -99,12 +120,15 @@ let link s i q =
     end
   end
 
+let grow a len x = if Array.length a < len then Array.make len x else a
+
 (* Load the circuit's gates — in reverse order when [reverse] — and build
    their DAG into [s]. Returns the gate count. *)
-let load s ~reverse circuit ~n_physical =
+let load s ~reverse circuit =
   let n = Qc.Circuit.length circuit in
-  let grow a len x = if Array.length a < len then Array.make len x else a in
   s.gates <- grow s.gates n no_gate;
+  s.op_a <- grow s.op_a n 0;
+  s.op_b <- grow s.op_b n 0;
   s.succ_off <- grow s.succ_off (n + 1) 0;
   s.n_succ <- grow s.n_succ n 0;
   s.pending <- grow s.pending n 0;
@@ -112,9 +136,6 @@ let load s ~reverse circuit ~n_physical =
   s.seen <- grow s.seen n 0;
   s.queue <- grow s.queue n 0;
   s.last <- grow s.last (Qc.Circuit.n_qubits circuit) 0;
-  s.marked <- grow s.marked n_physical 0;
-  s.pair_at <- grow s.pair_at n_physical 0;
-  s.pair_stamp <- grow s.pair_stamp n_physical 0;
   s.loaded <- n;
   List.iteri
     (fun k g -> s.gates.(if reverse then n - 1 - k else k) <- g)
@@ -128,11 +149,14 @@ let load s ~reverse circuit ~n_physical =
   for i = 0 to n - 1 do
     s.n_succ.(i) <- 0;
     s.pending.(i) <- 0;
+    s.op_a.(i) <- -1;
     match s.gates.(i) with
     | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) ->
       link s i q;
       s.last.(q) <- i
     | Qc.Gate.Two (_, q1, q2) ->
+      s.op_a.(i) <- q1;
+      s.op_b.(i) <- q2;
       link s i q1;
       link s i q2;
       s.last.(q1) <- i;
@@ -151,46 +175,49 @@ type state = {
   maqam : Arch.Maqam.t;
   config : config;
   sc : scratch;
+  n : int;  (* physical qubits: a table row's length *)
+  dsrc : Arch.Coupling.dsource;
   mutable n_front : int;
   mutable released : int;  (* next free slot after the front *)
   mutable n_done : int;
   layout : Arch.Layout.t;  (* a private copy, swapped in place *)
   emit : bool;  (* placement passes keep only the final layout *)
   mutable out_rev : (Qc.Gate.t * bool) list;
-  dist : int -> int -> int;  (* negative for an unreachable pair *)
-  decay : float array;
+  mutable decay_epoch : int;  (* a stamp; a fresh one resets every decay *)
   mutable swaps_since_reset : int;
   mutable swap_budget : int;
-  (* The front's two-qubit gates (F) and then the extended set (E) as
-     logical pairs, pair k in slots 2k and 2k+1, valid while [pairs_stale]
-     is false: SWAPs do not change the front, so consecutive SWAP steps
-     share them. [pp] holds their physical positions and [pd] each pair's
-     distance during one step's scoring. *)
+  (* F and E in the scratch's [pl] are valid while [pairs_stale] is false:
+     SWAPs do not change the front, so consecutive SWAP steps share them.
+     While [measured] holds, so are [pp], [pd], the totals and the pair
+     chains, for the current layout: a SWAP step that follows a SWAP step
+     carries them over instead of measuring every pair again. *)
   mutable pairs_stale : bool;
+  mutable measured : bool;
   mutable n_f : int;
   mutable n_e : int;
-  pl : int array;
-  pp : int array;
-  pd : int array;
   mutable total_f : int;  (* Σ D over F, then over E, as placed *)
   mutable total_e : int;
   mutable delta_f : int;  (* one candidate's change to the totals *)
   mutable delta_e : int;
-  mutable at_stamp : int;  (* the step's [pair_stamp] *)
+  mutable at_stamp : int;  (* the chains' [pair_stamp] *)
   best : float array;  (* the best score so far, unboxed *)
   mutable best_a : int;  (* its edge; -1 before the first *)
   mutable best_b : int;
+  mutable best_df : int;  (* its [delta_f] and [delta_e] *)
+  mutable best_de : int;
 }
 
-(* Distances through the flat table on dense devices, negative for an
-   unreachable pair. *)
-let distance_fn coupling =
-  match Arch.Coupling.backend coupling with
-  | Arch.Coupling.Dense ->
-    let table = Arch.Coupling.distance_table coupling in
-    let n = Arch.Coupling.n_qubits coupling in
-    fun a b -> table.((a * n) + b)
-  | Arch.Coupling.Sparse -> Arch.Coupling.distance_raw coupling
+(* Distances through the flat table on dense devices and point queries on
+   sparse ones, negative for an unreachable pair. *)
+let[@inline] dist st a b =
+  match st.dsrc with
+  | Arch.Coupling.Flat table -> table.((a * st.n) + b)
+  | Arch.Coupling.Rows c -> Arch.Coupling.distance_raw c a b
+
+let[@inline] adjacent st a b =
+  match st.dsrc with
+  | Arch.Coupling.Flat table -> table.((a * st.n) + b) = 1
+  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
 
 (* One gate issued: its successors with no pending predecessor left are
    appended after the front. *)
@@ -209,17 +236,24 @@ let release st i =
    order. Gates they release join the front only afterwards, so — as with a
    front recomputed per step — they wait for the next step. *)
 let execute_front st =
-  let front = st.sc.front in
+  let sc = st.sc in
+  let front = sc.front in
   let n_front = st.n_front in
   let kept = ref 0 in
   st.released <- n_front;
   for j = 0 to n_front - 1 do
     let i = front.(j) in
-    let g = st.sc.gates.(i) in
-    if Arch.Maqam.fits st.maqam st.layout g then begin
+    let a = sc.op_a.(i) in
+    if
+      a < 0
+      || adjacent st
+           (Arch.Layout.phys_of_log st.layout a)
+           (Arch.Layout.phys_of_log st.layout sc.op_b.(i))
+    then begin
       if st.emit then
         st.out_rev <-
-          (Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) g, false)
+          ( Qc.Gate.remap (Arch.Layout.phys_of_log st.layout) sc.gates.(i),
+            false )
           :: st.out_rev;
       st.n_done <- st.n_done + 1;
       release st i
@@ -248,6 +282,20 @@ let execute_front st =
   end;
   issued
 
+(* Queue gate [i]'s successors not yet seen at [stamp], from [tail] on;
+   returns the new tail. *)
+let push_succs sc stamp tail i =
+  let tail = ref tail in
+  for k = sc.succ_off.(i) to sc.succ_off.(i) + sc.n_succ.(i) - 1 do
+    let s = sc.succ.(k) in
+    if sc.seen.(s) <> stamp then begin
+      sc.seen.(s) <- stamp;
+      sc.queue.(!tail) <- s;
+      incr tail
+    end
+  done;
+  !tail
+
 (* F, then E: the nearest unissued successors of the front, breadth-first
    from the front in ascending order and each gate's successors in
    ascending order, capped at [extended_size] two-qubit gates. A gate is
@@ -257,69 +305,60 @@ let collect_pairs st =
   let sc = st.sc in
   let n_f = ref 0 in
   for j = 0 to st.n_front - 1 do
-    match sc.gates.(sc.front.(j)) with
-    | Qc.Gate.Two (_, q1, q2) ->
-      st.pl.(2 * !n_f) <- q1;
-      st.pl.((2 * !n_f) + 1) <- q2;
+    let i = sc.front.(j) in
+    if sc.op_a.(i) >= 0 then begin
+      sc.pl.(2 * !n_f) <- sc.op_a.(i);
+      sc.pl.((2 * !n_f) + 1) <- sc.op_b.(i);
       incr n_f
-    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ()
+    end
   done;
   st.n_f <- !n_f;
   let stamp = next_stamp sc in
   let tail = ref 0 in
-  let push_succs i =
-    for k = sc.succ_off.(i) to sc.succ_off.(i) + sc.n_succ.(i) - 1 do
-      let s = sc.succ.(k) in
-      if sc.seen.(s) <> stamp then begin
-        sc.seen.(s) <- stamp;
-        sc.queue.(!tail) <- s;
-        incr tail
-      end
-    done
-  in
   for j = 0 to st.n_front - 1 do
-    push_succs sc.front.(j)
+    tail := push_succs sc stamp !tail sc.front.(j)
   done;
   let head = ref 0 and n_e = ref 0 in
   while !head < !tail && !n_e < st.config.extended_size do
     let i = sc.queue.(!head) in
     incr head;
-    (match sc.gates.(i) with
-    | Qc.Gate.Two (_, q1, q2) ->
-      let k = st.n_f + !n_e in
-      st.pl.(2 * k) <- q1;
-      st.pl.((2 * k) + 1) <- q2;
+    if sc.op_a.(i) >= 0 then begin
+      let k = 2 * (st.n_f + !n_e) in
+      sc.pl.(k) <- sc.op_a.(i);
+      sc.pl.(k + 1) <- sc.op_b.(i);
       incr n_e
-    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ());
-    push_succs i
+    end;
+    tail := push_succs sc stamp !tail i
   done;
   st.n_e <- !n_e;
-  st.pairs_stale <- false
+  st.pairs_stale <- false;
+  st.measured <- false
 
 let place st =
+  let sc = st.sc in
   for k = 0 to (2 * (st.n_f + st.n_e)) - 1 do
-    st.pp.(k) <- Arch.Layout.phys_of_log st.layout st.pl.(k)
+    sc.pp.(k) <- Arch.Layout.phys_of_log st.layout sc.pl.(k)
   done
 
-(* Once per SWAP step, at its first candidate (a step with none raises
-   [Stuck] before reading any distance): Σ D over F and over E as placed,
-   each pair's distance, and each physical qubit's pair endpoints. A pair
-   in disconnected components stays so after any SWAP, so
-   [Coupling.distance] raises for it here, as scoring always has. *)
-let totals st =
+(* At the first candidate of a SWAP step that carries nothing over (a step
+   with none raises [Stuck] before reading any distance): Σ D over F and
+   over E as placed, each pair's distance, and each physical qubit's pair
+   endpoints. A pair in disconnected components stays so after any SWAP,
+   so [Coupling.distance] raises for it here, as scoring always has. *)
+let measure st =
   let sc = st.sc in
   let stamp = next_stamp sc in
   st.at_stamp <- stamp;
   let tf = ref 0 and te = ref 0 in
   for k = 0 to st.n_f + st.n_e - 1 do
-    let p = st.pp.(2 * k) and q = st.pp.((2 * k) + 1) in
-    let d = st.dist p q in
+    let p = sc.pp.(2 * k) and q = sc.pp.((2 * k) + 1) in
+    let d = dist st p q in
     if d < 0 then
       ignore (Arch.Coupling.distance (Arch.Maqam.coupling st.maqam) p q);
-    st.pd.(k) <- d;
+    sc.pd.(k) <- d;
     if k < st.n_f then tf := !tf + d else te := !te + d;
     for s = 2 * k to (2 * k) + 1 do
-      let x = st.pp.(s) in
+      let x = sc.pp.(s) in
       sc.next_at.(s) <-
         (if sc.pair_stamp.(x) = stamp then sc.pair_at.(x) else -1);
       sc.pair_at.(x) <- s;
@@ -327,7 +366,8 @@ let totals st =
     done
   done;
   st.total_f <- !tf;
-  st.total_e <- !te
+  st.total_e <- !te;
+  st.measured <- true
 
 (* Add to [delta_f]/[delta_e] the change of the pairs on [p] when [p]
    moves to [q]. The pair on both [p] and [q] keeps its distance. *)
@@ -336,15 +376,18 @@ let shift st p q =
   if sc.pair_stamp.(p) = st.at_stamp then begin
     let s = ref sc.pair_at.(p) in
     while !s >= 0 do
-      let o = st.pp.(!s lxor 1) in
+      let o = sc.pp.(!s lxor 1) in
       if o <> q then begin
-        let d = st.dist q o - st.pd.(!s lsr 1) in
+        let d = dist st q o - sc.pd.(!s lsr 1) in
         if !s < 2 * st.n_f then st.delta_f <- st.delta_f + d
         else st.delta_e <- st.delta_e + d
       end;
       s := sc.next_at.(!s)
     done
   end
+
+let[@inline] decay st p =
+  if st.sc.decay_stamp.(p) = st.decay_epoch then st.sc.decay.(p) else 1.
 
 (* Score the SWAP of each coupling edge [(p, p')] over [p]'s neighbours,
    keeping the best in [st]: the lowest H wins, ties to the least
@@ -358,7 +401,7 @@ let rec score_edges st stamp p = function
   | p' :: rest ->
     if st.sc.marked.(p') <> stamp || p < p' then begin
       let a = if p < p' then p else p' and b = if p < p' then p' else p in
-      if st.best_a < 0 then totals st;
+      if not st.measured then measure st;
       st.delta_f <- 0;
       st.delta_e <- 0;
       shift st a b;
@@ -372,7 +415,7 @@ let rec score_edges st stamp p = function
             /. ne)
       in
       (* Float.max, inlined: decays are positive *)
-      let da = st.decay.(a) and db = st.decay.(b) in
+      let da = decay st a and db = decay st b in
       let s = (if db > da then db else da) *. base in
       let bs = st.best.(0) in
       if
@@ -381,50 +424,103 @@ let rec score_edges st stamp p = function
       then begin
         st.best.(0) <- s;
         st.best_a <- a;
-        st.best_b <- b
+        st.best_b <- b;
+        st.best_df <- st.delta_f;
+        st.best_de <- st.delta_e
       end
     end;
     score_edges st stamp p rest
 
-(* The SWAP to apply: the best over the edges incident to the front pairs'
-   physical qubits. *)
+(* The SWAP to apply, into [best_a]/[best_b]: the best over the edges
+   incident to the front pairs' physical qubits. *)
 let best_swap st =
   let coupling = Arch.Maqam.coupling st.maqam in
-  let stamp = next_stamp st.sc in
+  let sc = st.sc in
+  let stamp = next_stamp sc in
   for k = 0 to (2 * st.n_f) - 1 do
-    st.sc.marked.(st.pp.(k)) <- stamp
+    sc.marked.(sc.pp.(k)) <- stamp
   done;
   st.best_a <- -1;
   for k = 0 to (2 * st.n_f) - 1 do
-    score_edges st stamp st.pp.(k) (Arch.Coupling.neighbors coupling st.pp.(k))
+    score_edges st stamp sc.pp.(k) (Arch.Coupling.neighbors coupling sc.pp.(k))
   done;
   if st.best_a < 0 then
-    raise (Stuck "SABRE: no SWAP candidate — disconnected device?");
-  (st.best_a, st.best_b)
+    raise (Stuck "SABRE: no SWAP candidate — disconnected device?")
 
 let reset_decay st =
-  Array.fill st.decay 0 (Array.length st.decay) 1.;
+  st.decay_epoch <- next_stamp st.sc;
   st.swaps_since_reset <- 0
 
-let apply_swap st (p1, p2) =
+(* [decay.(p) +. decay_delta], with a reset decay read as 1: each qubit's
+   decay runs through the same floats as when every reset refilled it. *)
+let bump st p =
+  let sc = st.sc in
+  sc.decay.(p) <- decay st p +. st.config.decay_delta;
+  sc.decay_stamp.(p) <- st.decay_epoch
+
+let apply_swap st p1 p2 =
   if st.swap_budget <= 0 then
     raise (Stuck "SABRE: swap budget exhausted — unroutable input?");
   st.swap_budget <- st.swap_budget - 1;
   if st.emit then st.out_rev <- (Qc.Gate.swap p1 p2, true) :: st.out_rev;
   Arch.Layout.swap_physical_inplace st.layout p1 p2;
-  st.decay.(p1) <- st.decay.(p1) +. st.config.decay_delta;
-  st.decay.(p2) <- st.decay.(p2) +. st.config.decay_delta;
+  bump st p1;
+  bump st p2;
   st.swaps_since_reset <- st.swaps_since_reset + 1;
   if st.swaps_since_reset >= st.config.decay_reset then reset_decay st
 
+(* The slots on [p]'s chain now sit on [q]. *)
+let move_chain st p q =
+  let sc = st.sc in
+  if sc.pair_stamp.(p) = st.at_stamp then begin
+    let s = ref sc.pair_at.(p) in
+    while !s >= 0 do
+      sc.pp.(!s) <- q;
+      s := sc.next_at.(!s)
+    done
+  end
+
+(* The distances of the pairs on [p]'s chain, as placed. *)
+let remeasure_chain st p =
+  let sc = st.sc in
+  if sc.pair_stamp.(p) = st.at_stamp then begin
+    let s = ref sc.pair_at.(p) in
+    while !s >= 0 do
+      sc.pd.(!s lsr 1) <- dist st sc.pp.(!s) sc.pp.(!s lxor 1);
+      s := sc.next_at.(!s)
+    done
+  end
+
+(* The measured step state after the SWAP of [a] and [b]: the pairs on
+   either move with it, their distances and the totals change by the
+   winner's deltas, and the two qubits' chains trade places. *)
+let carry st a b =
+  let sc = st.sc in
+  move_chain st a b;
+  move_chain st b a;
+  remeasure_chain st a;
+  remeasure_chain st b;
+  let at = sc.pair_at.(a) and stamp = sc.pair_stamp.(a) in
+  sc.pair_at.(a) <- sc.pair_at.(b);
+  sc.pair_stamp.(a) <- sc.pair_stamp.(b);
+  sc.pair_at.(b) <- at;
+  sc.pair_stamp.(b) <- stamp;
+  st.total_f <- st.total_f + st.best_df;
+  st.total_e <- st.total_e + st.best_de
+
 let swap_step st =
-  if st.pairs_stale then collect_pairs st;
-  place st;
-  apply_swap st (best_swap st)
+  if st.pairs_stale then begin
+    collect_pairs st;
+    place st
+  end;
+  best_swap st;
+  let a = st.best_a and b = st.best_b in
+  apply_swap st a b;
+  carry st a b
 
 let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
     ~n_logical =
-  let n = load sc ~reverse circuit ~n_physical in
+  let n = load sc ~reverse circuit in
   let n_front = ref 0 in
   for i = 0 to n - 1 do
     if sc.pending.(i) = 0 then begin
@@ -433,29 +529,36 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
     end
   done;
   let n_pairs = n_logical + max 0 (min config.extended_size n) in
-  if Array.length sc.next_at < 2 * n_pairs then
-    sc.next_at <- Array.make (2 * n_pairs) 0;
+  sc.marked <- grow sc.marked n_physical 0;
+  sc.pair_at <- grow sc.pair_at n_physical 0;
+  sc.pair_stamp <- grow sc.pair_stamp n_physical 0;
+  sc.decay <- grow sc.decay n_physical 1.;
+  sc.decay_stamp <- grow sc.decay_stamp n_physical 0;
+  sc.next_at <- grow sc.next_at (2 * n_pairs) 0;
+  sc.pl <- grow sc.pl (2 * n_pairs) 0;
+  sc.pp <- grow sc.pp (2 * n_pairs) 0;
+  sc.pd <- grow sc.pd n_pairs 0;
+  let coupling = Arch.Maqam.coupling maqam in
   let st =
     {
       maqam;
       config;
       sc;
+      n = n_physical;
+      dsrc = Arch.Coupling.dsource coupling;
       n_front = !n_front;
       released = !n_front;
       n_done = 0;
       layout = Arch.Layout.copy initial;
       emit;
       out_rev = [];
-      dist = distance_fn (Arch.Maqam.coupling maqam);
-      decay = Array.make n_physical 1.;
+      decay_epoch = next_stamp sc;
       swaps_since_reset = 0;
       swap_budget = 10 * (n + 1) * (n_physical + 1);
       pairs_stale = true;
+      measured = false;
       n_f = 0;
       n_e = 0;
-      pl = Array.make (2 * n_pairs) 0;
-      pp = Array.make (2 * n_pairs) 0;
-      pd = Array.make n_pairs 0;
       total_f = 0;
       total_e = 0;
       delta_f = 0;
@@ -464,6 +567,8 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
       best = [| 0. |];
       best_a = -1;
       best_b = -1;
+      best_df = 0;
+      best_de = 0;
     }
   in
   while st.n_done < n do

@@ -139,7 +139,15 @@ let find_bench name =
 
 let ( let* ) = Result.bind
 
+let too_wide coupling qubits =
+  Printf.sprintf "circuit needs %d qubits but %s has only %d" qubits
+    (Arch.Coupling.name coupling)
+    (Arch.Coupling.n_qubits coupling)
+
 let spec_of_route_req (r : Protocol.route_req) =
+  (* the device bounds the parse; its own error still comes after the
+     source's *)
+  let device = Arch.Devices.by_name r.Protocol.arch in
   let* source_name, circuit =
     match r.Protocol.source with
     | `Bench name -> (
@@ -147,15 +155,21 @@ let spec_of_route_req (r : Protocol.route_req) =
       | Some c -> Ok (name, c)
       | None -> Error (Printf.sprintf "unknown benchmark %S" name))
     | `Qasm text -> (
-      match Qasm.Parser.parse text with
+      match
+        Qasm.Parser.parse
+          ?max_qubits:(Option.map Arch.Coupling.n_qubits device)
+          text
+      with
       | c -> Ok ("<inline>", c)
       | exception Qasm.Parser.Parse_error (line, msg) ->
         Error (Printf.sprintf "QASM parse error at line %d: %s" line msg)
       | exception Qasm.Lexer.Lex_error (line, msg) ->
-        Error (Printf.sprintf "QASM lex error at line %d: %s" line msg))
+        Error (Printf.sprintf "QASM lex error at line %d: %s" line msg)
+      | exception Qasm.Parser.Too_wide { qubits; _ } ->
+        Error (too_wide (Option.get device) qubits))
   in
   let* coupling =
-    match Arch.Devices.by_name r.Protocol.arch with
+    match device with
     | Some c -> Ok c
     | None -> Error (Printf.sprintf "unknown architecture %S" r.Protocol.arch)
   in
@@ -185,11 +199,7 @@ let spec_of_route_req (r : Protocol.route_req) =
   in
   let* () =
     if Qc.Circuit.n_qubits circuit > Arch.Coupling.n_qubits coupling then
-      Error
-        (Printf.sprintf "circuit needs %d qubits but %s has only %d"
-           (Qc.Circuit.n_qubits circuit)
-           (Arch.Coupling.name coupling)
-           (Arch.Coupling.n_qubits coupling))
+      Error (too_wide coupling (Qc.Circuit.n_qubits circuit))
     else Ok ()
   in
   Ok

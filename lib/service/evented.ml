@@ -51,7 +51,7 @@ type slot = {
 }
 
 type reply =
-  | Ready of { frame : string; ok : bool }
+  | Ready of string
   | Route_r of { id : Json.t option; slot : slot }
   | Batch_r of { id : Json.t option; slots : slot array }
 
@@ -181,8 +181,8 @@ let dispatcher st =
 
 (* ------------------------------------------------------- reply plumbing *)
 
-let count_reply st ok =
-  if ok then
+let count_reply st frame =
+  if Protocol.frame_ok frame then
     st.svc.Codar.Stats.responses_ok <- st.svc.Codar.Stats.responses_ok + 1
   else
     st.svc.Codar.Stats.responses_err <- st.svc.Codar.Stats.responses_err + 1
@@ -200,7 +200,7 @@ let disconnect st c =
    write fault point here — once per frame, like the threaded server —
    and treats a fired fault as the vanished client it simulates. Returns
    [false] when the connection died. *)
-let emit st c ~ok frame =
+let emit st c frame =
   if Faults.fire Faults.Frame_write_error then begin
     disconnect st c;
     false
@@ -209,7 +209,7 @@ let emit st c ~ok frame =
     Buffer.add_string c.obuf frame;
     Buffer.add_char c.obuf '\n';
     c.obytes <- c.obytes + String.length frame + 1;
-    count_reply st ok;
+    count_reply st frame;
     true
   end
 
@@ -229,12 +229,12 @@ let rec drain_replies st c =
   then begin
     let alive =
       match Queue.pop c.replies with
-      | Ready { frame; ok } -> emit st c ~ok frame
+      | Ready frame -> emit st c frame
       | Route_r { id; slot } ->
-        emit st c ~ok:true (Ops.route_frame ?id (Option.get slot.item))
+        emit st c (Ops.route_frame ?id (Option.get slot.item))
       | Batch_r { id; slots } ->
         let items = Array.to_list (Array.map (fun s -> Option.get s.item) slots) in
-        emit st c ~ok:true (Ops.batch_frame ?id items)
+        emit st c (Ops.batch_frame ?id items)
     in
     if alive then drain_replies st c
   end
@@ -325,7 +325,7 @@ let initiate_stop st =
 let handle_request st c now ?id req =
   match req with
   | Protocol.Ping ->
-    Queue.add (Ready { frame = Ops.ping_frame ?id (); ok = true }) c.replies
+    Queue.add (Ready (Ops.ping_frame ?id ())) c.replies
   | Protocol.Stats ->
     let svc_json, cache_counters =
       locked st (fun () ->
@@ -334,22 +334,17 @@ let handle_request st c now ?id req =
     in
     Queue.add
       (Ready
-         {
-           frame =
-             Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json
-               ~cache_counters ();
-           ok = true;
-         })
+         (Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json ~cache_counters ()))
       c.replies
   | Protocol.Route rr -> (
     match resolve_route st rr with
     | `Hit hit ->
       Queue.add
-        (Ready { frame = Ops.hit_frame ?id hit; ok = true })
+        (Ready (Ops.hit_frame ?id hit))
         c.replies
     | `Done item ->
       Queue.add
-        (Ready { frame = Ops.route_frame ?id item; ok = true })
+        (Ready (Ops.route_frame ?id item))
         c.replies
     | `Wait _ as w ->
       Queue.add (Route_r { id; slot = slot_of st now w }) c.replies)
@@ -366,14 +361,14 @@ let handle_request st c now ?id req =
         ~set_cache:(fun cache -> locked st (fun () -> st.cache <- cache))
         ?id action
     with
-    | `Reply frame -> Queue.add (Ready { frame; ok = true }) c.replies
+    | `Reply frame -> Queue.add (Ready frame) c.replies
     | `Error (code, msg) ->
       Queue.add
-        (Ready { frame = Protocol.error_frame ?id code msg; ok = true })
+        (Ready (Protocol.error_frame ?id code msg))
         c.replies)
   | Protocol.Shutdown ->
     Queue.add
-      (Ready { frame = Ops.shutdown_frame ?id (); ok = true })
+      (Ready (Ops.shutdown_frame ?id ()))
       c.replies;
     (* like the threaded connection loop: nothing after shutdown *)
     c.reading <- false;
@@ -389,7 +384,7 @@ let handle_line st c now line =
     match Protocol.parse_frame line with
     | Error (id, code, msg) ->
       Queue.add
-        (Ready { frame = Protocol.error_frame ?id code msg; ok = false })
+        (Ready (Protocol.error_frame ?id code msg))
         c.replies
     | Ok (id, req) -> (
       st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
@@ -400,18 +395,14 @@ let handle_line st c now line =
       with e ->
         Queue.add
           (Ready
-             {
-               frame =
-                 Protocol.error_frame ?id Protocol.Bad_request
-                   ("request failed: " ^ Printexc.to_string e);
-               ok = false;
-             })
+             (Protocol.error_frame ?id Protocol.Bad_request
+                ("request failed: " ^ Printexc.to_string e)))
           c.replies)
 
 (* The connection violated framing (oversized frame or a mid-frame
    stall): answer once, stop reading, close after the answer flushes. *)
 let poison _st c frame =
-  Queue.add (Ready { frame; ok = false }) c.replies;
+  Queue.add (Ready frame) c.replies;
   c.reading <- false;
   Queue.clear c.pending_lines;
   Buffer.clear c.ibuf;

@@ -259,6 +259,8 @@ let error_frame ?id code msg =
      ]
     @ match id with Some id -> [ ("id", id) ] | None -> [])
 
+let frame_ok frame = String.starts_with ~prefix:{|{"ok":true|} frame
+
 let route_payload ~fingerprint record =
   [
     ("fingerprint", Json.String fingerprint);

@@ -76,6 +76,11 @@ val ok_frame : ?id:Report.Json.t -> op:string -> (string * Report.Json.t) list -
 
 val error_frame : ?id:Report.Json.t -> error_code -> string -> string
 
+val frame_ok : string -> bool
+(** Whether a reply line carries ["ok":true]. Every reply the daemon
+    writes opens with its [ok] field, so the servers count replies by it:
+    a refused or failed [route] is an error whichever path answered it. *)
+
 val route_payload :
   fingerprint:string -> Report.Record.t -> (string * Report.Json.t) list
 (** The payload of a [route] reply or one [batch] result item. *)

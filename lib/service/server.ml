@@ -291,9 +291,9 @@ let handle_request st ?id req =
 
 (* ----------------------------------------------------------- connections *)
 
-let count_reply st ok =
+let count_reply st frame =
   locked st (fun () ->
-      if ok then
+      if Protocol.frame_ok frame then
         st.svc.Codar.Stats.responses_ok <- st.svc.Codar.Stats.responses_ok + 1
       else
         st.svc.Codar.Stats.responses_err <-
@@ -306,14 +306,14 @@ let handle_connection st fd =
   let timeout_s =
     Option.map (fun ms -> float_of_int ms /. 1000.) st.cfg.timeout_ms
   in
-  let send frame ~ok =
+  let send frame =
     (* count before writing: a client that has its reply in hand (and
        immediately asks for stats on another connection) must already see
        these bytes in the counters *)
     locked st (fun () ->
         st.svc.Codar.Stats.bytes_out <-
           st.svc.Codar.Stats.bytes_out + String.length frame + 1);
-    count_reply st ok;
+    count_reply st frame;
     match Frame.write ~inject:true fd frame with
     | () -> true
     | exception Unix.Unix_error _ ->
@@ -329,13 +329,13 @@ let handle_connection st fd =
       locked st (fun () ->
           st.svc.Codar.Stats.timeouts <- st.svc.Codar.Stats.timeouts + 1);
       ignore
-        (send ~ok:false
+        (send
            (Protocol.error_frame Protocol.Deadline_exceeded
               (Printf.sprintf "request frame not completed within %d ms"
                  (Option.value st.cfg.timeout_ms ~default:0))))
     | `Oversized ->
       ignore
-        (send ~ok:false
+        (send
            (Protocol.error_frame Protocol.Oversized
               (Printf.sprintf "request exceeds %d bytes"
                  st.cfg.max_request_bytes)))
@@ -349,22 +349,21 @@ let handle_connection st fd =
             st.svc.Codar.Stats.bytes_in + String.length line + 1);
       match Protocol.parse_frame line with
       | Error (id, code, msg) ->
-        if send ~ok:false (Protocol.error_frame ?id code msg) then loop ()
+        if send (Protocol.error_frame ?id code msg) then loop ()
       | Ok (id, req) ->
         locked st (fun () ->
             st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1);
         (* a request whose handling raises is answered, like the evented
            loop does, before the connection serves on *)
-        let frame, next, ok =
+        let frame, next =
           match handle_request st ?id req with
-          | frame, next -> (frame, next, true)
+          | reply -> reply
           | exception e ->
             ( Protocol.error_frame ?id Protocol.Bad_request
                 ("request failed: " ^ Printexc.to_string e),
-              `Keep,
-              false )
+              `Keep )
         in
-        let alive = send ~ok frame in
+        let alive = send frame in
         (match next with `Shutdown -> initiate_stop st | `Keep -> ());
         if alive && next = `Keep then loop ())
   in

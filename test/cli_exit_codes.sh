@@ -57,6 +57,23 @@ for body in 'qreg q[2];\ncx q[0],q[0];' \
   printf "OPENQASM 2.0;\n$body\n" > "$DIR/hostile$n.qasm"
   expect 3 "hostile QASM $n" "$CLI" map -i "$DIR/hostile$n.qasm"
 done
+# texts that expand past what the device runs are refused by the parser,
+# before placement or routing sees them (not 4): a register wider than
+# Tokyo, and 20 macros that each apply the one before twice (2^20 gates)
+printf 'OPENQASM 2.0;\nqreg q[2000000];\nh q;\n' > "$DIR/wide.qasm"
+expect 3 "register wider than the device" \
+  "$CLI" map -a tokyo -i "$DIR/wide.qasm"
+{
+  printf 'OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; }\n'
+  k=1
+  while [ "$k" -le 20 ]; do
+    printf 'gate g%d a { g%d a; g%d a; }\n' "$k" $((k - 1)) $((k - 1))
+    k=$((k + 1))
+  done
+  printf 'g20 q[0];\n'
+} > "$DIR/nest.qasm"
+expect 3 "macro nest past the gate bound" \
+  "$CLI" map -a tokyo -i "$DIR/nest.qasm"
 
 # 4: a circuit that cannot be placed on the device
 expect 4 "circuit too big for device" "$CLI" map -b qft_8 -a q5

@@ -205,6 +205,49 @@ let test_parse_unbound_param_line () =
         4 );
     ]
 
+(* [levels] gate macros, each applying the one before twice, over a body
+   of [leaf], applied once at line 3: 2^levels copies of [leaf]. *)
+let macro_nest ~leaf levels =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "qreg q[1];\n";
+  Printf.bprintf b "gate g0 a { %s }" leaf;
+  for k = 1 to levels do
+    Printf.bprintf b " gate g%d a { g%d a; g%d a; }" k (k - 1) (k - 1)
+  done;
+  Printf.bprintf b "\ng%d q[0];\n" levels;
+  Buffer.contents b
+
+(* A short text can name more work than any device runs: a register as
+   wide as memory, broadcast or nested macros that double per level. The
+   width is refused at the register, the expansion at the statement that
+   passes [max_gates]. *)
+let test_expansion_bounds () =
+  let refused_at src =
+    match parse src with
+    | _ -> Alcotest.failf "accepted %S" src
+    | exception Qasm.Parser.Parse_error (line, _) -> line
+  in
+  (match
+     Qasm.Parser.parse ~max_qubits:20 "qreg a[4];\nqreg q[2000000];\nh q;"
+   with
+  | _ -> Alcotest.fail "wider than the device accepted"
+  | exception Qasm.Parser.Too_wide { line; qubits; limit } ->
+    Alcotest.(check (list int)) "at the qreg, with the width and the bound"
+      [ 2; 2000004; 20 ] [ line; qubits; limit ]);
+  Alcotest.(check int) "as wide as the device parses" 20
+    (Qc.Circuit.n_qubits
+       (Qasm.Parser.parse ~max_qubits:20 "qreg a[4];\nqreg q[16];\nh q;"));
+  Alcotest.(check int) "broadcast past the bound" 2
+    (refused_at "qreg q[2000000];\nh q;");
+  Alcotest.(check int) "20 doubling macros" 3
+    (refused_at (macro_nest ~leaf:"h a;" 20));
+  Alcotest.(check int) "60 doubling empty macros" 3
+    (refused_at (macro_nest ~leaf:"" 60));
+  Alcotest.(check int) "a barrier on a huge register" 2
+    (refused_at "qreg q[4611686018427387903];\nbarrier q;");
+  Alcotest.(check int) "18 doubling macros parse" (1 lsl 18)
+    (Qc.Circuit.length (parse (macro_nest ~leaf:"h a;" 18)))
+
 (* ---------------------------------------------------------------- printer *)
 
 let test_printer_forms () =
@@ -592,6 +635,8 @@ let () =
           Alcotest.test_case "non-finite parameter" `Quick
             test_parse_non_finite;
           Alcotest.test_case "new rejections" `Quick test_new_rejections;
+          Alcotest.test_case "width and expansion bounds" `Quick
+            test_expansion_bounds;
           Alcotest.test_case "unbound parameter line" `Quick
             test_parse_unbound_param_line;
         ] );

@@ -237,11 +237,48 @@ let devices_small =
     Arch.Maqam.make ~coupling:(Arch.Devices.grid ~rows:2 ~cols:3) ~durations:sc;
     Arch.Maqam.make ~coupling:Arch.Devices.ibm_q5 ~durations:sc ]
 
+(* Beyond the four small devices: Sycamore's table and a sparse device's
+   point queries, so both distance reads are compared; and every
+   configuration knob, so the carried step state (pairs and totals kept
+   across SWAP steps) and the stamped decay meet resets after every SWAP,
+   after five and never, an empty extended set and decay off. A decay of
+   0.25 per SWAP, beside the default 0.001, is large enough that a total
+   carried wrong reorders the candidates. *)
+let devices_fuzz =
+  devices_small
+  @ [
+      Arch.Maqam.make ~coupling:Arch.Devices.sycamore_54 ~durations:sc;
+      Arch.Maqam.make
+        ~coupling:(Option.get (Arch.Devices.by_name "grid-9x9"))
+        ~durations:sc;
+    ]
+
 let prop_reference_fuzz =
-  QCheck.Test.make ~count:150 ~name:"incremental = reference on Fuzz.Gen"
-    QCheck.(pair (int_bound 1_000_000) (int_bound 3))
-    (fun (seed, d) ->
-      let maqam = List.nth devices_small d in
+  QCheck.Test.make ~count:500 ~name:"incremental = reference on Fuzz.Gen"
+    QCheck.(
+      triple (int_bound 1_000_000)
+        (int_bound (List.length devices_fuzz - 1))
+        (int_bound 26))
+    (fun (seed, d, k) ->
+      let maqam = List.nth devices_fuzz d in
+      let extended_size = [| 0; 1; 20 |].(k mod 3)
+      and decay_reset = [| 1; 5; 1000 |].(k / 3 mod 3)
+      and decay_delta = [| 0.; 0.001; 0.25 |].(k / 9) in
+      let config =
+        {
+          Sabre.Router.default_config with
+          extended_size;
+          decay_reset;
+          decay_delta;
+        }
+      and ref_config =
+        {
+          Reference_sabre.default_config with
+          extended_size;
+          decay_reset;
+          decay_delta;
+        }
+      in
       let rng = Random.State.make [| seed |] in
       let cfg =
         Fuzz.Gen.config
@@ -265,15 +302,18 @@ let prop_reference_fuzz =
         List.equal Qc.Gate.equal g g' && Arch.Layout.equal l l'
       in
       Result.equal ~ok:same_route ~error:String.equal
-        (outcome (fun () -> Sabre.Router.route_gates ~maqam ~initial circuit))
         (outcome (fun () ->
-             Reference_sabre.route_gates ~maqam ~initial circuit))
+             Sabre.Router.route_gates ~config ~maqam ~initial circuit))
+        (outcome (fun () ->
+             Reference_sabre.route_gates ~config:ref_config ~maqam ~initial
+               circuit))
       && Result.equal ~ok:Arch.Layout.equal ~error:String.equal
            (outcome (fun () ->
-                Sabre.Initial_mapping.reverse_traversal ~initial ~maqam
-                  circuit))
+                Sabre.Initial_mapping.reverse_traversal ~initial ~config
+                  ~maqam circuit))
            (outcome (fun () ->
-                Reference_sabre.reverse_traversal ~initial ~maqam circuit)))
+                Reference_sabre.reverse_traversal ~initial ~config:ref_config
+                  ~maqam circuit)))
 
 (* Systhreads of one domain share its scratch set: a route that finds it
    busy must work on its own, never on the other route's arrays. *)

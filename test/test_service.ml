@@ -370,6 +370,17 @@ let hostile_requests =
     ( "clbit index overflow",
       qasm "qreg q[2];\ncreg c[2];\nmeasure q[1] -> c[1e30];" );
     ("recursive macro", qasm "qreg q[1];\ngate g a { g a; }\ng q[0];");
+    (* texts that expand past what any device runs, refused by the parser
+       before the loop builds their gates: a register wider than the
+       device, and 20 macros that each apply the one before twice *)
+    ("register wider than the device", qasm "qreg q[2000000];\nh q;");
+    ( "macro nest past the gate bound",
+      qasm
+        ("qreg q[1];\ngate g0 a { h a; }\n"
+        ^ String.concat ""
+            (List.init 20 (fun k ->
+                 Printf.sprintf "gate g%d a { g%d a; g%d a; }\n" (k + 1) k k))
+        ^ "g20 q[0];") );
     ("ring under 3 qubits", {|{"op":"route","bench":"qft_4","arch":"ring-2"}|});
     ("negative linear", {|{"op":"route","bench":"qft_4","arch":"linear--3"}|});
   ]
@@ -389,6 +400,41 @@ let test_hostile_requests io_model () =
         hostile_requests);
   Alcotest.(check bool) "daemon survives" true
     (reply_ok (request sock {|{"op":"ping"}|}));
+  ignore (shutdown_and_join sock server)
+
+(* A reply is counted by its ok field, whichever path answered it: an
+   unknown benchmark, a QASM parse error and a route whose pool task
+   raises are three errors and no successes. *)
+let test_failed_routes_counted io_model () =
+  let sock = temp_sock "errcount" in
+  let server =
+    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
+  in
+  Service.Client.with_connection sock (fun t ->
+      let req = Service.Client.request t in
+      let counts () =
+        let s = req {|{"op":"stats"}|} in
+        ( counter [ "service"; "responses_ok" ] s,
+          counter [ "service"; "responses_err" ] s )
+      in
+      let ok0, err0 = counts () in
+      let refused name frame code =
+        Alcotest.(check string) name code (reply_code (req frame))
+      in
+      refused "unknown bench" {|{"op":"route","bench":"no_such_bench"}|}
+        "bad_request";
+      refused "parse error"
+        {|{"op":"route","qasm":"OPENQASM 2.0;\nqreg q[2];\nbananas;"}|}
+        "bad_request";
+      Faults.with_plan
+        (Faults.plan ~seed:1 [ (Faults.Pool_task_exn, 1.0) ])
+        (fun () ->
+          refused "route that raises" {|{"op":"route","bench":"qft_5"}|}
+            "route_failed");
+      let ok1, err1 = counts () in
+      (* the first stats reply is the one success in between *)
+      Alcotest.(check (pair int int)) "counted by ok field" (ok0 + 1, err0 + 3)
+        (ok1, err1));
   ignore (shutdown_and_join sock server)
 
 (* A warm route reply is written around the cache's stored record JSON;
@@ -835,6 +881,10 @@ let () =
             (test_hostile_requests Service.Config.Evented);
           Alcotest.test_case "hostile requests: threaded" `Quick
             (test_hostile_requests Service.Config.Threaded);
+          Alcotest.test_case "failed routes counted: evented" `Quick
+            (test_failed_routes_counted Service.Config.Evented);
+          Alcotest.test_case "failed routes counted: threaded" `Quick
+            (test_failed_routes_counted Service.Config.Threaded);
           Alcotest.test_case "cache survives restart" `Quick
             test_cache_survives_restart;
           Alcotest.test_case "memo: whitespace variants" `Quick
