@@ -1250,15 +1250,12 @@ let loadgen ?json ~conns_list ~duration ~trials () =
 
 (* ------------------------------------------------------------------ Scale *)
 
-(* bench scale: the route-time / footprint complexity curve over
-   (qubits × gates), from the dense 20-qubit devices up through the
-   100–400-qubit sparse tier (BENCH_PR10.json). Each cell resolves its
-   device through [Devices.by_name] (the same path the CLI takes), routes
-   one suite workload under the identity placement, verifies the
-   schedule, and records what the distance provider actually
-   materialised (BFS rows cached × row size). Sparse cells assert the
-   tier's defining property: no O(V²) matrix is ever built — their
-   [dist_bytes] must stay strictly below the dense table's [word·n²]. *)
+(* bench scale: the route-time complexity curve over (qubits × gates),
+   from the 20-qubit devices up through the 100–400-qubit large tier.
+   Each cell resolves its device through [Devices.by_name] (the same path
+   the CLI takes), routes one suite workload under the identity
+   placement, verifies the schedule, and records the build and route
+   time, the routed result and the allocation. *)
 
 let scale_device name =
   match Arch.Devices.by_name name with
@@ -1267,7 +1264,6 @@ let scale_device name =
 
 type scale_row = {
   sc_device : string;
-  sc_backend : string;
   sc_n : int;
   sc_edges : int;
   sc_workload : string;
@@ -1276,9 +1272,6 @@ type scale_row = {
   sc_route_ms : float;
   sc_makespan : int;
   sc_swaps : int;
-  sc_rows_cached : int;
-  sc_dist_bytes : int;
-  sc_dense_bytes : int;
   sc_alloc_mb : float;
   sc_top_heap_mb : float;
 }
@@ -1309,25 +1302,8 @@ let scale_cell (dname, wname) =
   | Error e ->
     Fmt.failwith "scale: %s on %s failed verify: %a" wname dname
       Schedule.Verify.pp_error e);
-  let word = Sys.word_size / 8 in
-  let dist_bytes = Arch.Coupling.dist_bytes coupling in
-  let dense_bytes = n * n * word in
-  let backend =
-    match Arch.Coupling.backend coupling with
-    | Arch.Coupling.Dense -> "dense"
-    | Arch.Coupling.Sparse ->
-      (* the whole point of the tier: the provider must not have built
-         an O(V²) matrix behind our back *)
-      if dist_bytes >= dense_bytes then
-        Fmt.failwith
-          "scale: sparse %s materialised %d distance bytes (dense table \
-           is %d) — provider is not sparse"
-          dname dist_bytes dense_bytes;
-      "sparse"
-  in
   {
     sc_device = dname;
-    sc_backend = backend;
     sc_n = n;
     sc_edges = List.length (Arch.Coupling.edges coupling);
     sc_workload = wname;
@@ -1336,18 +1312,15 @@ let scale_cell (dname, wname) =
     sc_route_ms = route_ms;
     sc_makespan = routed.Schedule.Routed.makespan;
     sc_swaps = Schedule.Routed.swap_count routed;
-    sc_rows_cached = Arch.Coupling.rows_cached coupling;
-    sc_dist_bytes = dist_bytes;
-    sc_dense_bytes = dense_bytes;
     sc_alloc_mb = alloc_mb;
     sc_top_heap_mb =
-      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * word)
+      float_of_int
+        ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
       /. 1048576.;
   }
 
 let scale ?json ~smoke () =
-  Fmt.pr
-    "@.== Scale: route time and distance footprint vs (qubits x gates) ==@.";
+  Fmt.pr "@.== Scale: route time vs (qubits x gates) ==@.";
   let cells =
     if smoke then [ ("tokyo", "qft_8"); ("heavy-hex-9", "ghz_128") ]
     else
@@ -1358,17 +1331,16 @@ let scale ?json ~smoke () =
         ("heavy-hex-7", "rand_100_20k");
         ("heavy-hex-9", "rand_128_100k");
         ("grid-20x20", "rand_128_100k");
-        (* 100k gates on heavy-hex-13 routes, but the degree-3 lattice's
-           long distances push it past the single-cell patience budget
-           (~10 min); the 20k workload pins the 409-qubit point at bench
-           scale, and the 100k/sparse claim is carried by heavy-hex-9 and
-           grid-20x20 above. *)
+        (* 100k gates on heavy-hex-13 do not finish: past the first
+           ~55k gates CODAR's forced SWAPs cycle (ROADMAP). The 20k
+           workload pins the 409-qubit point, and the 100k gates are
+           carried by heavy-hex-9 and grid-20x20 above. *)
         ("heavy-hex-13", "rand_100_20k");
       ]
   in
-  Fmt.pr "%-13s %-7s %4s %5s %-13s %7s %8s %9s %6s %5s %10s %11s %9s@."
-    "device" "backend" "n" "edges" "workload" "gates" "build_ms" "route_ms"
-    "swaps" "rows" "dist_bytes" "dense_bytes" "alloc_mb";
+  Fmt.pr "%-13s %4s %5s %-13s %7s %8s %9s %6s %8s %9s@." "device" "n"
+    "edges" "workload" "gates" "build_ms" "route_ms" "swaps" "makespan"
+    "alloc_mb";
   let rows =
     List.map
       (fun cell ->
@@ -1376,24 +1348,12 @@ let scale ?json ~smoke () =
            and the big cells take tens of seconds each *)
         Fmt.epr "scale: %s/%s...@." (fst cell) (snd cell);
         let r = scale_cell cell in
-        Fmt.pr "%-13s %-7s %4d %5d %-13s %7d %8.1f %9.1f %6d %5d %10d %11d \
-                %9.1f@."
-          r.sc_device r.sc_backend r.sc_n r.sc_edges r.sc_workload r.sc_gates
-          r.sc_build_ms r.sc_route_ms r.sc_swaps r.sc_rows_cached
-          r.sc_dist_bytes r.sc_dense_bytes r.sc_alloc_mb;
+        Fmt.pr "%-13s %4d %5d %-13s %7d %8.1f %9.1f %6d %8d %9.1f@."
+          r.sc_device r.sc_n r.sc_edges r.sc_workload r.sc_gates
+          r.sc_build_ms r.sc_route_ms r.sc_swaps r.sc_makespan r.sc_alloc_mb;
         r)
       cells
   in
-  let sparse = List.filter (fun r -> r.sc_backend = "sparse") rows in
-  if sparse <> [] then begin
-    let saved =
-      List.fold_left
-        (fun acc r -> acc + r.sc_dense_bytes - r.sc_dist_bytes)
-        0 sparse
-    in
-    Fmt.pr "@.sparse cells: %d, dense-table bytes avoided: %d@."
-      (List.length sparse) saved
-  end;
   match json with
   | None -> ()
   | Some path ->
@@ -1401,7 +1361,6 @@ let scale ?json ~smoke () =
       Report.Json.Obj
         [
           ("device", Report.Json.String r.sc_device);
-          ("backend", Report.Json.String r.sc_backend);
           ("qubits", Report.Json.Int r.sc_n);
           ("edges", Report.Json.Int r.sc_edges);
           ("workload", Report.Json.String r.sc_workload);
@@ -1410,9 +1369,6 @@ let scale ?json ~smoke () =
           ("route_ms", Report.Json.Float r.sc_route_ms);
           ("makespan", Report.Json.Int r.sc_makespan);
           ("swaps", Report.Json.Int r.sc_swaps);
-          ("dist_rows_cached", Report.Json.Int r.sc_rows_cached);
-          ("dist_bytes", Report.Json.Int r.sc_dist_bytes);
-          ("dense_table_bytes", Report.Json.Int r.sc_dense_bytes);
           ("route_alloc_mb", Report.Json.Float r.sc_alloc_mb);
           ("top_heap_mb", Report.Json.Float r.sc_top_heap_mb);
         ]
@@ -1420,7 +1376,7 @@ let scale ?json ~smoke () =
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-scale/1");
+          ("schema", Report.Json.String "codar-bench-scale/2");
           ("ocaml", Report.Json.String Sys.ocaml_version);
           ("smoke", Report.Json.Bool smoke);
           ("cells", Report.Json.List (List.map row_json rows));

@@ -43,11 +43,18 @@ let durations_of_string s =
   | Some d -> Ok d
   | None -> Error (`Msg (Fmt.str "unknown duration profile %S" s))
 
+let unknown_arch s =
+  Fmt.str
+    "unknown architecture %S: not a device name, or past the bound of %d \
+     qubits and %d couplers"
+    s Arch.Coupling.max_qubits
+    (8 * Arch.Coupling.max_qubits)
+
 let arch_conv =
   let parse s =
     match Arch.Devices.by_name s with
     | Some c -> Ok c
-    | None -> Error (`Msg (Fmt.str "unknown architecture %S" s))
+    | None -> Error (`Msg (unknown_arch s))
   in
   Arg.conv (parse, fun ppf c -> Fmt.string ppf (Arch.Coupling.name c))
 
@@ -938,7 +945,7 @@ let fuzz_cmd =
             (fun n ->
               match Arch.Devices.by_name n with
               | Some c -> (String.lowercase_ascii n, c)
-              | None -> Fmt.failwith "unknown architecture %S" n)
+              | None -> failwith (unknown_arch n))
             names
       in
       let cfg =
@@ -1019,14 +1026,11 @@ let devices_cmd =
   let run () =
     List.iter
       (fun c ->
-        Fmt.pr "%-22s %3d qubits  %4d edges  coords:%b  %s@."
+        Fmt.pr "%-22s %3d qubits  %4d edges  coords:%b@."
           (Arch.Coupling.name c)
           (Arch.Coupling.n_qubits c)
           (List.length (Arch.Coupling.edges c))
-          (Arch.Coupling.coords c <> None)
-          (match Arch.Coupling.backend c with
-          | Arch.Coupling.Dense -> "dense"
-          | Arch.Coupling.Sparse -> "sparse"))
+          (Arch.Coupling.coords c <> None))
       (Arch.Devices.evaluation_devices
       @ [
           Arch.Devices.ibm_q5;

@@ -189,26 +189,37 @@ let by_name s =
   | "sycamore" | "q54" | "google-q54-sycamore" -> Some sycamore_54
   | "q5" | "ibm-q5" -> Some ibm_q5
   | _ ->
-    (* a size the generator refuses (it would raise) is no device *)
-    let sized min make p =
+    (* a size the generator or [Coupling.make]'s bound refuses is no
+       device, and is refused before anything is built. The parameter is
+       capped at [max_qubits] before [fits] does any arithmetic on it, so
+       nothing overflows. *)
+    let sized ~min ~fits make p =
       match int_of_string_opt (suffix p) with
-      | Some n when n >= min && n <= Sys.max_array_length -> Some (make n)
+      | Some k when k >= min && k <= Coupling.max_qubits && fits k ->
+        Some (make k)
       | Some _ | None -> None
     in
-    if prefixed "linear-" then sized 0 linear "linear-"
-    else if prefixed "ring-" then sized 3 ring "ring-"
-    else if prefixed "full-" then sized 0 fully_connected "full-"
-    else if prefixed "heavy-hex-" then (
-      match int_of_string_opt (suffix "heavy-hex-") with
-      | Some d when d >= 3 && d mod 2 = 1 -> Some (heavy_hex ~distance:d)
-      | Some _ | None -> None)
+    let any _ = true in
+    if prefixed "linear-" then sized ~min:0 ~fits:any linear "linear-"
+    else if prefixed "ring-" then sized ~min:3 ~fits:any ring "ring-"
+    else if prefixed "full-" then
+      (* n(n-1)/2 couplers: the edge bound stops complete graphs first *)
+      sized ~min:0
+        ~fits:(fun n -> n * (n - 1) / 2 <= 8 * Coupling.max_qubits)
+        fully_connected "full-"
+    else if prefixed "heavy-hex-" then
+      sized ~min:3
+        ~fits:(fun d ->
+          d mod 2 = 1 && ((5 * d * d) - (2 * d) - 1) / 2 <= Coupling.max_qubits)
+        (fun d -> heavy_hex ~distance:d)
+        "heavy-hex-"
     else if prefixed "grid-" then
       match String.split_on_char 'x' (suffix "grid-") with
       | [ r; c ] -> (
         match (int_of_string_opt r, int_of_string_opt c) with
         | Some rows, Some cols
           when rows >= 0 && cols >= 0
-               && (rows = 0 || cols <= Sys.max_array_length / rows) ->
+               && (rows = 0 || cols <= Coupling.max_qubits / rows) ->
           Some (grid ~rows ~cols)
         | Some _, Some _ | None, _ | _, None -> None)
       | _ -> None

@@ -40,9 +40,10 @@ val heavy_hex : distance:int -> Coupling.t
     [n = (5d² - 2d - 1)/2] qubits (d² data + d(d-1) flags + (d²-1)/2
     syndromes), [3d² - 2d - 1] couplers, maximum degree 3, connected,
     with planar coordinates. [d = 7, 9, 11, 13] give the 115-, 193-,
-    291- and 409-qubit devices of the large-scale tier (all on the
-    sparse distance backend). Raises [Invalid_argument] on an even or
-    too-small distance. *)
+    291- and 409-qubit devices of the large-scale tier; [d = 19] (883
+    qubits) is the largest within {!Coupling.max_qubits}. Raises
+    [Invalid_argument] on an even or too-small distance, or past the
+    bound. *)
 
 val evaluation_devices : Coupling.t list
 (** The four architectures of Fig. 8: IBM Q16 Melbourne, Enfield 6×6,
@@ -51,7 +52,10 @@ val evaluation_devices : Coupling.t list
 val by_name : string -> Coupling.t option
 (** Lookup for the CLI: ["melbourne"], ["tokyo"], ["6x6"] / ["enfield"],
     ["sycamore"], ["q5"], ["linear-<n>"], ["ring-<n>"], ["grid-<r>x<c>"],
-    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names, and
-    sizes a generator refuses (negative sizes, rings under 3 qubits, even
-    heavy-hex distances, sizes past [Sys.max_array_length]), are [None],
-    which the CLI maps to its usage exit code. *)
+    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names, sizes
+    a generator refuses (negative sizes, rings under 3 qubits, even
+    heavy-hex distances) and devices past {!Coupling.make}'s bound (more
+    than {!Coupling.max_qubits} qubits or [8 * max_qubits] couplers:
+    [full-<n>] stops at 128) are [None], answered before anything is
+    built. The CLI answers [None] with a command-line error (exit 124)
+    and the daemon with [bad_request]. *)

@@ -51,13 +51,7 @@ let concat a b =
     invalid_arg "Circuit.concat: width mismatch";
   { a with gates = a.gates @ b.gates }
 
-let map_gates f c =
-  make ~n_qubits:c.n_qubits (List.map f c.gates)
-
 let filter_gates f c = { c with gates = List.filter f c.gates }
-
-let remap_qubits ~n_qubits f c =
-  make ~n_qubits (List.map (Gate.remap f) c.gates)
 
 let reverse c = { c with gates = List.rev c.gates }
 

@@ -18,9 +18,7 @@ val append : t -> Gate.t -> t
 val concat : t -> t -> t
 (** Sequential composition; both circuits must have the same width. *)
 
-val map_gates : (Gate.t -> Gate.t) -> t -> t
 val filter_gates : (Gate.t -> bool) -> t -> t
-val remap_qubits : n_qubits:int -> (int -> int) -> t -> t
 
 val reverse : t -> t
 (** Gate order reversed (used by SABRE's bidirectional initial-mapping pass);

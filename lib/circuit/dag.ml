@@ -41,8 +41,6 @@ let front_layer d ~done_ =
   in
   collect 0 []
 
-let topological_order d = List.init (n_nodes d) Fun.id
-
 let critical_path_length d ~weight =
   let n = n_nodes d in
   let finish = Array.make n 0 in

@@ -19,8 +19,5 @@ val front_layer : t -> done_:bool array -> int list
 (** Indices of gates whose predecessors are all marked done and which are not
     themselves done, in circuit order. *)
 
-val topological_order : t -> int list
-(** A topological order (circuit order is always one). *)
-
 val critical_path_length : t -> weight:(Gate.t -> int) -> int
 (** Longest weighted path; with [weight = fun _ -> 1] this is circuit depth. *)

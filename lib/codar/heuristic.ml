@@ -21,33 +21,20 @@ let moved (p1 : int) (p2 : int) (p : int) =
 (* Hot path: one run per fine tie-break / forced-swap comparison, O(pairs)
    each, so distances are read raw (the [-1] unreachable sentinel is
    turned into a typed failure, never arithmetic) and the coordinate
-   terms are computed without the Option boxing of the generic accessors.
-   On the dense backend that means indexing the flat table directly; on
-   the sparse one, [distance_raw] point queries (resident row or
-   early-exit BFS — never a full-row materialisation). Either way the
-   float operation sequence is exactly the historical one — [fine] must
-   stay bitwise identical across code revisions (and across backends:
-   point queries return the same integers the table would hold). *)
+   terms are computed without the Option boxing of the generic accessors:
+   distances index the flat table directly. The float operation sequence
+   is exactly the historical one — [fine] must stay bitwise identical
+   across code revisions. *)
 let evaluate_phys ~maqam ~phys_pairs ~swap:(p1, p2) =
   let coupling = Arch.Maqam.coupling maqam in
   let basic = ref 0 and fine = ref 0. in
-  let step_basic =
-    match Arch.Coupling.backend coupling with
-    | Arch.Coupling.Dense ->
-      let dist = Arch.Coupling.distance_table coupling in
-      let n = Arch.Coupling.n_qubits coupling in
-      fun a b a' b' ->
-        let d = dist.((a * n) + b) and d' = dist.((a' * n) + b') in
-        if d < 0 || d' < 0 then
-          invalid_arg "Heuristic.evaluate_phys: disconnected qubit pair";
-        basic := !basic + d - d'
-    | Arch.Coupling.Sparse ->
-      fun a b a' b' ->
-        let d = Arch.Coupling.distance_raw coupling a b
-        and d' = Arch.Coupling.distance_raw coupling a' b' in
-        if d < 0 || d' < 0 then
-          invalid_arg "Heuristic.evaluate_phys: disconnected qubit pair";
-        basic := !basic + d - d'
+  let dist = Arch.Coupling.distance_table coupling in
+  let n = Arch.Coupling.n_qubits coupling in
+  let step_basic a b a' b' =
+    let d = dist.((a * n) + b) and d' = dist.((a' * n) + b') in
+    if d < 0 || d' < 0 then
+      invalid_arg "Heuristic.evaluate_phys: disconnected qubit pair";
+    basic := !basic + d - d'
   in
   (match Arch.Coupling.coords coupling with
   | None ->

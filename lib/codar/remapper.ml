@@ -19,7 +19,7 @@ exception Stuck of string
 
 type state = {
   maqam : Arch.Maqam.t;
-  dsrc : Arch.Coupling.dsource;
+  dist : int array;  (* {!Arch.Coupling.distance_table} *)
   n_physical : int;
   config : config;
   stats : Stats.t;
@@ -58,11 +58,8 @@ type state = {
 
 let cf_front st = Cf_front.front ~stats:st.stats st.cf st.head
 
-(* An edge is a pair at distance 1: one table load on a dense device. *)
-let[@inline] adjacent st a b =
-  match st.dsrc with
-  | Arch.Coupling.Flat dist -> dist.((a * st.n_physical) + b) = 1
-  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
+(* An edge is a pair at distance 1: one table load. *)
+let[@inline] adjacent st a b = st.dist.((a * st.n_physical) + b) = 1
 
 let rec lock_free st = function
   | [] -> true
@@ -307,7 +304,7 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   let st =
     {
       maqam;
-      dsrc = Arch.Coupling.dsource (Arch.Maqam.coupling maqam);
+      dist = Arch.Coupling.distance_table (Arch.Maqam.coupling maqam);
       n_physical;
       config;
       stats;

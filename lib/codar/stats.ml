@@ -84,14 +84,6 @@ let cache_hit_rate c =
   let total = c.hits + c.misses in
   if total = 0 then 0. else float_of_int c.hits /. float_of_int total
 
-let pp_cache ppf c =
-  Fmt.pf ppf
-    "cache: %d hits, %d misses (%.1f%% hit rate); %d insertions; %d \
-     evictions; %d invalidations; %d memo hits"
-    c.hits c.misses
-    (100. *. cache_hit_rate c)
-    c.insertions c.evictions c.invalidations c.memo_hits
-
 (* ----------------------------------------------- routing-service counters *)
 
 type service = {
@@ -128,22 +120,6 @@ let service_create () =
     bytes_out = 0;
     wb_stalls = 0;
   }
-
-let service_reset s =
-  s.requests <- 0;
-  s.responses_ok <- 0;
-  s.responses_err <- 0;
-  s.routes_computed <- 0;
-  s.coalesced <- 0;
-  s.connections <- 0;
-  s.disconnects <- 0;
-  s.timeouts <- 0;
-  s.overloads <- 0;
-  s.conns_active <- 0;
-  s.conns_peak <- 0;
-  s.bytes_in <- 0;
-  s.bytes_out <- 0;
-  s.wb_stalls <- 0
 
 let pp_service ppf s =
   Fmt.pf ppf

@@ -65,8 +65,6 @@ val cache_reset : cache -> unit
 val cache_hit_rate : cache -> float
 (** Hits / lookups, in [0, 1]; [0.] before any lookup. *)
 
-val pp_cache : Format.formatter -> cache -> unit
-
 (** {2 Routing-service counters}
 
     Bumped by {!Service.Server} under the server lock. [coalesced] is the
@@ -98,5 +96,4 @@ type service = {
 }
 
 val service_create : unit -> service
-val service_reset : service -> unit
 val pp_service : Format.formatter -> service -> unit

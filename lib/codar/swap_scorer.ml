@@ -41,13 +41,12 @@
    set already covers; an objective whose bonus reads wider state sets
    [full_rescore] and every live candidate is repriced after each commit. *)
 
-(* PR 10: distances are provider-shaped: a flat table on dense couplings,
-   the memoised per-source rows on sparse ones. Edges are numbered by
-   their rank in the sorted edge list on every device, so per-edge state
-   has one slot per coupling edge, and each qubit keeps the ids of its
-   edges beside its neighbour list. The numbering is lexicographic in
-   [(u, v)], so a "smallest edge id" tie-break selects the
-   lexicographically smallest physical edge on every backend. *)
+(* Distances are read from the coupling's flat table. Edges are numbered
+   by their rank in the sorted edge list, so per-edge state has one slot
+   per coupling edge, and each qubit keeps the ids of its edges beside
+   its neighbour list. The numbering is lexicographic in [(u, v)], so a
+   "smallest edge id" tie-break selects the lexicographically smallest
+   physical edge. *)
 
 type eindex = {
   eu : int array;  (* edge id -> lower endpoint *)
@@ -60,7 +59,7 @@ type eindex = {
    any earlier cycle), so a cycle's work is loads and stores. *)
 type t = {
   n : int;
-  dsrc : Arch.Coupling.dsource;
+  dist : int array;  (* {!Arch.Coupling.distance_table} *)
   eidx : eindex;
   neighbors : int array array;
   coords : (float * float) array option;
@@ -118,7 +117,7 @@ type t = {
 let dummy_ctx =
   {
     Objective.n = 0;
-    dist_row = (fun _ -> [||]);
+    dist = [||];
     incident = (fun _ -> []);
     pair_fst = (fun _ -> 0);
     pair_snd = (fun _ -> 0);
@@ -176,7 +175,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   let t =
     {
       n;
-      dsrc = Arch.Coupling.dsource coupling;
+      dist = Arch.Coupling.distance_table coupling;
       eidx;
       neighbors;
       coords = Arch.Coupling.coords coupling;
@@ -224,7 +223,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   t.octx <-
     {
       Objective.n;
-      dist_row = Arch.Coupling.distance_row coupling;
+      dist = t.dist;
       incident = (fun p -> incident_list t (inc_first t p));
       pair_fst = (fun k -> t.pa.(k));
       pair_snd = (fun k -> t.pb.(k));
@@ -248,16 +247,13 @@ let touch_set t p v =
   t.touch.(p) <- v;
   t.touch_stamp.(p) <- t.epoch
 
-(* An edge is a pair at distance 1: one table load on a dense device. *)
-let[@inline] adjacent t a b =
-  match t.dsrc with
-  | Arch.Coupling.Flat dist -> dist.((a * t.n) + b) = 1
-  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
+(* An edge is a pair at distance 1: one table load. *)
+let[@inline] adjacent t a b = t.dist.((a * t.n) + b) = 1
 
 (* Σ over the pairs on [u]'s incidence list, bar those whose other
    endpoint is [v], of how much closer moving [u] to [v] brings the
    pair's other endpoint. *)
-let rec gain_flat t dist u v acc node =
+let rec gain t dist u v acc node =
   if node < 0 then acc
   else begin
     let k = node lsr 1 in
@@ -266,25 +262,7 @@ let rec gain_flat t dist u v acc node =
       if o <> v then acc + dist.((u * t.n) + o) - dist.((v * t.n) + o)
       else acc
     in
-    gain_flat t dist u v acc t.inc_next.(node)
-  end
-
-(* Point queries, not row fetches: a big device's routing working set
-   exceeds the bounded row cache, so materialising whole rows here would
-   recompute O(V)-sized BFS per score — the early-exit point query costs
-   only the ball around the pair. *)
-let rec gain_rows t c u v acc node =
-  if node < 0 then acc
-  else begin
-    let k = node lsr 1 in
-    let o = if t.pa.(k) = u then t.pb.(k) else t.pa.(k) in
-    let acc =
-      if o <> v then
-        acc + Arch.Coupling.distance_raw c u o
-        - Arch.Coupling.distance_raw c v o
-      else acc
-    in
-    gain_rows t c u v acc t.inc_next.(node)
+    gain t dist u v acc t.inc_next.(node)
   end
 
 (* Hbasic of swapping (u,v): only pairs incident to u or v contribute; the
@@ -292,11 +270,8 @@ let rec gain_rows t c u v acc node =
    skipped. *)
 let compute_basic t u v =
   t.stats.Stats.swap_rescores <- t.stats.Stats.swap_rescores + 1;
-  match t.dsrc with
-  | Arch.Coupling.Flat dist ->
-    gain_flat t dist v u (gain_flat t dist u v 0 (inc_first t u)) (inc_first t v)
-  | Arch.Coupling.Rows c ->
-    gain_rows t c v u (gain_rows t c u v 0 (inc_first t u)) (inc_first t v)
+  let dist = t.dist in
+  gain t dist v u (gain t dist u v 0 (inc_first t u)) (inc_first t v)
 
 (* Objective score of (u,v) given its Hbasic. Bonus-free objectives
    (makespan, t2) have [bonus_bound = 0] and skip the call entirely, so
@@ -639,18 +614,8 @@ let commit t x y =
 (* Distance gain of swapping edge [e] for the pair (a, b). *)
 let pair_gain t a b e =
   let u = edge_u t e and v = edge_v t e in
-  match t.dsrc with
-  | Arch.Coupling.Flat dist ->
-    let n = t.n in
-    dist.((a * n) + b) - dist.((mapped u v a * n) + mapped u v b)
-  | Arch.Coupling.Rows c ->
-    (* skip the lookup entirely for edges touching neither endpoint —
-       those cannot move the pair, so their gain is 0 by definition (at
-       most degree(a)+degree(b) point queries per call) *)
-    if a <> u && a <> v && b <> u && b <> v then 0
-    else
-      Arch.Coupling.distance_raw c a b
-      - Arch.Coupling.distance_raw c (mapped u v a) (mapped u v b)
+  let dist = t.dist and n = t.n in
+  dist.((a * n) + b) - dist.((mapped u v a * n) + mapped u v b)
 
 (* Forced-SWAP selection (deadlock escape): maximal distance gain for the
    oldest pending pair, then the regular objective-score priority (which

@@ -32,8 +32,8 @@ type config = {
           must still hold *)
   min_gates : int option;
       (** floor on each sampled case's body-gate count (width is
-          unchanged) — the large-scale-tier knob: pairing a wide device
-          with e.g. [Some 10_000] drives the sparse distance backend
+          unchanged) — the large-scale-tier knob: pairing a 100–400-qubit
+          device with e.g. [Some 10_000] drives its long distances
           through full-size circuits while staying reproducible from the
           same two integers *)
 }

@@ -27,18 +27,16 @@
      repairs), so they keep [full_rescore = false].
 
    The [ctx] record is the engine's read-only view handed to an
-   objective: a per-source distance-row accessor (backed by the flat
-   table on dense devices and the memoised sparse rows on large ones —
-   PR 10), the per-cycle pair incidence index, device calibration (when
-   the duration profile has one) and the SWAP duration. It is built once
-   per scorer, never per call. *)
+   objective: the device's flat distance table, the per-cycle pair
+   incidence index, device calibration (when the duration profile has
+   one) and the SWAP duration. It is built once per scorer, never per
+   call. *)
 
 type ctx = {
   n : int;  (** physical qubit count *)
-  dist_row : int -> int array;
-      (** [dist_row p] is qubit [p]'s full distance row ([n] entries, -1 =
-          unreachable): {!Arch.Coupling.distance_row}, memoised by the
-          provider, so fetch once per endpoint and index the row *)
+  dist : int array;
+      (** {!Arch.Coupling.distance_table}: [dist.(a * n + b)] is the
+          distance from [a] to [b], -1 when unreachable *)
   incident : int -> int list;
       (** pair indices incident to a physical qubit, this cycle *)
   pair_fst : int -> int;  (** current physical endpoints of a pair index *)
@@ -122,19 +120,20 @@ module Depth : S = struct
   let bonus_bound = 3
 
   let bonus ctx ~u ~v =
-    let ru = ctx.dist_row u and rv = ctx.dist_row v in
+    let dist = ctx.dist and n = ctx.n in
     let made_adjacent = ref 0 in
-    let side a b ra rb =
+    let side a b =
       (* pairs incident to [a]: endpoint [a] moves to [b] *)
       List.iter
         (fun k ->
           let pa = ctx.pair_fst k and pb = ctx.pair_snd k in
           let o = if pa = a then pb else pa in
-          if o <> b && ra.(o) > 1 && rb.(o) = 1 then incr made_adjacent)
+          if o <> b && dist.((a * n) + o) > 1 && dist.((b * n) + o) = 1 then
+            incr made_adjacent)
         (ctx.incident a)
     in
-    side u v ru rv;
-    side v u rv ru;
+    side u v;
+    side v u;
     min bonus_bound !made_adjacent
 
   let issue_min _ = 0

@@ -14,10 +14,10 @@
 
 type ctx = {
   n : int;  (** physical qubit count *)
-  dist_row : int -> int array;
-      (** [dist_row p] is qubit [p]'s distance row ([n] entries, [-1] =
-          unreachable) — provider-memoised, identical on the dense and
-          sparse backends; fetch once per endpoint, then index *)
+  dist : int array;
+      (** the device's flat distance table
+          ({!Arch.Coupling.distance_table}): [dist.(a * n + b)] is the
+          distance from [a] to [b], [-1] when unreachable *)
   incident : int -> int list;
       (** pair indices incident to a physical qubit, this cycle *)
   pair_fst : int -> int;  (** current physical endpoints of a pair index *)

@@ -745,9 +745,6 @@ let parse ?(max_qubits = max_int) src =
   statements st;
   Qc.Circuit.make ~n_qubits:st.n_qubits (List.rev st.gates_rev)
 
+(* read to end of file, not to a length taken up front: a pipe has none *)
 let parse_file ?max_qubits path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse ?max_qubits src
+  parse ?max_qubits (In_channel.with_open_bin path In_channel.input_all)

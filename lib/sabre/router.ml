@@ -176,7 +176,7 @@ type state = {
   config : config;
   sc : scratch;
   n : int;  (* physical qubits: a table row's length *)
-  dsrc : Arch.Coupling.dsource;
+  dist : int array;  (* {!Arch.Coupling.distance_table} *)
   mutable n_front : int;
   mutable released : int;  (* next free slot after the front *)
   mutable n_done : int;
@@ -207,17 +207,9 @@ type state = {
   mutable best_de : int;
 }
 
-(* Distances through the flat table on dense devices and point queries on
-   sparse ones, negative for an unreachable pair. *)
-let[@inline] dist st a b =
-  match st.dsrc with
-  | Arch.Coupling.Flat table -> table.((a * st.n) + b)
-  | Arch.Coupling.Rows c -> Arch.Coupling.distance_raw c a b
-
-let[@inline] adjacent st a b =
-  match st.dsrc with
-  | Arch.Coupling.Flat table -> table.((a * st.n) + b) = 1
-  | Arch.Coupling.Rows c -> Arch.Coupling.adjacent c a b
+(* Distances through the flat table, negative for an unreachable pair. *)
+let[@inline] dist st a b = st.dist.((a * st.n) + b)
+let[@inline] adjacent st a b = dist st a b = 1
 
 (* One gate issued: its successors with no pending predecessor left are
    appended after the front. *)
@@ -545,7 +537,7 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
       config;
       sc;
       n = n_physical;
-      dsrc = Arch.Coupling.dsource coupling;
+      dist = Arch.Coupling.distance_table coupling;
       n_front = !n_front;
       released = !n_front;
       n_done = 0;

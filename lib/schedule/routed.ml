@@ -28,17 +28,6 @@ let raw_depth ~n_physical t =
 let events_by_start t =
   List.stable_sort (fun a b -> Stdlib.compare a.start b.start) t.events
 
-let busy_intervals t ~n_physical =
-  let per_qubit = Array.make n_physical [] in
-  List.iter
-    (fun e ->
-      if e.duration > 0 then
-        List.iter
-          (fun q -> per_qubit.(q) <- (e.start, finish e) :: per_qubit.(q))
-          (Qc.Gate.qubits e.gate))
-    t.events;
-  Array.map (List.sort Stdlib.compare) per_qubit
-
 let pp_event ppf e =
   Fmt.pf ppf "[%4d,%4d) %a" e.start (finish e) Qc.Gate.pp e.gate
 

@@ -43,10 +43,6 @@ val raw_depth : n_physical:int -> t -> int
 val events_by_start : t -> event list
 (** Stable sort by start time. *)
 
-val busy_intervals : t -> n_physical:int -> (int * int) list array
-(** Per physical qubit, the (start, finish) intervals of events touching it,
-    sorted by start. Barriers (zero duration) are skipped. *)
-
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 (** A human-readable timeline. *)

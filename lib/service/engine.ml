@@ -171,7 +171,13 @@ let spec_of_route_req (r : Protocol.route_req) =
   let* coupling =
     match device with
     | Some c -> Ok c
-    | None -> Error (Printf.sprintf "unknown architecture %S" r.Protocol.arch)
+    | None ->
+      Error
+        (Printf.sprintf
+           "unknown architecture %S: not a device name, or past the bound of \
+            %d qubits and %d couplers"
+           r.Protocol.arch Arch.Coupling.max_qubits
+           (8 * Arch.Coupling.max_qubits))
   in
   let* durations =
     match durations_of_name r.Protocol.durations with

@@ -34,7 +34,3 @@ let estimated_success ~calibration ~n_physical (r : Schedule.Routed.t) =
                ~active_cycles:(float_of_int (r.makespan - t0)))
     first_touch;
   !gate_product *. !decoherence
-
-let compare_routers ~calibration ~n_physical ~codar ~sabre =
-  estimated_success ~calibration ~n_physical codar
-  /. estimated_success ~calibration ~n_physical sabre

@@ -23,12 +23,3 @@ val estimated_success :
   float
 (** Product of per-gate fidelities and per-active-qubit decoherence over the
     schedule's makespan. *)
-
-val compare_routers :
-  calibration:Arch.Calibration.t ->
-  n_physical:int ->
-  codar:Schedule.Routed.t ->
-  sabre:Schedule.Routed.t ->
-  float
-(** [estimated_success codar /. estimated_success sabre] — > 1 when CODAR's
-    shorter schedule wins despite extra SWAPs. *)

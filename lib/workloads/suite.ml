@@ -101,10 +101,10 @@ let all =
   in
   List.stable_sort (fun a b -> Stdlib.compare a.n_qubits b.n_qubits) entries
 
-(* Large-scale tier (PR 10): circuits sized for the 100–400-qubit sparse
-   devices, kept out of [all] so the paper's 71-benchmark envelope stays
-   pinned. Stretches to ~100k gates; everything is lazy, so nothing here
-   costs anything until a bench/fuzz run asks for it. *)
+(* Large-scale tier: circuits sized for the 100–400-qubit grid and
+   heavy-hex devices, kept out of [all] so the paper's 71-benchmark
+   envelope stays pinned. Stretches to ~100k gates; everything is lazy,
+   so nothing here costs anything until a bench/fuzz run asks for it. *)
 let large =
   let entries =
     [

@@ -19,7 +19,7 @@ val all : entry list
 val large : entry list
 (** The large-scale tier: 64–128-qubit circuits up to ~100 000 gates
     (GHZ-128, QFT-64, BV-128, a 12-layer QAOA-100 and two random
-    circuits), sized for the 100–400-qubit sparse-backend devices. Kept
+    circuits), sized for the 100–400-qubit grid and heavy-hex devices. Kept
     separate so {!all} stays at the paper's 71 benchmarks; ascending
     qubit order. *)
 

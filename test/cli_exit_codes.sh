@@ -7,6 +7,7 @@
 #   3  QASM parse/lex errors
 #   4  routing/placement failures (circuit does not fit the device)
 #   5  I/O errors (unwritable output, no daemon on the socket)
+#   124  a bad option value, cmdliner's own code (an unknown device)
 #
 # Usage: cli_exit_codes.sh path/to/codar_cli.exe
 set -u
@@ -29,6 +30,11 @@ expect() {
 
 # 0: the happy path stays 0
 expect 0 "clean route" "$CLI" map -b qft_4
+# QASM read from a pipe, which has no length to size the read by
+printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0],q[1];\n' \
+  > "$DIR/good.qasm"
+expect 0 "QASM from a pipe" \
+  sh -c 'cat "$1" | "$2" map -a tokyo -i /dev/stdin' sh "$DIR/good.qasm" "$CLI"
 
 printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbananas;\n' \
   > "$DIR/bad.qasm"
@@ -36,6 +42,9 @@ printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbananas;\n' \
 # 2: usage errors (the --input file must exist — cmdliner checks first)
 expect 2 "unknown benchmark" "$CLI" map -b no_such_bench
 expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
+# 124 (cmdliner's own code for a bad option value): a device past
+# Coupling.max_qubits, refused before it is built
+expect 124 "device past the size bound" "$CLI" map -b qft_4 -a linear-1000000
 
 # 3: QASM that does not parse
 expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"

@@ -137,7 +137,7 @@ let prop_distance_metric =
       done;
       !ok)
 
-(* ---------------------------------------------- sparse distance provider *)
+(* --------------------------------------------------------- distance table *)
 
 (* Random couplings up to 200 qubits: a random spanning tree (with some
    child edges optionally dropped, so multi-component graphs — and their
@@ -186,105 +186,106 @@ let big_graph_arb =
         es)
     big_graph_gen
 
-(* The tentpole equivalence: on any coupling — connected or not — the
-   sparse provider's rows hold exactly the integers the dense table
-   would, -1 unreachable sentinel included. Row-cache eviction churns
-   throughout (the cap is 64, n goes to 200), so the bounded cache is
-   exercised too. *)
-let prop_sparse_equals_dense =
+(* An oracle written apart from [Coupling.make]'s BFS: Floyd–Warshall
+   over the edge list, with unreachable pairs mapped to the -1 sentinel. *)
+let floyd_warshall n edges =
+  let inf = max_int / 2 in
+  let d =
+    Array.init n (fun a -> Array.init n (fun b -> if a = b then 0 else inf))
+  in
+  List.iter
+    (fun (a, b) ->
+      d.(a).(b) <- 1;
+      d.(b).(a) <- 1)
+    edges;
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      let dik = d.(i).(k) in
+      for j = 0 to n - 1 do
+        if dik + d.(k).(j) < d.(i).(j) then d.(i).(j) <- dik + d.(k).(j)
+      done
+    done
+  done;
+  Array.map (Array.map (fun x -> if x >= inf then -1 else x)) d
+
+(* On any coupling — connected or not — the table holds exactly the
+   reference's integers, -1 sentinel included, and adjacency, diameter
+   and connectivity agree with the edge list and the reference. *)
+let prop_table_equals_floyd_warshall =
   QCheck.Test.make ~count:100
-    ~name:"sparse provider rows = dense matrix rows (incl. -1 sentinel)"
+    ~name:"distance table = Floyd-Warshall reference (incl. -1 sentinel)"
     big_graph_arb
     (fun (n, edges) ->
-      let dense =
-        Arch.Coupling.make ~backend:Arch.Coupling.Dense ~name:"d" ~n edges
-      in
-      let sparse =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"s" ~n edges
-      in
-      let ok = ref true in
-      (* Point queries on a virgin sparse twin first: with no row resident,
-         distance_raw must answer through the early-exit point BFS, and the
-         integers must match the dense table exactly. *)
-      let virgin =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"v" ~n edges
-      in
+      let g = Arch.Coupling.make ~name:"g" ~n edges in
+      let fw = floyd_warshall n edges in
+      let is_edge = Array.make_matrix n n false in
+      List.iter
+        (fun (a, b) ->
+          is_edge.(a).(b) <- true;
+          is_edge.(b).(a) <- true)
+        edges;
+      let ok = ref true and diameter = ref 0 and connected = ref true in
       for a = 0 to n - 1 do
-        let b = (a * 7 + 3) mod n in
-        if Arch.Coupling.distance_raw virgin a b
-           <> Arch.Coupling.distance_raw dense a b
-        then ok := false
-      done;
-      for a = 0 to n - 1 do
-        if Arch.Coupling.distance_row dense a
-           <> Arch.Coupling.distance_row sparse a
-        then ok := false
-      done;
-      if Arch.Coupling.rows_cached sparse > Arch.Coupling.dense_limit then
-        ok := false;
-      if Arch.Coupling.diameter dense <> Arch.Coupling.diameter sparse then
-        ok := false;
-      if Arch.Coupling.connected dense <> Arch.Coupling.connected sparse then
-        ok := false;
-      !ok)
-
-(* Landmark/coordinate estimates must be admissible: never above the true
-   distance on connected pairs, 0 exactly on the diagonal. *)
-let prop_lower_bound_admissible =
-  QCheck.Test.make ~count:60
-    ~name:"distance_lower_bound is an admissible estimate" big_graph_arb
-    (fun (n, edges) ->
-      let g =
-        Arch.Coupling.make ~backend:Arch.Coupling.Sparse ~name:"s" ~n edges
-      in
-      let ok = ref true in
-      for a = 0 to n - 1 do
-        let row = Arch.Coupling.distance_row g a in
         for b = 0 to n - 1 do
-          let lb = Arch.Coupling.distance_lower_bound g a b in
-          if a = b then begin
-            if lb <> 0 then ok := false
-          end
-          else if row.(b) >= 0 then
-            if lb < 1 || lb > row.(b) then ok := false
+          let d = fw.(a).(b) in
+          if Arch.Coupling.distance_raw g a b <> d then ok := false;
+          if Arch.Coupling.adjacent g a b <> is_edge.(a).(b) then ok := false;
+          if d > !diameter then diameter := d;
+          if d < 0 then connected := false
         done
       done;
-      !ok)
+      !ok
+      && Arch.Coupling.diameter g = !diameter
+      && Arch.Coupling.connected g = !connected)
 
-let test_sparse_backend_selection () =
-  (* the threshold: 64 stays dense (Sycamore included), 65 goes sparse *)
-  Alcotest.(check bool) "sycamore dense" true
-    (Arch.Coupling.backend Arch.Devices.sycamore_54 = Arch.Coupling.Dense);
-  Alcotest.(check bool) "linear-64 dense" true
-    (Arch.Coupling.backend (Arch.Devices.linear 64) = Arch.Coupling.Dense);
-  Alcotest.(check bool) "linear-65 sparse" true
-    (Arch.Coupling.backend (Arch.Devices.linear 65) = Arch.Coupling.Sparse);
-  (* a sparse device refuses to materialise the O(V^2) table *)
-  Alcotest.(check bool) "distance_table raises on sparse" true
-    (try
-       ignore (Arch.Coupling.distance_table (Arch.Devices.linear 65));
-       false
-     with Invalid_argument _ -> true);
-  (* the row cache stays bounded no matter how many sources are touched *)
-  let g = Arch.Devices.linear 150 in
-  for src = 0 to 149 do
-    ignore (Arch.Coupling.distance_row g src)
-  done;
-  Alcotest.(check bool) "row cache bounded" true
-    (Arch.Coupling.rows_cached g <= Arch.Coupling.dense_limit);
-  Alcotest.(check bool) "footprint below dense" true
-    (Arch.Coupling.dist_bytes g < 150 * 150 * (Sys.word_size / 8));
-  (* evicted rows recompute to the same values *)
-  Alcotest.(check int) "recomputed row agrees" 149
-    (Arch.Coupling.distance_row g 0).(149)
+(* [max_qubits] bounds the table at 8 MB: [make] refuses a qubit or an
+   edge past the bound, and [by_name] answers [None] for every name whose
+   device [make] would refuse, before building it. *)
+let test_size_bound () =
+  let bound = Arch.Coupling.max_qubits in
+  Alcotest.(check int) "max_qubits" 1024 bound;
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "make refuses 1025 qubits" true
+    (refused (fun () -> Arch.Coupling.make ~name:"x" ~n:(bound + 1) []));
+  Alcotest.(check bool) "make takes 1024 qubits" false
+    (refused (fun () -> Arch.Coupling.make ~name:"x" ~n:bound []));
+  (* 8193 distinct edges among 1024 qubits: every qubit to its next 8
+     (8192 edges), plus one more *)
+  let edges =
+    List.concat
+      (List.init bound (fun a ->
+           List.init 8 (fun k -> (a, (a + k + 1) mod bound))))
+  in
+  Alcotest.(check bool) "make takes 8192 edges" false
+    (refused (fun () -> Arch.Coupling.make ~name:"x" ~n:bound edges));
+  Alcotest.(check bool) "make refuses 8193 edges" true
+    (refused (fun () ->
+         Arch.Coupling.make ~name:"x" ~n:bound ((0, 100) :: edges)));
+  List.iter
+    (fun name ->
+      match Arch.Devices.by_name name with
+      | Some c ->
+        Alcotest.(check bool) (name ^ ": table of at most 8 MB") true
+          (Arch.Coupling.dist_bytes c <= 8 * 1024 * 1024)
+      | None -> Alcotest.failf "by_name refuses %s" name)
+    [ "linear-1024"; "grid-32x32"; "full-128"; "heavy-hex-19" ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " refused") true
+        (Arch.Devices.by_name name = None))
+    [
+      "linear-1025"; "grid-33x32"; "full-129"; "heavy-hex-21";
+      "linear-1000000"; "full-2000"; "ring-1025";
+      "grid-4611686018427387904x4"; "heavy-hex-4611686018427387903";
+    ]
 
 let test_sparse_disconnected () =
-  (* deterministic multi-component check on a >dense_limit device *)
+  (* deterministic multi-component check on a 100-qubit device *)
   let edges = List.init 48 (fun i -> (i, i + 1)) in
   let edges = edges @ List.init 49 (fun i -> (50 + i, 51 + i)) in
   let g = Arch.Coupling.make ~name:"two-islands-100" ~n:100 edges in
-  Alcotest.(check bool) "sparse" true
-    (Arch.Coupling.backend g = Arch.Coupling.Sparse);
   Alcotest.(check bool) "not connected" false (Arch.Coupling.connected g);
   Alcotest.(check int) "cross-component raw sentinel"
     Arch.Coupling.unreachable_distance
@@ -367,13 +368,7 @@ let test_heavy_hex () =
   Alcotest.(check int) "d=9 is 193" 193 (size 9);
   Alcotest.(check int) "d=11 is 291" 291 (size 11);
   Alcotest.(check int) "d=13 is 409" 409 (size 13);
-  (* backend: d=3 (19 qubits) stays dense, the big ones go sparse *)
-  Alcotest.(check bool) "d=3 dense" true
-    (Arch.Coupling.backend (Arch.Devices.heavy_hex ~distance:3)
-    = Arch.Coupling.Dense);
-  Alcotest.(check bool) "d=7 sparse" true
-    (Arch.Coupling.backend (Arch.Devices.heavy_hex ~distance:7)
-    = Arch.Coupling.Sparse);
+  Alcotest.(check int) "d=19 is 883" 883 (size 19);
   let rejects d =
     try
       ignore (Arch.Devices.heavy_hex ~distance:d);
@@ -408,13 +403,7 @@ let test_by_name () =
   Alcotest.(check bool) "tiny heavy-hex" true
     (Arch.Devices.by_name "heavy-hex-1" = None);
   Alcotest.(check bool) "garbled heavy-hex" true
-    (Arch.Devices.by_name "heavy-hex-x" = None);
-  (* names over dense_limit resolve onto the sparse backend *)
-  (match Arch.Devices.by_name "grid-20x20" with
-  | Some c ->
-    Alcotest.(check bool) "grid-20x20 sparse" true
-      (Arch.Coupling.backend c = Arch.Coupling.Sparse)
-  | None -> Alcotest.fail "grid-20x20 not found")
+    (Arch.Devices.by_name "heavy-hex-x" = None)
 
 let test_ring_grid () =
   let r = Arch.Devices.ring 6 in
@@ -656,12 +645,10 @@ let () =
         ] );
       ( "provider",
         [
-          Alcotest.test_case "backend selection" `Quick
-            test_sparse_backend_selection;
+          Alcotest.test_case "device size bound" `Quick test_size_bound;
           Alcotest.test_case "sparse disconnected" `Quick
             test_sparse_disconnected;
-          QCheck_alcotest.to_alcotest prop_sparse_equals_dense;
-          QCheck_alcotest.to_alcotest prop_lower_bound_admissible;
+          QCheck_alcotest.to_alcotest prop_table_equals_floyd_warshall;
         ] );
       ( "devices",
         [

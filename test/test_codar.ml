@@ -783,7 +783,7 @@ let scratch_octx ~maqam ~pairs =
   in
   {
     Objective.n;
-    dist_row = Arch.Coupling.distance_row coupling;
+    dist = Arch.Coupling.distance_table coupling;
     incident;
     pair_fst = (fun k -> fst arr.(k));
     pair_snd = (fun k -> snd arr.(k));

@@ -95,56 +95,30 @@ let prop_random_matches_reference =
       = List.length b.Schedule.Routed.events
       && List.for_all2 event_eq a.events b.events)
 
-(* PR 10: routing must not depend on the distance backend. A sparse-forced
-   clone of Tokyo must yield byte-identical schedules to the dense
-   original — every event, every objective — because the provider's rows
-   hold the same integers the table would and the CSR edge numbering is
-   order-isomorphic to the square one (smallest-edge tie-breaks agree). *)
-let sparse_clone c =
-  Arch.Coupling.make
-    ?coords:(Arch.Coupling.coords c)
-    ~backend:Arch.Coupling.Sparse
-    ~name:(Arch.Coupling.name c)
-    ~n:(Arch.Coupling.n_qubits c)
-    (Arch.Coupling.edges c)
-
-let render (r : Schedule.Routed.t) =
-  Fmt.str "makespan=%d %a" r.makespan (Fmt.list ~sep:Fmt.semi pp_event)
-    r.events
-
-let test_dense_sparse_identical () =
-  let coupling = Arch.Devices.ibm_q20_tokyo in
-  Alcotest.(check bool) "clone is sparse" true
-    (Arch.Coupling.backend (sparse_clone coupling) = Arch.Coupling.Sparse);
-  let sparse_m =
-    Arch.Maqam.make ~coupling:(sparse_clone coupling) ~durations:sc
-  in
-  let entries =
-    match Workloads.Suite.find "qft_8" with
-    | Some e -> e :: List.filter (fun (x : Workloads.Suite.entry) -> x.name <> "qft_8") subset
-    | None -> Alcotest.fail "qft_8 missing from suite"
-  in
+(* Devices past the paper's, pinned event for event against the seed
+   router: random circuits on heavy-hex-7 (115 qubits) and grid-10x10
+   (100) under the identity layout, where CODAR inserts hundreds of
+   SWAPs. *)
+let test_large_matches_seed_reference () =
   List.iter
-    (fun (e : Workloads.Suite.entry) ->
-      let circuit = Lazy.force e.circuit in
-      let initial =
-        Arch.Layout.identity ~n_logical:e.n_qubits ~n_physical:20
+    (fun (device, n, gates, seed) ->
+      let coupling = Option.get (Arch.Devices.by_name device) in
+      let maqam = Arch.Maqam.make ~coupling ~durations:sc in
+      let circuit =
+        Workloads.Builders.random_circuit ~n ~gates ~two_qubit_fraction:0.45
+          ~seed
       in
-      List.iter
-        (fun objective ->
-          let config = { Codar.Remapper.default_config with objective } in
-          let dense =
-            Codar.Remapper.run ~config ~maqam:tokyo ~initial circuit
-          in
-          let sparse =
-            Codar.Remapper.run ~config ~maqam:sparse_m ~initial circuit
-          in
-          Alcotest.(check string)
-            (Fmt.str "%s/%s: dense = sparse schedule" e.name
-               (Objective.name objective))
-            (render dense) (render sparse))
-        Objective.all)
-    entries
+      let initial =
+        Arch.Layout.identity ~n_logical:n
+          ~n_physical:(Arch.Coupling.n_qubits coupling)
+      in
+      let now = Codar.Remapper.run ~maqam ~initial circuit in
+      let seed_r = Reference_remapper.run ~maqam ~initial circuit in
+      let what = Fmt.str "%dq x %d (seed %d) on %s" n gates seed device in
+      Alcotest.(check (list event_t)) (what ^ ": events = seed router")
+        seed_r.events now.events;
+      Alcotest.(check int) (what ^ ": makespan") seed_r.makespan now.makespan)
+    [ ("heavy-hex-7", 80, 300, 1); ("grid-10x10", 100, 500, 4) ]
 
 let has_measure (c : Qc.Circuit.t) =
   Array.exists
@@ -180,13 +154,8 @@ let () =
           Alcotest.test_case "10-benchmark subset = seed router" `Quick
             test_matches_seed_reference;
           QCheck_alcotest.to_alcotest prop_random_matches_reference;
-        ] );
-      ( "backend equivalence",
-        [
-          Alcotest.test_case
-            "dense vs sparse-forced: byte-identical schedules, all \
-             objectives"
-            `Quick test_dense_sparse_identical;
+          Alcotest.test_case "heavy-hex-7 and grid-10x10 = seed router"
+            `Quick test_large_matches_seed_reference;
         ] );
       ( "unitary equivalence",
         [

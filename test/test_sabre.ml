@@ -198,15 +198,12 @@ let test_reference_rand_prefix () =
         maqam prefix)
     fig8_maqams
 
-(* Devices over 64 qubits take their distances from the sparse provider,
-   point queries instead of a table: delta scoring asks it for different
-   pairs than a full rescore, so pin both against the reference there. *)
-let test_reference_sparse () =
+(* Devices of 100 qubits and more, beyond the paper's: delta scoring on
+   their long distances, pinned against the reference. *)
+let test_reference_large () =
   List.iter
     (fun (name, seed) ->
       let coupling = Option.get (Arch.Devices.by_name name) in
-      Alcotest.(check bool) (name ^ " is sparse") true
-        (Arch.Coupling.backend coupling = Arch.Coupling.Sparse);
       let maqam = Arch.Maqam.make ~coupling ~durations:sc in
       let circuit =
         Workloads.Builders.random_circuit ~n:80 ~gates:300
@@ -237,8 +234,8 @@ let devices_small =
     Arch.Maqam.make ~coupling:(Arch.Devices.grid ~rows:2 ~cols:3) ~durations:sc;
     Arch.Maqam.make ~coupling:Arch.Devices.ibm_q5 ~durations:sc ]
 
-(* Beyond the four small devices: Sycamore's table and a sparse device's
-   point queries, so both distance reads are compared; and every
+(* Beyond the four small devices: Sycamore and the 81-qubit grid-9x9,
+   whose long distances the small devices lack; and every
    configuration knob, so the carried step state (pairs and totals kept
    across SWAP steps) and the stamped decay meet resets after every SWAP,
    after five and never, an empty extended set and decay off. A decay of
@@ -370,8 +367,8 @@ let () =
             test_reference_fig8;
           Alcotest.test_case "rand_16_30k prefix, every device" `Quick
             test_reference_rand_prefix;
-          Alcotest.test_case "sparse devices: grid-10x10, heavy-hex-7" `Quick
-            test_reference_sparse;
+          Alcotest.test_case "large devices: grid-10x10, heavy-hex-7" `Quick
+            test_reference_large;
           Alcotest.test_case "disconnected device" `Quick
             test_reference_disconnected;
           QCheck_alcotest.to_alcotest prop_reference_fuzz;

@@ -383,6 +383,14 @@ let hostile_requests =
         ^ "g20 q[0];") );
     ("ring under 3 qubits", {|{"op":"route","bench":"qft_4","arch":"ring-2"}|});
     ("negative linear", {|{"op":"route","bench":"qft_4","arch":"linear--3"}|});
+    (* devices past Coupling.max_qubits (qubits, or couplers for a
+       complete graph), refused before the loop builds them *)
+    ( "linear past the qubit bound",
+      {|{"op":"route","bench":"ghz_3","arch":"linear-1000000"}|} );
+    ( "complete graph past the edge bound",
+      {|{"op":"route","bench":"ghz_3","arch":"full-2000"}|} );
+    ( "grid past the qubit bound",
+      {|{"op":"route","bench":"ghz_3","arch":"grid-33x32"}|} );
   ]
 
 let test_hostile_requests io_model () =
@@ -398,6 +406,20 @@ let test_hostile_requests io_model () =
           Alcotest.(check bool) (name ^ ": ping answers") true
             (reply_ok (Service.Client.request t {|{"op":"ping"}|})))
         hostile_requests);
+  (* the refusal names the bound *)
+  let reply =
+    request sock {|{"op":"route","bench":"ghz_3","arch":"full-129"}|}
+  in
+  let needle = Printf.sprintf "%d qubits" Arch.Coupling.max_qubits in
+  let rec names_bound msg i =
+    i + String.length needle <= String.length msg
+    && (String.sub msg i (String.length needle) = needle
+       || names_bound msg (i + 1))
+  in
+  (match Json.member "error" (parse_reply reply) with
+  | Some (Json.String msg) ->
+    Alcotest.(check bool) ("bound named: " ^ msg) true (names_bound msg 0)
+  | _ -> Alcotest.failf "refusal without an error message: %S" reply);
   Alcotest.(check bool) "daemon survives" true
     (reply_ok (request sock {|{"op":"ping"}|}));
   ignore (shutdown_and_join sock server)
