@@ -7,6 +7,7 @@
      dune exec bench/main.exe ablation   -- design-choice ablations
      dune exec bench/main.exe perf       -- Bechamel router micro-benchmarks
      dune exec bench/main.exe fig8-fast  -- fig8 on a subset (CI-friendly)
+     dune exec bench/main.exe framing    -- daemon CPU of one large frame
 
    The routing sweeps (fig8, fig9, ablation) are independent-job fan-outs;
    `--jobs N` (or `-j N`, anywhere on the command line) routes them over a
@@ -1248,6 +1249,133 @@ let loadgen ?json ~conns_list ~duration ~trials () =
     close_out oc;
     Fmt.pr "wrote %s@." path
 
+(* ---------------------------------------------------------------- Framing *)
+
+(* bench framing: the daemon CPU one large frame costs, read in pieces.
+   A forked daemon per io model (defaults: the 8 MiB frame cap) gets one
+   newline-terminated frame of [size] bytes of 'x', written [piece] bytes
+   per write; the CPU the daemon spent from the first byte to the reply
+   (a [parse] error, at once) is read from /proc/<pid>/stat, in 10 ms
+   ticks. Framing that copies and re-scans the buffered partial frame on
+   every read is quadratic in the frame size; the framer is linear. *)
+
+let framing_cases =
+  let mib = 1024 * 1024 in
+  (8 * mib, 65536) :: List.map (fun m -> (m * mib, 4096)) [ 1; 2; 4; 8 ]
+
+let proc_cpu_s pid =
+  let ic = open_in (Fmt.str "/proc/%d/stat" pid) in
+  let stat =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+  in
+  (* utime and stime, in ticks: fields 14 and 15, the 12th and 13th
+     after the ")" that closes the command name *)
+  let i = String.rindex stat ')' + 2 in
+  let fields =
+    Array.of_list
+      (String.split_on_char ' ' (String.sub stat i (String.length stat - i)))
+  in
+  (float_of_string fields.(11) +. float_of_string fields.(12)) /. 100.
+
+let framing_cell ~io_model =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "codar-framing-%d-%s.sock" (Unix.getpid ())
+         (Service.Config.io_model_to_string io_model))
+  in
+  let pid = Unix.fork () in
+  if pid = 0 then begin
+    (try
+       ignore
+         (Service.Server.run
+            (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ()))
+     with _ -> ());
+    Unix._exit 0
+  end;
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      if tries = 0 then failwith "framing: daemon did not come up";
+      Unix.sleepf 0.02;
+      connect (tries - 1)
+  in
+  Unix.close (connect 500);
+  let rows =
+    List.map
+      (fun (size, piece) ->
+        let frame = String.make size 'x' ^ "\n" in
+        let fd = connect 0 in
+        let cpu0 = proc_cpu_s pid and t0 = Unix.gettimeofday () in
+        let pos = ref 0 in
+        while !pos < String.length frame do
+          let n = min piece (String.length frame - !pos) in
+          pos := !pos + Unix.write_substring fd frame !pos n
+        done;
+        let reply =
+          match Service.Frame.read (Service.Frame.reader fd) with
+          | `Line l -> l
+          | `Eof | `Oversized | `Timeout -> "(no reply)"
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        let cpu = proc_cpu_s pid -. cpu0 in
+        Unix.close fd;
+        if not (String.starts_with ~prefix:{|{"ok":false,"code":"parse"|} reply)
+        then Fmt.failwith "framing: unexpected reply %S" reply;
+        Fmt.pr "%-8s %4d MiB frame, %5d B writes: daemon cpu %6.2f s, wall %6.2f s@."
+          (Service.Config.io_model_to_string io_model)
+          (size / (1024 * 1024)) piece cpu wall;
+        (size, piece, cpu, wall))
+      framing_cases
+  in
+  Service.Client.with_connection sock (fun t ->
+      ignore (Service.Client.request t {|{"op":"shutdown"}|}));
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, _ -> failwith "framing: daemon child did not exit cleanly");
+  rows
+
+let framing ?json () =
+  Fmt.pr "@.== Framing: one large frame, daemon CPU to the reply ==@.";
+  let cells =
+    List.map
+      (fun io_model -> (io_model, framing_cell ~io_model))
+      [ Service.Config.Evented; Service.Config.Threaded ]
+  in
+  match json with
+  | None -> ()
+  | Some path ->
+    let row io_model (size, piece, cpu, wall) =
+      Report.Json.Obj
+        [
+          ( "io_model",
+            Report.Json.String (Service.Config.io_model_to_string io_model) );
+          ("frame_bytes", Report.Json.Int size);
+          ("write_bytes", Report.Json.Int piece);
+          ("daemon_cpu_s", Report.Json.Float cpu);
+          ("wall_s", Report.Json.Float wall);
+        ]
+    in
+    let doc =
+      Report.Json.Obj
+        [
+          ("schema", Report.Json.String "codar-bench-framing/1");
+          ("ocaml", Report.Json.String Sys.ocaml_version);
+          ( "cells",
+            Report.Json.List
+              (List.concat_map
+                 (fun (io_model, rows) -> List.map (row io_model) rows)
+                 cells) );
+        ]
+    in
+    let oc = open_out path in
+    Report.Json.output oc doc;
+    close_out oc;
+    Fmt.pr "wrote %s@." path
+
 (* ------------------------------------------------------------------ Scale *)
 
 (* bench scale: the route-time complexity curve over (qubits × gates),
@@ -1255,7 +1383,9 @@ let loadgen ?json ~conns_list ~duration ~trials () =
    Each cell resolves its device through [Devices.by_name] (the same path
    the CLI takes), routes one suite workload under the identity
    placement, verifies the schedule, and records the build and route
-   time, the routed result and the allocation. *)
+   time, the routed result and the allocation. The build time is what
+   [by_name] cost: a device's first cell builds it, later cells find it
+   memoised. *)
 
 let scale_device name =
   match Arch.Devices.by_name name with
@@ -1391,7 +1521,7 @@ let usage () =
   Fmt.epr
     "usage: main.exe \
      [all|table1|fig8|fig8-fast|fig9|ablation|initmap|swaps|baselines|esp|\
-     objectives|perf|smoke|loadgen|scale] [-j|--jobs N] [--json PATH]\n\
+     objectives|perf|smoke|loadgen|scale|framing] [-j|--jobs N] [--json PATH]\n\
     \       main.exe loadgen [--conns N,N,..] [--duration S] [--smoke] \
      [--json PATH]\n\
     \       main.exe scale [--smoke] [--json PATH]@.";
@@ -1465,6 +1595,9 @@ let () =
   | "scale" :: rest ->
     (* sequential by design: route times are the measurement *)
     scale_cmd ?json rest
+  | [ "framing" ] ->
+    (* forks daemon children, like loadgen *)
+    framing ?json ()
   | _ ->
     Pool.with_pool ~jobs (fun pool ->
       match args with

@@ -2,6 +2,7 @@ type t = {
   name : string;
   one_qubit_fidelity : float;
   two_qubit_fidelity : float;
+  swap_fidelity : float;  (* three two-qubit gates *)
   readout_fidelity : float;
   t1_cycles : float;
   t2_cycles : float;
@@ -20,7 +21,8 @@ let make ~name ~one_qubit_fidelity ~two_qubit_fidelity ~readout_fidelity
     invalid_arg "Calibration.make: time constants must be positive";
   if t2_cycles > 2. *. t1_cycles then
     invalid_arg "Calibration.make: unphysical (t2 > 2*t1)";
-  { name; one_qubit_fidelity; two_qubit_fidelity; readout_fidelity;
+  { name; one_qubit_fidelity; two_qubit_fidelity;
+    swap_fidelity = two_qubit_fidelity ** 3.; readout_fidelity;
     t1_cycles; t2_cycles }
 
 let name t = t.name
@@ -32,8 +34,7 @@ let t2_cycles t = t.t2_cycles
 
 let gate_fidelity t = function
   | Qc.Gate.One _ -> t.one_qubit_fidelity
-  | Qc.Gate.Two (Qc.Gate.Swap, _, _) ->
-    t.two_qubit_fidelity ** 3.
+  | Qc.Gate.Two (Qc.Gate.Swap, _, _) -> t.swap_fidelity
   | Qc.Gate.Two ((Qc.Gate.CX | Qc.Gate.CZ | Qc.Gate.XX _ | Qc.Gate.Rzz _), _, _)
     ->
     t.two_qubit_fidelity

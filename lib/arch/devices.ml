@@ -176,6 +176,67 @@ let heavy_hex ~distance =
 let evaluation_devices =
   [ ibm_q16_melbourne; enfield_6x6; ibm_q20_tokyo; sycamore_54 ]
 
+(* Generated devices are memoised by canonical name: [by_name] runs on
+   every daemon request the request memo does not answer, and building a
+   device fills its n² distance table (grid-32x32: 8 MB, ~21 ms). The
+   tables held stay within [generated_budget] bytes and the entries
+   within [generated_max] (zero-qubit grids have empty tables), least
+   recently used first out. Named presets are built once at start-up
+   and are not in the table. *)
+let generated_budget = 16 * 1024 * 1024
+let generated_max = 64
+
+type entry = { coupling : Coupling.t; mutable used : int }
+
+let generated : (string, entry) Hashtbl.t = Hashtbl.create 16
+let generated_lock = Mutex.create ()
+let held_bytes = ref 0
+let clock = ref 0
+
+let evict_lru () =
+  let lru =
+    Hashtbl.fold
+      (fun k e acc ->
+        match acc with
+        | Some (_, u) when u <= e.used -> acc
+        | _ -> Some (k, e.used))
+      generated None
+  in
+  Option.iter
+    (fun (k, _) ->
+      held_bytes :=
+        !held_bytes - Coupling.dist_bytes (Hashtbl.find generated k).coupling;
+      Hashtbl.remove generated k)
+    lru
+
+let memoised key build =
+  Mutex.protect generated_lock (fun () ->
+      incr clock;
+      match Hashtbl.find_opt generated key with
+      | Some e ->
+        e.used <- !clock;
+        e.coupling
+      | None ->
+        let coupling = build () in
+        let bytes = Coupling.dist_bytes coupling in
+        if bytes <= generated_budget then begin
+          (* terminates: an emptied table holds no bytes and no device *)
+          while
+            Hashtbl.length generated >= generated_max
+            || !held_bytes + bytes > generated_budget
+          do
+            evict_lru ()
+          done;
+          Hashtbl.replace generated key { coupling; used = !clock };
+          held_bytes := !held_bytes + bytes
+        end;
+        coupling)
+
+let generated_bytes () = Mutex.protect generated_lock (fun () -> !held_bytes)
+
+let generated_length () =
+  Mutex.protect generated_lock (fun () -> Hashtbl.length generated)
+
 let by_name s =
   let s = String.lowercase_ascii s in
   let prefixed p = String.length s > String.length p
@@ -196,7 +257,7 @@ let by_name s =
     let sized ~min ~fits make p =
       match int_of_string_opt (suffix p) with
       | Some k when k >= min && k <= Coupling.max_qubits && fits k ->
-        Some (make k)
+        Some (memoised (p ^ string_of_int k) (fun () -> make k))
       | Some _ | None -> None
     in
     let any _ = true in
@@ -220,7 +281,9 @@ let by_name s =
         | Some rows, Some cols
           when rows >= 0 && cols >= 0
                && (rows = 0 || cols <= Coupling.max_qubits / rows) ->
-          Some (grid ~rows ~cols)
+          Some
+            (memoised (Printf.sprintf "grid-%dx%d" rows cols) (fun () ->
+                 grid ~rows ~cols))
         | Some _, Some _ | None, _ | _, None -> None)
       | _ -> None
     else None

@@ -58,4 +58,24 @@ val by_name : string -> Coupling.t option
     than {!Coupling.max_qubits} qubits or [8 * max_qubits] couplers:
     [full-<n>] stops at 128) are [None], answered before anything is
     built. The CLI answers [None] with a command-line error (exit 124)
-    and the daemon with [bad_request]. *)
+    and the daemon with [bad_request].
+
+    A generated name ([linear-], [ring-], [full-], [heavy-hex-],
+    [grid-]) is memoised by its canonical name: asking again returns the
+    physically same coupling, without rebuilding its distance table. The
+    tables held stay within {!generated_budget} bytes and the devices
+    within {!generated_max}, least recently used evicted first. *)
+
+val generated_budget : int
+(** Bytes of distance tables ({!Coupling.dist_bytes}) the memo of
+    generated devices may hold together: 16 MiB, two of the largest
+    devices. *)
+
+val generated_max : int
+(** Generated devices the memo may hold (64), whatever their size. *)
+
+val generated_bytes : unit -> int
+(** Bytes of distance tables the memo holds now. *)
+
+val generated_length : unit -> int
+(** Generated devices the memo holds now. *)

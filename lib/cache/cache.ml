@@ -7,9 +7,10 @@
    persistence file or a service reply pays — so the byte cap tracks real
    memory within a small constant.
 
-   The request memo maps a request key (the request text and its options,
-   built by the caller) straight to a record's node, so a repeated request
-   skips parsing and fingerprinting. Keys hang off their node: they count
+   The request memo maps a request key (built by the caller: a raw frame
+   line, or the request text and its options) straight to a record's
+   node, so a repeated request skips decoding, parsing and
+   fingerprinting. Keys hang off their node: they count
    toward its size, at most [memo_per_record] per node, and go with the
    node when it is evicted, replaced or cleared. All keys together stay
    under [memo_max_bytes]. The memo holds no records of its own and is

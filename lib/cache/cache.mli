@@ -15,10 +15,14 @@
     entries are evicted first. An oversized single entry is kept (alone)
     rather than thrashed.
 
-    A request memo lets a repeated request skip parsing and
+    A request memo lets a repeated request skip decoding, parsing and
     fingerprinting: {!memoise} attaches a request key to a cached record,
-    {!find_memo} answers it. The memo holds no records — its keys go with
-    their record — and is never persisted. *)
+    {!find_memo} answers it. Keys are opaque strings chosen by the
+    caller; the daemon uses the raw line of an id-less route frame and
+    [Service.Engine.request_key] for every other route request, two key
+    spaces that cannot overlap (a line starts with [{], a request key
+    with [b] or [q]). The memo holds no records — its keys go with their
+    record — and is never persisted. *)
 
 module Fingerprint : module type of Fingerprint
 (** Request fingerprinting — the cache key ([Cache.Fingerprint]). *)
@@ -52,8 +56,8 @@ val find_memo : t -> string -> hit option
     when that record is still cached. A hit counts one cache
     hit (and one memo hit) and refreshes recency, as {!find} does; a miss
     counts nothing, so the caller's fallback {!find} counts it once.
-    Request keys are hashed whole and compared byte for byte: a hash
-    collision can only miss. *)
+    Keys are hashed whole and compared byte for byte: a hash collision
+    can only miss. *)
 
 val memoise : t -> string -> fingerprint:string -> unit
 (** [memoise t request ~fingerprint] attaches the request key to the

@@ -4,7 +4,7 @@
    what [Dag.critical_path_length] takes over its pred lists. *)
 let rec ready_max ready acc = function
   | [] -> acc
-  | q :: rest -> ready_max ready (max acc ready.(q)) rest
+  | q :: rest -> ready_max ready (Int.max acc ready.(q)) rest
 
 let rec set_ready ready f = function
   | [] -> ()
@@ -15,11 +15,11 @@ let rec set_ready ready f = function
 let finish_time ready g w =
   match g with
   | Gate.One (_, q) | Gate.Measure (q, _) ->
-    let f = max 0 ready.(q) + w in
+    let f = Int.max 0 ready.(q) + w in
     ready.(q) <- f;
     f
   | Gate.Two (_, a, b) ->
-    let f = max 0 (max ready.(a) ready.(b)) + w in
+    let f = Int.max 0 (Int.max ready.(a) ready.(b)) + w in
     ready.(a) <- f;
     ready.(b) <- f;
     f
@@ -30,9 +30,11 @@ let finish_time ready g w =
 
 let weighted_depth ~weight c =
   let ready = Array.make (Circuit.n_qubits c) 0 in
-  List.fold_left
-    (fun acc g -> max acc (finish_time ready g (weight g)))
-    0 (Circuit.gates c)
+  let rec go acc = function
+    | [] -> acc
+    | g :: rest -> go (Int.max acc (finish_time ready g (weight g))) rest
+  in
+  go 0 (Circuit.gates c)
 
 let depth c = weighted_depth ~weight:(fun _ -> 1) c
 

@@ -132,14 +132,14 @@ type t = {
 
 let max_qubit acc g =
   match g with
-  | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) -> max acc q
-  | Qc.Gate.Two (_, a, b) -> max acc (max a b)
-  | Qc.Gate.Barrier qs -> List.fold_left max acc qs
+  | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) -> Int.max acc q
+  | Qc.Gate.Two (_, a, b) -> Int.max acc (Int.max a b)
+  | Qc.Gate.Barrier qs -> List.fold_left Int.max acc qs
 
 let create ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued () =
   let n = Array.length gates in
   let n_qubits = 1 + Array.fold_left max_qubit (-1) gates in
-  let cap = 2 * (min window n + 2) in
+  let cap = 2 * (Int.min window n + 2) in
   {
     window;
     max_chain;

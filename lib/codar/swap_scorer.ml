@@ -171,7 +171,7 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
   let edge_slots = Array.length eidx.eu in
   (* [visit] doubles as a per-qubit marker in [commit], so it must cover
      qubit ids even when the edge count is below n (trees) *)
-  let visit_slots = max edge_slots n in
+  let visit_slots = Int.max edge_slots n in
   let t =
     {
       n;
@@ -281,13 +281,13 @@ let compute_basic t u v =
    objective must score an edge identically on both paths. *)
 let score_of t u v basic =
   if t.bonus_bound = 0 then basic
-  else (t.scale * basic) + t.obj_bonus t.octx ~u:(min u v) ~v:(max u v)
+  else (t.scale * basic) + t.obj_bonus t.octx ~u:(Int.min u v) ~v:(Int.max u v)
 
 (* [a] with room for index [i], its first [len] entries kept. *)
 let room a len i =
   if i < Array.length a then a
   else begin
-    let a' = Array.make (max 16 (2 * (i + 1))) 0 in
+    let a' = Array.make (Int.max 16 (2 * (i + 1))) 0 in
     Array.blit a 0 a' 0 len;
     a'
   end
@@ -342,7 +342,7 @@ let rescore t e =
 
 let ensure_pair_capacity t m =
   if Array.length t.pa < m then begin
-    let cap = max 16 (max m (2 * Array.length t.pa)) in
+    let cap = Int.max 16 (Int.max m (2 * Array.length t.pa)) in
     t.pa <- Array.make cap 0;
     t.pb <- Array.make cap 0;
     t.pnonadj <- Array.make cap false;
@@ -375,7 +375,7 @@ let begin_cycle t ~time ~pairs ~n_pairs =
   (* score range: [-scale*m, scale*m + bonus_bound] *)
   let n_buckets = (2 * t.scale * m) + t.bonus_bound + 1 in
   if Array.length t.bk < n_buckets then begin
-    let cap = max n_buckets (2 * Array.length t.bk) in
+    let cap = Int.max n_buckets (2 * Array.length t.bk) in
     let bk = Array.make cap [||] in
     Array.blit t.bk 0 bk 0 (Array.length t.bk);
     t.bk <- bk;
@@ -476,7 +476,7 @@ let best t =
   else begin
     t.token <- t.token + 1;
     let e =
-      descend t (min t.qmax ((2 * t.scale * t.m) + t.bonus_bound)) t.token
+      descend t (Int.min t.qmax ((2 * t.scale * t.m) + t.bonus_bound)) t.token
     in
     if e < 0 then t.qmax <- -1;
     e

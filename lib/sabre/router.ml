@@ -520,7 +520,7 @@ let route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
       incr n_front
     end
   done;
-  let n_pairs = n_logical + max 0 (min config.extended_size n) in
+  let n_pairs = n_logical + Int.max 0 (Int.min config.extended_size n) in
   sc.marked <- grow sc.marked n_physical 0;
   sc.pair_at <- grow sc.pair_at n_physical 0;
   sc.pair_stamp <- grow sc.pair_stamp n_physical 0;

@@ -11,8 +11,9 @@ type t = {
 let finish e = e.start + e.duration
 
 let swap_count t =
-  List.length
-    (List.filter (fun e -> e.inserted && Qc.Gate.is_swap e.gate) t.events)
+  List.fold_left
+    (fun n e -> if e.inserted && Qc.Gate.is_swap e.gate then n + 1 else n)
+    0 t.events
 
 let gate_count t = List.length t.events
 
@@ -21,12 +22,14 @@ let to_physical_circuit ~n_physical t =
 
 let raw_depth ~n_physical t =
   let ready = Array.make n_physical 0 in
-  List.fold_left
-    (fun acc e -> max acc (Qc.Metrics.finish_time ready e.gate 1))
-    0 t.events
+  let rec go acc = function
+    | [] -> acc
+    | e :: rest -> go (Int.max acc (Qc.Metrics.finish_time ready e.gate 1)) rest
+  in
+  go 0 t.events
 
 let events_by_start t =
-  List.stable_sort (fun a b -> Stdlib.compare a.start b.start) t.events
+  List.stable_sort (fun a b -> Int.compare a.start b.start) t.events
 
 let pp_event ppf e =
   Fmt.pf ppf "[%4d,%4d) %a" e.start (finish e) Qc.Gate.pp e.gate

@@ -58,23 +58,17 @@ let request_many t lines =
         try Unix.clear_nonblock t.fd with Unix.Unix_error _ -> ())
       (fun () ->
         let pos = ref 0 in
-        let inbuf = Buffer.create 1024 in
+        let inbuf = Frame.framer ~max_bytes:max_int in
         let chunk = Bytes.create 65536 in
         let replies = ref [] in
         let count = ref 0 in
-        let drain_lines () =
-          let s = Buffer.contents inbuf in
-          match String.rindex_opt s '\n' with
-          | None -> ()
-          | Some last ->
-            Buffer.clear inbuf;
-            Buffer.add_substring inbuf s (last + 1)
-              (String.length s - last - 1);
-            List.iter
-              (fun l ->
-                incr count;
-                replies := l :: !replies)
-              (String.split_on_char '\n' (String.sub s 0 last))
+        let rec drain_lines () =
+          match Frame.next inbuf with
+          | `Line l ->
+            incr count;
+            replies := l :: !replies;
+            drain_lines ()
+          | `Partial | `Oversized -> ()
         in
         while !count < n do
           let want_write = if !pos < total then [ t.fd ] else [] in
@@ -92,7 +86,7 @@ let request_many t lines =
               match Unix.read t.fd chunk 0 (Bytes.length chunk) with
               | 0 -> failwith "Service.Client: server closed the connection"
               | k ->
-                Buffer.add_subbytes inbuf chunk 0 k;
+                Frame.feed inbuf chunk 0 k;
                 drain_lines ()
               | exception
                   Unix.Unix_error

@@ -11,8 +11,9 @@
         ▲                                                        │
         └──────────── reply bytes drained to the socket ◀────────┘
 
-   - Inbound bytes accumulate in [ibuf]; complete lines move to
-     [pending_lines] and are handled in order. Replies are *units* in
+   - Inbound bytes accumulate in [input] (a {!Frame.framer}: linear in
+     the bytes received, however they are split into reads); complete
+     lines are taken from it and handled in order. Replies are *units* in
      [replies]: an immediate frame ([Ready]) or a route/batch whose slots
      still wait on an in-flight [pending]. Units serialise strictly in
      FIFO order, so pipelined clients get answers in request order.
@@ -57,8 +58,7 @@ type reply =
 
 type conn = {
   fd : Unix.file_descr;
-  ibuf : Buffer.t;  (* partial inbound frame *)
-  pending_lines : string Queue.t;  (* complete, not yet handled *)
+  input : Frame.framer;  (* unhandled lines and the partial frame *)
   mutable frame_start : float option;
   replies : reply Queue.t;
   mutable out_cur : string;  (* in-flight write snapshot; "" = none *)
@@ -271,9 +271,9 @@ let rec flush_out st c =
    bad request resolves now; otherwise the slot waits on the in-flight
    [pending] (enqueueing a fresh one under admission control). A hit
    stays a [`Hit], so a route reply can splice its stored JSON. *)
-let resolve_route st (rr : Protocol.route_req) =
+let resolve_route st ?line (rr : Protocol.route_req) =
   match
-    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
+    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) ?line rr
       ~miss:(fun fp spec ->
         if st.stop then `Done Ops.stopping_item
         else begin
@@ -322,7 +322,7 @@ let initiate_stop st =
         Condition.broadcast st.cond
       end)
 
-let handle_request st c now ?id req =
+let handle_request st c now ?id ~line req =
   match req with
   | Protocol.Ping ->
     Queue.add (Ready (Ops.ping_frame ?id ())) c.replies
@@ -337,7 +337,7 @@ let handle_request st c now ?id req =
          (Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json ~cache_counters ()))
       c.replies
   | Protocol.Route rr -> (
-    match resolve_route st rr with
+    match resolve_route st ?line:(Ops.line_key ?id line) rr with
     | `Hit hit ->
       Queue.add
         (Ready (Ops.hit_frame ?id hit))
@@ -372,8 +372,7 @@ let handle_request st c now ?id req =
       c.replies;
     (* like the threaded connection loop: nothing after shutdown *)
     c.reading <- false;
-    Queue.clear c.pending_lines;
-    Buffer.clear c.ibuf;
+    Frame.clear c.input;
     c.frame_start <- None;
     c.close_after_flush <- true;
     initiate_stop st
@@ -381,31 +380,36 @@ let handle_request st c now ?id req =
 let handle_line st c now line =
   if line = "" then () (* tolerate keep-alive blank lines *)
   else
-    match Protocol.parse_frame line with
-    | Error (id, code, msg) ->
-      Queue.add
-        (Ready (Protocol.error_frame ?id code msg))
-        c.replies
-    | Ok (id, req) -> (
+    match Ops.find_line ~m:st.m ~cache:(fun () -> st.cache) line with
+    | Some hit ->
+      (* a repeated id-less route frame, answered from its bytes *)
       st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
-      (* the per-request barrier: this runs on the loop's own thread, so a
-         request whose handling raises is answered here, and the loop
-         serves on, rather than the exception stopping the daemon *)
-      try handle_request st c now ?id req
-      with e ->
+      Queue.add (Ready (Ops.hit_frame hit)) c.replies
+    | None -> (
+      match Protocol.parse_frame line with
+      | Error (id, code, msg) ->
         Queue.add
-          (Ready
-             (Protocol.error_frame ?id Protocol.Bad_request
-                ("request failed: " ^ Printexc.to_string e)))
-          c.replies)
+          (Ready (Protocol.error_frame ?id code msg))
+          c.replies
+      | Ok (id, req) -> (
+        st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
+        (* the per-request barrier: this runs on the loop's own thread, so a
+           request whose handling raises is answered here, and the loop
+           serves on, rather than the exception stopping the daemon *)
+        try handle_request st c now ?id ~line req
+        with e ->
+          Queue.add
+            (Ready
+               (Protocol.error_frame ?id Protocol.Bad_request
+                  ("request failed: " ^ Printexc.to_string e)))
+            c.replies))
 
 (* The connection violated framing (oversized frame or a mid-frame
    stall): answer once, stop reading, close after the answer flushes. *)
 let poison _st c frame =
   Queue.add (Ready frame) c.replies;
   c.reading <- false;
-  Queue.clear c.pending_lines;
-  Buffer.clear c.ibuf;
+  Frame.clear c.input;
   c.frame_start <- None;
   c.close_after_flush <- true
 
@@ -414,49 +418,26 @@ let oversized st c =
     (Protocol.error_frame Protocol.Oversized
        (Printf.sprintf "request exceeds %d bytes" st.cfg.max_request_bytes))
 
-(* Move complete lines out of [ibuf] into [pending_lines] and handle as
-   many as backpressure allows; enforce the frame cap while buffering. *)
-let process_input st c now =
-  let s = Buffer.contents c.ibuf in
-  (match String.rindex_opt s '\n' with
-  | None -> ()
-  | Some last ->
-    Buffer.clear c.ibuf;
-    Buffer.add_substring c.ibuf s (last + 1) (String.length s - last - 1);
-    (* a leftover partial frame restarts the clock rather than clearing
-       it: a pipelined chunk ending mid-frame must still observe the
-       read deadline (Frame.read re-arms the same way) *)
-    c.frame_start <- (if Buffer.length c.ibuf > 0 then Some now else None);
-    List.iter
-      (fun l -> Queue.add l c.pending_lines)
-      (String.split_on_char '\n' (String.sub s 0 last)));
-  if Buffer.length c.ibuf > st.cfg.max_request_bytes then oversized st c
-  else begin
-    (let rec handle () =
-       if (not c.stalled) && not (Queue.is_empty c.pending_lines) then begin
-         let line = Queue.pop c.pending_lines in
-         if String.length line > st.cfg.max_request_bytes then oversized st c
-         else begin
-           handle_line st c now line;
-           if Hashtbl.mem st.conns c.fd then handle ()
-         end
-       end
-     in
-     handle ());
-    (* an EOF'd connection's unterminated trailer is a final frame
-       (lenient EOF framing, like the blocking reader) *)
-    if
-      (not c.reading) && (not c.stalled)
-      && Queue.is_empty c.pending_lines
-      && Buffer.length c.ibuf > 0
-      && Hashtbl.mem st.conns c.fd
-    then begin
-      let line = Buffer.contents c.ibuf in
-      Buffer.clear c.ibuf;
-      c.frame_start <- None;
-      handle_line st c now line
-    end
-  end
+(* Handle the buffered lines in order, as far as backpressure allows;
+   the framer enforces the frame cap on what is buffered. *)
+let rec process_input st c now =
+  if (not c.stalled) && Hashtbl.mem st.conns c.fd then
+    match Frame.next c.input with
+    | `Line line ->
+      (* a leftover partial frame restarts the clock rather than clearing
+         it: a pipelined chunk ending mid-frame must still observe the
+         read deadline (Frame.read re-arms the same way) *)
+      c.frame_start <- (if Frame.buffered c.input > 0 then Some now else None);
+      handle_line st c now line;
+      process_input st c now
+    | `Oversized -> oversized st c
+    | `Partial ->
+      (* an EOF'd connection's unterminated trailer is a final frame
+         (lenient EOF framing, like the blocking reader) *)
+      if (not c.reading) && Frame.buffered c.input > 0 then begin
+        c.frame_start <- None;
+        handle_line st c now (Frame.take_rest c.input)
+      end
 
 let read_conn st c now =
   match Frame.read_once ~inject:true c.fd st.chunk with
@@ -467,7 +448,7 @@ let read_conn st c now =
     touch st c
   | `Data n ->
     st.svc.Codar.Stats.bytes_in <- st.svc.Codar.Stats.bytes_in + n;
-    Buffer.add_subbytes c.ibuf st.chunk 0 n;
+    Frame.feed c.input st.chunk 0 n;
     (* invariant: a reading connection with buffered bytes always has an
        armed clock ([process_input] re-arms it for leftover partials) *)
     if c.frame_start = None then c.frame_start <- Some now;
@@ -570,8 +551,7 @@ let service_conn st c now =
         if
           c.close_after_flush && c.obytes = 0
           && Queue.is_empty c.replies
-          && Queue.is_empty c.pending_lines
-          && Buffer.length c.ibuf = 0
+          && Frame.buffered c.input = 0
         then close_conn st c
       end
     end
@@ -604,8 +584,7 @@ let accept_ready st =
       let c =
         {
           fd;
-          ibuf = Buffer.create 512;
-          pending_lines = Queue.create ();
+          input = Frame.framer ~max_bytes:st.cfg.max_request_bytes;
           frame_start = None;
           replies = Queue.create ();
           out_cur = "";

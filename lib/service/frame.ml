@@ -16,11 +16,98 @@
      The server opts in; clients do not, so an in-process fault-soak
      test injects only on the daemon side of each socket. *)
 
+(* ------------------------------------------------------------ framer *)
+
+(* The inbound byte buffer both readers share. Framing cost is linear in
+   the bytes received: each byte is appended once, scanned for '\n' once
+   ([scanned] remembers how far the partial frame has been searched) and
+   copied out once, with its line. Taken bytes are reclaimed by moving
+   the live tail to the front only when the free space runs out, and the
+   capacity then grows to twice the live bytes, so every byte is moved
+   O(1) times amortised. *)
+type framer = {
+  max : int;
+  mutable buf : Bytes.t;
+  mutable start : int;  (* first byte not yet taken *)
+  mutable stop : int;  (* end of the buffered bytes *)
+  mutable scanned : int;  (* [start, scanned) holds no '\n' *)
+}
+
+let initial_capacity = 512
+
+(* a buffer grown for one large frame is given back once it drains *)
+let shrink_above = 1024 * 1024
+
+let framer ~max_bytes =
+  {
+    max = max_bytes;
+    buf = Bytes.create initial_capacity;
+    start = 0;
+    stop = 0;
+    scanned = 0;
+  }
+
+let buffered f = f.stop - f.start
+
+let clear f =
+  f.start <- 0;
+  f.stop <- 0;
+  f.scanned <- 0;
+  if Bytes.length f.buf > shrink_above then
+    f.buf <- Bytes.create initial_capacity
+
+let feed f bytes pos len =
+  if f.stop + len > Bytes.length f.buf then begin
+    let live = buffered f in
+    let need = live + len in
+    let dst =
+      if 2 * need <= Bytes.length f.buf then f.buf
+      else Bytes.create (2 * need)
+    in
+    Bytes.blit f.buf f.start dst 0 live;
+    f.buf <- dst;
+    f.scanned <- f.scanned - f.start;
+    f.start <- 0;
+    f.stop <- live
+  end;
+  Bytes.blit bytes pos f.buf f.stop len;
+  f.stop <- f.stop + len
+
+(* the first '\n' in [buf.[i .. stop - 1]], or [stop] *)
+let rec newline buf i stop =
+  if i >= stop || Bytes.get buf i = '\n' then i else newline buf (i + 1) stop
+
+let next f =
+  let i = newline f.buf f.scanned f.stop in
+  if i < f.stop then begin
+    let len = i - f.start in
+    (* a complete line can exceed the cap too, when it arrives newline
+       and all within one read *)
+    let frame =
+      if len > f.max then `Oversized
+      else `Line (Bytes.sub_string f.buf f.start len)
+    in
+    f.start <- i + 1;
+    f.scanned <- f.start;
+    if f.start = f.stop then clear f;
+    frame
+  end
+  else begin
+    f.scanned <- f.stop;
+    if buffered f > f.max then `Oversized else `Partial
+  end
+
+let take_rest f =
+  let rest = Bytes.sub_string f.buf f.start (buffered f) in
+  clear f;
+  rest
+
+(* ------------------------------------------------------------ reader *)
+
 type reader = {
   fd : Unix.file_descr;
-  max_bytes : int;
   inject : bool;
-  buf : Buffer.t;
+  lines : framer;
   chunk : Bytes.t;
   mutable eof : bool;
   mutable frame_start : float option;
@@ -32,27 +119,12 @@ let default_max_bytes = 8 * 1024 * 1024
 let reader ?(max_bytes = default_max_bytes) ?(inject = false) fd =
   {
     fd;
-    max_bytes;
     inject;
-    buf = Buffer.create 512;
+    lines = framer ~max_bytes;
     chunk = Bytes.create 65536;
     eof = false;
     frame_start = None;
   }
-
-(* take one complete line out of [buf], if any *)
-let take_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i ->
-    let line = String.sub s 0 i in
-    Buffer.clear r.buf;
-    Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-    (* leftover bytes belong to the next frame; its clock starts when the
-       caller next asks for it *)
-    r.frame_start <- None;
-    Some line
 
 (* one [Unix.read], with the fault plan's read-side points applied *)
 let do_read r =
@@ -72,26 +144,25 @@ let do_read r =
   end
 
 let rec read ?timeout_s r =
-  match take_line r with
-  | Some line ->
-    (* a complete line can exceed the cap too, when it arrives newline
-       and all within one read *)
-    if String.length line > r.max_bytes then `Oversized else `Line line
-  | None ->
-    if Buffer.length r.buf > r.max_bytes then `Oversized
-    else if r.eof then
-      if Buffer.length r.buf = 0 then `Eof
+  match next r.lines with
+  | `Line line ->
+    (* leftover bytes belong to the next frame; its clock starts when the
+       caller next asks for it *)
+    r.frame_start <- None;
+    `Line line
+  | `Oversized -> `Oversized
+  | `Partial ->
+    if r.eof then
+      if buffered r.lines = 0 then `Eof
       else begin
         (* final unterminated frame: accept it (lenient EOF framing) *)
-        let line = Buffer.contents r.buf in
-        Buffer.clear r.buf;
         r.frame_start <- None;
-        `Line line
+        `Line (take_rest r.lines)
       end
     else begin
       let timed_out =
         match timeout_s with
-        | Some limit when Buffer.length r.buf > 0 -> (
+        | Some limit when buffered r.lines > 0 -> (
           let now = Unix.gettimeofday () in
           let start =
             match r.frame_start with
@@ -115,9 +186,9 @@ let rec read ?timeout_s r =
         let n = do_read r in
         if n = 0 then r.eof <- true
         else if n > 0 then begin
-          if Buffer.length r.buf = 0 && r.frame_start = None then
+          if buffered r.lines = 0 && r.frame_start = None then
             r.frame_start <- Some (Unix.gettimeofday ());
-          Buffer.add_subbytes r.buf r.chunk 0 n
+          feed r.lines r.chunk 0 n
         end;
         read ?timeout_s r
       end

@@ -1,6 +1,41 @@
 (** Newline-delimited frame I/O over a raw [Unix] file descriptor —
     the transport under {!Protocol}, shared by server and client. *)
 
+(** {2 Framing}
+
+    The inbound byte buffer under both the blocking {!reader} and the
+    evented server. Its cost is linear in the bytes received: each byte
+    is appended once, scanned for the newline once, and copied out once
+    with its line; a frame arriving in many small reads is never
+    re-copied or re-scanned. *)
+
+type framer
+
+val framer : max_bytes:int -> framer
+(** An empty buffer whose frames may hold at most [max_bytes] bytes. *)
+
+val feed : framer -> Bytes.t -> int -> int -> unit
+(** [feed f bytes pos len] appends [bytes.[pos .. pos + len - 1]]. *)
+
+val next : framer -> [ `Line of string | `Oversized | `Partial ]
+(** Take the oldest complete frame, without its newline. [`Oversized]
+    when that frame, or the partial frame buffered after the last
+    newline, passes [max_bytes] — framing is lost, the caller answers
+    and drops the connection. [`Partial] when no complete frame is
+    buffered: wait for more bytes, or take the unterminated trailer with
+    {!take_rest} at end of input. *)
+
+val buffered : framer -> int
+(** Bytes held and not yet taken: complete frames and the partial one. *)
+
+val take_rest : framer -> string
+(** Every byte held, as one string; empties the buffer. *)
+
+val clear : framer -> unit
+(** Drop every byte held. *)
+
+(** {2 Blocking reader} *)
+
 type reader
 
 val default_max_bytes : int
@@ -8,8 +43,10 @@ val default_max_bytes : int
     newline-less abuser cannot balloon the daemon. *)
 
 val reader : ?max_bytes:int -> ?inject:bool -> Unix.file_descr -> reader
-(** Buffered line reader. The limit applies to a single frame and is
-    enforced while buffering, not after. [inject] (default [false])
+(** Buffered line reader over a {!framer}, so a frame costs time linear
+    in its size however the peer splits it into writes. The limit
+    applies to a single frame and is enforced while buffering, not
+    after. [inject] (default [false])
     opts this reader into the armed {!Faults} plan — short reads,
     mid-frame EOF, read stalls; the daemon sets it, clients do not. *)
 

@@ -34,9 +34,34 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let lookup_route ~m ~cache ~miss rr =
-  let key = Engine.request_key rr in
-  match locked m (fun () -> Cache.find_memo (cache ()) key) with
+(* The request memo holds two kinds of key. A top-level route frame
+   without an "id" is memoised under its raw line, so a repeat is answered
+   before any decoding; a frame with an id (a different line on every
+   repeat) and a batch item (not a whole line) are memoised under
+   {!Engine.request_key}. Only lines that open a JSON object are looked
+   up, and request keys start with 'b' or 'q', so the two kinds of key
+   can never meet. *)
+
+let object_line line = String.length line > 0 && line.[0] = '{'
+
+let find_line ~m ~cache line =
+  if object_line line then locked m (fun () -> Cache.find_memo (cache ()) line)
+  else None
+
+let line_key ?id line =
+  match id with None when object_line line -> Some line | Some _ | None -> None
+
+let lookup_route ~m ~cache ~miss ?line rr =
+  let key, memo_hit =
+    match line with
+    | Some line ->
+      (* [find_line] has already missed *)
+      (line, None)
+    | None ->
+      let key = Engine.request_key rr in
+      (key, locked m (fun () -> Cache.find_memo (cache ()) key))
+  in
+  match memo_hit with
   | Some hit -> `Hit hit
   | None -> (
     match Engine.spec_of_route_req rr with

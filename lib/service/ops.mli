@@ -18,6 +18,21 @@ val overloaded_item : int -> Json.t
 val stopping_item : Json.t
 (** The [io] item a route receives when the daemon is draining. *)
 
+val find_line :
+  m:Mutex.t -> cache:(unit -> Cache.t) -> string -> Cache.hit option
+(** The request memo's answer to a raw frame line, looked up before the
+    line is decoded. Only a line that opens a JSON object ([{]) is looked
+    up, and only {!lookup_route} [~line] memoises one, after the line
+    decoded to a route request without an ["id"]: a hit is that request's
+    cached record, counted as one cache hit and one memo hit, with its
+    recency refreshed. Runs under [m], the caller's lock. *)
+
+val line_key : ?id:Json.t -> string -> string option
+(** The [~line] to pass {!lookup_route} for a top-level route frame that
+    decoded from [line] with [id]: the line itself when the frame has no
+    id and {!find_line} looks such lines up; [None] (the request key)
+    otherwise. *)
+
 val lookup_route :
   m:Mutex.t ->
   cache:(unit -> Cache.t) ->
@@ -25,15 +40,18 @@ val lookup_route :
     (string ->
     Engine.spec ->
     ([> `Hit of Cache.hit | `Bad of string ] as 'a)) ->
+  ?line:string ->
   Protocol.route_req ->
   'a
-(** The cache lookup of one route request, shared by both servers. A
-    request whose {!Engine.request_key} is memoised answers [`Hit] without
-    parsing; any other is resolved ([`Bad] on a bad request),
-    fingerprinted and looked up, and memoised when that lookup hits. On a miss, [miss fp spec] decides the answer. Cache
-    access — [miss] included — runs under [m], the caller's lock, so the
-    caller can enqueue atomically with the lookup; parsing runs outside
-    it. *)
+(** The cache lookup of one route request, shared by both servers. The
+    request's memo key is [line] when given ({!line_key}; {!find_line}
+    has already missed it) and its {!Engine.request_key} otherwise, which
+    answers [`Hit] without parsing when memoised. Any other request is
+    resolved ([`Bad] on a bad request), fingerprinted and looked up, and
+    memoised under its key when that lookup hits. On a miss,
+    [miss fp spec] decides the answer. Cache access — [miss] included —
+    runs under [m], the caller's lock, so the caller can enqueue
+    atomically with the lookup; parsing runs outside it. *)
 
 val hit_item : Cache.hit -> Json.t
 (** [item_ok] of a cache hit. *)

@@ -174,9 +174,9 @@ let ticker st =
 (* Resolve, look up, possibly enqueue, wait, and return one route result:
    a cache hit as it is (a [route] reply splices its stored JSON), anything
    else as a JSON item. *)
-let route_result st (rr : Protocol.route_req) =
+let route_result st ?line (rr : Protocol.route_req) =
   let resolution =
-    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) rr
+    Ops.lookup_route ~m:st.m ~cache:(fun () -> st.cache) ?line rr
       ~miss:(fun fp spec ->
         if st.stop then `Stopping
         else begin
@@ -263,7 +263,7 @@ let initiate_stop st =
       end)
 
 (* Returns the reply frame plus what to do with the connection next. *)
-let handle_request st ?id req =
+let handle_request st ?id ~line req =
   match req with
   | Protocol.Ping -> (Ops.ping_frame ?id (), `Keep)
   | Protocol.Stats ->
@@ -274,7 +274,7 @@ let handle_request st ?id req =
     in
     (Ops.stats_frame ?id ~jobs:st.cfg.jobs ~svc_json ~cache_counters (), `Keep)
   | Protocol.Route rr ->
-    ( (match route_result st rr with
+    ( (match route_result st ?line:(Ops.line_key ?id line) rr with
       | `Hit hit -> Ops.hit_frame ?id hit
       | `Item item -> Ops.route_frame ?id item),
       `Keep )
@@ -347,25 +347,32 @@ let handle_connection st fd =
       locked st (fun () ->
           st.svc.Codar.Stats.bytes_in <-
             st.svc.Codar.Stats.bytes_in + String.length line + 1);
-      match Protocol.parse_frame line with
-      | Error (id, code, msg) ->
-        if send (Protocol.error_frame ?id code msg) then loop ()
-      | Ok (id, req) ->
+      match Ops.find_line ~m:st.m ~cache:(fun () -> st.cache) line with
+      | Some hit ->
+        (* a repeated id-less route frame, answered from its bytes *)
         locked st (fun () ->
             st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1);
-        (* a request whose handling raises is answered, like the evented
-           loop does, before the connection serves on *)
-        let frame, next =
-          match handle_request st ?id req with
-          | reply -> reply
-          | exception e ->
-            ( Protocol.error_frame ?id Protocol.Bad_request
-                ("request failed: " ^ Printexc.to_string e),
-              `Keep )
-        in
-        let alive = send frame in
-        (match next with `Shutdown -> initiate_stop st | `Keep -> ());
-        if alive && next = `Keep then loop ())
+        if send (Ops.hit_frame hit) then loop ()
+      | None -> (
+        match Protocol.parse_frame line with
+        | Error (id, code, msg) ->
+          if send (Protocol.error_frame ?id code msg) then loop ()
+        | Ok (id, req) ->
+          locked st (fun () ->
+              st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1);
+          (* a request whose handling raises is answered, like the evented
+             loop does, before the connection serves on *)
+          let frame, next =
+            match handle_request st ?id ~line req with
+            | reply -> reply
+            | exception e ->
+              ( Protocol.error_frame ?id Protocol.Bad_request
+                  ("request failed: " ^ Printexc.to_string e),
+                `Keep )
+          in
+          let alive = send frame in
+          (match next with `Shutdown -> initiate_stop st | `Keep -> ());
+          if alive && next = `Keep then loop ()))
   in
   Fun.protect
     ~finally:(fun () ->

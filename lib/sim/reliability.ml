@@ -11,19 +11,38 @@ let decoherence_factor ~calibration ~active_cycles =
 
 (* A physical qubit decoheres from the moment it first hosts activity to the
    end of the schedule (before its first gate it sits in |0>, which neither
-   damps nor dephases). *)
+   damps nor dephases). One walk over the events, allocating nothing per
+   event: the gate product multiplies the same factors in the same order
+   as a fold would. *)
 let estimated_success ~calibration ~n_physical (r : Schedule.Routed.t) =
   let first_touch = Array.make n_physical max_int in
+  let touch q t = if t < first_touch.(q) then first_touch.(q) <- t in
+  let rec touch_all t = function
+    | [] -> ()
+    | q :: rest ->
+      touch q t;
+      touch_all t rest
+  in
+  (* a loop, not a fold: the product stays an unboxed local *)
   let gate_product = ref 1. in
-  List.iter
-    (fun e ->
+  let events = ref r.events in
+  while
+    match !events with
+    | [] -> false
+    | (e : Schedule.Routed.event) :: rest ->
+      events := rest;
+      (match e.gate with
+      | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) -> touch q e.start
+      | Qc.Gate.Two (_, a, b) ->
+        touch a e.start;
+        touch b e.start
+      | Qc.Gate.Barrier qs -> touch_all e.start qs);
       gate_product :=
-        !gate_product *. Arch.Calibration.gate_fidelity calibration e.Schedule.Routed.gate;
-      List.iter
-        (fun q -> if e.Schedule.Routed.start < first_touch.(q) then
-            first_touch.(q) <- e.Schedule.Routed.start)
-        (Qc.Gate.qubits e.Schedule.Routed.gate))
-    r.events;
+        !gate_product *. Arch.Calibration.gate_fidelity calibration e.gate;
+      true
+  do
+    ()
+  done;
   let decoherence = ref 1. in
   Array.iter
     (fun t0 ->

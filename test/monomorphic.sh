@@ -1,16 +1,20 @@
 #!/bin/sh
-# Keep the routing kernels integer code: fail when one of the modules
-# below references OCaml's polymorphic comparison primitives. An `=` or
-# `<` whose operands the compiler cannot type as int (an unannotated
-# helper, a `compare` passed to a sort) compiles to a C call into the
-# generic structural comparator instead of one machine instruction.
+# Keep the routing kernels and the route summary integer code: fail when
+# one of the modules below references OCaml's polymorphic comparison
+# primitives or the polymorphic `Stdlib.max`/`Stdlib.min`. An `=` or `<`
+# whose operands the compiler cannot type as int (an unannotated helper,
+# a `compare` passed to a sort) compiles to a C call into the generic
+# structural comparator instead of one machine instruction, and
+# `max`/`min` are out-of-line calls that make that same C call
+# (`Int.max`/`Int.min` inline to a compare and a move).
 #
-# Usage: monomorphic.sh sabre.a codar.a qc.a qasm.a
+# Usage: monomorphic.sh sabre.a codar.a qc.a qasm.a schedule.a sim.a
 set -u
 
 MODULES="sabre__Router codar__Remapper codar__Cf_front codar__Swap_scorer
-codar__Heuristic qc__Commute qasm__Lexer qasm__Parser"
-SYMBOLS='caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)$'
+codar__Heuristic qc__Commute qc__Metrics qasm__Lexer qasm__Parser
+schedule__Routed sim__Reliability"
+SYMBOLS='caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)$|camlStdlib\.(max|min)_[0-9]+$'
 
 undefined=$(nm -A -u "$@") || {
   echo "monomorphic: nm failed on $*" >&2
@@ -33,5 +37,5 @@ for m in $MODULES; do
     status=1
   fi
 done
-[ "$status" -eq 0 ] && echo "monomorphic: routing kernels use no polymorphic comparison"
+[ "$status" -eq 0 ] && echo "monomorphic: routing kernels use no polymorphic comparison or max/min"
 exit "$status"

@@ -405,6 +405,45 @@ let test_by_name () =
   Alcotest.(check bool) "garbled heavy-hex" true
     (Arch.Devices.by_name "heavy-hex-x" = None)
 
+(* Generated devices are memoised: a repeated name (in any spelling of
+   its size) is the physically same coupling, presets stay the shared
+   values they are, and a sweep of distinct names never holds more than
+   the byte budget's worth of distance tables. *)
+let test_generated_memo () =
+  let get name = Option.get (Arch.Devices.by_name name) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is built once") true
+        (get name == get name))
+    [ "linear-9"; "ring-12"; "full-6"; "heavy-hex-7"; "grid-4x5" ];
+  Alcotest.(check bool) "spellings of one size share it" true
+    (get "grid-4x5" == get "GRID-04x005");
+  Alcotest.(check bool) "presets are untouched" true
+    (get "tokyo" == Arch.Devices.ibm_q20_tokyo);
+  let budget = Arch.Devices.generated_budget in
+  let within what =
+    Alcotest.(check bool) (what ^ ": tables within the budget") true
+      (Arch.Devices.generated_bytes () <= budget);
+    Alcotest.(check bool) (what ^ ": devices within the cap") true
+      (Arch.Devices.generated_length () <= Arch.Devices.generated_max)
+  in
+  (* 8 MB each: two fit, a third evicts the least recently used *)
+  let big = [ "linear-1024"; "grid-32x32"; "ring-1024"; "grid-16x64" ] in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " table") (8 * 1024 * 1024)
+        (Arch.Coupling.dist_bytes (get name));
+      within name)
+    big;
+  let last = get "grid-16x64" in
+  Alcotest.(check bool) "the newest stays" true (get "grid-16x64" == last);
+  (* many small devices, and zero-qubit grids that hold no table *)
+  for k = 3 to 300 do
+    ignore (get (Printf.sprintf "ring-%d" k));
+    ignore (get (Printf.sprintf "grid-0x%d" k))
+  done;
+  within "sweep"
+
 let test_ring_grid () =
   let r = Arch.Devices.ring 6 in
   Alcotest.(check int) "ring wrap distance" 1 (Arch.Coupling.distance r 0 5);
@@ -657,6 +696,8 @@ let () =
           Alcotest.test_case "tokyo diagonals" `Quick test_tokyo_diagonals;
           Alcotest.test_case "heavy-hex" `Quick test_heavy_hex;
           Alcotest.test_case "by_name" `Quick test_by_name;
+          Alcotest.test_case "generated devices memoised" `Quick
+            test_generated_memo;
           Alcotest.test_case "ring/grid/full" `Quick test_ring_grid;
         ] );
       ("durations", [ Alcotest.test_case "profiles" `Quick test_durations ]);
