@@ -868,10 +868,10 @@ let smoke () =
 
 (* --------------------------------------------------------------- Loadgen *)
 
-(* Sustained-load benchmark for the compile service (BENCH_PR7.json): for
-   each io-model × concurrency cell, fork a daemon child, drive N
-   persistent pipelined connections from one single-threaded select loop
-   for a fixed wall-clock window, and report sustained RPS plus
+(* Sustained-load benchmark for the compile service: for each
+   concurrency cell, fork a daemon child, drive N persistent pipelined
+   connections from one single-threaded select loop for a fixed
+   wall-clock window, and report sustained RPS plus
    p50/p99/p999 reply latency. Streams mix warm requests (a fixed route
    line answered from cache) with ~1/16 cold ones (a unique ["seed"]
    per request forces a fresh computation). Every warm reply is
@@ -915,7 +915,6 @@ type lg_conn = {
 }
 
 type lg_cell = {
-  cell_io : Service.Config.io_model;
   cell_conns : int;
   rps : float;
   p50_us : float;
@@ -1064,13 +1063,11 @@ let lg_drive ~conns:n ~duration ~warmup ~window ~reference sock =
     !errors,
     float_of_int !measured /. (t_end -. t_measure) )
 
-let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
+let lg_cell ~conns ~duration ~warmup ~window ~trials =
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Fmt.str "codar-loadgen-%d-%s-%d.sock" (Unix.getpid ())
-         (Service.Config.io_model_to_string io_model)
-         conns)
+      (Fmt.str "codar-loadgen-%d-%d.sock" (Unix.getpid ()) conns)
   in
   (* the daemon child: fresh process, own domains/threads, own fd table *)
   let pid = Unix.fork () in
@@ -1078,11 +1075,10 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
     (try
        ignore
          (Service.Server.run
-            (* a deep queue so neither io model sheds colds as cheap
-               ["overloaded"] errors: both must do identical route work *)
+            (* a deep queue so the daemon does not shed colds as cheap
+               ["overloaded"] errors: every cell does the same route work *)
             (Service.Server.config ~jobs:(Pool.default_jobs ())
-               ~cache_entries:1024 ~queue_capacity:1024 ~io_model
-               ~socket_path:sock ()))
+               ~cache_entries:1024 ~queue_capacity:1024 ~socket_path:sock ()))
      with _ -> ());
     Unix._exit 0
   end;
@@ -1147,7 +1143,6 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
   | _, Unix.WEXITED 0 -> ()
   | _, _ -> failwith "loadgen: daemon child did not exit cleanly");
   {
-    cell_io = io_model;
     cell_conns = conns;
     rps;
     p50_us = lg_percentile sorted 0.50;
@@ -1163,61 +1158,33 @@ let lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials =
   }
 
 let loadgen ?json ~conns_list ~duration ~trials () =
-  Fmt.pr
-    "@.== Sustained load: evented vs threaded (warm route + 1/16 cold, \
-     %.1fs/cell) ==@."
+  Fmt.pr "@.== Sustained load (warm route + 1/16 cold, %.1fs/cell) ==@."
     duration;
   let warmup = Float.min 1.0 (Float.max 0.1 (duration /. 5.)) in
   let window = 8 in
-  Fmt.pr "%-9s %6s %10s %9s %9s %9s %9s %7s %6s@." "io-model" "conns" "rps"
-    "p50(us)" "p99(us)" "p999(us)" "replies" "cold" "errs";
+  Fmt.pr "%6s %10s %9s %9s %9s %9s %7s %6s@." "conns" "rps" "p50(us)"
+    "p99(us)" "p999(us)" "replies" "cold" "errs";
   let cells =
-    List.concat_map
-      (fun io_model ->
-        List.map
-          (fun conns ->
-            let c =
-              lg_cell ~io_model ~conns ~duration ~warmup ~window ~trials
-            in
-            Fmt.pr "%-9s %6d %10.0f %9.0f %9.0f %9.0f %9d %7d %6d@."
-              (Service.Config.io_model_to_string c.cell_io)
-              c.cell_conns c.rps c.p50_us c.p99_us c.p999_us c.replies
-              c.cold_sent c.err_replies;
-            if c.replies = 0 then failwith "loadgen: no replies measured";
-            if c.warm_mismatches > 0 then
-              Fmt.failwith
-                "loadgen: %d warm replies were not byte-identical under load \
-                 (%s, %d conns)"
-                c.warm_mismatches
-                (Service.Config.io_model_to_string c.cell_io)
-                c.cell_conns;
-            c)
-          conns_list)
-      [ Service.Config.Evented; Service.Config.Threaded ]
+    List.map
+      (fun conns ->
+        let c = lg_cell ~conns ~duration ~warmup ~window ~trials in
+        Fmt.pr "%6d %10.0f %9.0f %9.0f %9.0f %9d %7d %6d@." c.cell_conns c.rps
+          c.p50_us c.p99_us c.p999_us c.replies c.cold_sent c.err_replies;
+        if c.replies = 0 then failwith "loadgen: no replies measured";
+        if c.warm_mismatches > 0 then
+          Fmt.failwith
+            "loadgen: %d warm replies were not byte-identical under load (%d \
+             conns)"
+            c.warm_mismatches c.cell_conns;
+        c)
+      conns_list
   in
-  (* head-to-head summary at equal concurrency *)
-  Fmt.pr "@.-- evented / threaded at equal concurrency --@.";
-  List.iter
-    (fun conns ->
-      let find io =
-        List.find
-          (fun c -> c.cell_io = io && c.cell_conns = conns)
-          cells
-      in
-      let e = find Service.Config.Evented
-      and t = find Service.Config.Threaded in
-      Fmt.pr "%6d conns: rps x%.2f, p99 x%.2f@." conns (e.rps /. t.rps)
-        (e.p99_us /. t.p99_us))
-    conns_list;
   match json with
   | None -> ()
   | Some path ->
     let cell_json c =
       Report.Json.Obj
         [
-          ( "io_model",
-            Report.Json.String
-              (Service.Config.io_model_to_string c.cell_io) );
           ("conns", Report.Json.Int c.cell_conns);
           ("rps", Report.Json.Float c.rps);
           ("p50_us", Report.Json.Float c.p50_us);
@@ -1235,7 +1202,7 @@ let loadgen ?json ~conns_list ~duration ~trials () =
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-loadgen/1");
+          ("schema", Report.Json.String "codar-bench-loadgen/2");
           ("ocaml", Report.Json.String Sys.ocaml_version);
           ("duration_s", Report.Json.Float duration);
           ("window", Report.Json.Int window);
@@ -1252,7 +1219,7 @@ let loadgen ?json ~conns_list ~duration ~trials () =
 (* ---------------------------------------------------------------- Framing *)
 
 (* bench framing: the daemon CPU one large frame costs, read in pieces.
-   A forked daemon per io model (defaults: the 8 MiB frame cap) gets one
+   A forked daemon (defaults: the 8 MiB frame cap) gets one
    newline-terminated frame of [size] bytes of 'x', written [piece] bytes
    per write; the CPU the daemon spent from the first byte to the reply
    (a [parse] error, at once) is read from /proc/<pid>/stat, in 10 ms
@@ -1277,19 +1244,18 @@ let proc_cpu_s pid =
   in
   (float_of_string fields.(11) +. float_of_string fields.(12)) /. 100.
 
-let framing_cell ~io_model =
+let framing_rows () =
   let sock =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Fmt.str "codar-framing-%d-%s.sock" (Unix.getpid ())
-         (Service.Config.io_model_to_string io_model))
+      (Fmt.str "codar-framing-%d.sock" (Unix.getpid ()))
   in
   let pid = Unix.fork () in
   if pid = 0 then begin
     (try
        ignore
          (Service.Server.run
-            (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ()))
+            (Service.Server.config ~jobs:1 ~socket_path:sock ()))
      with _ -> ());
     Unix._exit 0
   end;
@@ -1318,15 +1284,14 @@ let framing_cell ~io_model =
         let reply =
           match Service.Frame.read (Service.Frame.reader fd) with
           | `Line l -> l
-          | `Eof | `Oversized | `Timeout -> "(no reply)"
+          | `Eof | `Oversized -> "(no reply)"
         in
         let wall = Unix.gettimeofday () -. t0 in
         let cpu = proc_cpu_s pid -. cpu0 in
         Unix.close fd;
         if not (String.starts_with ~prefix:{|{"ok":false,"code":"parse"|} reply)
         then Fmt.failwith "framing: unexpected reply %S" reply;
-        Fmt.pr "%-8s %4d MiB frame, %5d B writes: daemon cpu %6.2f s, wall %6.2f s@."
-          (Service.Config.io_model_to_string io_model)
+        Fmt.pr "%4d MiB frame, %5d B writes: daemon cpu %6.2f s, wall %6.2f s@."
           (size / (1024 * 1024)) piece cpu wall;
         (size, piece, cpu, wall))
       framing_cases
@@ -1340,19 +1305,13 @@ let framing_cell ~io_model =
 
 let framing ?json () =
   Fmt.pr "@.== Framing: one large frame, daemon CPU to the reply ==@.";
-  let cells =
-    List.map
-      (fun io_model -> (io_model, framing_cell ~io_model))
-      [ Service.Config.Evented; Service.Config.Threaded ]
-  in
+  let rows = framing_rows () in
   match json with
   | None -> ()
   | Some path ->
-    let row io_model (size, piece, cpu, wall) =
+    let row (size, piece, cpu, wall) =
       Report.Json.Obj
         [
-          ( "io_model",
-            Report.Json.String (Service.Config.io_model_to_string io_model) );
           ("frame_bytes", Report.Json.Int size);
           ("write_bytes", Report.Json.Int piece);
           ("daemon_cpu_s", Report.Json.Float cpu);
@@ -1362,13 +1321,9 @@ let framing ?json () =
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-framing/1");
+          ("schema", Report.Json.String "codar-bench-framing/2");
           ("ocaml", Report.Json.String Sys.ocaml_version);
-          ( "cells",
-            Report.Json.List
-              (List.concat_map
-                 (fun (io_model, rows) -> List.map (row io_model) rows)
-                 cells) );
+          ("cells", Report.Json.List (List.map row rows));
         ]
     in
     let oc = open_out path in

@@ -538,29 +538,14 @@ let serve_cmd =
                 expiry answers the typed `deadline_exceeded` error. No \
                 deadline by default.")
   in
-  let io_model =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("evented", Service.Config.Evented);
-               ("threaded", Service.Config.Threaded);
-             ])
-          Service.Config.Evented
-      & info [ "io-model" ]
-          ~doc:"Server I/O architecture: `evented` (default; one thread \
-                multiplexes every connection via select, with write-buffer \
-                backpressure) or `threaded` (one thread per connection).")
-  in
   let max_conns =
     Arg.(
       value & opt (some int) None
       & info [ "max-connections" ]
-          ~doc:"Concurrent-connection cap for the evented server (default \
-                960, safely under the select() FD_SETSIZE limit of 1024); \
-                at the cap, further connections wait in the kernel listen \
-                backlog until a slot frees.")
+          ~doc:"Concurrent-connection cap (default 960, safely under the \
+                select() FD_SETSIZE limit of 1024); at the cap, further \
+                connections wait in the kernel listen backlog until a slot \
+                frees.")
   in
   let faults =
     Arg.(
@@ -581,7 +566,7 @@ let serve_cmd =
                 3 s mid-persist, for kill -9 crash-recovery drills).")
   in
   let run socket jobs cache_entries cache_bytes cache_file max_request queue
-      timeout io_model max_conns faults fault_profile =
+      timeout max_conns faults fault_profile =
     guard @@ fun () ->
     let jobs = if jobs = 0 then Pool.default_jobs () else jobs in
     (match faults with
@@ -598,7 +583,7 @@ let serve_cmd =
     let cfg =
       Service.Server.config ~jobs ~cache_entries ?cache_bytes ?cache_file
         ?max_request_bytes:max_request ~queue_capacity:queue
-        ?timeout_ms:timeout ~io_model ?max_connections:max_conns
+        ?timeout_ms:timeout ?max_connections:max_conns
         ~handle_signals:true ~socket_path:socket ()
     in
     let svc =
@@ -618,7 +603,7 @@ let serve_cmd =
              content-addressed routing cache (docs/SERVICE.md).")
     Term.(
       const run $ socket_arg $ jobs $ cache_entries $ cache_bytes $ cache_file
-      $ max_request $ queue $ timeout $ io_model $ max_conns $ faults
+      $ max_request $ queue $ timeout $ max_conns $ faults
       $ fault_profile)
 
 let client_cmd =

@@ -237,6 +237,13 @@ let generated_bytes () = Mutex.protect generated_lock (fun () -> !held_bytes)
 let generated_length () =
   Mutex.protect generated_lock (fun () -> Hashtbl.length generated)
 
+(* A size is one or more ASCII digits: [int_of_string] alone would also
+   read OCaml's spellings ("0x10", "1_0", "+16", "0b11", "0o7"). *)
+let decimal s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then
+    int_of_string_opt s
+  else None
+
 let by_name s =
   let s = String.lowercase_ascii s in
   let prefixed p = String.length s > String.length p
@@ -255,7 +262,7 @@ let by_name s =
        capped at [max_qubits] before [fits] does any arithmetic on it, so
        nothing overflows. *)
     let sized ~min ~fits make p =
-      match int_of_string_opt (suffix p) with
+      match decimal (suffix p) with
       | Some k when k >= min && k <= Coupling.max_qubits && fits k ->
         Some (memoised (p ^ string_of_int k) (fun () -> make k))
       | Some _ | None -> None
@@ -277,7 +284,7 @@ let by_name s =
     else if prefixed "grid-" then
       match String.split_on_char 'x' (suffix "grid-") with
       | [ r; c ] -> (
-        match (int_of_string_opt r, int_of_string_opt c) with
+        match (decimal r, decimal c) with
         | Some rows, Some cols
           when rows >= 0 && cols >= 0
                && (rows = 0 || cols <= Coupling.max_qubits / rows) ->

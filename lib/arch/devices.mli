@@ -52,7 +52,8 @@ val evaluation_devices : Coupling.t list
 val by_name : string -> Coupling.t option
 (** Lookup for the CLI: ["melbourne"], ["tokyo"], ["6x6"] / ["enfield"],
     ["sycamore"], ["q5"], ["linear-<n>"], ["ring-<n>"], ["grid-<r>x<c>"],
-    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3). Malformed names, sizes
+    ["full-<n>"], ["heavy-hex-<d>"] (d odd, >= 3), each size written in
+    decimal digits only (["linear-0x10"] is no name). Malformed names, sizes
     a generator refuses (negative sizes, rings under 3 qubits, even
     heavy-hex distances) and devices past {!Coupling.make}'s bound (more
     than {!Coupling.max_qubits} qubits or [8 * max_qubits] couplers:

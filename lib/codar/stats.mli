@@ -67,10 +67,13 @@ val cache_hit_rate : cache -> float
 
 (** {2 Routing-service counters}
 
-    Bumped by {!Service.Server} under the server lock. [coalesced] is the
-    load-bearing one: a request that found an identical fingerprint already
-    in flight and waited for that computation instead of starting its own —
-    the duplicate-suppression guarantee is asserted through it. *)
+    Bumped by {!Service.Server}: [routes_computed] by its dispatcher
+    thread under the server lock, every other counter by its event-loop
+    thread, which also reads them all for a [stats] reply. [coalesced] is
+    the load-bearing one: a request that found an identical fingerprint
+    already in flight and waited for that computation instead of starting
+    its own — the duplicate-suppression guarantee is asserted through
+    it. *)
 
 type service = {
   mutable requests : int;  (** frames parsed into a request *)

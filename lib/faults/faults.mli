@@ -6,9 +6,11 @@
     finalizer — the same mixing {!Fuzz.Gen} uses for case seeds — so a
     fault run replays exactly from one integer.
 
-    Injection points are threaded through the service stack
-    ({!Service.Frame}, {!Service.Server}), the domain {!Pool} and the
-    {!Cache} persistence path. Call sites query {!fire} (or the
+    Injection points sit on the daemon's side of the service stack (the
+    reads of {!Service.Frame.read_once}, the reply frames
+    {!Service.Server} queues), in the domain {!Pool} and on the {!Cache}
+    persistence path; the client's blocking reader and writer never
+    inject. Call sites query {!fire} (or the
     {!pause}/{!raise_if} conveniences); when no plan is armed the query
     is a single atomic load and compare — cheap enough to leave in
     production builds, which is the point: the hardened daemon runs the
@@ -22,11 +24,12 @@
 
 type point =
   | Frame_short_read
-      (** the frame reader sees at most one byte per [read] *)
+      (** the server's read takes at most one byte *)
   | Frame_read_eof  (** mid-frame EOF: the peer "vanishes" *)
-  | Frame_stall  (** artificial latency before a frame read *)
+  | Frame_stall  (** artificial latency before a server read *)
   | Frame_write_error
-      (** a reply write raises [EPIPE], as to a vanished client *)
+      (** a reply frame fails as a write to a vanished client would: the
+          server drops the connection *)
   | Pool_task_exn  (** a pool task raises {!Injected} before running *)
   | Pool_latency  (** artificial latency inside a pool task *)
   | Cache_save_disk_full

@@ -7,24 +7,29 @@
    response is seeded-jitter exponential backoff — deterministic per
    seed, so the retry schedule itself is testable. *)
 
-type t = { fd : Unix.file_descr; reader : Frame.reader }
+type t = {
+  fd : Unix.file_descr;
+  max_reply_bytes : int;  (* also bounds [request_many]'s own framer *)
+  reader : Frame.reader;
+}
 
-let connect ?max_reply_bytes path =
+let connect ?(max_reply_bytes = Frame.default_max_bytes) path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX path)
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; reader = Frame.reader ?max_bytes:max_reply_bytes fd }
+  { fd; max_reply_bytes; reader = Frame.reader ~max_bytes:max_reply_bytes fd }
 
 let send_line t line = Frame.write t.fd line
+
+let oversized () = failwith "Service.Client: reply exceeds the frame limit"
 
 let recv_line t =
   match Frame.read t.reader with
   | `Line l -> Some l
   | `Eof -> None
-  | `Oversized -> failwith "Service.Client: reply exceeds the frame limit"
-  | `Timeout -> assert false (* no timeout_s passed *)
+  | `Oversized -> oversized ()
 
 let request t line =
   send_line t line;
@@ -58,7 +63,7 @@ let request_many t lines =
         try Unix.clear_nonblock t.fd with Unix.Unix_error _ -> ())
       (fun () ->
         let pos = ref 0 in
-        let inbuf = Frame.framer ~max_bytes:max_int in
+        let inbuf = Frame.framer ~max_bytes:t.max_reply_bytes in
         let chunk = Bytes.create 65536 in
         let replies = ref [] in
         let count = ref 0 in
@@ -68,7 +73,8 @@ let request_many t lines =
             incr count;
             replies := l :: !replies;
             drain_lines ()
-          | `Partial | `Oversized -> ()
+          | `Oversized -> oversized ()
+          | `Partial -> ()
         in
         while !count < n do
           let want_write = if !pos < total then [ t.fd ] else [] in

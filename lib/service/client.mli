@@ -23,9 +23,9 @@ val request_many : t -> string list -> string list
     written while replies stream back (interleaved over [select], so a
     large pipeline cannot deadlock against a slow server), returning the
     replies in request order — the daemon answers each connection
-    strictly FIFO. [codar_cli client --repeat] and [bench loadgen] use
-    it to amortise connect cost. Fails like {!request} if the server
-    closes early. Bypasses the {!recv_line} buffer; do not interleave
+    strictly FIFO. [codar_cli client --repeat] uses it to amortise
+    connect cost. Fails like {!request} if the server closes early or a
+    reply passes [max_reply_bytes]. Bypasses the {!recv_line} buffer; do not interleave
     with a {!request} that left a partial reply buffered. *)
 
 val request_with_retry :

@@ -26,9 +26,6 @@ val durations_of_name : string -> Arch.Durations.t option
 (** ["sc"], ["superconducting"], ["ion"], ["ion-trap"], ["atom"],
     ["neutral-atom"], ["uniform"]. *)
 
-val router_of_name :
-  string -> [ `Codar | `Sabre | `Astar | `Portfolio ] option
-
 val router_name : [ `Codar | `Sabre | `Astar | `Portfolio ] -> string
 
 val resolve_router :

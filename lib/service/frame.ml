@@ -1,30 +1,22 @@
-(* Newline-delimited frame I/O over a file descriptor, shared by the server
-   and the client. The reader enforces the frame size limit *while
-   buffering*, so an abusive client cannot balloon daemon memory by simply
-   never sending a newline.
+(* Newline-delimited frame I/O over a file descriptor. The framer
+   enforces the frame size limit *while buffering*, so an abusive client
+   cannot balloon daemon memory by simply never sending a newline.
 
-   Two optional behaviours, both off by default so the client side stays
-   untouched:
-
-   - [?timeout_s] on [read]: a deadline on *completing a frame*, armed
-     only once the first byte of a frame has been buffered. An idle
-     keep-alive connection is never timed out; a client that stalls
-     mid-frame is — the caller answers [deadline_exceeded] and drops the
-     connection (framing is suspect once a partial frame is abandoned).
-   - [?inject] on [reader]/[write]: opt this endpoint into the armed
-     {!Faults} plan (short reads, mid-frame EOF, stalls, write errors).
-     The server opts in; clients do not, so an in-process fault-soak
-     test injects only on the daemon side of each socket. *)
+   The server reads with the non-blocking [read_once], which applies the
+   armed {!Faults} plan's read-side points, and writes with [write_once].
+   The blocking [reader] and [write] belong to the client and never
+   inject, so an in-process fault-soak test injects only on the daemon
+   side of each socket. *)
 
 (* ------------------------------------------------------------ framer *)
 
-(* The inbound byte buffer both readers share. Framing cost is linear in
-   the bytes received: each byte is appended once, scanned for '\n' once
-   ([scanned] remembers how far the partial frame has been searched) and
-   copied out once, with its line. Taken bytes are reclaimed by moving
-   the live tail to the front only when the free space runs out, and the
-   capacity then grows to twice the live bytes, so every byte is moved
-   O(1) times amortised. *)
+(* The inbound byte buffer of the server's connections and the client's
+   reader. Framing cost is linear in the bytes received: each byte is
+   appended once, scanned for '\n' once ([scanned] remembers how far the
+   partial frame has been searched) and copied out once, with its line.
+   Taken bytes are reclaimed by moving the live tail to the front only
+   when the free space runs out, and the capacity then grows to twice the
+   live bytes, so every byte is moved O(1) times amortised. *)
 type framer = {
   max : int;
   mutable buf : Bytes.t;
@@ -106,108 +98,49 @@ let take_rest f =
 
 type reader = {
   fd : Unix.file_descr;
-  inject : bool;
   lines : framer;
   chunk : Bytes.t;
   mutable eof : bool;
-  mutable frame_start : float option;
-      (* when the oldest buffered byte of an incomplete frame arrived *)
 }
 
 let default_max_bytes = 8 * 1024 * 1024
 
-let reader ?(max_bytes = default_max_bytes) ?(inject = false) fd =
-  {
-    fd;
-    inject;
-    lines = framer ~max_bytes;
-    chunk = Bytes.create 65536;
-    eof = false;
-    frame_start = None;
-  }
+let reader ?(max_bytes = default_max_bytes) fd =
+  { fd; lines = framer ~max_bytes; chunk = Bytes.create 65536; eof = false }
 
-(* one [Unix.read], with the fault plan's read-side points applied *)
-let do_read r =
-  if r.inject && Faults.fire Faults.Frame_read_eof then 0
-  else begin
-    if r.inject then Faults.pause Faults.Frame_stall;
-    let cap =
-      if r.inject && Faults.fire Faults.Frame_short_read then 1
-      else Bytes.length r.chunk
-    in
-    try Unix.read r.fd r.chunk 0 cap with
-    | Unix.Unix_error (Unix.EINTR, _, _) -> -1 (* retry *)
-    | Unix.Unix_error
-        ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN), _, _)
-      ->
-      0
-  end
-
-let rec read ?timeout_s r =
+let rec read r =
   match next r.lines with
-  | `Line line ->
-    (* leftover bytes belong to the next frame; its clock starts when the
-       caller next asks for it *)
-    r.frame_start <- None;
-    `Line line
-  | `Oversized -> `Oversized
+  | (`Line _ | `Oversized) as frame -> frame
   | `Partial ->
     if r.eof then
       if buffered r.lines = 0 then `Eof
-      else begin
+      else
         (* final unterminated frame: accept it (lenient EOF framing) *)
-        r.frame_start <- None;
         `Line (take_rest r.lines)
-      end
     else begin
-      let timed_out =
-        match timeout_s with
-        | Some limit when buffered r.lines > 0 -> (
-          let now = Unix.gettimeofday () in
-          let start =
-            match r.frame_start with
-            | Some s -> s
-            | None ->
-              r.frame_start <- Some now;
-              now
-          in
-          let remaining = limit -. (now -. start) in
-          if remaining <= 0. then true
-          else
-            (* wait for more bytes, but no longer than the deadline *)
-            match Unix.select [ r.fd ] [] [] remaining with
-            | [], _, _ -> true
-            | _ -> false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> false)
-        | _ -> false
-      in
-      if timed_out then `Timeout
-      else begin
-        let n = do_read r in
-        if n = 0 then r.eof <- true
-        else if n > 0 then begin
-          if buffered r.lines = 0 && r.frame_start = None then
-            r.frame_start <- Some (Unix.gettimeofday ());
-          feed r.lines r.chunk 0 n
-        end;
-        read ?timeout_s r
-      end
+      (match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+      | 0 -> r.eof <- true
+      | n -> feed r.lines r.chunk 0 n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception
+          Unix.Unix_error
+            ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF | Unix.ENOTCONN), _, _)
+        ->
+        r.eof <- true);
+      read r
     end
 
 (* ------------------------------------------- non-blocking primitives *)
 
-(* One read attempt against a (normally O_NONBLOCK) fd, for the evented
-   server's loop. Applies the same read-side fault points in the same
-   order as [do_read], so a soak plan drives an evented daemon through
-   the same decision sequence a threaded one sees: mid-frame EOF first,
-   then the stall pause, then the short-read cap. *)
-let read_once ?(inject = false) fd bytes =
-  if inject && Faults.fire Faults.Frame_read_eof then `Eof
+(* One read attempt against a (normally O_NONBLOCK) fd, for the server's
+   loop, with the fault plan's read-side points applied in a fixed order:
+   mid-frame EOF first, then the stall pause, then the short-read cap. *)
+let read_once fd bytes =
+  if Faults.fire Faults.Frame_read_eof then `Eof
   else begin
-    if inject then Faults.pause Faults.Frame_stall;
+    Faults.pause Faults.Frame_stall;
     let cap =
-      if inject && Faults.fire Faults.Frame_short_read then 1
-      else Bytes.length bytes
+      if Faults.fire Faults.Frame_short_read then 1 else Bytes.length bytes
     in
     match Unix.read fd bytes 0 cap with
     | 0 -> `Eof
@@ -226,8 +159,7 @@ let read_once ?(inject = false) fd bytes =
 (* One write attempt; partial progress is the caller's buffer problem.
    No fault point here on purpose: [Frame_write_error] fires once per
    reply frame, and a non-blocking writer may need many attempts per
-   frame — the evented server queries the point when it *enqueues* a
-   frame, keeping fault-query parity with the threaded [write]. *)
+   frame, so the server queries the point when it *enqueues* a frame. *)
 let write_once fd s ~pos ~len =
   match Unix.write_substring fd s pos len with
   | n -> `Wrote n
@@ -236,10 +168,7 @@ let write_once fd s ~pos ~len =
     ->
     `Again
 
-let write ?(inject = false) fd line =
-  if inject && Faults.fire Faults.Frame_write_error then
-    (* a vanished client, as the kernel would report it *)
-    raise (Unix.Unix_error (Unix.EPIPE, "write", "fault-injected"));
+let write fd line =
   let payload = line ^ "\n" in
   let len = String.length payload in
   let pos = ref 0 in

@@ -1,10 +1,11 @@
 (** Newline-delimited frame I/O over a raw [Unix] file descriptor —
-    the transport under {!Protocol}, shared by server and client. *)
+    the transport under {!Protocol}: non-blocking primitives for the
+    {!Server} loop, a blocking reader and writer for {!Client}. *)
 
 (** {2 Framing}
 
     The inbound byte buffer under both the blocking {!reader} and the
-    evented server. Its cost is linear in the bytes received: each byte
+    server's connections. Its cost is linear in the bytes received: each byte
     is appended once, scanned for the newline once, and copied out once
     with its line; a frame arriving in many small reads is never
     re-copied or re-scanned. *)
@@ -42,50 +43,38 @@ val default_max_bytes : int
 (** 8 MiB — generous for inline-QASM requests, small enough that a
     newline-less abuser cannot balloon the daemon. *)
 
-val reader : ?max_bytes:int -> ?inject:bool -> Unix.file_descr -> reader
-(** Buffered line reader over a {!framer}, so a frame costs time linear
-    in its size however the peer splits it into writes. The limit
-    applies to a single frame and is enforced while buffering, not
-    after. [inject] (default [false])
-    opts this reader into the armed {!Faults} plan — short reads,
-    mid-frame EOF, read stalls; the daemon sets it, clients do not. *)
+val reader : ?max_bytes:int -> Unix.file_descr -> reader
+(** Buffered blocking line reader over a {!framer}, so a frame costs
+    time linear in its size however the peer splits it into writes. The
+    limit applies to a single frame and is enforced while buffering, not
+    after. Never consults the {!Faults} plan. *)
 
-val read :
-  ?timeout_s:float ->
-  reader ->
-  [ `Line of string | `Eof | `Oversized | `Timeout ]
+val read : reader -> [ `Line of string | `Eof | `Oversized ]
 (** Next frame, without its newline. A non-empty unterminated trailer
     before EOF is yielded as a final [`Line]. Connection-reset errors
     read as [`Eof]; [`Oversized] poisons the reader (framing is lost —
-    the caller should answer and drop the connection).
+    the caller should answer and drop the connection). *)
 
-    [timeout_s] bounds how long a {e partially received} frame may take
-    to complete, measured from its first buffered byte; an idle
-    connection with no pending bytes waits forever. On expiry the read
-    returns [`Timeout] — also framing-poisoning, since the peer's
-    unfinished bytes are abandoned in the buffer. *)
+(** {2 Non-blocking primitives} *)
 
-val read_once :
-  ?inject:bool ->
-  Unix.file_descr ->
-  Bytes.t ->
-  [ `Data of int | `Eof | `Again ]
-(** One [Unix.read] into [bytes] for a non-blocking fd — the evented
-    server's read primitive. [`Again] maps [EAGAIN]/[EWOULDBLOCK]/
-    [EINTR]; connection-reset errors and a zero-byte read map to [`Eof].
-    [inject] applies the read-side {!Faults} points in the same order as
-    the blocking {!read} path (mid-frame EOF, stall, short-read cap). *)
+val read_once : Unix.file_descr -> Bytes.t -> [ `Data of int | `Eof | `Again ]
+(** One [Unix.read] into [bytes] for a non-blocking fd — the server's
+    read primitive. [`Again] maps [EAGAIN]/[EWOULDBLOCK]/[EINTR];
+    connection-reset errors and a zero-byte read map to [`Eof]. Applies
+    the armed {!Faults} plan's read-side points in a fixed order:
+    mid-frame EOF, then the stall, then the short-read cap (one byte).
+    Unarmed, each query is one atomic load. *)
 
 val write_once :
   Unix.file_descr -> string -> pos:int -> len:int -> [ `Wrote of int | `Again ]
 (** One [Unix.write_substring] attempt for a non-blocking fd. [`Again]
     maps [EAGAIN]/[EWOULDBLOCK]/[EINTR]; a vanished peer still raises
-    [Unix.Unix_error] ([EPIPE]). Carries no fault point — the evented
-    server queries {!Faults.point}[.Frame_write_error] once per enqueued
-    frame instead, mirroring {!write}'s once-per-frame query rate. *)
+    [Unix.Unix_error] ([EPIPE]). Carries no fault point — the server
+    queries {!Faults.point}[.Frame_write_error] once per enqueued frame
+    instead. *)
 
-val write : ?inject:bool -> Unix.file_descr -> string -> unit
+(** {2 Blocking writer} *)
+
+val write : Unix.file_descr -> string -> unit
 (** Write [line + "\n"] fully. Raises [Unix.Unix_error] (e.g. [EPIPE])
-    when the peer is gone. [inject] (default [false]) opts the write
-    into the armed {!Faults} plan's {!Faults.point}[.Frame_write_error]
-    point, which raises the same [EPIPE] a vanished client would. *)
+    when the peer is gone. *)

@@ -1,8 +1,7 @@
-(* Request handling shared by the two server implementations. Everything
-   here is either pure or parameterised over the caller's cache access,
-   so [Server] (thread-per-connection, blocking waits) and [Evented]
-   (select loop, parked continuations) produce byte-identical frames for
-   every operation that does not involve waiting on a route. *)
+(* The daemon's reply frames and its route lookup. Everything here is
+   either pure or parameterised over the caller's cache access and lock,
+   so code outside the server (perfbench's in-process replays, the
+   protocol tests) builds the very bytes the daemon writes. *)
 
 module Json = Report.Json
 
@@ -146,119 +145,3 @@ let stats_frame ?id ~jobs ~svc_json ~cache_counters () =
       ("faults", faults);
       ("jobs", Json.Int jobs);
     ]
-
-let cache_info_json cache =
-  Json.Obj
-    [
-      ("entries", Json.Int (Cache.length cache));
-      ("bytes", Json.Int (Cache.bytes cache));
-      ("memo_keys", Json.Int (Cache.memo_length cache));
-      ("max_entries", Json.Int (Cache.max_entries cache));
-      ( "max_bytes",
-        match Cache.max_bytes cache with
-        | Some b -> Json.Int b
-        | None -> Json.Null );
-      ("counters", Protocol.cache_counters_to_json (Cache.counters cache));
-    ]
-
-(* [get_cache]/[set_cache] abstract over the caller's locking discipline:
-   the threaded server reads the cache pointer under its mutex, the
-   evented one owns it from the loop thread. *)
-let handle_cache ~(cfg : Config.t) ~get_cache ~set_cache ?id action =
-  let path_or ~fallback = function
-    | Some p -> Ok p
-    | None -> (
-      match fallback with
-      | Some p -> Ok p
-      | None -> Error "no cache file given and none configured")
-  in
-  match action with
-  | Protocol.Info ->
-    `Reply
-      (Protocol.ok_frame ?id ~op:"cache"
-         [
-           ("action", Json.String "info");
-           ("cache", cache_info_json (get_cache ()));
-         ])
-  | Protocol.Clear ->
-    Cache.clear (get_cache ());
-    `Reply
-      (Protocol.ok_frame ?id ~op:"cache" [ ("action", Json.String "clear") ])
-  | Protocol.Save file -> (
-    match path_or ~fallback:cfg.Config.cache_file file with
-    | Error msg -> `Error (Protocol.Bad_request, msg)
-    | Ok path -> (
-      let cache = get_cache () in
-      match Cache.save cache path with
-      | () ->
-        `Reply
-          (Protocol.ok_frame ?id ~op:"cache"
-             [
-               ("action", Json.String "save");
-               ("file", Json.String path);
-               ("entries", Json.Int (Cache.length cache));
-             ])
-      | exception Sys_error msg -> `Error (Protocol.Io, msg)))
-  | Protocol.Load file -> (
-    match path_or ~fallback:cfg.Config.cache_file file with
-    | Error msg -> `Error (Protocol.Bad_request, msg)
-    | Ok path -> (
-      match
-        Cache.load ?max_bytes:cfg.Config.cache_bytes
-          ~max_entries:cfg.Config.cache_entries path
-      with
-      | Error e -> `Error (Protocol.Io, Cache.load_error_to_string e)
-      | Ok cache ->
-        set_cache cache;
-        `Reply
-          (Protocol.ok_frame ?id ~op:"cache"
-             [
-               ("action", Json.String "load");
-               ("file", Json.String path);
-               ("entries", Json.Int (Cache.length cache));
-             ])))
-
-(* Startup/shutdown plumbing shared verbatim by both servers. *)
-
-let load_or_create_cache (cfg : Config.t) =
-  match cfg.Config.cache_file with
-  | Some path when Sys.file_exists path -> (
-    match
-      Cache.load ?max_bytes:cfg.Config.cache_bytes
-        ~max_entries:cfg.Config.cache_entries path
-    with
-    | Ok c -> c
-    | Error e ->
-      (* a corrupt or unreadable persistence file is a warning and a
-         cold start, never a refusal to serve *)
-      Printf.eprintf "codar serve: ignoring cache file %s: %s\n%!" path
-        (Cache.load_error_to_string e);
-      Cache.create ?max_bytes:cfg.Config.cache_bytes
-        ~max_entries:cfg.Config.cache_entries ())
-  | Some _ | None ->
-    Cache.create ?max_bytes:cfg.Config.cache_bytes
-      ~max_entries:cfg.Config.cache_entries ()
-
-let bind_listen_socket (cfg : Config.t) =
-  (* a stale socket file from a dead daemon would make bind fail forever *)
-  (match (Unix.lstat cfg.Config.socket_path).Unix.st_kind with
-  | Unix.S_SOCK -> Unix.unlink cfg.Config.socket_path
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.Config.socket_path);
-     Unix.listen listen_fd cfg.Config.backlog
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  listen_fd
-
-let save_cache_at_exit (cfg : Config.t) cache =
-  match cfg.Config.cache_file with
-  | Some path -> (
-    try Cache.save cache path
-    with Sys_error msg ->
-      Printf.eprintf "codar serve: could not save cache to %s: %s\n%!" path
-        msg)
-  | None -> ()

@@ -1,8 +1,6 @@
-(** Request-handling helpers shared by {!Server} (threaded) and
-    {!Evented} (select loop), factored so the two implementations emit
-    byte-identical frames for every non-waiting operation — the premise
-    of comparing them under one fault-soak transcript and one smoke
-    suite. *)
+(** The daemon's reply frames and its route lookup, apart from the
+    {!Server} loop so that in-process callers (perfbench's replays, the
+    protocol tests) build the bytes the daemon writes. *)
 
 module Json = Report.Json
 
@@ -43,7 +41,7 @@ val lookup_route :
   ?line:string ->
   Protocol.route_req ->
   'a
-(** The cache lookup of one route request, shared by both servers. The
+(** The cache lookup of one route request. The
     request's memo key is [line] when given ({!line_key}; {!find_line}
     has already missed it) and its {!Engine.request_key} otherwise, which
     answers [`Hit] without parsing when memoised. Any other request is
@@ -79,26 +77,3 @@ val stats_frame :
   cache_counters:Json.t ->
   unit ->
   string
-
-val cache_info_json : Cache.t -> Json.t
-
-val handle_cache :
-  cfg:Config.t ->
-  get_cache:(unit -> Cache.t) ->
-  set_cache:(Cache.t -> unit) ->
-  ?id:Json.t ->
-  Protocol.cache_action ->
-  [ `Reply of string | `Error of Protocol.error_code * string ]
-(** The [cache] op (info/clear/save/load), parameterised over the
-    caller's locking discipline for reading/replacing the cache. *)
-
-val load_or_create_cache : Config.t -> Cache.t
-(** Startup cache: load [cache_file] when present, warn + start cold on
-    a corrupt one, create fresh otherwise. *)
-
-val bind_listen_socket : Config.t -> Unix.file_descr
-(** Unlink a stale socket file, then bind + listen. Raises
-    [Unix.Unix_error] when the socket cannot be bound. *)
-
-val save_cache_at_exit : Config.t -> Cache.t -> unit
-(** Persist to [cache_file] when configured; log, never raise. *)

@@ -91,9 +91,7 @@ val service_counters_to_json : Codar.Stats.service -> Report.Json.t
 (** Defaults applied to omitted route-request keys (matching
     [codar_cli map]). *)
 
-val default_arch : string
 val default_durations : string
-val default_router : string
 val default_placement : string
 val default_restarts : int
 val default_seed : int

@@ -2,9 +2,16 @@
     routes {!Protocol} requests onto the existing {!Pool}, answering from
     a content-addressed {!Cache} when it can.
 
+    One I/O thread multiplexes every client socket through [Unix.select]
+    over non-blocking fds, with per-connection read/write buffers and a
+    reading → queued → routing → writing state machine; a dispatcher
+    thread feeds the Domain pool, and outcomes return to the loop over a
+    self-pipe. Both deadline kinds (mid-frame read, slow route) fold into
+    the select timeout, and a write-buffer high-watermark backpressures
+    slow consumers.
+
     Guarantees (asserted by test/test_service.ml, test/test_faults.ml and
-    the service-smoke / fault-smoke rules), holding under {e both} I/O
-    models:
+    the service-smoke / fault-smoke rules):
 
     - {b Byte-identical replay} — a cache hit replies with exactly the
       bytes of the cold route reply for the same request content.
@@ -20,27 +27,16 @@
       persistence faults.
     - {b Admission control} — a route request that finds the job queue
       full is refused with the typed [overloaded] error instead of
-      blocking; {!Client.request_with_retry} implements the client half
+      waiting; {!Client.request_with_retry} implements the client half
       (seeded-jitter backoff).
     - {b Deadlines} — with [timeout_ms] set, a request frame stalled
       mid-transmission or a route that waits/computes past the deadline
       is answered [deadline_exceeded]; neither blocks other connections.
     - {b Graceful drain} — with [handle_signals] set, SIGTERM/SIGINT stop
       the accept loop, finish in-flight work, persist the cache when
-      configured and make {!run} return normally (exit 0 in the CLI).
+      configured and make {!run} return normally (exit 0 in the CLI). *)
 
-    I/O models ({!Config.io_model}, [serve --io-model]):
-
-    - {b Evented} (default) — one I/O thread multiplexes every client
-      socket via [Unix.select] over non-blocking fds with per-connection
-      buffers; routing outcomes return over a self-pipe; both deadline
-      kinds fold into the select timeout; a write-buffer high-watermark
-      backpressures slow consumers ({!Evented}).
-    - {b Threaded} — one thread per connection, a dispatcher thread that
-      owns the Domain pool, and (when [timeout_ms] is set) a ticker
-      thread that broadcasts so deadline waiters can observe expiry. *)
-
-type config = Config.t
+type config
 
 val config :
   ?jobs:int ->
@@ -52,28 +48,54 @@ val config :
   ?backlog:int ->
   ?timeout_ms:int ->
   ?handle_signals:bool ->
-  ?io_model:Config.io_model ->
   ?write_watermark_bytes:int ->
   ?max_connections:int ->
   ?on_route_start:(string -> unit) ->
   socket_path:string ->
   unit ->
   config
-(** {!Config.make}: defaults are 1 job, 1024 cache entries, no byte cap,
-    no cache file, {!Frame.default_max_bytes}, queue capacity 64,
-    backlog 64, no deadline, no signal handling, [Evented],
-    {!Config.default_write_watermark_bytes},
-    {!Config.default_max_connections}. Raises [Invalid_argument] on
-    [jobs < 1], [queue_capacity < 1], [timeout_ms < 1],
-    [write_watermark_bytes < 1] or [max_connections < 1]. *)
+(** The daemon's settings:
+
+    - [jobs] (default 1): Domain-pool width for routing.
+    - [cache_entries] (1024) and [cache_bytes] (no cap): the cache's
+      bounds.
+    - [cache_file] (none): loaded at startup when present; saved on
+      shutdown and by the [cache save] request.
+    - [max_request_bytes] ({!Frame.default_max_bytes}): the frame cap.
+    - [queue_capacity] (64): bound on not-yet-dispatched routing jobs.
+    - [backlog] (64): the listen backlog.
+    - [timeout_ms] (none, wait forever): the per-request deadline; it
+      bounds both mid-frame read stalls and the wait for a routing
+      outcome.
+    - [handle_signals] (false): install SIGTERM/SIGINT handlers that
+      drain gracefully; off by default so in-process tests keep their
+      signal dispositions.
+    - [write_watermark_bytes] (256 KiB): a connection whose buffered
+      unsent reply bytes exceed this stops being read until the buffer
+      drains below half of it.
+    - [max_connections] (960): the concurrent-connection cap. At the cap
+      the listen fd stops being polled, so further connections wait in
+      the kernel's listen backlog until a slot frees. [Unix.select]
+      rejects fds at or beyond FD_SETSIZE (1024), so keep it under that
+      less the fds the process holds besides.
+    - [on_route_start] (none): a test hook, called with the fingerprint
+      as each routing job starts (possibly from a pool domain).
+
+    Raises [Invalid_argument] on [jobs < 1], [queue_capacity < 1],
+    [timeout_ms < 1], [write_watermark_bytes < 1] or
+    [max_connections < 1]. *)
+
+val select_timeout : now:float -> float list -> float
+(** Seconds the loop may sleep given the armed absolute deadlines:
+    [-1.] (sleep until an fd event) when no deadline is armed, else
+    [max 0 (nearest - now)]. Pure; the poll-loop unit test pins it. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> Codar.Stats.service
 (** Bind (unlinking a stale socket file first), serve until a [shutdown]
     request (or, with [handle_signals], SIGTERM/SIGINT), then drain
     in-flight work, flush every connection, persist the cache when
     configured, unlink the socket and return the final service counters.
-    Dispatches on [cfg.io_model] ({!Evented.run} by default). A corrupt
-    or truncated cache file at startup logs a warning to stderr and
-    starts cold — it never prevents serving. [on_ready] fires once the
-    socket is listening (tests start their clients from it). Raises
+    A corrupt or truncated cache file at startup logs a warning to stderr
+    and starts cold — it never prevents serving. [on_ready] fires once
+    the socket is listening (tests start their clients from it). Raises
     [Unix.Unix_error] when the socket cannot be bound. *)

@@ -45,6 +45,8 @@ expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
 # 124 (cmdliner's own code for a bad option value): a device past
 # Coupling.max_qubits, refused before it is built
 expect 124 "device past the size bound" "$CLI" map -b qft_4 -a linear-1000000
+# ... and a size in any spelling but decimal digits
+expect 124 "hexadecimal device size" "$CLI" map -b ghz_3 -a linear-0x10
 
 # 3: QASM that does not parse
 expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"

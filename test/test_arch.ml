@@ -403,7 +403,13 @@ let test_by_name () =
   Alcotest.(check bool) "tiny heavy-hex" true
     (Arch.Devices.by_name "heavy-hex-1" = None);
   Alcotest.(check bool) "garbled heavy-hex" true
-    (Arch.Devices.by_name "heavy-hex-x" = None)
+    (Arch.Devices.by_name "heavy-hex-x" = None);
+  (* a size is decimal digits, not any spelling [int_of_string] reads *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " refused") true
+        (Arch.Devices.by_name name = None))
+    [ "linear-0x10"; "ring-1_0"; "linear-+16"; "grid-0b11x3"; "full-0o7" ]
 
 (* Generated devices are memoised: a repeated name (in any spelling of
    its size) is the physically same coupling, presets stay the shared

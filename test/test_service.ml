@@ -345,8 +345,7 @@ let test_hostile_frame_battery () =
   ignore (shutdown_and_join sock server)
 
 (* Route requests of a few dozen bytes that once escaped request handling
-   as exceptions: on the evented loop's thread that stopped the daemon,
-   and the threaded server dropped the connection unanswered. Each must
+   as exceptions, which on the loop's thread stopped the daemon. Each must
    get a typed bad_request, on a connection that then still serves. *)
 let hostile_requests =
   let qasm body =
@@ -393,11 +392,9 @@ let hostile_requests =
       {|{"op":"route","bench":"ghz_3","arch":"grid-33x32"}|} );
   ]
 
-let test_hostile_requests io_model () =
+let test_hostile_requests () =
   let sock = temp_sock "requests" in
-  let server =
-    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
-  in
+  let server = start (Service.Server.config ~jobs:1 ~socket_path:sock ()) in
   Service.Client.with_connection sock (fun t ->
       List.iter
         (fun (name, frame) ->
@@ -427,11 +424,9 @@ let test_hostile_requests io_model () =
 (* A reply is counted by its ok field, whichever path answered it: an
    unknown benchmark, a QASM parse error and a route whose pool task
    raises are three errors and no successes. *)
-let test_failed_routes_counted io_model () =
+let test_failed_routes_counted () =
   let sock = temp_sock "errcount" in
-  let server =
-    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
-  in
+  let server = start (Service.Server.config ~jobs:1 ~socket_path:sock ()) in
   Service.Client.with_connection sock (fun t ->
       let req = Service.Client.request t in
       let counts () =
@@ -566,41 +561,33 @@ let qasm_frame text =
 
 (* Whitespace variants share one record under two memo keys; repeats are
    memo hits, each counted as exactly one cache hit; the replies stay
-   byte-identical. Both io models run the one lookup. *)
+   byte-identical. *)
 let test_memo_whitespace_variants () =
   let text =
     Qasm.Printer.to_string
       (Lazy.force (Option.get (Workloads.Suite.find "qft_4")).circuit)
   in
   let a = qasm_frame text and b = qasm_frame ("\n  " ^ text ^ "\n") in
+  let sock = temp_sock "memo" in
+  let server = start (Service.Server.config ~jobs:1 ~socket_path:sock ()) in
+  let cold = request sock a in
+  Alcotest.(check bool) "cold route ok" true (reply_ok cold);
   List.iter
-    (fun io_model ->
-      let sock = temp_sock "memo" in
-      let server =
-        start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
-      in
-      let cold = request sock a in
-      Alcotest.(check bool) "cold route ok" true (reply_ok cold);
-      List.iter
-        (fun frame ->
-          Alcotest.(check string) "replay byte-identical" cold
-            (request sock frame))
-        [ a; b; a; b; a ];
-      let stats = request sock {|{"op":"stats"}|} in
-      Alcotest.(check int) "one route computed" 1
-        (counter [ "service"; "routes_computed" ] stats);
-      Alcotest.(check int) "one hit per warm request" 5
-        (counter [ "cache"; "hits" ] stats);
-      Alcotest.(check int) "three of them memo hits" 3
-        (counter [ "cache"; "memo_hits" ] stats);
-      Alcotest.(check int) "one miss" 1 (counter [ "cache"; "misses" ] stats);
-      let info = request sock {|{"op":"cache","action":"info"}|} in
-      Alcotest.(check int) "one cache entry" 1
-        (counter [ "cache"; "entries" ] info);
-      Alcotest.(check int) "two memo keys" 2
-        (counter [ "cache"; "memo_keys" ] info);
-      ignore (shutdown_and_join sock server))
-    [ Service.Config.Evented; Service.Config.Threaded ]
+    (fun frame ->
+      Alcotest.(check string) "replay byte-identical" cold (request sock frame))
+    [ a; b; a; b; a ];
+  let stats = request sock {|{"op":"stats"}|} in
+  Alcotest.(check int) "one route computed" 1
+    (counter [ "service"; "routes_computed" ] stats);
+  Alcotest.(check int) "one hit per warm request" 5
+    (counter [ "cache"; "hits" ] stats);
+  Alcotest.(check int) "three of them memo hits" 3
+    (counter [ "cache"; "memo_hits" ] stats);
+  Alcotest.(check int) "one miss" 1 (counter [ "cache"; "misses" ] stats);
+  let info = request sock {|{"op":"cache","action":"info"}|} in
+  Alcotest.(check int) "one cache entry" 1 (counter [ "cache"; "entries" ] info);
+  Alcotest.(check int) "two memo keys" 2 (counter [ "cache"; "memo_keys" ] info);
+  ignore (shutdown_and_join sock server)
 
 (* A memoised request whose record was evicted falls back to parsing: it
    is counted as one miss, not two, and routed again. *)
@@ -630,12 +617,10 @@ let test_memo_after_eviction () =
    are answered from their bytes, one memo hit each. A formatting variant
    is another line, a frame with an id uses the request key (and echoes
    its id), a line equal to a request key is no frame at all, and a bad
-   request is never admitted. Both io models run the one lookup. *)
-let test_line_memo io_model () =
+   request is never admitted. *)
+let test_line_memo () =
   let sock = temp_sock "line-memo" in
-  let server =
-    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
-  in
+  let server = start (Service.Server.config ~jobs:1 ~socket_path:sock ()) in
   let memo () =
     let stats = request sock {|{"op":"stats"}|} in
     let info = request sock {|{"op":"cache","action":"info"}|} in
@@ -703,12 +688,12 @@ let test_line_memo io_model () =
   check_memo "bad requests are not admitted" (5, 3, 8);
   ignore (shutdown_and_join sock server)
 
-(* ------------------------------------------------- evented loop details *)
+(* ---------------------------------------------------- event loop details *)
 
 (* The select-timeout computation is pure; pin that the nearest armed
-   deadline bounds the sleep (no ticker thread to paper over a miss). *)
+   deadline bounds the sleep (no other thread papers over a miss). *)
 let test_select_timeout () =
-  let st = Service.Evented.select_timeout in
+  let st = Service.Server.select_timeout in
   Alcotest.(check (float 1e-9))
     "no deadlines: sleep until an fd event" (-1.)
     (st ~now:100. []);
@@ -918,50 +903,19 @@ let test_request_many_pipelining () =
         (List.length replies);
       Alcotest.(check bool) "all byte-identical" true
         (List.for_all (String.equal warm) replies));
+  (* a reply past the connection's bound fails, the same way for both *)
+  let capped f =
+    Service.Client.with_connection ~max_reply_bytes:8 sock (fun t ->
+        match f t with _ -> None | exception Failure msg -> Some msg)
+  in
+  let ping = {|{"op":"ping"}|} in
+  Alcotest.(check (option string)) "request past the reply bound"
+    (Some "Service.Client: reply exceeds the frame limit")
+    (capped (fun t -> Service.Client.request t ping));
+  Alcotest.(check (option string)) "request_many past the reply bound"
+    (Some "Service.Client: reply exceeds the frame limit")
+    (capped (fun t -> Service.Client.request_many t [ ping ]));
   ignore (shutdown_and_join sock server)
-
-(* The threaded implementation stays selectable — and frame-for-frame
-   interchangeable with the evented default. *)
-let test_threaded_io_model () =
-  let sock = temp_sock "threaded" in
-  let server =
-    start
-      (Service.Server.config ~jobs:2 ~io_model:Service.Config.Threaded
-         ~socket_path:sock ())
-  in
-  let cold = request sock route_qft4 in
-  Alcotest.(check bool) "threaded cold route ok" true (reply_ok cold);
-  let hit = request sock route_qft4 in
-  Alcotest.(check string) "threaded replay byte-identical" cold hit;
-  let stats = request sock {|{"op":"stats"}|} in
-  Alcotest.(check int) "threaded counts connections" 3
-    (counter [ "service"; "connections" ] stats);
-  Alcotest.(check bool) "threaded counts bytes" true
-    (counter [ "service"; "bytes_out" ] stats > 0);
-  ignore (shutdown_and_join sock server);
-  (* same request against an evented daemon: identical frame bytes *)
-  let sock2 = temp_sock "threaded-x" in
-  let server2 =
-    start
-      (Service.Server.config ~jobs:2 ~io_model:Service.Config.Evented
-         ~socket_path:sock2 ())
-  in
-  let evented_cold = request sock2 route_qft4 in
-  (* identical frames up to the record's wall-clock field — the routing
-     result and serialisation agree; only the measured time differs *)
-  let before_wall s =
-    let pat = {|"wall_s":|} in
-    let plen = String.length pat and slen = String.length s in
-    let rec find i =
-      if i + plen > slen then s
-      else if String.equal (String.sub s i plen) pat then String.sub s 0 i
-      else find (i + 1)
-    in
-    find 0
-  in
-  Alcotest.(check string) "io models agree byte-for-byte (modulo wall_s)"
-    (before_wall cold) (before_wall evented_cold);
-  ignore (shutdown_and_join sock2 server2)
 
 (* ---------------------------------------------------------------- framing *)
 
@@ -1087,7 +1041,7 @@ let reader_frames ~max chunks =
     match Service.Frame.read r with
     | `Line l -> go (`Line l :: acc)
     | `Oversized -> List.rev (`Oversized :: acc)
-    | `Eof | `Timeout -> List.rev acc
+    | `Eof -> List.rev acc
   in
   let frames = go [] in
   Unix.close r_fd;
@@ -1117,17 +1071,17 @@ let replies_to sock chunks =
   let rec go acc =
     match Service.Frame.read r with
     | `Line l -> go (l :: acc)
-    | `Eof | `Oversized | `Timeout -> List.rev acc
+    | `Eof | `Oversized -> List.rev acc
   in
   let replies = go [] in
   Unix.close fd;
   replies
 
-let test_server_chunking io_model () =
+let test_server_chunking () =
   let sock = temp_sock "chunks" in
   let server =
     start
-      (Service.Server.config ~jobs:1 ~io_model ~max_request_bytes:frame_cap
+      (Service.Server.config ~jobs:1 ~max_request_bytes:frame_cap
          ~socket_path:sock ())
   in
   let prop =
@@ -1138,16 +1092,38 @@ let test_server_chunking io_model () =
   QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |]) prop;
   ignore (shutdown_and_join sock server)
 
+(* [Frame.read_once] applies the armed fault plan's read-side points: a
+   fired mid-frame EOF reads nothing and a fired short read takes one
+   byte; unarmed, it reads what is there. *)
+let test_read_once_faults () =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock r;
+  let buf = Bytes.create 64 in
+  let read () =
+    match Service.Frame.read_once r buf with
+    | `Data n -> Printf.sprintf "data %d" n
+    | `Eof -> "eof"
+    | `Again -> "again"
+  in
+  let armed point = Faults.with_plan (Faults.plan ~seed:1 [ (point, 1.0) ]) read in
+  ignore (Unix.write_substring w "ping\n" 0 5);
+  Alcotest.(check string) "fired mid-frame EOF" "eof"
+    (armed Faults.Frame_read_eof);
+  Alcotest.(check string) "fired short read" "data 1"
+    (armed Faults.Frame_short_read);
+  Alcotest.(check string) "unarmed: the rest" "data 4" (read ());
+  Alcotest.(check string) "nothing buffered" "again" (read ());
+  Unix.close w;
+  Alcotest.(check string) "peer closed" "eof" (read ());
+  Unix.close r
+
 (* One ~4 MB frame in 4 KB writes, with the client's send buffer kept
    small so the daemon reads it a few KB at a time. Framing that copies
-   and re-scans the buffered partial frame on every read spent 1.8 s
-   (threaded) to 2.2 s (evented) of CPU on this; linear framing spends
-   about 0.03 s. *)
-let test_large_frame_linear io_model () =
+   and re-scans the buffered partial frame on every read spent 2.2 s of
+   CPU on this; linear framing spends about 0.03 s. *)
+let test_large_frame_linear () =
   let sock = temp_sock "large-frame" in
-  let server =
-    start (Service.Server.config ~jobs:1 ~io_model ~socket_path:sock ())
-  in
+  let server = start (Service.Server.config ~jobs:1 ~socket_path:sock ()) in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
   Unix.setsockopt_int fd Unix.SO_SNDBUF 4096;
@@ -1165,7 +1141,7 @@ let test_large_frame_linear io_model () =
   let reply =
     match Service.Frame.read (Service.Frame.reader fd) with
     | `Line l -> l
-    | `Eof | `Oversized | `Timeout -> Alcotest.fail "no reply to the frame"
+    | `Eof | `Oversized -> Alcotest.fail "no reply to the frame"
   in
   let spent = cpu () -. c0 in
   Unix.close fd;
@@ -1189,23 +1165,16 @@ let () =
           Alcotest.test_case "hostile frame battery" `Quick
             test_hostile_frame_battery;
           Alcotest.test_case "hostile requests: evented" `Quick
-            (test_hostile_requests Service.Config.Evented);
-          Alcotest.test_case "hostile requests: threaded" `Quick
-            (test_hostile_requests Service.Config.Threaded);
+            test_hostile_requests;
           Alcotest.test_case "failed routes counted: evented" `Quick
-            (test_failed_routes_counted Service.Config.Evented);
-          Alcotest.test_case "failed routes counted: threaded" `Quick
-            (test_failed_routes_counted Service.Config.Threaded);
+            test_failed_routes_counted;
           Alcotest.test_case "cache survives restart" `Quick
             test_cache_survives_restart;
           Alcotest.test_case "memo: whitespace variants" `Quick
             test_memo_whitespace_variants;
           Alcotest.test_case "memo: after eviction" `Quick
             test_memo_after_eviction;
-          Alcotest.test_case "memo: line keys, evented" `Quick
-            (test_line_memo Service.Config.Evented);
-          Alcotest.test_case "memo: line keys, threaded" `Quick
-            (test_line_memo Service.Config.Threaded);
+          Alcotest.test_case "memo: line keys, evented" `Quick test_line_memo;
         ] );
       ( "evented",
         [
@@ -1219,8 +1188,6 @@ let () =
             test_backpressure_slow_reader;
           Alcotest.test_case "request_many pipelining" `Quick
             test_request_many_pipelining;
-          Alcotest.test_case "threaded io-model" `Quick
-            test_threaded_io_model;
         ] );
       ( "protocol",
         [
@@ -1234,12 +1201,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_framer_chunking;
           QCheck_alcotest.to_alcotest prop_reader_chunking;
           Alcotest.test_case "server chunking: evented" `Quick
-            (test_server_chunking Service.Config.Evented);
-          Alcotest.test_case "server chunking: threaded" `Quick
-            (test_server_chunking Service.Config.Threaded);
+            test_server_chunking;
+          Alcotest.test_case "read_once applies the fault plan" `Quick
+            test_read_once_faults;
           Alcotest.test_case "4 MB frame in 4 KB writes: evented" `Quick
-            (test_large_frame_linear Service.Config.Evented);
-          Alcotest.test_case "4 MB frame in 4 KB writes: threaded" `Quick
-            (test_large_frame_linear Service.Config.Threaded);
+            test_large_frame_linear;
         ] );
     ]
