@@ -5,16 +5,13 @@
      dune exec bench/main.exe fig8       -- speedup vs SABRE, 4 architectures
      dune exec bench/main.exe fig9       -- fidelity maintenance
      dune exec bench/main.exe ablation   -- design-choice ablations
-     dune exec bench/main.exe perf       -- Bechamel router micro-benchmarks
      dune exec bench/main.exe fig8-fast  -- fig8 on a subset (CI-friendly)
      dune exec bench/main.exe framing    -- daemon CPU of one large frame
 
    The routing sweeps (fig8, fig9, ablation) are independent-job fan-outs;
    `--jobs N` (or `-j N`, anywhere on the command line) routes them over a
    deterministic N-domain pool — output is byte-identical for every N
-   (docs/PARALLEL.md). `--jobs 0` means all cores. `perf --json PATH`
-   additionally writes the micro-benchmark estimates as JSON (the committed
-   BENCH_PR2.json snapshot is such a file). *)
+   (docs/PARALLEL.md). `--jobs 0` means all cores. *)
 
 let superconducting = Arch.Durations.superconducting
 
@@ -523,165 +520,11 @@ let objectives_table ?json () =
     close_out oc;
     Fmt.pr "wrote %s@." path
 
-(* ------------------------------------------------------------------- Perf *)
-
-let perf ?json () =
-  Fmt.pr "@.== Bechamel micro-benchmarks (one per experiment driver) ==@.";
-  let open Bechamel in
-  let tokyo =
-    Arch.Maqam.make ~coupling:Arch.Devices.ibm_q20_tokyo
-      ~durations:superconducting
-  in
-  let grid33 =
-    Arch.Maqam.make ~coupling:(Arch.Devices.grid ~rows:3 ~cols:3)
-      ~durations:superconducting
-  in
-  let qft8 = Workloads.Builders.qft 8 in
-  let qft5 = Workloads.Builders.qft 5 in
-  let qft16 = Workloads.Builders.qft 16 in
-  let rand12 =
-    Workloads.Builders.random_circuit ~n:12 ~gates:2000
-      ~two_qubit_fraction:0.5 ~seed:7
-  in
-  let initial8 = Sabre.Initial_mapping.reverse_traversal ~maqam:tokyo qft8 in
-  let initial5 = Sabre.Initial_mapping.reverse_traversal ~maqam:grid33 qft5 in
-  let initial16 = Sabre.Initial_mapping.reverse_traversal ~maqam:tokyo qft16 in
-  let initial12 = Sabre.Initial_mapping.reverse_traversal ~maqam:tokyo rand12 in
-  let routed5 = Codar.Remapper.run ~maqam:grid33 ~initial:initial5 qft5 in
-  let gates = Qc.Circuit.gate_array (Workloads.Builders.qft 10) in
-  let issued = Array.make (Array.length gates) false in
-  let spec8 =
-    {
-      Service.Engine.source_name = "qft_8";
-      circuit = qft8;
-      maqam = tokyo;
-      router = `Codar;
-      placement = Placement.Reverse_traversal 1;
-      objectives = [ Objective.makespan ];
-      metric = Codar.Portfolio.Makespan;
-      restarts = 2;
-      seed = 0;
-      collect_stats = false;
-    }
-  in
-  let tests =
-    [
-      (* Fig. 8 inner loop: one CODAR routing pass *)
-      Test.make ~name:"fig8/codar-route-qft8-tokyo"
-        (Staged.stage (fun () ->
-             ignore (Codar.Remapper.run ~maqam:tokyo ~initial:initial8 qft8)));
-      (* Fig. 8 baseline: one SABRE routing pass *)
-      Test.make ~name:"fig8/sabre-route-qft8-tokyo"
-        (Staged.stage (fun () ->
-             ignore (Sabre.Router.run ~maqam:tokyo ~initial:initial8 qft8)));
-      (* medium circuits: the router hot path the incremental CF cache and
-         pair-resolution caching target *)
-      Test.make ~name:"fig8/codar-route-qft16-tokyo"
-        (Staged.stage (fun () ->
-             ignore (Codar.Remapper.run ~maqam:tokyo ~initial:initial16 qft16)));
-      Test.make ~name:"fig8/codar-route-rand12-2k-tokyo"
-        (Staged.stage (fun () ->
-             ignore
-               (Codar.Remapper.run ~maqam:tokyo ~initial:initial12 rand12)));
-      (* Fig. 9 inner loop: one noisy trajectory *)
-      Test.make ~name:"fig9/noisy-trajectory-qft5"
-        (Staged.stage
-           (let rng = Random.State.make [| 1 |] in
-            let input =
-              Sim.Statevector.embed (Sim.Statevector.init 5) ~n_physical:9
-                ~place:(Arch.Layout.phys_of_log routed5.Schedule.Routed.initial)
-            in
-            fun () ->
-              ignore
-                (Sim.Noise.run_trajectory ~rng
-                   (Sim.Noise.dephasing_dominant ~t2:300.)
-                   ~n_physical:9 ~input routed5)));
-      (* Table II machinery: commutative-front extraction *)
-      Test.make ~name:"core/cf-front-qft10"
-        (Staged.stage (fun () ->
-             ignore
-               (Codar.Cf_front.compute ~commutes:Qc.Commute.commutes ~gates
-                  ~issued 0)));
-      (* Table II machinery: distance matrix construction *)
-      Test.make ~name:"core/coupling-sycamore"
-        (Staged.stage (fun () ->
-             ignore
-               (Arch.Coupling.make ~name:"s" ~n:54
-                  (Arch.Coupling.edges Arch.Devices.sycamore_54))));
-      (* daemon economics: what a request costs cold (placement + route)
-         versus as a cache hit (fingerprint + LRU lookup) — the ratio is
-         the whole argument for running the compile service *)
-      Test.make ~name:"service/cold-route-qft8-tokyo"
-        (Staged.stage (fun () -> ignore (Service.Engine.route spec8)));
-      Test.make ~name:"service/cache-hit-qft8-tokyo"
-        (Staged.stage
-           (let cache = Cache.create ~max_entries:16 () in
-            let record, _ = Service.Engine.route spec8 in
-            Cache.add cache (Service.Engine.fingerprint spec8) record;
-            fun () ->
-              match Cache.find cache (Service.Engine.fingerprint spec8) with
-              | Some _ -> ()
-              | None -> assert false));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] test
-      in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            estimates := (name, est) :: !estimates;
-            Fmt.pr "%-36s %12.0f ns/run@." name est
-          | Some _ | None -> Fmt.pr "%-36s (no estimate)@." name)
-        results)
-    tests;
-  Fmt.pr "@.-- router instrumentation (one qft16 pass on Tokyo) --@.";
-  let stats = Codar.Stats.create () in
-  ignore (Codar.Remapper.run ~stats ~maqam:tokyo ~initial:initial16 qft16);
-  Fmt.pr "%a@." Codar.Stats.pp stats;
-  match json with
-  | None -> ()
-  | Some path ->
-    let doc =
-      Report.Json.Obj
-        [
-          ("schema", Report.Json.String "codar-bench-perf/1");
-          ("ocaml", Report.Json.String Sys.ocaml_version);
-          ( "benchmarks",
-            Report.Json.List
-              (List.rev_map
-                 (fun (name, ns) ->
-                   Report.Json.Obj
-                     [
-                       ("name", Report.Json.String name);
-                       ("ns_per_run", Report.Json.Float ns);
-                     ])
-                 !estimates) );
-          ( "router_stats_qft16_tokyo",
-            Report.Record.stats_to_json stats );
-        ]
-    in
-    let oc = open_out path in
-    Report.Json.output oc doc;
-    close_out oc;
-    Fmt.pr "wrote %s@." path
-
 (* ------------------------------------------------------------------ smoke *)
 
 (* One small end-to-end routing run plus the stats path, wired into [dune
-   runtest] (the [bench-smoke] alias in bench/dune) so the perf harness and
-   instrumentation cannot silently rot. Exits non-zero on any failure. *)
+   runtest] (the [bench-smoke] alias in bench/dune) so the instrumentation
+   cannot silently rot. Exits non-zero on any failure. *)
 let smoke () =
   let maqam =
     Arch.Maqam.make ~coupling:Arch.Devices.ibm_q20_tokyo
@@ -713,7 +556,7 @@ let smoke () =
      full heuristic evaluations routing qft_16 on Tokyo (BENCH_PR3.json).
      The delta-maintained scorer only evaluates Hfine for ties in the top
      positive bucket; hold it to at least a 5x reduction so a revert to
-     scan-everything scoring fails runtest, not just the perf harness. *)
+     scan-everything scoring fails runtest. *)
   let circuit16 =
     match Workloads.Suite.find "qft_16" with
     | Some e -> Lazy.force e.circuit
@@ -1476,7 +1319,7 @@ let usage () =
   Fmt.epr
     "usage: main.exe \
      [all|table1|fig8|fig8-fast|fig9|ablation|initmap|swaps|baselines|esp|\
-     objectives|perf|smoke|loadgen|scale|framing] [-j|--jobs N] [--json PATH]\n\
+     objectives|smoke|loadgen|scale|framing] [-j|--jobs N] [--json PATH]\n\
     \       main.exe loadgen [--conns N,N,..] [--duration S] [--smoke] \
      [--json PATH]\n\
     \       main.exe scale [--smoke] [--json PATH]@.";
@@ -1564,8 +1407,7 @@ let () =
         initmap ();
         swaps ();
         baselines ();
-        esp ();
-        perf ?json ()
+        esp ()
       | [ "table1" ] -> table1 ()
       | [ "fig8" ] -> fig8 ~pool ()
       | [ "fig8-fast" ] -> fig8 ~fast:true ~pool ()
@@ -1576,7 +1418,6 @@ let () =
       | [ "baselines" ] -> baselines ()
       | [ "esp" ] -> esp ()
       | [ "objectives" ] -> objectives_table ?json ()
-      | [ "perf" ] -> perf ?json ()
       | [ "smoke" ] -> smoke ()
       | _ -> usage ()));
   Fmt.pr "@.(total wall time with %d job%s: %.1fs)@." jobs

@@ -595,7 +595,7 @@ let serve_cmd =
             cache_entries)
         cfg
     in
-    Fmt.pr "codar serve: %a@." Codar.Stats.pp_service svc
+    Fmt.pr "codar serve: %a@." Service.Server.pp_counters svc
   in
   Cmd.v
     (Cmd.info "serve"
@@ -797,10 +797,12 @@ let client_cmd =
           let code = exit_of_reply reply in
           if code <> 0 then exit code
         | None ->
-          (* raw passthrough: frames from stdin, replies to stdout *)
+          (* raw passthrough: frames from stdin, replies to stdout; the
+             daemon answers no blank (keep-alive) line, so none is sent *)
           let rec pump () =
             match In_channel.input_line stdin with
             | None -> ()
+            | Some "" -> pump ()
             | Some line ->
               print_endline (ask t line);
               pump ()

@@ -28,7 +28,6 @@ let make ~name ~one_qubit_fidelity ~two_qubit_fidelity ~readout_fidelity
 let name t = t.name
 let one_qubit_fidelity t = t.one_qubit_fidelity
 let two_qubit_fidelity t = t.two_qubit_fidelity
-let readout_fidelity t = t.readout_fidelity
 let t1_cycles t = t.t1_cycles
 let t2_cycles t = t.t2_cycles
 
@@ -46,6 +45,7 @@ let superconducting =
     ~two_qubit_fidelity:0.965 ~readout_fidelity:0.93 ~t1_cycles:435.
     ~t2_cycles:435.
 
+(* Table I, Ion Q5/Q11: effectively no decay within a circuit *)
 let ion_trap =
   make ~name:"ion-trap" ~one_qubit_fidelity:0.993 ~two_qubit_fidelity:0.973
     ~readout_fidelity:0.994 ~t1_cycles:infinity ~t2_cycles:25_000.

@@ -24,7 +24,6 @@ val make :
 val name : t -> string
 val one_qubit_fidelity : t -> float
 val two_qubit_fidelity : t -> float
-val readout_fidelity : t -> float
 val t1_cycles : t -> float
 val t2_cycles : t -> float
 
@@ -36,14 +35,8 @@ val superconducting : t
 (** Table I, IBM columns: 1q 99.7%, 2q 96.5%, readout 93%,
     T1 ≈ 435 cycles / T2 ≈ 435 cycles (70 µs at ~160 ns per cycle). *)
 
-val ion_trap : t
-(** Table I, Ion Q5/Q11: 1q 99.3%, 2q 97.3%, readout 99.4%, effectively no
-    decay within a circuit (T1 ≈ ∞, T2 ≈ 25 000 cycles). *)
-
 val neutral_atom : t
 (** Table I: excellent 1q (99.995%), poor 2q (82%), readout 98.6%. *)
-
-val all_presets : t list
 
 val for_durations : Durations.t -> t option
 (** The calibration preset matching a duration profile by name, if any

@@ -154,21 +154,6 @@ let rows_cached t = t.n
 let dist_bytes t = t.n * t.n * (Sys.word_size / 8)
 
 let coords t = t.coords
-let coord t q = Option.map (fun a -> a.(q)) t.coords
-
-let horizontal_distance t a b =
-  match t.coords with
-  | None -> None
-  | Some cs ->
-    let xa, _ = cs.(a) and xb, _ = cs.(b) in
-    Some (Float.abs (xa -. xb))
-
-let vertical_distance t a b =
-  match t.coords with
-  | None -> None
-  | Some cs ->
-    let _, ya = cs.(a) and _, yb = cs.(b) in
-    Some (Float.abs (ya -. yb))
 
 let pp ppf t =
   Fmt.pf ppf "%s: %d qubits, %d edges" t.name t.n (List.length t.edges)

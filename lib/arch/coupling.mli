@@ -85,11 +85,7 @@ val connected : t -> bool
     {!make}. *)
 
 val coords : t -> (float * float) array option
-val coord : t -> int -> (float * float) option
-
-val horizontal_distance : t -> int -> int -> float option
-(** [|x1 - x2|] when coordinates are available. *)
-
-val vertical_distance : t -> int -> int -> float option
+(** Each qubit's layout position, for devices built with one; the
+    [Hfine] tie-break reads it. *)
 
 val pp : Format.formatter -> t -> unit

@@ -15,9 +15,6 @@
 
 type config = { max_expansions : int }
 
-val default_config : config
-(** [{ max_expansions = 20_000 }] *)
-
 exception Stuck of string
 
 val run :

@@ -102,11 +102,6 @@ val counters : t -> Codar.Stats.cache
     ({!Report.Record.of_json}). Files from before the header existed
     (plain JSON) still load. *)
 
-val to_json : t -> Report.Json.t
-
-val of_json :
-  ?max_bytes:int -> max_entries:int -> Report.Json.t -> (t, string) result
-
 val save : t -> string -> unit
 (** Crash-safe write: serialise + checksum into a unique temp file in
     the target's directory, [fsync], atomically rename over the target,

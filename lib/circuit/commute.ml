@@ -47,9 +47,6 @@ let rule a b =
     in
     if decided then 1 else -1
 
-let commutes_by_rule a b =
-  match rule a b with 1 -> Some true | 0 -> Some false | _ -> None
-
 (* [g] is X, Y or H on [q], or a CX with target [q]. *)
 let flips_on g q =
   match g with

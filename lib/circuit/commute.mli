@@ -39,6 +39,3 @@ module Compiled : sig
       whose kinds and operands match. *)
 end
 
-val commutes_by_rule : Gate.t -> Gate.t -> bool option
-(** The fast path only: [Some b] when a structural rule decides, [None] when
-    the later checks would be consulted. Exposed for tests and ablation. *)

@@ -31,16 +31,6 @@ let gate d i = d.gates.(i)
 let preds d i = d.preds.(i)
 let succs d i = d.succs.(i)
 
-let front_layer d ~done_ =
-  let n = n_nodes d in
-  let rec collect i acc =
-    if i >= n then List.rev acc
-    else if (not done_.(i)) && List.for_all (fun p -> done_.(p)) d.preds.(i)
-    then collect (i + 1) (i :: acc)
-    else collect (i + 1) acc
-  in
-  collect 0 []
-
 let critical_path_length d ~weight =
   let n = n_nodes d in
   let finish = Array.make n 0 in

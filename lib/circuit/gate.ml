@@ -34,7 +34,6 @@ let qubits = function
   | Barrier qs -> qs
   | Measure (q, _) -> [ q ]
 
-let arity g = List.length (qubits g)
 
 let is_two_qubit = function
   | Two _ -> true

@@ -40,8 +40,6 @@ type t =
 val qubits : t -> int list
 (** Qubits the gate acts on, in operand order. *)
 
-val arity : t -> int
-
 val is_two_qubit : t -> bool
 (** [true] exactly for [Two _] gates — the ones constrained by coupling. *)
 

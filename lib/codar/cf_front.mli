@@ -4,10 +4,11 @@
     every earlier unissued gate. Gates on disjoint qubits commute trivially,
     so only per-qubit chains of earlier gates need checking; chains carry a
     maintained length so the saturation probe is O(1). Two engineering
-    bounds keep this linear in practice (ablated in [bench/main.exe
-    ablation]): only the first [window] unissued gates are scanned, and a
-    qubit whose chain of pending gates exceeds [max_chain] conservatively
-    blocks later gates on it. *)
+    bounds keep this linear in practice: only the first [window] unissued
+    gates are scanned ([bench/main.exe ablation] varies it), and a qubit
+    whose chain of pending gates exceeds [max_chain] conservatively
+    blocks later gates on it (the router keeps the default; the boundary
+    tests vary it). *)
 
 val compute :
   ?window:int ->

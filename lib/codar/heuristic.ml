@@ -5,15 +5,6 @@ let compare_priority a b =
   | 0 -> Stdlib.compare a.fine b.fine
   | c -> c
 
-let distance_sum ~maqam ~layout pairs =
-  List.fold_left
-    (fun acc (q1, q2) ->
-      acc
-      + Arch.Maqam.distance maqam
-          (Arch.Layout.phys_of_log layout q1)
-          (Arch.Layout.phys_of_log layout q2))
-    0 pairs
-
 (* Physical endpoint of [q] after hypothetically swapping p1 <-> p2. *)
 let moved (p1 : int) (p2 : int) (p : int) =
   if p = p1 then p2 else if p = p2 then p1 else p

@@ -52,7 +52,3 @@ val fine_phys :
 (** The [fine] of [evaluate_phys] for the SWAP [(u, v)] over the pairs
     [(pa.(k), pb.(k))], [k < n_pairs], in that order: the same float
     fold, so the result is bit-identical. [0.] without coordinates. *)
-
-val distance_sum :
-  maqam:Arch.Maqam.t -> layout:Arch.Layout.t -> (int * int) list -> int
-(** Σ of coupling distances of the logical pairs under the layout. *)

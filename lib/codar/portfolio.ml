@@ -50,9 +50,13 @@ let metric_value ~metric ~calibration ~n_physical (r : Schedule.Routed.t) =
 let better ~metric a b =
   match metric with Esp -> a > b | Makespan | Depth -> a < b
 
+let max_restarts = 64
+
 let run ?pool ?(config = Remapper.default_config) ?(restarts = 8) ?(seed = 0)
     ?refine ?objectives ?(metric = Makespan) ~maqam ~initial circuit =
-  if restarts < 1 then invalid_arg "Portfolio.run: restarts must be >= 1";
+  if restarts < 1 || restarts > max_restarts then
+    invalid_arg
+      (Printf.sprintf "Portfolio.run: restarts must be in 1..%d" max_restarts);
   let objs =
     match objectives with
     | None | Some [] -> [| config.Remapper.objective |]

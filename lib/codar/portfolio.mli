@@ -43,6 +43,11 @@ type outcome = {
           {!Makespan}) *)
 }
 
+val max_restarts : int
+(** The most restarts one run may ask for: 64. Each restart is one full
+    CODAR route, so the bound keeps a request's cost a small multiple of
+    a single route. *)
+
 val run :
   ?pool:Pool.t ->
   ?config:Remapper.config ->
@@ -55,12 +60,13 @@ val run :
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
   outcome
-(** [run ~maqam ~initial circuit] routes [restarts] (default 8, must be
-    ≥ 1) layouts — sequentially when [pool] is absent, which is
+(** [run ~maqam ~initial circuit] routes [restarts] (default 8, in
+    [1..max_restarts]) layouts — sequentially when [pool] is absent, which is
     output-identical to any pool — and returns the deterministic winner
     under [metric] (default {!Makespan}).
 
     [objectives] (default: the [config]'s objective alone) cycles over the
     restarts; [seed] defaults to 0. Raises [Invalid_argument] when [metric]
-    is {!Esp} and the device's duration profile has no calibration preset;
-    otherwise raises like {!Remapper.run}. *)
+    is {!Esp} and the device's duration profile has no calibration preset
+    or [restarts] is out of range; otherwise raises like
+    {!Remapper.run}. *)

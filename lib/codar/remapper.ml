@@ -1,6 +1,5 @@
 type config = {
   window : int;
-  max_chain : int;
   use_commutativity : bool;
   use_fine : bool;
   objective : Objective.t;
@@ -9,7 +8,6 @@ type config = {
 let default_config =
   {
     window = 200;
-    max_chain = 20;
     use_commutativity = true;
     use_fine = true;
     objective = Objective.makespan;
@@ -313,8 +311,7 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
       blocked = Array.make (Array.length gates) 0;
       call = 0;
       cf =
-        Cf_front.create ~window:config.window ~max_chain:config.max_chain
-          ~commutes ~gates ~issued ();
+        Cf_front.create ~window:config.window ~commutes ~gates ~issued ();
       scorer =
         Swap_scorer.create ~objective:config.objective ~maqam ~stats
           ~use_fine:config.use_fine ~locks ();

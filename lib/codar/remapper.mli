@@ -23,8 +23,9 @@
     depth the paper reports. *)
 
 type config = {
-  window : int;  (** CF scan window over unissued gates *)
-  max_chain : int;  (** per-qubit commute-chain bound *)
+  window : int;
+      (** CF scan window over unissued gates; the per-qubit commute-chain
+          bound is {!Cf_front.create}'s default, 20 *)
   use_commutativity : bool;
       (** [false] degrades the CF front to a plain DAG front (ablation) *)
   use_fine : bool;  (** [false] disables the [Hfine] tiebreak (ablation) *)
@@ -35,8 +36,8 @@ type config = {
 }
 
 val default_config : config
-(** [{ window = 200; max_chain = 20; use_commutativity = true;
-      use_fine = true; objective = Objective.makespan }] *)
+(** [{ window = 200; use_commutativity = true; use_fine = true;
+      objective = Objective.makespan }] *)
 
 exception Stuck of string
 (** Raised when the safety bound on inserted SWAPs is exceeded — indicates

@@ -25,18 +25,6 @@ let create () =
     cycles = 0;
   }
 
-let reset s =
-  s.cf_recomputes <- 0;
-  s.cf_cache_hits <- 0;
-  s.pair_resolutions <- 0;
-  s.heuristic_evals <- 0;
-  s.swap_rescores <- 0;
-  s.swap_candidates <- 0;
-  s.swaps_inserted <- 0;
-  s.forced_swaps <- 0;
-  s.gates_issued <- 0;
-  s.cycles <- 0
-
 let cf_hit_rate s =
   let total = s.cf_recomputes + s.cf_cache_hits in
   if total = 0 then 0. else float_of_int s.cf_cache_hits /. float_of_int total
@@ -83,49 +71,3 @@ let cache_reset c =
 let cache_hit_rate c =
   let total = c.hits + c.misses in
   if total = 0 then 0. else float_of_int c.hits /. float_of_int total
-
-(* ----------------------------------------------- routing-service counters *)
-
-type service = {
-  mutable requests : int;
-  mutable responses_ok : int;
-  mutable responses_err : int;
-  mutable routes_computed : int;
-  mutable coalesced : int;
-  mutable connections : int;
-  mutable disconnects : int;
-  mutable timeouts : int;
-  mutable overloads : int;
-  mutable conns_active : int;
-  mutable conns_peak : int;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
-  mutable wb_stalls : int;
-}
-
-let service_create () =
-  {
-    requests = 0;
-    responses_ok = 0;
-    responses_err = 0;
-    routes_computed = 0;
-    coalesced = 0;
-    connections = 0;
-    disconnects = 0;
-    timeouts = 0;
-    overloads = 0;
-    conns_active = 0;
-    conns_peak = 0;
-    bytes_in = 0;
-    bytes_out = 0;
-    wb_stalls = 0;
-  }
-
-let pp_service ppf s =
-  Fmt.pf ppf
-    "service: %d requests (%d ok, %d err); %d routes computed, %d \
-     coalesced; %d connections (%d active, peak %d), %d disconnects; %d \
-     timeouts, %d overloads; %d B in, %d B out, %d write stalls"
-    s.requests s.responses_ok s.responses_err s.routes_computed s.coalesced
-    s.connections s.conns_active s.conns_peak s.disconnects s.timeouts
-    s.overloads s.bytes_in s.bytes_out s.wb_stalls

@@ -1,9 +1,10 @@
 (** Router instrumentation: mutable counters threaded through
     {!Remapper.run} (and {!Cf_front.front}) so the incremental hot path is
     observable — cache effectiveness, heuristic work, SWAP pressure — from
-    [codar_cli map --stats] and [bench/main.exe perf]. Counting is plain
-    field bumps; the overhead is negligible next to a single heuristic
-    evaluation. *)
+    [codar_cli map --stats], a route record's [router_stats] and
+    perfbench's traced mode. Counting is plain field bumps; the overhead
+    is negligible next to a single heuristic evaluation. The daemon's
+    own counters live with it, in {!Service.Server}. *)
 
 type t = {
   mutable cf_recomputes : int;
@@ -35,8 +36,6 @@ type t = {
 val create : unit -> t
 (** All counters zero. *)
 
-val reset : t -> unit
-
 val cf_hit_rate : t -> float
 (** Cache hits / front queries, in [0, 1]; [0.] before any query. *)
 
@@ -45,8 +44,7 @@ val pp : Format.formatter -> t -> unit
 (** {2 Compilation-cache counters}
 
     Bumped by {!Cache.t} (lib/cache) under its own lock; the daemon's
-    [stats] reply and the cache tests read them. Living here keeps every
-    observable counter of the system under one roof. *)
+    [stats] reply, perfbench and the cache tests read them. *)
 
 type cache = {
   mutable hits : int;  (** lookups answered from the cache *)
@@ -64,39 +62,3 @@ val cache_reset : cache -> unit
 
 val cache_hit_rate : cache -> float
 (** Hits / lookups, in [0, 1]; [0.] before any lookup. *)
-
-(** {2 Routing-service counters}
-
-    Bumped by {!Service.Server}: [routes_computed] by its dispatcher
-    thread under the server lock, every other counter by its event-loop
-    thread, which also reads them all for a [stats] reply. [coalesced] is
-    the load-bearing one: a request that found an identical fingerprint
-    already in flight and waited for that computation instead of starting
-    its own — the duplicate-suppression guarantee is asserted through
-    it. *)
-
-type service = {
-  mutable requests : int;  (** frames parsed into a request *)
-  mutable responses_ok : int;
-  mutable responses_err : int;
-  mutable routes_computed : int;  (** actual router invocations *)
-  mutable coalesced : int;  (** requests that piggybacked on an in-flight route *)
-  mutable connections : int;  (** clients accepted *)
-  mutable disconnects : int;  (** clients lost mid-conversation, survived *)
-  mutable timeouts : int;
-      (** requests answered [deadline_exceeded]: a stalled mid-frame
-          client or a route that outlived [--timeout-ms] *)
-  mutable overloads : int;
-      (** requests answered [overloaded]: the dispatch queue was full
-          when they arrived (admission control, not blocking) *)
-  mutable conns_active : int;  (** connections currently open *)
-  mutable conns_peak : int;  (** high-watermark of [conns_active] *)
-  mutable bytes_in : int;  (** request bytes read off client sockets *)
-  mutable bytes_out : int;  (** reply bytes written to client sockets *)
-  mutable wb_stalls : int;
-      (** backpressure episodes: a slow-reading connection whose write
-          buffer crossed the high-watermark and was paused for reading *)
-}
-
-val service_create : unit -> service
-val pp_service : Format.formatter -> service -> unit

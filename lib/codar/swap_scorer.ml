@@ -36,10 +36,9 @@
    an Hbasic class: since [0 <= bonus < scale] the decomposition is unique
    and all members of one bucket share both Hbasic and bonus, so the
    repair machinery above carries over verbatim — a bonus change reprices
-   an edge exactly like an Hbasic change. The built-in bonuses read only
-   endpoint incidence and pair distances, both of which the commit repair
-   set already covers; an objective whose bonus reads wider state sets
-   [full_rescore] and every live candidate is repriced after each commit. *)
+   an edge exactly like an Hbasic change. A bonus reads only endpoint
+   incidence and pair distances (the {!Objective.S} contract), both of
+   which the commit repair set already covers. *)
 
 (* Distances are read from the coupling's flat table. Edges are numbered
    by their rank in the sorted edge list, so per-edge state has one slot
@@ -70,7 +69,6 @@ type t = {
   scale : int;
   bonus_bound : int;
   obj_bonus : Objective.ctx -> u:int -> v:int -> int;
-  full_rescore : bool;
   mutable octx : Objective.ctx;  (* closes over [t]; set once in [create] *)
   mutable issue_min : int;  (* O.issue_min octx, computed once in [create] *)
   (* ---- per-cycle state, all epoch-stamped ---- *)
@@ -185,7 +183,6 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
       scale = O.scale;
       bonus_bound = O.bonus_bound;
       obj_bonus = O.bonus;
-      full_rescore = O.full_rescore;
       octx = dummy_ctx;
       issue_min = 0;
       epoch = 0;
@@ -595,21 +592,7 @@ let commit t x y =
     let now = touch_get t p in
     if old = 0 && now > 0 then activate_around t p
     else if old > 0 && now = 0 then unjustify_around t p
-  done;
-  (* 5. objectives that opted out of the repair rule: reprice every live
-     candidate (rescore is push-on-change, so unchanged edges cost one
-     recompute and no queue traffic) *)
-  if t.full_rescore then begin
-    t.token <- t.token + 1;
-    let tok = t.token in
-    for i = t.n_active - 1 downto 0 do
-      let e = t.active.(i) in
-      if alive t e && t.visit.(e) <> tok then begin
-        t.visit.(e) <- tok;
-        rescore t e
-      end
-    done
-  end
+  done
 
 (* Distance gain of swapping edge [e] for the pair (a, b). *)
 let pair_gain t a b e =

@@ -103,8 +103,6 @@ let plan ?(delays_ms = []) ~seed rates =
     hits = Array.init n_points (fun _ -> Atomic.make 0);
   }
 
-let seed p = p.seed
-
 let soak ~seed =
   plan ~seed
     ~delays_ms:[ (Frame_stall, 1); (Pool_latency, 1); (Cache_save_stall, 1) ]

@@ -44,9 +44,6 @@ type point =
 exception Injected of string
 (** Raised by {!raise_if} (and {!point:Pool_task_exn} call sites). *)
 
-val all_points : point list
-val point_name : point -> string
-
 val mix : seed:int -> index:int -> int
 (** SplitMix64 finalizer over [(seed, index)]: a well-spread
     non-negative derived seed. Shared here so retry jitter
@@ -59,8 +56,6 @@ val plan : ?delays_ms:(point * int) list -> seed:int -> (point * float) list -> 
     [\[0, 1\]]; unlisted points never fire. [delays_ms] sets the fixed
     sleep for stall points (default 2 ms). Raises [Invalid_argument]
     on a rate outside [\[0, 1\]] or a negative delay. *)
-
-val seed : plan -> int
 
 val soak : seed:int -> plan
 (** Every point at a modest rate with millisecond stalls — the pinned

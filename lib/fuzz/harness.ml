@@ -52,7 +52,6 @@ type result = {
   sim_checked : int;
 }
 
-let ok r = r.failed = []
 
 let resolve_durations name =
   match Corpus.durations_of_name name with

@@ -66,8 +66,6 @@ type result = {
   sim_checked : int;  (** cases where the statevector oracle ran *)
 }
 
-val ok : result -> bool
-
 val run : ?progress:(int -> unit) -> config -> result
 (** [progress] is called with each finished case index (for CLI
     spinners); it does not influence the outcome. Raises

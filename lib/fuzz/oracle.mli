@@ -23,8 +23,6 @@ type router = Codar | Sabre | Astar | Reference
 val all_routers : router list
 (** In fixed order: CODAR, SABRE, A*, reference. *)
 
-val router_name : router -> string
-
 type failure = {
   oracle : string;  (** which check failed, e.g. ["verify"] *)
   router : router option;  (** [None] for circuit-level oracles *)
@@ -40,14 +38,6 @@ type report = {
 }
 
 val passed : report -> bool
-
-val route :
-  router ->
-  maqam:Arch.Maqam.t ->
-  initial:Arch.Layout.t ->
-  Qc.Circuit.t ->
-  (Schedule.Routed.t, string) result
-(** One routing pass with exceptions captured as [Error]. *)
 
 val check_routed :
   ?sim_max_qubits:int ->

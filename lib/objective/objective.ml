@@ -18,13 +18,12 @@
      gain per SWAP on devices where gate error dominates decoherence);
    - [use_fine]: whether ties surviving the bonus fall back to the
      historical [Hfine] float evaluation (bit-compatible with the seed
-     router) or break on the smallest edge directly;
-   - [full_rescore]: opt out of the incremental repair rule and have the
-     engine re-score every live candidate after each committed SWAP —
-     for objectives whose bonus depends on state the repair set does not
-     cover. The four built-ins all satisfy the repair rule (their bonuses
-     read only per-endpoint incidence and distances, which commit already
-     repairs), so they keep [full_rescore = false].
+     router) or break on the smallest edge directly.
+
+   A committed SWAP reprices only the candidates whose endpoints' pairs
+   it moved, so a bonus may read only the pairs incident to the
+   candidate's endpoints (their endpoints and distances) and fixed
+   device data. The four built-ins satisfy this repair rule.
 
    The [ctx] record is the engine's read-only view handed to an
    objective: the device's flat distance table, the per-cycle pair
@@ -67,10 +66,6 @@ module type S = sig
   (** Break residual ties with the historical [Hfine] float evaluation
       (subject to the router's ablation flag) instead of the smallest
       edge. *)
-
-  val full_rescore : bool
-  (** Re-score every live candidate after each committed SWAP instead of
-      relying on the incremental repair set. *)
 end
 
 type t = (module S)
@@ -84,7 +79,6 @@ module Makespan : S = struct
   let bonus _ ~u:_ ~v:_ = 0
   let issue_min _ = 0
   let use_fine = true
-  let full_rescore = false
 end
 
 (* ---------------------------------------------------------------- slack *)
@@ -104,7 +98,6 @@ module Slack : S = struct
 
   let issue_min _ = 0
   let use_fine = false
-  let full_rescore = false
 end
 
 (* ---------------------------------------------------------------- depth *)
@@ -138,7 +131,6 @@ module Depth : S = struct
 
   let issue_min _ = 0
   let use_fine = false
-  let full_rescore = false
 end
 
 (* ------------------------------------------------------------------- t2 *)
@@ -176,7 +168,6 @@ module T2 : S = struct
       else 0
 
   let use_fine = true
-  let full_rescore = false
 end
 
 (* ------------------------------------------------------------- registry *)
@@ -213,5 +204,3 @@ let list_of_string s =
       (Ok []) parts
 
 let string_of_list os = String.concat "," (List.map name os)
-
-let pp ppf o = Fmt.string ppf (name o)

@@ -41,7 +41,11 @@ module type S = sig
 
   val bonus : ctx -> u:int -> v:int -> int
   (** Objective tie-break for the candidate SWAP [(u,v)]; always called
-      with [u < v], so asymmetric bonuses score each edge consistently. *)
+      with [u < v], so asymmetric bonuses score each edge consistently.
+      A committed SWAP reprices only the candidates whose endpoints'
+      pairs it moved, so the bonus may read only the pairs incident to
+      [u] and [v] (through [incident], [pair_fst], [pair_snd] and
+      [dist]) and fixed device data. *)
 
   val issue_min : ctx -> int
   (** Issue SWAPs only while the best candidate's [Hbasic] exceeds this;
@@ -51,10 +55,6 @@ module type S = sig
   (** Break residual ties with the historical [Hfine] float evaluation
       (subject to the router's ablation flag) instead of the smallest
       edge. *)
-
-  val full_rescore : bool
-  (** Re-score every live candidate after each committed SWAP instead of
-      relying on the incremental repair set. *)
 end
 
 type t = (module S)
@@ -93,5 +93,3 @@ val list_of_string : string -> (t list, string) result
     names the first unknown or empty element. *)
 
 val string_of_list : t list -> string
-
-val pp : Format.formatter -> t -> unit

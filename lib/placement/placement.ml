@@ -12,12 +12,18 @@ let name = function
   | Degree_weighted -> "degree"
   | Reverse_traversal k -> Fmt.str "sabre-%d" k
 
+let max_passes = 64
+
+(* ASCII digits only: [int_of_string] alone would also read OCaml's
+   spellings ("0x3", "0b11", "1_0", "+2"). *)
+let digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+
 let of_name s =
   let s = String.lowercase_ascii s in
-  let suffixed prefix =
+  let suffix prefix =
     let pl = String.length prefix in
     if String.length s > pl && String.sub s 0 pl = prefix then
-      int_of_string_opt (String.sub s pl (String.length s - pl))
+      Some (String.sub s pl (String.length s - pl))
     else None
   in
   match s with
@@ -26,12 +32,21 @@ let of_name s =
   | "degree" -> Some Degree_weighted
   | "sabre" -> Some (Reverse_traversal 1)
   | _ -> (
-    match suffixed "random-" with
-    | Some seed -> Some (Random seed)
-    | None -> (
-      match suffixed "sabre-" with
-      | Some k when k > 0 -> Some (Reverse_traversal k)
-      | Some _ | None -> None))
+    match (suffix "random-", suffix "sabre-") with
+    | Some d, _ ->
+      (* one leading '-', so that [name (Random (-5))] = "random--5" reads
+         back *)
+      let unsigned =
+        if d.[0] = '-' then String.sub d 1 (String.length d - 1) else d
+      in
+      if digits unsigned then
+        Option.map (fun n -> Random n) (int_of_string_opt d)
+      else None
+    | None, Some d when digits d -> (
+      match int_of_string_opt d with
+      | Some k when k >= 1 && k <= max_passes -> Some (Reverse_traversal k)
+      | Some _ | None -> None)
+    | None, (Some _ | None) -> None)
 
 let interaction_counts circuit =
   let counts = Array.make (Qc.Circuit.n_qubits circuit) 0 in

@@ -19,9 +19,16 @@ val all : strategy list
 
 val name : strategy -> string
 
+val max_passes : int
+(** The most reverse-traversal passes a name may ask for: 64. A pass over
+    a 30k-gate circuit on Sycamore-54 costs about 0.09 s, so the bound
+    keeps what one request's placement costs within seconds. *)
+
 val of_name : string -> strategy option
 (** ["trivial"], ["random"], ["random-<seed>"], ["degree"], ["sabre"],
-    ["sabre-<k>"]. *)
+    ["sabre-<k>"]. A seed is ASCII digits with at most one leading ['-'];
+    [k] is ASCII digits in [1..max_passes]. The [name] of every seed and
+    of every [k] in that range reads back. *)
 
 val interaction_counts : Qc.Circuit.t -> int array
 (** Per logical qubit, the number of two-qubit gates touching it. *)

@@ -131,21 +131,3 @@ let map t f tasks =
     end;
     finalize results
   end
-
-let map_reduce t ~map:f ~reduce ~init tasks =
-  Array.fold_left reduce init (map t f tasks)
-
-let best t ~score f tasks =
-  let results = map t f tasks in
-  let pick acc i r =
-    match acc with
-    | None -> Some (i, r, score r)
-    | Some (_, _, s) ->
-      let s' = score r in
-      if s' < s then Some (i, r, s') else acc
-  in
-  let rec go acc i =
-    if i >= Array.length results then acc
-    else go (pick acc i results.(i)) (i + 1)
-  in
-  Option.map (fun (i, r, _) -> (i, r)) (go None 0)

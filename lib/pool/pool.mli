@@ -10,8 +10,6 @@
       reorder results;
     - task functions receive their index, so per-task RNG can be seeded by
       index (never by wall clock or by which domain ran the task);
-    - reductions ({!map_reduce}, {!best}) fold in ascending index order with
-      index as the final tie-break;
     - when tasks raise, every task still runs, and the exception of the
       {e lowest-indexed} failing task is re-raised (with its backtrace) —
       the same exception [jobs = 1] surfaces first.
@@ -52,15 +50,3 @@ val map : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
     to [jobs t] tasks in flight. The result array is in task order
     regardless of scheduling. If any task raises, all tasks still run, then
     the lowest-indexed task's exception is re-raised. *)
-
-val map_reduce :
-  t -> map:(int -> 'a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a array -> 'c
-(** Parallel [map], then a sequential left fold in ascending index order
-    (the reduction itself is deterministic even when [reduce] is not
-    associative or commutative). *)
-
-val best : t -> score:('b -> int) -> (int -> 'a -> 'b) -> 'a array -> (int * 'b) option
-(** [best t ~score f tasks] maps in parallel and returns [(index, result)]
-    minimising [(score result, index)] — lower score wins, ties go to the
-    lower index. [None] iff [tasks] is empty. *)

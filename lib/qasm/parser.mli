@@ -18,14 +18,6 @@ exception Too_wide of { line : int; qubits : int; limit : int }
 (** A [qreg] at [line] takes the width to [qubits], past the [limit] given
     as [max_qubits]. *)
 
-val max_gates : int
-(** What one text may expand to: 1,000,000 gates, ten times the largest
-    suite circuit ([rand_128_100k]), with a barrier counted once per qubit
-    it lists, and as many gate-macro applications. A short text can name
-    far more through register broadcast and nested macros; the statement
-    that passes either bound is a {!Parse_error} at its line, so the work
-    a text causes is bounded before any router sees it. *)
-
 val parse : ?max_qubits:int -> string -> Qc.Circuit.t
 (** One pass over the text. Raises {!Parse_error} or {!Lexer.Lex_error}
     and, given [max_qubits] (the device's width, when the caller knows the
@@ -43,7 +35,11 @@ val parse : ?max_qubits:int -> string -> Qc.Circuit.t
       the running qubit or clbit count past [max_int];
     - a gate macro whose expansion reaches itself;
     - a NaN or infinite gate parameter;
-    - a statement that takes the circuit past {!max_gates} gates or
-      macro applications. *)
+    - a statement that takes the circuit past 1,000,000 gates (ten times
+      the largest suite circuit, [rand_128_100k]; a barrier counts once
+      per qubit it lists) or as many gate-macro applications. A short
+      text can name far more through register broadcast and nested
+      macros, so this bounds the work a text causes before any router
+      sees it. *)
 
 val parse_file : ?max_qubits:int -> string -> Qc.Circuit.t

@@ -61,6 +61,3 @@ val of_json : Json.t -> (t, string) result
     [to_json] is deterministic, so [of_json] ∘ [to_json] round-trips to a
     byte-identical re-serialisation (the derived [cf_hit_rate] field is
     recomputed, not stored). *)
-
-val stats_to_json : Codar.Stats.t -> Json.t
-(** Also used by [bench perf --json] for the instrumentation section. *)

@@ -23,9 +23,6 @@ let schedule_tagged ~durations ~n_physical tagged =
 let schedule ~durations ~n_physical gates =
   schedule_tagged ~durations ~n_physical (List.map (fun g -> (g, false)) gates)
 
-let weighted_depth ~durations ~n_physical gates =
-  snd (schedule ~durations ~n_physical gates)
-
 let reschedule ~durations ~n_physical (r : Routed.t) =
   let tagged =
     List.map (fun e -> (e.Routed.gate, e.Routed.inserted)) r.Routed.events

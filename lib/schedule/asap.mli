@@ -22,10 +22,6 @@ val schedule_tagged :
 (** Like {!schedule} with a per-gate router-inserted tag (see
     {!Routed.event}). *)
 
-val weighted_depth :
-  durations:Arch.Durations.t -> n_physical:int -> Qc.Gate.t list -> int
-(** Just the makespan. *)
-
 val reschedule : durations:Arch.Durations.t -> n_physical:int -> Routed.t -> Routed.t
 (** Re-time an existing routed result's issue order with ASAP; useful to
     check a router's native timeline is no worse than plain ASAP replay. *)

@@ -194,13 +194,16 @@ let spec_of_route_req (r : Protocol.route_req) =
     | Some p -> Ok p
     | None ->
       Error
-        (Printf.sprintf "unknown placement strategy %S" r.Protocol.placement)
+        (Printf.sprintf
+           "unknown placement strategy %S (sabre-<k> takes k in 1..%d)"
+           r.Protocol.placement Placement.max_passes)
   in
   let* () =
-    if r.Protocol.restarts < 1 then
+    let n = r.Protocol.restarts in
+    if n < 1 || n > Codar.Portfolio.max_restarts then
       Error
-        (Printf.sprintf "restarts must be positive (got %d)"
-           r.Protocol.restarts)
+        (Printf.sprintf "restarts must be in 1..%d (got %d)"
+           Codar.Portfolio.max_restarts n)
     else Ok ()
   in
   let* () =

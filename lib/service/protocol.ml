@@ -279,21 +279,3 @@ let cache_counters_to_json (c : Codar.Stats.cache) =
       ("memo_hits", Json.Int c.Codar.Stats.memo_hits);
     ]
 
-let service_counters_to_json (s : Codar.Stats.service) =
-  Json.Obj
-    [
-      ("requests", Json.Int s.Codar.Stats.requests);
-      ("responses_ok", Json.Int s.Codar.Stats.responses_ok);
-      ("responses_err", Json.Int s.Codar.Stats.responses_err);
-      ("routes_computed", Json.Int s.Codar.Stats.routes_computed);
-      ("coalesced", Json.Int s.Codar.Stats.coalesced);
-      ("connections", Json.Int s.Codar.Stats.connections);
-      ("disconnects", Json.Int s.Codar.Stats.disconnects);
-      ("timeouts", Json.Int s.Codar.Stats.timeouts);
-      ("overloads", Json.Int s.Codar.Stats.overloads);
-      ("conns_active", Json.Int s.Codar.Stats.conns_active);
-      ("conns_peak", Json.Int s.Codar.Stats.conns_peak);
-      ("bytes_in", Json.Int s.Codar.Stats.bytes_in);
-      ("bytes_out", Json.Int s.Codar.Stats.bytes_out);
-      ("wb_stalls", Json.Int s.Codar.Stats.wb_stalls);
-    ]

@@ -86,7 +86,6 @@ val route_payload :
 (** The payload of a [route] reply or one [batch] result item. *)
 
 val cache_counters_to_json : Codar.Stats.cache -> Report.Json.t
-val service_counters_to_json : Codar.Stats.service -> Report.Json.t
 
 (** Defaults applied to omitted route-request keys (matching
     [codar_cli map]). *)

@@ -53,7 +53,6 @@ type config = {
   cache_file : string option;
   max_request_bytes : int;
   queue_capacity : int;
-  backlog : int;
   timeout_ms : int option;
   handle_signals : bool;
   write_watermark_bytes : int;
@@ -69,7 +68,7 @@ let default_max_connections = 960
 
 let config ?(jobs = 1) ?(cache_entries = 1024) ?cache_bytes ?cache_file
     ?(max_request_bytes = Frame.default_max_bytes) ?(queue_capacity = 64)
-    ?(backlog = 64) ?timeout_ms ?(handle_signals = false)
+    ?timeout_ms ?(handle_signals = false)
     ?(write_watermark_bytes = 256 * 1024)
     ?(max_connections = default_max_connections) ?on_route_start
     ~socket_path () =
@@ -90,7 +89,6 @@ let config ?(jobs = 1) ?(cache_entries = 1024) ?cache_bytes ?cache_file
     cache_file;
     max_request_bytes;
     queue_capacity;
-    backlog;
     timeout_ms;
     handle_signals;
     write_watermark_bytes;
@@ -132,10 +130,60 @@ type conn = {
   mutable dirty : bool;  (* queued for a process/service pass *)
 }
 
+(* [routes_computed] is bumped by the dispatcher thread under the server
+   lock, every other counter by the loop thread, which also reads them
+   all for a [stats] reply. *)
+type counters = {
+  mutable requests : int;
+  mutable responses_ok : int;
+  mutable responses_err : int;
+  mutable routes_computed : int;
+  mutable coalesced : int;
+  mutable connections : int;
+  mutable disconnects : int;
+  mutable timeouts : int;
+  mutable overloads : int;
+  mutable conns_active : int;
+  mutable conns_peak : int;
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+  mutable wb_stalls : int;
+}
+
+let pp_counters ppf s =
+  Fmt.pf ppf
+    "service: %d requests (%d ok, %d err); %d routes computed, %d \
+     coalesced; %d connections (%d active, peak %d), %d disconnects; %d \
+     timeouts, %d overloads; %d B in, %d B out, %d write stalls"
+    s.requests s.responses_ok s.responses_err s.routes_computed s.coalesced
+    s.connections s.conns_active s.conns_peak s.disconnects s.timeouts
+    s.overloads s.bytes_in s.bytes_out s.wb_stalls
+
+(* The [stats] reply's "service" object, keys in field order (the
+   fault-soak transcript pins these bytes). *)
+let counters_to_json s =
+  Json.Obj
+    [
+      ("requests", Json.Int s.requests);
+      ("responses_ok", Json.Int s.responses_ok);
+      ("responses_err", Json.Int s.responses_err);
+      ("routes_computed", Json.Int s.routes_computed);
+      ("coalesced", Json.Int s.coalesced);
+      ("connections", Json.Int s.connections);
+      ("disconnects", Json.Int s.disconnects);
+      ("timeouts", Json.Int s.timeouts);
+      ("overloads", Json.Int s.overloads);
+      ("conns_active", Json.Int s.conns_active);
+      ("conns_peak", Json.Int s.conns_peak);
+      ("bytes_in", Json.Int s.bytes_in);
+      ("bytes_out", Json.Int s.bytes_out);
+      ("wb_stalls", Json.Int s.wb_stalls);
+    ]
+
 type state = {
   cfg : config;
   mutable cache : Cache.t;
-  svc : Codar.Stats.service;
+  svc : counters;
   m : Mutex.t;
   cond : Condition.t;
   jobq : pending Queue.t;
@@ -204,8 +252,7 @@ let dispatch_batch st batch =
           (match results.(i) with
           | Ok record -> Cache.add st.cache p.fp record
           | Error _ -> ());
-          st.svc.Codar.Stats.routes_computed <-
-            st.svc.Codar.Stats.routes_computed + 1;
+          st.svc.routes_computed <- st.svc.routes_computed + 1;
           p.outcome <- Some results.(i);
           Hashtbl.remove st.inflight p.fp)
         batch);
@@ -244,17 +291,17 @@ let dispatcher st =
 
 let count_reply st frame =
   if Protocol.frame_ok frame then
-    st.svc.Codar.Stats.responses_ok <- st.svc.Codar.Stats.responses_ok + 1
+    st.svc.responses_ok <- st.svc.responses_ok + 1
   else
-    st.svc.Codar.Stats.responses_err <- st.svc.Codar.Stats.responses_err + 1
+    st.svc.responses_err <- st.svc.responses_err + 1
 
 let close_conn st c =
   Hashtbl.remove st.conns c.fd;
   (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  st.svc.Codar.Stats.conns_active <- st.svc.Codar.Stats.conns_active - 1
+  st.svc.conns_active <- st.svc.conns_active - 1
 
 let disconnect st c =
-  st.svc.Codar.Stats.disconnects <- st.svc.Codar.Stats.disconnects + 1;
+  st.svc.disconnects <- st.svc.disconnects + 1;
   close_conn st c
 
 (* Append one serialised frame to the connection's output. Queries the
@@ -315,7 +362,7 @@ let rec flush_out st c =
     let len = String.length c.out_cur - c.out_pos in
     match Frame.write_once c.fd c.out_cur ~pos:c.out_pos ~len with
     | `Wrote n ->
-      st.svc.Codar.Stats.bytes_out <- st.svc.Codar.Stats.bytes_out + n;
+      st.svc.bytes_out <- st.svc.bytes_out + n;
       c.obytes <- c.obytes - n;
       c.out_pos <- c.out_pos + n;
       if c.out_pos = String.length c.out_cur then begin
@@ -340,14 +387,13 @@ let resolve_route st ?line (rr : Protocol.route_req) =
         else begin
           match Hashtbl.find_opt st.inflight fp with
           | Some p ->
-            st.svc.Codar.Stats.coalesced <- st.svc.Codar.Stats.coalesced + 1;
+            st.svc.coalesced <- st.svc.coalesced + 1;
             `Wait p
           | None ->
             (* admission control: a full queue is an immediate typed
                refusal, never a parked request *)
             if Queue.length st.jobq >= st.cfg.queue_capacity then begin
-              st.svc.Codar.Stats.overloads <-
-                st.svc.Codar.Stats.overloads + 1;
+              st.svc.overloads <- st.svc.overloads + 1;
               `Done (Ops.overloaded_item st.cfg.queue_capacity)
             end
             else begin
@@ -451,7 +497,7 @@ let handle_request st c now ?id ~line req =
   | Protocol.Stats ->
     let svc_json, cache_counters =
       locked st (fun () ->
-          ( Protocol.service_counters_to_json st.svc,
+          ( counters_to_json st.svc,
             Protocol.cache_counters_to_json (Cache.counters st.cache) ))
     in
     Queue.add
@@ -495,7 +541,7 @@ let handle_line st c now line =
     match Ops.find_line ~m:st.m ~cache:(fun () -> st.cache) line with
     | Some hit ->
       (* a repeated id-less route frame, answered from its bytes *)
-      st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
+      st.svc.requests <- st.svc.requests + 1;
       Queue.add (Ready (Ops.hit_frame hit)) c.replies
     | None -> (
       match Protocol.parse_frame line with
@@ -504,7 +550,7 @@ let handle_line st c now line =
           (Ready (Protocol.error_frame ?id code msg))
           c.replies
       | Ok (id, req) -> (
-        st.svc.Codar.Stats.requests <- st.svc.Codar.Stats.requests + 1;
+        st.svc.requests <- st.svc.requests + 1;
         (* the per-request barrier: this runs on the loop's own thread, so a
            request whose handling raises is answered here, and the loop
            serves on, rather than the exception stopping the daemon *)
@@ -559,7 +605,7 @@ let read_conn st c now =
     c.close_after_flush <- true;
     touch st c
   | `Data n ->
-    st.svc.Codar.Stats.bytes_in <- st.svc.Codar.Stats.bytes_in + n;
+    st.svc.bytes_in <- st.svc.bytes_in + n;
     Frame.feed c.input st.chunk 0 n;
     (* invariant: a reading connection with buffered bytes always has an
        armed clock ([process_input] re-arms it for leftover partials) *)
@@ -585,7 +631,7 @@ let sweep_slots st now =
         | Some d when now >= d ->
           (* the job itself keeps running and will land in the cache;
              only this waiter gives up *)
-          st.svc.Codar.Stats.timeouts <- st.svc.Codar.Stats.timeouts + 1;
+          st.svc.timeouts <- st.svc.timeouts + 1;
           s.item <- Some (Ops.deadline_item st.cfg.timeout_ms);
           s.pend <- None;
           s.slot_deadline <- None;
@@ -629,7 +675,7 @@ let expire_frames st now =
     List.iter
       (fun c ->
         locked st (fun () ->
-            st.svc.Codar.Stats.timeouts <- st.svc.Codar.Stats.timeouts + 1);
+            st.svc.timeouts <- st.svc.timeouts + 1);
         poison st c
           (Protocol.error_frame Protocol.Deadline_exceeded
              (Printf.sprintf "request frame not completed within %d ms" ms));
@@ -648,7 +694,7 @@ let service_conn st c now =
       if Hashtbl.mem st.conns c.fd then begin
         if (not c.stalled) && c.obytes > st.cfg.write_watermark_bytes then begin
           c.stalled <- true;
-          st.svc.Codar.Stats.wb_stalls <- st.svc.Codar.Stats.wb_stalls + 1
+          st.svc.wb_stalls <- st.svc.wb_stalls + 1
         end
         else if c.stalled && c.obytes <= st.cfg.write_watermark_bytes / 2
         then begin
@@ -710,10 +756,10 @@ let accept_ready st =
         }
       in
       Hashtbl.replace st.conns fd c;
-      st.svc.Codar.Stats.connections <- st.svc.Codar.Stats.connections + 1;
-      st.svc.Codar.Stats.conns_active <- st.svc.Codar.Stats.conns_active + 1;
-      if st.svc.Codar.Stats.conns_active > st.svc.Codar.Stats.conns_peak then
-        st.svc.Codar.Stats.conns_peak <- st.svc.Codar.Stats.conns_active;
+      st.svc.connections <- st.svc.connections + 1;
+      st.svc.conns_active <- st.svc.conns_active + 1;
+      if st.svc.conns_active > st.svc.conns_peak then
+        st.svc.conns_peak <- st.svc.conns_active;
       go ()
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -893,6 +939,9 @@ let load_or_create_cache cfg =
       fresh ())
   | Some _ | None -> fresh ()
 
+(* The kernel queue of connections not yet accepted. *)
+let listen_backlog = 64
+
 let bind_listen_socket cfg =
   (* a stale socket file from a dead daemon would make bind fail forever *)
   (match (Unix.lstat cfg.socket_path).Unix.st_kind with
@@ -902,7 +951,7 @@ let bind_listen_socket cfg =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-     Unix.listen listen_fd cfg.backlog
+     Unix.listen listen_fd listen_backlog
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);
@@ -932,7 +981,23 @@ let run ?on_ready cfg =
     {
       cfg;
       cache;
-      svc = Codar.Stats.service_create ();
+      svc =
+        {
+          requests = 0;
+          responses_ok = 0;
+          responses_err = 0;
+          routes_computed = 0;
+          coalesced = 0;
+          connections = 0;
+          disconnects = 0;
+          timeouts = 0;
+          overloads = 0;
+          conns_active = 0;
+          conns_peak = 0;
+          bytes_in = 0;
+          bytes_out = 0;
+          wb_stalls = 0;
+        };
       m = Mutex.create ();
       cond = Condition.create ();
       jobq = Queue.create ();

@@ -17,7 +17,7 @@
       bytes of the cold route reply for the same request content.
     - {b Single computation} — concurrent requests with equal
       fingerprints coalesce onto one in-flight routing job; the counters
-      ({!Codar.Stats.service}[.routes_computed], [.coalesced] and
+      ({!counters}[.routes_computed], [.coalesced] and
       {!Codar.Stats.cache}[.insertions]) prove it.
     - {b Graceful degradation} — malformed frames, oversized frames,
       unknown ops, router failures and clients that vanish mid-reply are
@@ -45,7 +45,6 @@ val config :
   ?cache_file:string ->
   ?max_request_bytes:int ->
   ?queue_capacity:int ->
-  ?backlog:int ->
   ?timeout_ms:int ->
   ?handle_signals:bool ->
   ?write_watermark_bytes:int ->
@@ -63,7 +62,6 @@ val config :
       shutdown and by the [cache save] request.
     - [max_request_bytes] ({!Frame.default_max_bytes}): the frame cap.
     - [queue_capacity] (64): bound on not-yet-dispatched routing jobs.
-    - [backlog] (64): the listen backlog.
     - [timeout_ms] (none, wait forever): the per-request deadline; it
       bounds both mid-frame read stalls and the wait for a routing
       outcome.
@@ -90,11 +88,41 @@ val select_timeout : now:float -> float list -> float
     [-1.] (sleep until an fd event) when no deadline is armed, else
     [max 0 (nearest - now)]. Pure; the poll-loop unit test pins it. *)
 
-val run : ?on_ready:(unit -> unit) -> config -> Codar.Stats.service
+type counters = {
+  mutable requests : int;  (** frames parsed into a request *)
+  mutable responses_ok : int;
+  mutable responses_err : int;
+  mutable routes_computed : int;  (** actual router invocations *)
+  mutable coalesced : int;
+      (** requests that found an identical fingerprint already in flight
+          and waited for that computation instead of starting their own —
+          the duplicate-suppression guarantee is asserted through it *)
+  mutable connections : int;  (** clients accepted *)
+  mutable disconnects : int;  (** clients lost mid-conversation, survived *)
+  mutable timeouts : int;
+      (** requests answered [deadline_exceeded]: a stalled mid-frame
+          client or a route that outlived [timeout_ms] *)
+  mutable overloads : int;
+      (** requests answered [overloaded]: the dispatch queue was full
+          when they arrived (admission control, not blocking) *)
+  mutable conns_active : int;  (** connections currently open *)
+  mutable conns_peak : int;  (** high-watermark of [conns_active] *)
+  mutable bytes_in : int;  (** request bytes read off client sockets *)
+  mutable bytes_out : int;  (** reply bytes written to client sockets *)
+  mutable wb_stalls : int;
+      (** backpressure episodes: a slow-reading connection whose write
+          buffer crossed the high-watermark and was paused for reading *)
+}
+(** The daemon's counters: the [stats] reply's ["service"] object, in
+    field order, and what {!run} returns. *)
+
+val pp_counters : Format.formatter -> counters -> unit
+
+val run : ?on_ready:(unit -> unit) -> config -> counters
 (** Bind (unlinking a stale socket file first), serve until a [shutdown]
     request (or, with [handle_signals], SIGTERM/SIGINT), then drain
     in-flight work, flush every connection, persist the cache when
-    configured, unlink the socket and return the final service counters.
+    configured, unlink the socket and return the final counters.
     A corrupt or truncated cache file at startup logs a warning to stderr
     and starts cold — it never prevents serving. [on_ready] fires once
     the socket is listening (tests start their clients from it). Raises

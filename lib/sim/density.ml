@@ -21,8 +21,6 @@ let of_statevector sv =
   done;
   { n; rho }
 
-let n_qubits d = d.n
-
 let trace d =
   let acc = ref Complex.zero in
   for i = 0 to (1 lsl d.n) - 1 do
@@ -67,6 +65,7 @@ let decohere model d ~qubit ~dt =
     end
   end
 
+(* ρ ↦ (1−p)ρ + (p/3)(XρX + YρY + ZρZ) *)
 let depolarize d ~qubit ~p =
   if p > 0. then begin
     let scale s m = Qc.Matrix.scale { Complex.re = s; im = 0. } m in
@@ -85,6 +84,8 @@ let depolarize d ~qubit ~p =
           scale (p /. 3.) (term Qc.Gate.Z) ]
   end
 
+(* Exact counterpart of a [Noise.fidelity] trajectory: same event walk, full
+   channels instead of sampled branches. *)
 let evolve ?(gate_error = Noise.no_gate_error) model ~n_physical ~input
     (r : Schedule.Routed.t) =
   Noise.validate model;

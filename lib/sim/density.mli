@@ -15,8 +15,6 @@ val init : int -> t
 val of_statevector : Statevector.t -> t
 (** The pure state's projector. Raises [Invalid_argument] above 7 qubits. *)
 
-val n_qubits : t -> int
-
 val trace : t -> Complex.t
 
 val apply_gate : t -> Qc.Gate.t -> unit
@@ -26,21 +24,8 @@ val apply_channel1 : t -> Qc.Matrix.t list -> int -> unit
 (** Apply a single-qubit channel given by its Kraus operators (2×2). *)
 
 val decohere : Noise.model -> t -> qubit:int -> dt:float -> unit
-(** The exact counterpart of {!Noise.decohere}. *)
-
-val depolarize : t -> qubit:int -> p:float -> unit
-(** The exact single-qubit depolarizing channel
-    [ρ ↦ (1−p)ρ + (p/3)(XρX + YρY + ZρZ)]. *)
-
-val evolve :
-  ?gate_error:Noise.gate_error ->
-  Noise.model ->
-  n_physical:int ->
-  input:t ->
-  Schedule.Routed.t ->
-  t
-(** Exact counterpart of {!Noise.run_trajectory}: same event walk, full
-    channels instead of sampled branches. *)
+(** The exact counterpart of one decoherence step of a
+    {!Noise.fidelity} trajectory. *)
 
 val fidelity_to_pure : t -> Statevector.t -> float
 (** [⟨ψ|ρ|ψ⟩]. *)

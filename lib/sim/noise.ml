@@ -45,6 +45,7 @@ let apply_channel ~rng sv q (k0 : Qc.Matrix.t) (k1 : Qc.Matrix.t) =
     Statevector.normalize sv
   end
 
+(* One sampled trajectory step of the two channels on a qubit. *)
 let decohere ~rng m sv ~qubit ~dt =
   if dt > 0. then begin
     if m.t1 < infinity then begin
@@ -62,6 +63,7 @@ type gate_error = { p1 : float; p2 : float }
 
 let no_gate_error = { p1 = 0.; p2 = 0. }
 
+(* With probability [p], a uniformly random Pauli on the qubit. *)
 let depolarize ~rng sv ~qubit ~p =
   if p > 0. && Random.State.float rng 1. < p then begin
     let pauli =
@@ -84,6 +86,8 @@ let gate_error_p ge (g : Qc.Gate.t) =
     ge.p2
   | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> 0.
 
+(* One trajectory of the routed events on [input], a physical-space
+   state. *)
 let run_trajectory ~rng ?(gate_error = no_gate_error) m ~n_physical ~input
     (r : Schedule.Routed.t) =
   validate m;

@@ -49,28 +49,6 @@ val damping_gamma : model -> dt:float -> float
 val dephasing_p : model -> dt:float -> float
 (** [(1 − exp(−dt/tφ))/2] with [1/tφ = 1/t2 − 1/(2·t1)]. *)
 
-val decohere :
-  rng:Random.State.t -> model -> Statevector.t -> qubit:int -> dt:float ->
-  unit
-(** Apply one sampled trajectory step of the two channels to a qubit. *)
-
-val depolarize :
-  rng:Random.State.t -> Statevector.t -> qubit:int -> p:float -> unit
-(** With probability [p], apply a uniformly random Pauli to the qubit. *)
-
-val run_trajectory :
-  rng:Random.State.t ->
-  ?gate_error:gate_error ->
-  model ->
-  n_physical:int ->
-  input:Statevector.t ->
-  Schedule.Routed.t ->
-  Statevector.t
-(** Simulate the routed events in start order on [input] (a physical-space
-    state), interleaving decoherence per qubit according to the timeline,
-    including trailing idle time up to the makespan. [Measure] events are
-    skipped (fidelity is read pre-measurement). *)
-
 val fidelity :
   ?trajectories:int ->
   ?seed:int ->
@@ -82,4 +60,7 @@ val fidelity :
   float
 (** Average over [trajectories] (default 20) of the overlap between the
     noisy routed execution of [|0…0⟩] and the ideal (noise-free) result,
-    with layouts accounted for. *)
+    with layouts accounted for. Each trajectory runs the routed events in
+    start order, interleaving decoherence per qubit according to the
+    timeline, including trailing idle time up to the makespan; [Measure]
+    events are skipped (fidelity is read pre-measurement). *)

@@ -2,6 +2,7 @@ let t_phi ~t1 ~t2 =
   let inv = (1. /. t2) -. (1. /. (2. *. t1)) in
   if inv <= 0. then infinity else 1. /. inv
 
+(* exp(−t/T1) · exp(−t/Tφ) with 1/Tφ = 1/T2 − 1/(2T1) *)
 let decoherence_factor ~calibration ~active_cycles =
   let t1 = Arch.Calibration.t1_cycles calibration in
   let t2 = Arch.Calibration.t2_cycles calibration in

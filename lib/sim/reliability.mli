@@ -12,10 +12,6 @@
     {e sooner} (less decoherence). Only qubits that host logical qubits at
     some point contribute decoherence. *)
 
-val decoherence_factor :
-  calibration:Arch.Calibration.t -> active_cycles:float -> float
-(** [exp(−t/T1) · exp(−t/Tφ)] with [1/Tφ = 1/T2 − 1/(2T1)]. *)
-
 val estimated_success :
   calibration:Arch.Calibration.t ->
   n_physical:int ->

@@ -9,7 +9,6 @@ let init n =
 let n_qubits t = t.n
 let copy t = { t with amps = Array.copy t.amps }
 let amplitude t i = t.amps.(i)
-let set_amplitude t i v = t.amps.(i) <- v
 
 let norm t =
   sqrt
@@ -22,6 +21,7 @@ let normalize t =
       (fun i a -> t.amps.(i) <- Complex.div a { Complex.re = n; im = 0. })
       t.amps
 
+(* ⟨a|b⟩ *)
 let inner a b =
   if a.n <> b.n then invalid_arg "Statevector.inner: width mismatch";
   let acc = ref Complex.zero in

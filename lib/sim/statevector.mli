@@ -15,13 +15,9 @@ val n_qubits : t -> int
 val copy : t -> t
 
 val amplitude : t -> int -> Complex.t
-val set_amplitude : t -> int -> Complex.t -> unit
 
 val norm : t -> float
 val normalize : t -> unit
-
-val inner : t -> t -> Complex.t
-(** ⟨a|b⟩. *)
 
 val fidelity : t -> t -> float
 (** [|⟨a|b⟩|²]. *)

@@ -47,6 +47,11 @@ expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
 expect 124 "device past the size bound" "$CLI" map -b qft_4 -a linear-1000000
 # ... and a size in any spelling but decimal digits
 expect 124 "hexadecimal device size" "$CLI" map -b ghz_3 -a linear-0x10
+# placement counts are decimal digits too, and sabre-<k> is bounded by
+# Placement.max_passes (64)
+for p in sabre-0x3 random-0b11 sabre-1_0 sabre-+2 sabre-65; do
+  expect 124 "placement $p" "$CLI" map -b qft_4 -p "$p"
+done
 
 # 3: QASM that does not parse
 expect 3 "QASM parse error" "$CLI" map -i "$DIR/bad.qasm"
@@ -88,6 +93,10 @@ expect 3 "macro nest past the gate bound" \
 
 # 4: a circuit that cannot be placed on the device
 expect 4 "circuit too big for device" "$CLI" map -b qft_8 -a q5
+# ... and portfolio restarts outside 1..Codar.Portfolio.max_restarts (64)
+expect 4 "no restarts" "$CLI" map -b qft_4 -r portfolio --restarts 0
+expect 4 "restarts past the bound" "$CLI" map -b qft_4 -r portfolio \
+  --restarts 65
 
 # 5: I/O failures
 expect 5 "unwritable output path" "$CLI" map -b qft_4 -o /nonexistent/dir/out.qasm

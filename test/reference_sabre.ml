@@ -1,6 +1,6 @@
 (* The pre-incremental SABRE router, kept verbatim as a test-only
-   reference: it recomputes the front layer with [Qc.Dag.front_layer] on
-   every step. test_sabre.ml asserts the production router in
+   reference: it recomputes the front layer with [front_layer] on every
+   step. test_sabre.ml asserts the production router in
    lib/sabre/router.ml yields identical layouts and gate lists, as
    [Reference_remapper] pins CODAR. Do not modernise this file — its value
    is that it does not change. *)
@@ -35,7 +35,21 @@ type state = {
   mutable swap_budget : int;
 }
 
-let front st = Qc.Dag.front_layer st.dag ~done_:st.done_
+(* Indices of gates whose predecessors are all marked done and which are
+   not themselves done, in circuit order: SABRE's per-step front scan,
+   which the production router replaced with pending-predecessor counts. *)
+let front_layer d ~done_ =
+  let n = Qc.Dag.n_nodes d in
+  let rec collect i acc =
+    if i >= n then List.rev acc
+    else if
+      (not done_.(i)) && List.for_all (fun p -> done_.(p)) (Qc.Dag.preds d i)
+    then collect (i + 1) (i :: acc)
+    else collect (i + 1) acc
+  in
+  collect 0 []
+
+let front st = front_layer st.dag ~done_:st.done_
 
 (* Extended set: the nearest not-yet-done successors of the front gates,
    breadth-first, capped at [extended_size] two-qubit gates. *)

@@ -46,6 +46,12 @@ echo 'this is not json' | "$CLI" client --socket "$SOCK" raw > "$DIR/bad.json"
 grep -q '"code":"parse"' "$DIR/bad.json"
 "$CLI" client --socket "$SOCK" ping > /dev/null
 
+# raw passthrough skips a blank keep-alive line, which the daemon answers
+# with nothing: both pings get their pong and the client exits
+printf '{"op":"ping"}\n\n{"op":"ping"}\n' |
+  timeout 10 "$CLI" client --socket "$SOCK" raw > "$DIR/raw.json"
+[ "$(grep -c '"ok":true' "$DIR/raw.json")" -eq 2 ]
+
 "$CLI" client --socket "$SOCK" shutdown > "$DIR/shutdown.json"
 grep -q '"ok":true' "$DIR/shutdown.json"
 wait $SERVER_PID

@@ -68,16 +68,18 @@ let test_bounds_checks () =
   reject "reachable bad a" (fun () -> Arch.Coupling.reachable g 4 0)
 
 let test_coords () =
+  (* a grid's layout positions, which Hfine reads: qubit r*cols + c sits
+     at (c, r) *)
   let g = Arch.Devices.grid ~rows:2 ~cols:3 in
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "coord of 4"
-    (Some (1., 1.)) (Arch.Coupling.coord g 4);
-  Alcotest.(check (option (float 1e-9))) "hd" (Some 2.)
-    (Arch.Coupling.horizontal_distance g 0 2);
-  Alcotest.(check (option (float 1e-9))) "vd" (Some 1.)
-    (Arch.Coupling.vertical_distance g 0 3);
-  let no_coords = Arch.Devices.fully_connected 4 in
-  Alcotest.(check (option (float 1e-9))) "no coords" None
-    (Arch.Coupling.horizontal_distance no_coords 0 1)
+  let at = Alcotest.(pair (float 1e-9) (float 1e-9)) in
+  (match Arch.Coupling.coords g with
+  | None -> Alcotest.fail "grid has no coords"
+  | Some cs ->
+    Alcotest.check at "coord of 4" (1., 1.) cs.(4);
+    Alcotest.check at "coord of 2" (2., 0.) cs.(2);
+    Alcotest.check at "coord of 3" (0., 1.) cs.(3));
+  Alcotest.(check bool) "no coords" true
+    (Arch.Coupling.coords (Arch.Devices.fully_connected 4) = None)
 
 (* distance properties on random connected graphs *)
 let graph_gen =
@@ -597,66 +599,6 @@ let test_layout_random () =
     Hashtbl.replace seen p ()
   done
 
-(* -------------------------------------------------------------- direction *)
-
-let test_direction_symmetric () =
-  let d = Arch.Direction.symmetric (Arch.Devices.linear 3) in
-  Alcotest.(check bool) "both ways" true
-    (Arch.Direction.allows d ~control:0 ~target:1
-    && Arch.Direction.allows d ~control:1 ~target:0);
-  Alcotest.(check bool) "non-edge" false
-    (Arch.Direction.allows d ~control:0 ~target:2)
-
-let test_direction_validation () =
-  let rejects f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "non-coupler rejected" true
-    (rejects (fun () ->
-         Arch.Direction.of_directed_edges (Arch.Devices.linear 3) [ (0, 2) ]));
-  Alcotest.(check bool) "uncovered edge rejected" true
-    (rejects (fun () ->
-         Arch.Direction.of_directed_edges (Arch.Devices.linear 3) [ (0, 1) ]))
-
-let test_direction_fix () =
-  let d = Arch.Direction.ibm_q5_directed in
-  (* 1→0 is allowed, 0→1 is not: the reversed CX gets H-conjugated *)
-  let bad = Qc.Circuit.make ~n_qubits:5 [ Qc.Gate.cx 0 1 ] in
-  Alcotest.(check bool) "not conformant before" false
-    (Arch.Direction.conforms d bad);
-  let fixed = Arch.Direction.fix_circuit d bad in
-  Alcotest.(check bool) "conformant after" true (Arch.Direction.conforms d fixed);
-  Alcotest.(check int) "4 H + 1 CX" 5 (Qc.Circuit.length fixed);
-  (* the rewrite preserves the unitary *)
-  let m c =
-    List.fold_left
-      (fun acc g ->
-        Qc.Matrix.mul (Qc.Matrix.of_gate g ~positions:(fun q -> q) ~n:2) acc)
-      (Qc.Matrix.identity 4)
-      (List.map
-         (Qc.Gate.remap (fun q -> q)) (* already on qubits 0/1 *)
-         (Qc.Circuit.gates c))
-  in
-  Alcotest.(check bool) "unitary preserved" true
-    (Qc.Matrix.approx_equal (m bad) (m fixed));
-  (* allowed CX and symmetric gates pass through untouched *)
-  let ok =
-    Qc.Circuit.make ~n_qubits:5 [ Qc.Gate.cx 1 0; Qc.Gate.cz 0 1 ]
-  in
-  Alcotest.(check bool) "untouched" true
-    (Qc.Circuit.equal ok (Arch.Direction.fix_circuit d ok));
-  (* non-edge 2q gates are the router's job *)
-  Alcotest.(check bool) "non-edge rejected" true
-    (try
-       ignore
-         (Arch.Direction.fix_circuit d
-            (Qc.Circuit.make ~n_qubits:5 [ Qc.Gate.cx 0 3 ]));
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ maqam *)
 
 let test_maqam () =
@@ -715,12 +657,6 @@ let () =
           Alcotest.test_case "swap" `Quick test_layout_swap;
           Alcotest.test_case "random" `Quick test_layout_random;
           QCheck_alcotest.to_alcotest prop_layout_swap_consistent;
-        ] );
-      ( "direction",
-        [
-          Alcotest.test_case "symmetric" `Quick test_direction_symmetric;
-          Alcotest.test_case "validation" `Quick test_direction_validation;
-          Alcotest.test_case "fix circuit" `Quick test_direction_fix;
         ] );
       ("maqam", [ Alcotest.test_case "facade" `Quick test_maqam ]);
     ]

@@ -316,11 +316,6 @@ let test_hfine_prefers_balance () =
   in
   Alcotest.(check (float 1e-9)) "fine 0 without coords" 0. p.Codar.Heuristic.fine
 
-let test_distance_sum () =
-  Alcotest.(check int) "sum over pairs" 6
-    (Codar.Heuristic.distance_sum ~maqam:maqam_grid33 ~layout:(identity 9)
-       [ (0, 8); (0, 4) ])
-
 (* --------------------------------------------------- remapper: paper figs *)
 
 let find_first_swap r =
@@ -791,9 +786,10 @@ let scratch_octx ~maqam ~pairs =
     swap_cycles = Arch.Durations.swap (Arch.Maqam.durations maqam);
   }
 
-(* A deliberately repair-rule-hostile objective: its bonus counts incident
-   pairs on both endpoints, so it opts into [full_rescore] and exercises
-   the engine's re-score-everything path. *)
+(* An asymmetric objective: its bonus weighs the pairs incident to [u]
+   twice those incident to [v]. It reads only endpoint incidence, which a
+   commit changes only on the two qubits it locks, so the repair set
+   covers it. *)
 module Crowding : Objective.S = struct
   let name = "crowding"
   let scale = 8
@@ -806,7 +802,6 @@ module Crowding : Objective.S = struct
 
   let issue_min _ = 0
   let use_fine = false
-  let full_rescore = true
 end
 
 let crowding : Objective.t = (module Crowding)
@@ -1003,7 +998,6 @@ let test_objective_validation () =
     let bonus _ ~u:_ ~v:_ = 0
     let issue_min _ = 0
     let use_fine = false
-    let full_rescore = false
   end in
   let maqam = maqam_grid33 in
   match
@@ -1099,10 +1093,7 @@ let test_stats_counters () =
          Qc.Gate.equal a.gate b.gate
          && a.start = b.start && a.duration = b.duration
          && a.inserted = b.inserted)
-       r.events r'.events);
-  Codar.Stats.reset stats;
-  Alcotest.(check int) "reset clears counters" 0
-    stats.Codar.Stats.gates_issued
+       r.events r'.events)
 
 let () =
   Alcotest.run "codar"
@@ -1124,7 +1115,6 @@ let () =
         [
           Alcotest.test_case "Hbasic" `Quick test_hbasic;
           Alcotest.test_case "Hfine balance" `Quick test_hfine_prefers_balance;
-          Alcotest.test_case "distance sum" `Quick test_distance_sum;
         ] );
       ( "paper scenarios",
         [

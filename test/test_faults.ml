@@ -20,7 +20,7 @@ let temp_sock tag =
 
 type server = {
   thread : Thread.t;
-  outcome : (Codar.Stats.service, exn) result option ref;
+  outcome : (Service.Server.counters, exn) result option ref;
 }
 
 let start cfg =
@@ -263,7 +263,7 @@ let test_stalled_frame_deadline () =
         true (waited < 5.));
   let svc = shutdown_and_join sock server in
   Alcotest.(check bool) "timeout counted" true
-    (svc.Codar.Stats.timeouts >= 1)
+    (svc.Service.Server.timeouts >= 1)
 
 (* a gate that blocks every routing job until released *)
 let make_gate () =
@@ -309,7 +309,8 @@ let test_slow_route_deadline () =
   let reply2 = request sock {|{"op":"route","bench":"qft_4","restarts":2}|} in
   Alcotest.(check bool) "route succeeds once unblocked" true (reply_ok reply2);
   let svc = shutdown_and_join sock server in
-  Alcotest.(check bool) "timeout counted" true (svc.Codar.Stats.timeouts >= 1)
+  Alcotest.(check bool) "timeout counted" true
+    (svc.Service.Server.timeouts >= 1)
 
 (* ---------------------------------------------------------- backpressure *)
 
@@ -375,7 +376,7 @@ let test_overload_and_retry () =
     (reply_ok !retry_reply);
   let svc = shutdown_and_join sock server in
   Alcotest.(check bool) "overload counted" true
-    (svc.Codar.Stats.overloads >= 1)
+    (svc.Service.Server.overloads >= 1)
 
 (* --------------------------------------------------------------- stats *)
 

@@ -195,28 +195,23 @@ let test_qasm_end_to_end () =
   Alcotest.(check bool) "routed round trip" true
     (Qc.Circuit.equal physical routed_round)
 
-let test_directed_q5_pipeline () =
-  (* route on the undirected Q5 (as the paper's routers do), then legalise
-     for the classic directed bow-tie and confirm the result still computes
-     the original circuit *)
-  let circuit = Workloads.Builders.qft 4 in
-  let maqam = Arch.Maqam.make ~coupling:Arch.Devices.ibm_q5 ~durations:sc in
-  let initial = Sabre.Initial_mapping.reverse_traversal ~maqam circuit in
-  let routed = Codar.Remapper.run ~maqam ~initial circuit in
-  let physical = Schedule.Routed.to_physical_circuit ~n_physical:5 routed in
-  let directed = Arch.Direction.ibm_q5_directed in
-  let legal = Arch.Direction.fix_circuit directed physical in
-  Alcotest.(check bool) "conforms to directions" true
-    (Arch.Direction.conforms directed legal);
-  (* amplitude-level check: the legalised physical circuit equals the
-     routed one *)
-  let rng = Random.State.make [| 9 |] in
-  let a = Sim.Statevector.random_state rng 5 in
-  let b = Sim.Statevector.copy a in
-  Sim.Statevector.apply_circuit a physical;
-  Sim.Statevector.apply_circuit b legal;
-  Alcotest.(check bool) "same unitary action" true
-    (Float.abs (Sim.Statevector.fidelity a b -. 1.) < 1e-9)
+(* GHZ-8 in the ion trap's native interaction: each CX(c,t) written as
+   Maslov's Ry(π/2)_c · XX(π/4) · Rx(−π/2)_c · Rx(−π/2)_t · Ry(−π/2)_c,
+   with [Gate.xx a] = exp(−i(a/2) X⊗X), so XX(π/4) is [xx (π/2)] *)
+let ghz8_xx =
+  let h = Float.pi /. 2. in
+  Qc.Circuit.make ~n_qubits:8
+    (Qc.Gate.h 0
+    :: List.concat
+         (List.init 7 (fun c ->
+              let t = c + 1 in
+              [
+                Qc.Gate.ry h c;
+                Qc.Gate.xx h c t;
+                Qc.Gate.rx (-.h) c;
+                Qc.Gate.rx (-.h) t;
+                Qc.Gate.ry (-.h) c;
+              ])))
 
 let test_ion_trap_no_swaps () =
   (* all-to-all connectivity: CODAR must never insert a SWAP, whatever the
@@ -234,10 +229,7 @@ let test_ion_trap_no_swaps () =
       match Schedule.Verify.check_all ~maqam ~original:circuit r with
       | Ok () -> ()
       | Error e -> Alcotest.failf "verify: %a" Schedule.Verify.pp_error e)
-    [
-      Workloads.Builders.qft 8;
-      Qc.Basis.translate Qc.Basis.Xx_based (Workloads.Builders.ghz 8);
-    ]
+    [ Workloads.Builders.qft 8; ghz8_xx ]
 
 (* 36-qubit programs on Sycamore only (the paper's rule) *)
 let test_sycamore_36q () =
@@ -273,8 +265,6 @@ let () =
         [
           Alcotest.test_case "qasm round trip + route" `Quick
             test_qasm_end_to_end;
-          Alcotest.test_case "directed q5 pipeline" `Quick
-            test_directed_q5_pipeline;
           Alcotest.test_case "ion trap no swaps" `Quick test_ion_trap_no_swaps;
           Alcotest.test_case "sycamore 36q" `Slow test_sycamore_36q;
         ] );

@@ -19,6 +19,29 @@ let test_names () =
   Alcotest.(check bool) "unknown" true (Placement.of_name "nope" = None);
   Alcotest.(check bool) "bad sabre arity" true
     (Placement.of_name "sabre-0" = None);
+  (* counts are ASCII digits: none of OCaml's other integer spellings *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " refused") true (Placement.of_name s = None))
+    [
+      "sabre-0x3"; "random-0b11"; "sabre-1_0"; "sabre-+2"; "random-+2";
+      "random-0o7"; "random--"; "random---5"; "sabre--1";
+    ];
+  (* sabre-<k> is bounded by max_passes *)
+  Alcotest.(check bool) "sabre past max_passes" true
+    (Placement.of_name (Printf.sprintf "sabre-%d" (Placement.max_passes + 1))
+    = None);
+  (match Placement.of_name (Printf.sprintf "sabre-%d" Placement.max_passes) with
+  | Some (Placement.Reverse_traversal k) when k = Placement.max_passes -> ()
+  | Some _ | None -> Alcotest.fail "sabre-<max_passes>");
+  (* a negative seed reads back, min_int included *)
+  List.iter
+    (fun seed ->
+      let s = Placement.Random seed in
+      match Placement.of_name (Placement.name s) with
+      | Some (Placement.Random n) when n = seed -> ()
+      | Some _ | None -> Alcotest.failf "%s" (Placement.name s))
+    [ -5; min_int; max_int ];
   (match Placement.of_name "random-42" with
   | Some (Placement.Random 42) -> ()
   | Some _ | None -> Alcotest.fail "random-42");

@@ -36,45 +36,6 @@ let test_map_matches_sequential () =
         expected got)
     [ 1; 2; 4; 7 ]
 
-let test_map_reduce_order () =
-  (* string concatenation is not commutative: any reordering would show *)
-  let tasks = Array.init 25 (fun i -> i) in
-  let expected =
-    Array.fold_left (fun acc i -> acc ^ Fmt.str "%d;" i) "" tasks
-  in
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.with_pool ~jobs (fun p ->
-            Pool.map_reduce p
-              ~map:(fun i _ -> Fmt.str "%d;" i)
-              ~reduce:( ^ ) ~init:"" tasks)
-      in
-      Alcotest.(check string)
-        (Fmt.str "map_reduce jobs=%d folds in index order" jobs)
-        expected got)
-    [ 1; 4 ]
-
-let test_best_tie_break () =
-  (* indices 2, 5, 9 share the minimal score; index 2 must win *)
-  let scores = [| 7; 4; 1; 3; 9; 1; 5; 2; 8; 1 |] in
-  List.iter
-    (fun jobs ->
-      let winner =
-        Pool.with_pool ~jobs (fun p ->
-            Pool.best p ~score:(fun s -> s) (fun i _ -> scores.(i)) scores)
-      in
-      match winner with
-      | Some (2, 1) -> ()
-      | Some (i, s) ->
-        Alcotest.failf "jobs=%d: best picked (%d, %d), wanted (2, 1)" jobs i s
-      | None -> Alcotest.failf "jobs=%d: best returned None" jobs)
-    [ 1; 4 ];
-  Alcotest.(check bool)
-    "best of empty is None" true
-    (Pool.with_pool ~jobs:2 (fun p ->
-         Pool.best p ~score:Fun.id (fun _ x -> x) [||] = None))
-
 (* ------------------------------------------- parallel routing fan-outs *)
 
 let routing_subset = [ "qft_4"; "qft_8"; "ghz_8"; "tof_8"; "dj_10" ]
@@ -200,10 +161,6 @@ let () =
           [
             Alcotest.test_case "map = sequential, any jobs" `Quick
               test_map_matches_sequential;
-            Alcotest.test_case "map_reduce folds in index order" `Quick
-              test_map_reduce_order;
-            Alcotest.test_case "best: (score, index) tie-break" `Quick
-              test_best_tie_break;
           ] );
         ( "routing determinism",
           [

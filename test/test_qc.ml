@@ -193,14 +193,6 @@ let gate_gen =
 
 let gate_arb = QCheck.make ~print:Qc.Gate.to_string gate_gen
 
-let prop_rule_agrees_with_oracle =
-  QCheck.Test.make ~count:500 ~name:"commute rule agrees with matrix oracle"
-    (QCheck.pair gate_arb gate_arb)
-    (fun (a, b) ->
-      match Qc.Commute.commutes_by_rule a b with
-      | None -> true
-      | Some r -> r = Qc.Matrix.commute a b)
-
 let prop_commute_symmetric =
   QCheck.Test.make ~count:300 ~name:"commutation is symmetric"
     (QCheck.pair gate_arb gate_arb)
@@ -344,7 +336,7 @@ let test_commute_exhaustive () =
   in
   (* a route's memoised check must answer as the stateless one does *)
   let memoised = Qc.Commute.memoised () in
-  let fallbacks = ref 0 and commuting = ref 0 in
+  let commuting = ref 0 in
   List.iter
     (fun (a, b) ->
       let expected = Qc.Matrix.commute a b in
@@ -356,21 +348,12 @@ let test_commute_exhaustive () =
       if memoised a b <> expected then
         Alcotest.failf "memoised %s / %s: got %b, oracle says %b"
           (Qc.Gate.to_string a) (Qc.Gate.to_string b) (not expected) expected;
-      (* the structural fast path must never contradict the oracle *)
-      (match Qc.Commute.commutes_by_rule a b with
-      | None -> incr fallbacks
-      | Some r ->
-        if r <> expected then
-          Alcotest.failf "rule %s / %s: got %b, oracle says %b"
-            (Qc.Gate.to_string a) (Qc.Gate.to_string b) r expected);
       if Qc.Commute.commutes b a <> got then
         Alcotest.failf "asymmetric: %s / %s" (Qc.Gate.to_string a)
           (Qc.Gate.to_string b))
     pairs;
   Alcotest.(check int) "z-phase cases" 240 (List.length phase_margin_pairs);
   Alcotest.(check bool) "cross product is big" true (List.length pairs > 10_000);
-  Alcotest.(check bool) "some pairs used the exact fallback" true
-    (!fallbacks > 0);
   Alcotest.(check bool) "both verdicts occur" true
     (!commuting > 0 && !commuting < List.length pairs)
 
@@ -490,12 +473,6 @@ let test_dag () =
   Alcotest.(check (list int)) "preds of cx01" [ 0 ] (Qc.Dag.preds d 1);
   Alcotest.(check (list int)) "preds of cx12" [ 1; 2 ] (Qc.Dag.preds d 3);
   Alcotest.(check (list int)) "succs of h" [ 1 ] (Qc.Dag.succs d 0);
-  let done_ = Array.make 4 false in
-  Alcotest.(check (list int)) "initial front" [ 0; 2 ]
-    (Qc.Dag.front_layer d ~done_);
-  done_.(0) <- true;
-  Alcotest.(check (list int)) "front after h" [ 1; 2 ]
-    (Qc.Dag.front_layer d ~done_);
   Alcotest.(check int) "critical path (unit)" 3
     (Qc.Dag.critical_path_length d ~weight:(fun _ -> 1));
   Alcotest.(check int) "critical path (weighted)" 5
@@ -763,52 +740,6 @@ let prop_fusion_preserves_semantics =
       no_adjacent_runs
       && Qc.Matrix.equal_up_to_phase ~tol:1e-7 (m c) (m fused))
 
-(* ------------------------------------------------------------------ basis *)
-
-let circuit_matrix_basis n circuit =
-  List.fold_left
-    (fun acc g ->
-      Qc.Matrix.mul (Qc.Matrix.of_gate g ~positions:(fun q -> q) ~n) acc)
-    (Qc.Matrix.identity (1 lsl n))
-    (Qc.Circuit.gates circuit)
-
-let test_basis_identities () =
-  let cx = Qc.Matrix.of_gate (Qc.Gate.cx 0 1) ~positions:(fun q -> q) ~n:2 in
-  let as_matrix gates =
-    circuit_matrix_basis 2 (Qc.Circuit.make ~n_qubits:2 gates)
-  in
-  Alcotest.(check bool) "cx via xx (ion trap)" true
-    (Qc.Matrix.equal_up_to_phase cx (as_matrix (Qc.Basis.cx_to_xx 0 1)));
-  Alcotest.(check bool) "cx via cz" true
-    (Qc.Matrix.equal_up_to_phase cx (as_matrix (Qc.Basis.cx_to_cz 0 1)));
-  let cz = Qc.Matrix.of_gate (Qc.Gate.cz 0 1) ~positions:(fun q -> q) ~n:2 in
-  Alcotest.(check bool) "cz via cx" true
-    (Qc.Matrix.equal_up_to_phase cz (as_matrix (Qc.Basis.cz_to_cx 0 1)))
-
-let test_basis_translate () =
-  let c =
-    Qc.Circuit.make ~n_qubits:3
-      [ Qc.Gate.h 0; Qc.Gate.cx 0 1; Qc.Gate.cz 1 2; Qc.Gate.swap 0 2;
-        Qc.Gate.rzz 0.4 0 1; Qc.Gate.xx 0.7 1 2; Qc.Gate.t 2 ]
-  in
-  let reference = circuit_matrix_basis 3 c in
-  List.iter
-    (fun target ->
-      let translated = Qc.Basis.translate target c in
-      Alcotest.(check bool)
-        (Qc.Basis.set_name target ^ " conforms")
-        true
-        (Qc.Basis.conforms target translated);
-      Alcotest.(check bool)
-        (Qc.Basis.set_name target ^ " preserves semantics")
-        true
-        (Qc.Matrix.equal_up_to_phase ~tol:1e-9 reference
-           (circuit_matrix_basis 3 translated)))
-    [ Qc.Basis.Cx_based; Qc.Basis.Cz_based; Qc.Basis.Xx_based ];
-  (* mixed circuits do not conform before translation *)
-  Alcotest.(check bool) "input not cx-conformant" false
-    (Qc.Basis.conforms Qc.Basis.Cx_based c)
-
 (* The one-pass scan against the DAG's critical path it replaces, on fuzz
    circuits with barriers (empty ones too), measures between gates, and
    one-qubit-only circuits. *)
@@ -876,7 +807,6 @@ let () =
             test_commute_exhaustive;
           Alcotest.test_case "barrier/measure disjointness" `Quick
             test_commute_nonunitary;
-          QCheck_alcotest.to_alcotest prop_rule_agrees_with_oracle;
           QCheck_alcotest.to_alcotest prop_commute_symmetric;
           QCheck_alcotest.to_alcotest prop_compiled_matches_commutes;
           QCheck_alcotest.to_alcotest prop_inverse;
@@ -912,10 +842,5 @@ let () =
           Alcotest.test_case "1q fusion" `Quick test_fuse_single_qubit;
           QCheck_alcotest.to_alcotest prop_to_u3_roundtrip;
           QCheck_alcotest.to_alcotest prop_fusion_preserves_semantics;
-        ] );
-      ( "basis",
-        [
-          Alcotest.test_case "identities" `Quick test_basis_identities;
-          Alcotest.test_case "translate" `Quick test_basis_translate;
         ] );
     ]

@@ -312,6 +312,21 @@ let prop_reference_fuzz =
                 Reference_sabre.reverse_traversal ~initial ~config:ref_config
                   ~maqam circuit)))
 
+(* The reference's front scan on a hand-built DAG: h q0 and x q2 start
+   free; cx q0,q1 waits for h. *)
+let test_reference_front_layer () =
+  let d =
+    Qc.Dag.of_circuit
+      (Qc.Circuit.make ~n_qubits:3
+         [ Qc.Gate.h 0; Qc.Gate.cx 0 1; Qc.Gate.x 2; Qc.Gate.cx 1 2 ])
+  in
+  let done_ = Array.make 4 false in
+  Alcotest.(check (list int)) "initial front" [ 0; 2 ]
+    (Reference_sabre.front_layer d ~done_);
+  done_.(0) <- true;
+  Alcotest.(check (list int)) "front after h" [ 1; 2 ]
+    (Reference_sabre.front_layer d ~done_)
+
 (* Systhreads of one domain share its scratch set: a route that finds it
    busy must work on its own, never on the other route's arrays. *)
 let test_threads_share_domain () =
@@ -363,6 +378,7 @@ let () =
         ] );
       ( "reference",
         [
+          Alcotest.test_case "front layer" `Quick test_reference_front_layer;
           Alcotest.test_case "fig8 cells but rand_16_30k" `Quick
             test_reference_fig8;
           Alcotest.test_case "rand_16_30k prefix, every device" `Quick

@@ -22,7 +22,7 @@ let temp_sock tag =
 
 type server = {
   thread : Thread.t;
-  outcome : (Codar.Stats.service, exn) result option ref;
+  outcome : (Service.Server.counters, exn) result option ref;
 }
 
 (* Boot [Server.run] on its own thread and block until the socket listens;
@@ -165,7 +165,7 @@ let test_byte_identical_replay () =
   let svc = shutdown_and_join sock server in
   (* qft_4 cold + the batch's ghz_8; everything else was a hit *)
   Alcotest.(check int) "routes_computed in final counters" 2
-    svc.Codar.Stats.routes_computed
+    svc.Service.Server.routes_computed
 
 (* ------------------------------------------------------------ coalescing *)
 
@@ -225,7 +225,7 @@ let test_coalescing_single_computation () =
   let svc = shutdown_and_join sock server in
   Alcotest.(check int) "route ran once" 1 !started;
   Alcotest.(check int) "final coalesced counter" (clients - 1)
-    svc.Codar.Stats.coalesced
+    svc.Service.Server.coalesced
 
 (* -------------------------------------------------- graceful degradation *)
 
@@ -391,6 +391,27 @@ let hostile_requests =
     ( "grid past the qubit bound",
       {|{"op":"route","bench":"ghz_3","arch":"grid-33x32"}|} );
   ]
+  (* placement counts in decimal digits only, and a request's work
+     multipliers bounded: sabre-<k> by Placement.max_passes, portfolio
+     restarts by Codar.Portfolio.max_restarts *)
+  @ List.map
+      (fun p ->
+        ( "placement " ^ p,
+          Printf.sprintf {|{"op":"route","bench":"qft_4","placement":"%s"}|}
+            p ))
+      [
+        "sabre-0x3";
+        "random-0b11";
+        "sabre-1_0";
+        "sabre-+2";
+        Printf.sprintf "sabre-%d" (Placement.max_passes + 1);
+      ]
+  @ [
+      ( "restarts past the bound",
+        Printf.sprintf
+          {|{"op":"route","bench":"qft_4","router":"portfolio","restarts":%d}|}
+          (Codar.Portfolio.max_restarts + 1) );
+    ]
 
 let test_hostile_requests () =
   let sock = temp_sock "requests" in
@@ -775,7 +796,7 @@ let test_connection_cap () =
   Service.Client.close b;
   let svc = join server in
   Alcotest.(check int) "final peak stayed at the cap" 2
-    svc.Codar.Stats.conns_peak
+    svc.Service.Server.conns_peak
 
 let test_connection_observability () =
   let sock = temp_sock "obs" in
@@ -799,9 +820,9 @@ let test_connection_observability () =
             (counter [ "service"; "wb_stalls" ] stats)));
   let svc = shutdown_and_join sock server in
   Alcotest.(check int) "active connections drain to zero" 0
-    svc.Codar.Stats.conns_active;
+    svc.Service.Server.conns_active;
   Alcotest.(check bool) "final peak at least two" true
-    (svc.Codar.Stats.conns_peak >= 2)
+    (svc.Service.Server.conns_peak >= 2)
 
 (* A deliberately slow-reading client: thousands of pipelined warm
    requests, no reads until every request is written. Its reply bytes
@@ -872,7 +893,7 @@ let test_backpressure_slow_reader () =
   Unix.close fd;
   let svc = shutdown_and_join sock server in
   Alcotest.(check bool) "final stall counter kept" true
-    (svc.Codar.Stats.wb_stalls >= 1)
+    (svc.Service.Server.wb_stalls >= 1)
 
 let test_request_many_pipelining () =
   let sock = temp_sock "pipeline" in

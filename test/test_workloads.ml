@@ -206,65 +206,6 @@ let test_builder_validation () =
   rejects "adder zero bits" (fun () -> Workloads.Builders.cuccaro_adder ~bits:0);
   rejects "w too small" (fun () -> Workloads.Builders.w_state 1)
 
-(* ----------------------------------------------------------------- boolfn *)
-
-let test_pprm_known () =
-  (* parity of 2 bits = x0 XOR x1: monomials {x0} and {x1} *)
-  Alcotest.(check (list int)) "parity" [ 1; 2 ]
-    (Workloads.Boolfn.pprm ~n:2 (fun x ->
-         (x land 1) lxor ((x lsr 1) land 1) = 1));
-  (* AND = single monomial {x0 x1} *)
-  Alcotest.(check (list int)) "and" [ 3 ]
-    (Workloads.Boolfn.pprm ~n:2 (fun x -> x = 3));
-  (* constant 1 = the empty monomial *)
-  Alcotest.(check (list int)) "const" [ 0 ]
-    (Workloads.Boolfn.pprm ~n:2 (fun _ -> true));
-  (* OR = x0 + x1 + x0x1 *)
-  Alcotest.(check (list int)) "or" [ 1; 2; 3 ]
-    (Workloads.Boolfn.pprm ~n:2 (fun x -> x <> 0))
-
-(* exhaustively check the synthesized circuit against the truth table:
-   |x⟩|0⟩|0…⟩ must map to |x⟩|f(x)⟩|0…⟩ *)
-let check_spec name (spec : Workloads.Boolfn.spec) =
-  let circuit = Workloads.Boolfn.synthesize spec in
-  let n = Qc.Circuit.n_qubits circuit in
-  for x = 0 to (1 lsl spec.inputs) - 1 do
-    let sv = Sim.Statevector.init n in
-    Sim.Statevector.set_amplitude sv 0 Complex.zero;
-    Sim.Statevector.set_amplitude sv x Complex.one;
-    Sim.Statevector.apply_circuit sv circuit;
-    let expected = x lor (spec.table x lsl spec.inputs) in
-    Alcotest.(check bool)
-      (Fmt.str "%s(%d) = %d" name x (spec.table x))
-      true
-      (Complex.norm (Complex.sub (amp sv expected) Complex.one) < 1e-7)
-  done
-
-let test_boolfn_synthesis () =
-  List.iter (fun (name, spec) -> check_spec name spec)
-    Workloads.Boolfn.all_named
-
-let prop_boolfn_random =
-  QCheck.Test.make ~count:25 ~name:"random truth tables synthesize correctly"
-    QCheck.(pair (int_bound 1000) (int_range 2 4))
-    (fun (seed, inputs) ->
-      let rng = Random.State.make [| seed |] in
-      let rows = Array.init (1 lsl inputs) (fun _ -> Random.State.int rng 4) in
-      let spec = { Workloads.Boolfn.inputs; outputs = 2; table = (fun x -> rows.(x)) } in
-      let circuit = Workloads.Boolfn.synthesize spec in
-      let n = Qc.Circuit.n_qubits circuit in
-      let ok = ref true in
-      for x = 0 to (1 lsl inputs) - 1 do
-        let sv = Sim.Statevector.init n in
-        Sim.Statevector.set_amplitude sv 0 Complex.zero;
-        Sim.Statevector.set_amplitude sv x Complex.one;
-        Sim.Statevector.apply_circuit sv circuit;
-        let expected = x lor (spec.table x lsl inputs) in
-        if Complex.norm (Complex.sub (amp sv expected) Complex.one) > 1e-7 then
-          ok := false
-      done;
-      !ok)
-
 (* ------------------------------------------------------------------ suite *)
 
 let test_suite_inventory () =
@@ -437,12 +378,6 @@ let () =
           Alcotest.test_case "random reproducible" `Quick
             test_random_circuit_reproducible;
           Alcotest.test_case "validation" `Quick test_builder_validation;
-        ] );
-      ( "boolfn",
-        [
-          Alcotest.test_case "pprm" `Quick test_pprm_known;
-          Alcotest.test_case "named functions" `Quick test_boolfn_synthesis;
-          QCheck_alcotest.to_alcotest prop_boolfn_random;
         ] );
       ( "suite",
         [
