@@ -522,6 +522,44 @@ let objectives_table ?json () =
 
 (* ------------------------------------------------------------------ smoke *)
 
+(* Words [f ()] allocates in this domain: minor words from
+   [Gc.minor_words] and words allocated straight into the major heap (an
+   array over 256 words goes there), read from [Gc.counters] as major
+   minus promoted words with the minor heap emptied at both ends —
+   [Gc.counters] and [Gc.quick_stat] bring their counts up to date only
+   at minor collections. *)
+let allocated f =
+  Gc.minor ();
+  let _, p0, j0 = Gc.counters () in
+  let m0 = Gc.minor_words () in
+  let r = f () in
+  let m1 = Gc.minor_words () in
+  Gc.minor ();
+  let _, p1, j1 = Gc.counters () in
+  (r, m1 -. m0, j1 -. p1 -. (j0 -. p0))
+
+(* An allocation fence: [f ()]'s minor and direct-major words stay within
+   their ceilings; with [repeat], [f] runs twice and both counts must
+   repeat exactly. *)
+let fence ?(repeat = false) name ~minor ~major f =
+  let r, m, j = allocated f in
+  (if repeat then
+     let _, m', j' = allocated f in
+     if m' <> m || j' <> j then
+       Fmt.failwith
+         "smoke: %s allocated %.0f minor and %.0f direct-major words, then \
+          %.0f and %.0f: the counts do not repeat"
+         name m j m' j');
+  if m > minor || j > major then
+    Fmt.failwith
+      "smoke: %s allocated %.0f minor words (ceiling %.0f) and %.0f \
+       direct-major words (ceiling %.0f) — a hot path allocates again"
+      name m minor j major;
+  Fmt.pr "smoke: %s: %.0f minor + %.0f direct-major words (ceilings %.0f, \
+          %.0f)@."
+    name m j minor major;
+  r
+
 (* One small end-to-end routing run plus the stats path, wired into [dune
    runtest] (the [bench-smoke] alias in bench/dune) so the instrumentation
    cannot silently rot. Exits non-zero on any failure. *)
@@ -580,45 +618,66 @@ let smoke () =
   Fmt.pr "smoke: qft_16 on tokyo: %d evals (ceiling %d), %d rescores@."
     stats16.Codar.Stats.heuristic_evals eval_ceiling
     stats16.Codar.Stats.swap_rescores;
-  (* allocation fence: one cold route of the daemon's cold shape (12
-     qubits, 400 gates with rz angles) on Tokyo, SABRE placement then
-     CODAR, counted from an emptied minor heap. The count is
-     deterministic; the ceiling is 1.5x the 35,170 words measured once the
-     CF tracker and the SWAP cycle ran on flat arrays (190k before them,
-     468k before the allocation-free scoring and commutation paths), so a
-     revert to allocating hot paths fails runtest. Most of the count is
-     the exact checks that fill parameter-free verdicts this process has
-     not met yet; a second identical route allocates 14,467. *)
+  (* Allocation fences. Each counts the words a call allocates in this
+     domain, minor and straight into the major heap, and holds both to
+     ceilings of 1.5x the counts measured when they were set, so a revert
+     to allocating hot paths fails runtest. The counts are deterministic;
+     where the call can run twice on the same state, it does, and both
+     counts must repeat exactly. *)
   let cold =
     Workloads.Builders.random_circuit ~n:12 ~gates:400
       ~two_qubit_fraction:0.45 ~seed:17
   in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
-  let initial_cold = Sabre.Initial_mapping.reverse_traversal ~maqam cold in
-  let routed_cold = Codar.Remapper.run ~maqam ~initial:initial_cold cold in
-  let cold_words = Gc.minor_words () -. w0 in
-  (match Schedule.Verify.check_all ~maqam ~original:cold routed_cold with
-  | Ok () -> ()
-  | Error e ->
-    Fmt.failwith "smoke: cold route verify failed: %a" Schedule.Verify.pp_error
-      e);
-  let words_ceiling = 52_755. in
-  if cold_words > words_ceiling then
-    Fmt.failwith
-      "smoke: cold 12q x 400 route on tokyo allocated %.0f minor words \
-       (ceiling %.0f) — a hot path allocates again"
-      cold_words words_ceiling;
-  Fmt.pr "smoke: cold 12q x 400 on tokyo: %.0f minor words (ceiling %.0f)@."
-    cold_words words_ceiling;
-  (* ingest fence: the same circuit as a daemon request frame, through
-     the three calls every request crosses before the router — frame
+  let cold_route c () =
+    let initial = Sabre.Initial_mapping.reverse_traversal ~maqam c in
+    Codar.Remapper.run ~maqam ~initial c
+  in
+  let verified name c routed =
+    match Schedule.Verify.check_all ~maqam ~original:c routed with
+    | Ok () -> ()
+    | Error e ->
+      Fmt.failwith "smoke: %s verify failed: %a" name Schedule.Verify.pp_error
+        e
+  in
+  let cold2 =
+    Workloads.Builders.random_circuit ~n:12 ~gates:400
+      ~two_qubit_fraction:0.45 ~seed:18
+  in
+  (* Two cold routes of the daemon's cold shape (12 qubits, 400 gates
+     with rz angles) on Tokyo, SABRE placement then CODAR, in a fresh
+     domain. The first grows the routers' per-domain working arrays from
+     nothing, and those over 256 words go straight into the major heap;
+     most of its minor words are exact checks that fill parameter-free
+     verdicts this process has not met yet, and the schedule. The second,
+     another circuit of the same shape, runs on the arrays the first
+     grew: the schedule is most of what it allocates, and nothing goes
+     straight into the major heap. With CODAR's arrays per route they
+     took 33,712 + 13,841 and 15,311 + 9,652 words (minor +
+     direct-major); 190k minor words before the flat CF tracker and SWAP
+     cycle, 468k before the allocation-free scoring and commutation
+     paths. *)
+  let routed_cold, routed_cold2 =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let r1 =
+             fence "cold 12q x 400 route on tokyo, fresh domain"
+               ~minor:40_449. ~major:23_069. (cold_route cold)
+           in
+           let r2 =
+             fence ~repeat:true "second cold 12q x 400 route in that domain"
+               ~minor:10_124. ~major:0. (cold_route cold2)
+           in
+           (r1, r2)))
+  in
+  verified "cold route" cold routed_cold;
+  verified "second cold route" cold2 routed_cold2;
+  (* ingest: the same circuit as a daemon request frame, through the
+     three calls every request crosses before the router — frame
      decoding, request resolution (QASM parsing included) and
-     fingerprinting — counted from an emptied minor heap. The count is
-     deterministic; the ceiling is 1.5x the 7,395 words measured
-     with the scanning decoders (130,294 when the frame decoder boxed a
+     fingerprinting (130,294 minor words when the frame decoder boxed a
      char per peek, the QASM lexer consed a token list and the
-     fingerprint went through Printf). *)
+     fingerprint went through Printf). The direct-major words are the
+     decoded QASM text. *)
   let frame =
     Report.Json.to_string ~indent:0
       (Report.Json.Obj
@@ -628,51 +687,31 @@ let smoke () =
            ("arch", Report.Json.String "tokyo");
          ])
   in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
   let fp =
-    match Service.Protocol.parse_frame frame with
-    | Ok (_, Service.Protocol.Route rr) -> (
-      match Service.Engine.spec_of_route_req rr with
-      | Ok spec -> Service.Engine.fingerprint spec
-      | Error msg -> Fmt.failwith "smoke: cold frame refused: %s" msg)
-    | Ok _ | Error _ -> Fmt.failwith "smoke: cold frame does not decode"
+    fence ~repeat:true "cold 12q x 400 frame ingest" ~minor:11_093.
+      ~major:2_244. (fun () ->
+        match Service.Protocol.parse_frame frame with
+        | Ok (_, Service.Protocol.Route rr) -> (
+          match Service.Engine.spec_of_route_req rr with
+          | Ok spec -> Service.Engine.fingerprint spec
+          | Error msg -> Fmt.failwith "smoke: cold frame refused: %s" msg)
+        | Ok _ | Error _ -> Fmt.failwith "smoke: cold frame does not decode")
   in
-  let ingest_words = Gc.minor_words () -. w0 in
   ignore (fp : string);
-  let ingest_ceiling = 11_093. in
-  if ingest_words > ingest_ceiling then
-    Fmt.failwith
-      "smoke: cold 12q x 400 frame ingest allocated %.0f minor words \
-       (ceiling %.0f) — a decoder allocates per byte or token again"
-      ingest_words ingest_ceiling;
-  Fmt.pr "smoke: cold 12q x 400 frame ingest: %.0f minor words (ceiling %.0f)@."
-    ingest_words ingest_ceiling;
-  (* CODAR-alone allocation fence: qft_16 on Tokyo from the identity
-     layout, routing only, counted from an emptied minor heap. The count
-     is deterministic; the ceiling is 1.5x the 21,402 words measured with
-     the flat-array CF tracker and SWAP cycle (the list- and option-based
-     ones allocated 228,682). *)
+  (* CODAR alone: qft_16 on Tokyo from the identity layout, routing only,
+     on this domain's warm working arrays (21,938 + 13,732 words with
+     CODAR's arrays per route; 228,682 minor words with the list- and
+     option-based CF tracker and SWAP cycle) *)
   let identity16 =
     Arch.Layout.identity
       ~n_logical:(Qc.Circuit.n_qubits circuit16)
       ~n_physical:(Arch.Maqam.n_qubits maqam)
   in
-  Gc.minor ();
-  let w0 = Gc.minor_words () in
   let (_ : Schedule.Routed.t) =
-    Codar.Remapper.run ~maqam ~initial:identity16 circuit16
+    fence ~repeat:true "CODAR alone on qft_16/tokyo from identity"
+      ~minor:13_557. ~major:0. (fun () ->
+        Codar.Remapper.run ~maqam ~initial:identity16 circuit16)
   in
-  let codar_words = Gc.minor_words () -. w0 in
-  let codar_ceiling = 32_103. in
-  if codar_words > codar_ceiling then
-    Fmt.failwith
-      "smoke: CODAR alone on qft_16/tokyo allocated %.0f minor words \
-       (ceiling %.0f) — the routing cycle allocates again"
-      codar_words codar_ceiling;
-  Fmt.pr "smoke: codar qft_16 on tokyo from identity: %.0f minor words \
-          (ceiling %.0f)@."
-    codar_words codar_ceiling;
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
   let circuits =

@@ -25,7 +25,10 @@ let guard f =
        the device has only %d@."
       line qubits limit;
     exit exit_parse
-  | Invalid_argument msg ->
+  | Invalid_argument msg
+  | Codar.Remapper.Stuck msg
+  | Sabre.Router.Stuck msg
+  | Astar.Router.Stuck msg ->
     Fmt.epr "codar_cli: routing error: %s@." msg;
     exit exit_route
   | Sys_error msg ->
@@ -49,6 +52,16 @@ let unknown_arch s =
      qubits and %d couplers"
     s Arch.Coupling.max_qubits
     (8 * Arch.Coupling.max_qubits)
+
+(* One help text for every --arch: the whole [Arch.Devices.by_name]
+   grammar and its bound. *)
+let arch_doc =
+  Fmt.str
+    "Target device: melbourne (q16), tokyo (q20), 6x6 (enfield), sycamore \
+     (q54), q5, linear-N, ring-N (N >= 3), grid-RxC, full-N (N <= 128) or \
+     heavy-hex-D (odd D >= 3), in any letter case; sizes are decimal digits \
+     and a device has at most %d qubits."
+    Arch.Coupling.max_qubits
 
 let arch_conv =
   let parse s =
@@ -94,6 +107,15 @@ let route_record ?(restarts = 8) ?(seed = 0) ~collect_stats ~source ~placement
       collect_stats;
     }
 
+(* Shared by [map] and [batch]: the daemon's restarts bound, for every
+   router, as a routing failure. *)
+let check_restarts restarts =
+  match Service.Engine.check_restarts restarts with
+  | Ok () -> ()
+  | Error msg ->
+    Fmt.epr "codar_cli: routing error: %s@." msg;
+    exit exit_route
+
 (* Shared by [map] and [batch]: resolve the -r string (which may carry
    "codar:slack" inline sugar) plus --objective/--metric into the typed
    triple, turning resolution errors into usage failures. *)
@@ -135,7 +157,7 @@ let map_cmd =
   in
   let arch =
     Arg.(value & opt arch_conv Arch.Devices.ibm_q20_tokyo
-         & info [ "arch"; "a" ] ~doc:"Target device (melbourne, tokyo, 6x6, sycamore, q5, linear-N, grid-RxC, full-N).")
+         & info [ "arch"; "a" ] ~doc:arch_doc)
   in
   let durations =
     Arg.(value & opt durations_conv Arch.Durations.superconducting
@@ -201,6 +223,7 @@ let map_cmd =
     let router, objectives, metric =
       resolve_router_exn ~router ~objective ~metric ~durations
     in
+    check_restarts restarts;
     let circuit = load_circuit ~arch input bench in
     let circuit = if optimize then Qc.Optimize.optimize circuit else circuit in
     let maqam = Arch.Maqam.make ~coupling:arch ~durations in
@@ -313,7 +336,7 @@ let batch_cmd =
   in
   let arch =
     Arg.(value & opt arch_conv Arch.Devices.ibm_q20_tokyo
-         & info [ "arch"; "a" ] ~doc:"Target device.")
+         & info [ "arch"; "a" ] ~doc:arch_doc)
   in
   let durations =
     Arg.(value & opt durations_conv Arch.Durations.superconducting
@@ -367,6 +390,7 @@ let batch_cmd =
     let router, objectives, metric =
       resolve_router_exn ~router ~objective ~metric ~durations
     in
+    check_restarts restarts;
     let maqam = Arch.Maqam.make ~coupling:arch ~durations in
     (* load everything sequentially before the fan-out: QASM parsing and
        Lazy.force must not run concurrently *)
@@ -634,7 +658,7 @@ let client_cmd =
       & info [ "bench"; "b" ] ~doc:"Built-in benchmark name to route.")
   in
   let arch =
-    Arg.(value & opt (some string) None & info [ "arch"; "a" ] ~doc:"Target device name.")
+    Arg.(value & opt (some string) None & info [ "arch"; "a" ] ~doc:arch_doc)
   in
   let durations =
     Arg.(value & opt (some string) None & info [ "durations"; "d" ] ~doc:"Duration profile.")

@@ -24,6 +24,15 @@ type t = {
   diameter : int;
   connected : bool;
   coords : (float * float) array option;
+  index : index;
+}
+
+and index = {
+  off : int array;
+  nbr : int array;
+  eid : int array;
+  eu : int array;
+  ev : int array;
 }
 
 let unreachable_distance = -1
@@ -99,6 +108,24 @@ let make ?coords ~name ~n edge_list =
           fill.(q) <- fill.(q) + 1)
         l)
     adj;
+  (* edge ids: ranks in the sorted [edges], beside each neighbour *)
+  let n_edges = List.length edges in
+  let eu = Array.make n_edges 0 and ev = Array.make n_edges 0 in
+  let eid = Array.make (Array.length nbr) 0 in
+  let set p q e =
+    let i = ref off.(p) in
+    while nbr.(!i) <> q do
+      incr i
+    done;
+    eid.(!i) <- e
+  in
+  List.iteri
+    (fun e (u, v) ->
+      eu.(e) <- u;
+      ev.(e) <- v;
+      set u v e;
+      set v u e)
+    edges;
   let dist = Array.make (n * n) unreachable_distance in
   let queue = Array.make (max 1 n) 0 in
   let diameter = ref 0 and connected = ref true in
@@ -110,7 +137,7 @@ let make ?coords ~name ~n edge_list =
   done;
   {
     name; n; adj; deg; edges; dist; diameter = !diameter;
-    connected = !connected; coords;
+    connected = !connected; coords; index = { off; nbr; eid; eu; ev };
   }
 
 let name t = t.name
@@ -154,6 +181,7 @@ let rows_cached t = t.n
 let dist_bytes t = t.n * t.n * (Sys.word_size / 8)
 
 let coords t = t.coords
+let index t = t.index
 
 let pp ppf t =
   Fmt.pf ppf "%s: %d qubits, %d edges" t.name t.n (List.length t.edges)

@@ -88,4 +88,22 @@ val coords : t -> (float * float) array option
 (** Each qubit's layout position, for devices built with one; the
     [Hfine] tie-break reads it. *)
 
+type index = {
+  off : int array;
+  nbr : int array;
+      (** qubit [p]'s neighbours, ascending, are
+          [nbr.(off.(p)) .. nbr.(off.(p + 1) - 1)] *)
+  eid : int array;
+      (** beside [nbr]: the id of that edge, its rank in {!edges} *)
+  eu : int array;  (** edge id -> lower endpoint *)
+  ev : int array;  (** edge id -> higher endpoint *)
+}
+(** The graph in flat arrays for hot loops. Ids number the edges
+    lexicographically in [(lo, hi)], so the smallest id is the
+    lexicographically smallest edge. *)
+
+val index : t -> index
+(** Built once by {!make}; treat it as read-only — it is the live index,
+    not a copy. *)
+
 val pp : Format.formatter -> t -> unit

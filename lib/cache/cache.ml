@@ -176,8 +176,14 @@ let memoise t request ~fingerprint =
         enforce_caps t ~keep:n
       | Some _ | None -> ())
 
-let add t key record =
-  let json = Report.Json.to_string ~indent:0 (Report.Record.to_json record) in
+let hit_of_record ~fingerprint record =
+  {
+    fingerprint;
+    record;
+    json = Report.Json.to_string ~indent:0 (Report.Record.to_json record);
+  }
+
+let add_hit t { fingerprint = key; record; json } =
   let size = String.length key + String.length json in
   locked t (fun () ->
       (* replace silently: same fingerprint, refreshed record *)
@@ -191,6 +197,8 @@ let add t key record =
       t.counters.Codar.Stats.insertions <-
         t.counters.Codar.Stats.insertions + 1;
       enforce_caps t ~keep:n)
+
+let add t key record = add_hit t (hit_of_record ~fingerprint:key record)
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let bytes t = locked t (fun () -> t.bytes)

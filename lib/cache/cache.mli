@@ -51,6 +51,13 @@ val add : t -> string -> Report.Record.t -> unit
 (** Insert (or replace) as most-recent, then evict LRU entries until both
     caps hold. Counts one insertion (plus any evictions). *)
 
+val hit_of_record : fingerprint:string -> Report.Record.t -> hit
+(** The entry {!add} stores for a record, its compact JSON encoded here:
+    encode outside any lock, then {!add_hit}. *)
+
+val add_hit : t -> hit -> unit
+(** {!add} of an entry from {!hit_of_record}, its JSON stored as is. *)
+
 val find_memo : t -> string -> hit option
 (** [find_memo t request] is the entry that [request] was memoised to,
     when that record is still cached. A hit counts one cache

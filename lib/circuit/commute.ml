@@ -203,16 +203,21 @@ let memoised () =
 module Memo = Hashtbl.Make (Int)
 
 module Compiled = struct
+  (* The per-gate arrays cover [gates.(0 .. n-1)]; [load] reuses them for
+     the next gate array, growing them geometrically. *)
   type t = {
-    gates : Gate.t array;
-    kind : int array;  (* constructor code; -1 for Barrier and Measure *)
-    q0 : int array;
-    q1 : int array;  (* = q0 for one-qubit gates *)
-    bits : int array;
+    mutable gates : Gate.t array;
+    mutable n : int;
+    mutable kind : int array;
+        (* constructor code; -1 for Barrier and Measure *)
+    mutable q0 : int array;
+    mutable q1 : int array;  (* = q0 for one-qubit gates *)
+    mutable bits : int array;
         (* bit 0/1: diagonal/x-like on q0, bit 2/3: on q1, bit 4: Z phase *)
-    flip : int array;  (* the qubit X, Y, H or a cx target flips, or -1 *)
-    pf : int array;  (* pf_code *)
-    cls : int array;  (* class of the kind and parameters, or -1 *)
+    mutable flip : int array;
+        (* the qubit X, Y, H or a cx target flips, or -1 *)
+    mutable pf : int array;  (* pf_code *)
+    mutable cls : int array;  (* class of the kind and parameters, or -1 *)
     classes : (Gate.t, int) Hashtbl.t;  (* shape with qubits zeroed -> id *)
     memo : bool Memo.t;  (* exact verdicts by (class, class, pattern) *)
   }
@@ -244,54 +249,87 @@ module Compiled = struct
     (if Gate.diagonal_on g q then 1 else 0)
     lor if Gate.x_like_on g q then 2 else 0
 
-  let make gates =
-    let n = Array.length gates in
-    let kind = Array.make n (-1) and q0 = Array.make n (-1)
-    and q1 = Array.make n (-1) and bits = Array.make n 0
-    and flip = Array.make n (-1) and pf = Array.make n (-1) in
-    Array.iteri
-      (fun i g ->
-        kind.(i) <- kind_code g;
-        pf.(i) <- pf_code g;
-        let a, b =
-          match g with
-          | Gate.One (_, p) -> (p, p)
-          | Gate.Two (_, p1, p2) -> (p1, p2)
-          | Gate.Barrier _ | Gate.Measure _ -> (-1, -1)
-        in
-        q0.(i) <- a;
-        q1.(i) <- b;
-        if a >= 0 then begin
-          let zphase =
-            match g with
-            | Gate.One ((Rz t | U1 t), _) ->
-              Float.abs (Float.sin (t /. 2.)) > 1e-6
-            | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ ->
-              false
-          in
-          bits.(i) <-
-            basis_bits g a
-            lor (basis_bits g b lsl 2)
-            lor if zphase then 16 else 0;
-          flip.(i) <-
-            (match g with
-            | Gate.One ((X | Y | H), p) -> p
-            | Gate.Two (CX, _, t) -> t
-            | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ -> -1)
-        end)
-      gates;
+  let empty () =
     {
-      gates;
-      kind;
-      q0;
-      q1;
-      bits;
-      flip;
-      pf;
-      cls = Array.make n (-1);
+      gates = [||];
+      n = 0;
+      kind = [||];
+      q0 = [||];
+      q1 = [||];
+      bits = [||];
+      flip = [||];
+      pf = [||];
+      cls = [||];
       classes = Hashtbl.create 16;
       memo = Memo.create 16;
     }
+
+  let clear c =
+    c.gates <- [||];
+    c.n <- 0;
+    Hashtbl.reset c.classes;
+    Memo.reset c.memo
+
+  let words c =
+    Array.length c.kind + Array.length c.q0 + Array.length c.q1
+    + Array.length c.bits + Array.length c.flip + Array.length c.pf
+    + Array.length c.cls
+
+  let load c gates n =
+    clear c;
+    if Array.length c.kind < n then begin
+      let cap = Int.max n (2 * Array.length c.kind) in
+      c.kind <- Array.make cap (-1);
+      c.q0 <- Array.make cap (-1);
+      c.q1 <- Array.make cap (-1);
+      c.bits <- Array.make cap 0;
+      c.flip <- Array.make cap (-1);
+      c.pf <- Array.make cap (-1);
+      c.cls <- Array.make cap (-1)
+    end;
+    c.gates <- gates;
+    c.n <- n;
+    for i = 0 to n - 1 do
+      let g = gates.(i) in
+      c.kind.(i) <- kind_code g;
+      c.pf.(i) <- pf_code g;
+      c.cls.(i) <- -1;
+      let a, b =
+        match g with
+        | Gate.One (_, p) -> (p, p)
+        | Gate.Two (_, p1, p2) -> (p1, p2)
+        | Gate.Barrier _ | Gate.Measure _ -> (-1, -1)
+      in
+      c.q0.(i) <- a;
+      c.q1.(i) <- b;
+      if a >= 0 then begin
+        let zphase =
+          match g with
+          | Gate.One ((Rz t | U1 t), _) ->
+            Float.abs (Float.sin (t /. 2.)) > 1e-6
+          | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ ->
+            false
+        in
+        c.bits.(i) <-
+          basis_bits g a
+          lor (basis_bits g b lsl 2)
+          lor if zphase then 16 else 0;
+        c.flip.(i) <-
+          (match g with
+          | Gate.One ((X | Y | H), p) -> p
+          | Gate.Two (CX, _, t) -> t
+          | Gate.One _ | Gate.Two _ | Gate.Barrier _ | Gate.Measure _ -> -1)
+      end
+      else begin
+        c.bits.(i) <- 0;
+        c.flip.(i) <- -1
+      end
+    done
+
+  let make gates =
+    let c = empty () in
+    load c gates (Array.length gates);
+    c
 
   (* Interned on first use: most gates never reach the exact check. *)
   let class_of c i =
@@ -313,7 +351,7 @@ module Compiled = struct
 
   let exact c i j pat =
     (* class ids are below the gate count *)
-    let n = Array.length c.gates in
+    let n = c.n in
     let key = (((class_of c i * n) + class_of c j) lsl 8) lor pat in
     match Memo.find_opt c.memo key with
     | Some r -> r

@@ -21,14 +21,32 @@ val memoised : unit -> Gate.t -> Gate.t -> bool
     of parametrised pairs, up to qubit relabelling. Its memo lives as long
     as the returned function: take one per route or verification. *)
 
-(** A per-route checker over the indices of one gate array. *)
+(** A per-route checker over the indices of one gate array. Its arrays
+    outlive the route: a router keeps one checker per domain and
+    {!load}s each route's gates into it, so a route allocates no
+    per-gate array once its domain has seen a circuit as long. *)
 module Compiled : sig
   type t
 
   val make : Gate.t array -> t
-  (** [make gates] precomputes, once, each gate's operands, Z/X-basis
-      bits, Z-phase and flip flags and parameter-free code, and takes a
-      fresh exact-check memo like {!memoised}'s. O(gates). *)
+  (** [make gates] is {!empty} then {!load} of all of [gates]. *)
+
+  val empty : unit -> t
+  (** A checker with no gates and no arrays yet. *)
+
+  val load : t -> Gate.t array -> int -> unit
+  (** [load c gates n] points [c] at [gates.(0 .. n - 1)]: it precomputes,
+      once, each gate's operands, Z/X-basis bits, Z-phase and flip flags
+      and parameter-free code, and empties the exact-check memo, which
+      then lives until the next {!load} or {!clear} — one route, like
+      {!memoised}'s. O(n); the arrays grow geometrically. *)
+
+  val clear : t -> unit
+  (** Drop the gates and the memo; the arrays stay for the next
+      {!load}. *)
+
+  val words : t -> int
+  (** Words held by the per-gate arrays. *)
 
   val commutes : t -> int -> int -> bool
   (** [commutes c i j] = [memoised () gates.(i) gates.(j)]: the same

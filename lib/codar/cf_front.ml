@@ -46,7 +46,11 @@ let scan ~window ~max_chain ~commutes ~gates ~issued head =
   in
   go head 0 []
 
-let compute ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued head =
+let default_window = 200
+let default_max_chain = 20
+
+let compute ?(window = default_window) ?(max_chain = default_max_chain)
+    ~commutes ~gates ~issued head =
   scan ~window ~max_chain ~commutes ~gates ~issued head
 
 (* -------------------------------------------------- incremental tracker *)
@@ -84,24 +88,29 @@ let compute ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued head =
    gates issue, and a CF gate's slots are all [ok], so a slot is never in
    a watcher list when it is freed. The window's CF gates form an
    ascending doubly-linked list, so [front] walks the front, not the
-   window. *)
+   window, and copies it into [items].
+
+   The arrays outlive a gate array: [load] points the tracker at the
+   next one and replaces only arrays too small for it (geometrically),
+   and the first [front] rebuilds every entry it reads. *)
 
 let ok = -1
 let saturated = -2
 (* a slot state >= 0 is the gate index of its blocker *)
 
 type t = {
-  window : int;
-  max_chain : int;
-  commutes : int -> int -> bool;
-  gates : Qc.Gate.t array;
-  issued : bool array;
-  n : int;
+  mutable window : int;
+  mutable max_chain : int;
+  mutable commutes : int -> int -> bool;
+  mutable gates : Qc.Gate.t array;
+  mutable issued : bool array;
+  mutable n : int;  (* gates tracked: [gates.(0 .. n-1)] *)
+  mutable nq : int;  (* qubits those gates name *)
   (* per qubit: the line of window slots, in window order *)
-  q_first : int array;
-  q_last : int array;
-  q_count : int array;
-  q_sat : int array;  (* saturated slots on the line *)
+  mutable q_first : int array;
+  mutable q_last : int array;
+  mutable q_count : int array;
+  mutable q_sat : int array;  (* saturated slots on the line *)
   (* the slot pool *)
   mutable s_gate : int array;
   mutable s_qubit : int array;
@@ -112,22 +121,24 @@ type t = {
   mutable s_wnext : int array;  (* next slot watching the same blocker *)
   mutable free : int;
   (* per gate *)
-  gslot : int array;  (* first slot while in the window, else -1 *)
-  bad : int array;  (* blocking slots; CF ⟺ 0 *)
-  in_window : bool array;
-  whead : int array;  (* first slot blocked by this gate, -1 if none *)
+  mutable gslot : int array;  (* first slot while in the window, else -1 *)
+  mutable bad : int array;  (* blocking slots; CF ⟺ 0 *)
+  mutable in_window : bool array;
+  mutable whead : int array;  (* first slot blocked by this gate, -1 if none *)
   mutable win_count : int;
   mutable scan_next : int;  (* next gate index to examine for admission *)
   (* the window's CF gates in ascending order *)
-  in_cf : bool array;
-  cprev : int array;
-  cnext : int array;
+  mutable in_cf : bool array;
+  mutable cprev : int array;
+  mutable cnext : int array;
   mutable cfirst : int;
   mutable clast : int;
   mutable built : bool;  (* incremental structures mirror [issued] *)
-  mutable list_valid : bool;  (* [cached] mirrors the structures *)
-  mutable cached : int list;
+  mutable list_valid : bool;  (* [items] mirrors the structures *)
+  mutable items : int array;  (* the front, [0, cached_len) *)
+  mutable cached_len : int;
   mutable cached_head : int;
+  mutable version : int;  (* bumped by every recompute *)
 }
 
 let max_qubit acc g =
@@ -136,45 +147,114 @@ let max_qubit acc g =
   | Qc.Gate.Two (_, a, b) -> Int.max acc (Int.max a b)
   | Qc.Gate.Barrier qs -> List.fold_left Int.max acc qs
 
-let create ?(window = 200) ?(max_chain = 20) ~commutes ~gates ~issued () =
-  let n = Array.length gates in
-  let n_qubits = 1 + Array.fold_left max_qubit (-1) gates in
-  let cap = 2 * (Int.min window n + 2) in
+let empty () =
   {
-    window;
-    max_chain;
-    commutes;
-    gates;
-    issued;
-    n;
-    q_first = Array.make n_qubits (-1);
-    q_last = Array.make n_qubits (-1);
-    q_count = Array.make n_qubits 0;
-    q_sat = Array.make n_qubits 0;
-    s_gate = Array.make cap 0;
-    s_qubit = Array.make cap 0;
-    s_prev = Array.make cap (-1);
-    s_next = Array.make cap (-1);
-    s_state = Array.make cap ok;
-    s_gnext = Array.make cap (-1);
-    s_wnext = Array.make cap (-1);
+    window = 0;
+    max_chain = 0;
+    commutes = (fun _ _ -> false);
+    gates = [||];
+    issued = [||];
+    n = 0;
+    nq = 0;
+    q_first = [||];
+    q_last = [||];
+    q_count = [||];
+    q_sat = [||];
+    s_gate = [||];
+    s_qubit = [||];
+    s_prev = [||];
+    s_next = [||];
+    s_state = [||];
+    s_gnext = [||];
+    s_wnext = [||];
     free = -1;
-    gslot = Array.make n (-1);
-    bad = Array.make n 0;
-    in_window = Array.make n false;
-    whead = Array.make n (-1);
+    gslot = [||];
+    bad = [||];
+    in_window = [||];
+    whead = [||];
     win_count = 0;
     scan_next = 0;
-    in_cf = Array.make n false;
-    cprev = Array.make n (-1);
-    cnext = Array.make n (-1);
+    in_cf = [||];
+    cprev = [||];
+    cnext = [||];
     cfirst = -1;
     clast = -1;
     built = false;
     list_valid = false;
-    cached = [];
+    items = [||];
+    cached_len = 0;
     cached_head = -1;
+    version = 0;
   }
+
+(* Room for [len] entries in arrays of current capacity [cap]. *)
+let grown cap len = Int.max len (2 * cap)
+
+(* Point [t] at a new gate array. Arrays too small are replaced (their
+   contents are rebuilt before use: the first [front] rebuilds); larger
+   ones stay. *)
+let prepare t ~window ~max_chain ~commutes ~gates ~issued ~n =
+  let nq = ref (-1) in
+  for i = 0 to n - 1 do
+    nq := max_qubit !nq gates.(i)
+  done;
+  let nq = !nq + 1 in
+  t.window <- window;
+  t.max_chain <- max_chain;
+  t.commutes <- commutes;
+  t.gates <- gates;
+  t.issued <- issued;
+  t.n <- n;
+  t.nq <- nq;
+  if Array.length t.q_first < nq then begin
+    let cap = grown (Array.length t.q_first) nq in
+    t.q_first <- Array.make cap (-1);
+    t.q_last <- Array.make cap (-1);
+    t.q_count <- Array.make cap 0;
+    t.q_sat <- Array.make cap 0
+  end;
+  if Array.length t.gslot < n then begin
+    let cap = grown (Array.length t.gslot) n in
+    t.gslot <- Array.make cap (-1);
+    t.bad <- Array.make cap 0;
+    t.in_window <- Array.make cap false;
+    t.whead <- Array.make cap (-1);
+    t.in_cf <- Array.make cap false;
+    t.cprev <- Array.make cap (-1);
+    t.cnext <- Array.make cap (-1)
+  end;
+  let pool = 2 * (Int.min window n + 2) in
+  if Array.length t.s_gate < pool then begin
+    let cap = grown (Array.length t.s_gate) pool in
+    t.s_gate <- Array.make cap 0;
+    t.s_qubit <- Array.make cap 0;
+    t.s_prev <- Array.make cap (-1);
+    t.s_next <- Array.make cap (-1);
+    t.s_state <- Array.make cap ok;
+    t.s_gnext <- Array.make cap (-1);
+    t.s_wnext <- Array.make cap (-1)
+  end;
+  t.free <- -1;
+  t.built <- false;
+  t.list_valid <- false;
+  t.cached_len <- 0;
+  t.cached_head <- -1
+
+let create ?(window = default_window) ?(max_chain = default_max_chain)
+    ~commutes ~gates ~issued () =
+  let t = empty () in
+  prepare t ~window ~max_chain ~commutes ~gates ~issued
+    ~n:(Array.length gates);
+  t
+
+let load t ~window ~commutes ~gates ~issued ~n =
+  prepare t ~window ~max_chain:default_max_chain ~commutes ~gates ~issued ~n
+
+let words t =
+  (4 * Array.length t.q_first)
+  + (7 * Array.length t.s_gate)
+  + (7 * Array.length t.gslot)
+  + Array.length t.items
 
 let invalidate t =
   t.built <- false;
@@ -347,10 +427,10 @@ let admit_pending t =
   done
 
 let rebuild t =
-  Array.fill t.q_first 0 (Array.length t.q_first) (-1);
-  Array.fill t.q_last 0 (Array.length t.q_last) (-1);
-  Array.fill t.q_count 0 (Array.length t.q_count) 0;
-  Array.fill t.q_sat 0 (Array.length t.q_sat) 0;
+  Array.fill t.q_first 0 t.nq (-1);
+  Array.fill t.q_last 0 t.nq (-1);
+  Array.fill t.q_count 0 t.nq 0;
+  Array.fill t.q_sat 0 t.nq 0;
   t.free <- -1;
   free_range t 0 (Array.length t.s_gate);
   Array.fill t.gslot 0 t.n (-1);
@@ -436,21 +516,30 @@ let front ?stats t head =
     (match stats with
     | Some s -> s.Stats.cf_cache_hits <- s.Stats.cf_cache_hits + 1
     | None -> ());
-    t.cached
+    t.cached_len
   end
   else begin
     (match stats with
     | Some s -> s.Stats.cf_recomputes <- s.Stats.cf_recomputes + 1
     | None -> ());
     if not t.built then rebuild t;
-    let acc = ref [] in
-    let i = ref t.clast in
+    (* the CF gates are window gates *)
+    if Array.length t.items < t.win_count then
+      t.items <- Array.make (grown (Array.length t.items) t.win_count) 0;
+    let k = ref 0 and i = ref t.cfirst in
     while !i >= 0 do
-      if !i >= head then acc := !i :: !acc;
-      i := t.cprev.(!i)
+      if !i >= head then begin
+        t.items.(!k) <- !i;
+        incr k
+      end;
+      i := t.cnext.(!i)
     done;
-    t.cached <- !acc;
+    t.cached_len <- !k;
     t.cached_head <- head;
     t.list_valid <- true;
-    t.cached
+    t.version <- t.version + 1;
+    !k
   end
+
+let items t = t.items
+let version t = t.version

@@ -43,9 +43,11 @@ val compute :
     The state is flat: slots are ids into a pool of int arrays, qubit
     lines, watcher lists and each gate's slots are intrusive lists through
     them, and the window's CF gates are an ascending linked list kept as
-    bad counts reach zero and CF gates issue. After the first build the
-    tracker allocates only when the pool grows and for {!front}'s
-    returned list. *)
+    bad counts reach zero and CF gates issue; {!front} copies that list
+    into an int array stamped with a version. The arrays outlive a gate
+    array: the router keeps one tracker per domain and {!load}s each
+    route into it, so a tracker allocates only when an array grows
+    (geometrically) past every earlier route's. *)
 
 type t
 (** A stateful front tracker over a fixed gate array and issued flags
@@ -59,21 +61,49 @@ val create :
   issued:bool array ->
   unit ->
   t
-(** Same defaults as {!compute}. [commutes i j] answers for [gates.(i)]
-    (the earlier gate) and [gates.(j)] — a
-    {!Qc.Commute.Compiled.commutes} over [gates] on the router's path.
-    The cache starts invalid. *)
+(** A tracker over all of [gates]. Same defaults as {!compute}.
+    [commutes i j] answers for [gates.(i)] (the earlier gate) and
+    [gates.(j)] — a {!Qc.Commute.Compiled.commutes} over [gates] on the
+    router's path. The cache starts invalid. *)
 
-val front : ?stats:Stats.t -> t -> int -> int list
-(** [front t head] is [compute ~gates ~issued head], served from the cache
-    when no {!notify_issued}/{!invalidate} intervened and [head] is
-    unchanged. Precondition: [head] is the first unissued index (the
-    remapper's invariant) — the incremental window starts there. The
-    returned list is physically the cached list ([==]-stable across hits),
-    which callers may use to key derived caches. [stats], when given,
-    counts the hit/recompute. A recompute walks the CF list — O(front),
-    not O(window) — after a full O(window × chain) rebuild if
-    {!invalidate} intervened. *)
+val empty : unit -> t
+(** A tracker over no gates, with no arrays yet: {!load} it. *)
+
+val load :
+  t ->
+  window:int ->
+  commutes:(int -> int -> bool) ->
+  gates:Qc.Gate.t array ->
+  issued:bool array ->
+  n:int ->
+  unit
+(** Point the tracker at [gates.(0 .. n - 1)] and [issued.(0 .. n - 1)],
+    as {!create} with the default [max_chain] would, keeping its arrays
+    where they are large enough. The cache starts invalid. *)
+
+val words : t -> int
+(** Words held by the tracker's arrays. *)
+
+val front : ?stats:Stats.t -> t -> int -> int
+(** [front t head] brings the front up to date and returns its length
+    [len]: [(items t).(0 .. len - 1)] is [compute ~gates ~issued head].
+    It is served from the cache when no {!notify_issued}/{!invalidate}
+    intervened and [head] is unchanged. Precondition: [head] is the
+    first unissued index (the remapper's invariant) — the incremental
+    window starts there. [stats], when given, counts the hit/recompute. A
+    recompute walks the CF list — O(front), not O(window) — after a full
+    O(window × chain) rebuild if {!invalidate} intervened. *)
+
+val items : t -> int array
+(** The array {!front} fills, ascending. Only a recomputing {!front}
+    writes it — {!notify_issued} and {!invalidate} leave it as it is — so
+    a caller may walk it while it issues the gates it lists, as long as
+    it does not call {!front} meanwhile. *)
+
+val version : t -> int
+(** Bumped by every recompute of {!front} and by nothing else: a front
+    with an unchanged version is the same front, so callers key caches
+    derived from it on the version. *)
 
 val notify_issued : t -> int -> unit
 (** [notify_issued t i]: gate [i] just had its [issued] flag set; update

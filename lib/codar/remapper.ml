@@ -15,13 +15,89 @@ let default_config =
 
 exception Stuck of string
 
+(* The route's working arrays: one set per domain
+   ({!Schedule.Scratch}), reused across routes and grown geometrically,
+   so a route allocates no array proportional to its circuit once its
+   domain has routed one as large. Per-route entries are reset by fills
+   at the start of each route. [gates] and [events] hold references of
+   the route only in [0, loaded) and [0, n_events), and release clears
+   those ranges. *)
+type scratch = {
+  mutable gates : Qc.Gate.t array;
+  mutable loaded : int;
+  mutable issued : bool array;
+  mutable blocked : int array;
+  mutable locks : int array;
+  mutable locked : int array;
+  mutable listed : bool array;
+  mutable lpairs : int array;
+  mutable ppairs : int array;
+  mutable events : Schedule.Routed.event array;  (* in issue order *)
+  mutable n_events : int;
+  commute : Qc.Commute.Compiled.t;
+  cf : Cf_front.t;
+  scorer : Swap_scorer.t;
+}
+
+let no_gate = Qc.Gate.barrier []
+
+let no_event =
+  { Schedule.Routed.gate = no_gate; start = 0; duration = 0; inserted = false }
+
+let empty_scratch () =
+  {
+    gates = [||];
+    loaded = 0;
+    issued = [||];
+    blocked = [||];
+    locks = [||];
+    locked = [||];
+    listed = [||];
+    lpairs = [||];
+    ppairs = [||];
+    events = [||];
+    n_events = 0;
+    commute = Qc.Commute.Compiled.empty ();
+    cf = Cf_front.empty ();
+    scorer = Swap_scorer.empty ();
+  }
+
+let scratch_words s =
+  Array.length s.gates + Array.length s.issued + Array.length s.blocked
+  + Array.length s.locks + Array.length s.locked + Array.length s.listed
+  + Array.length s.lpairs + Array.length s.ppairs + Array.length s.events
+  + Qc.Commute.Compiled.words s.commute
+  + Cf_front.words s.cf + Swap_scorer.words s.scorer
+
+let clear_scratch s =
+  Array.fill s.gates 0 s.loaded no_gate;
+  s.loaded <- 0;
+  Array.fill s.events 0 s.n_events no_event;
+  s.n_events <- 0;
+  Qc.Commute.Compiled.clear s.commute;
+  Swap_scorer.clear s.scorer
+
+let scratch =
+  Schedule.Scratch.make ~create:empty_scratch ~words:scratch_words
+    ~clear:clear_scratch
+
+(* [a], or a larger array of [fill] when it has no room for [len]. *)
+let room a len fill =
+  if Array.length a >= len then a
+  else Array.make (Int.max len (2 * Array.length a)) fill
+
 type state = {
   maqam : Arch.Maqam.t;
   dist : int array;  (* {!Arch.Coupling.distance_table} *)
   n_physical : int;
   config : config;
   stats : Stats.t;
-  gates : Qc.Gate.t array;
+  stats_opt : Stats.t option;
+      (* [Some stats], built once: handing [Cf_front.front] its optional
+         argument this way allocates no option per call *)
+  sc : scratch;
+  gates : Qc.Gate.t array;  (* the scratch's, [0, n_gates) this route's *)
+  n_gates : int;
   issued : bool array;
   blocked : int array;  (* per gate: the last [call] that found it blocked *)
   mutable call : int;  (* [issue_executable] calls so far *)
@@ -40,21 +116,18 @@ type state = {
   phys_of : int -> int;  (* [Arch.Layout.phys_of_log layout], built once *)
   mutable layout_version : int;  (* bumped on every SWAP *)
   mutable time : int;
-  mutable events_rev : Schedule.Routed.event list;
   mutable swap_budget : int;
-  (* Per-cycle derived caches, keyed by the physical identity of the cached
-     front list (which is [==]-stable across Cf_front cache hits) and, for
-     the physical resolution, the layout version. Pair [k] is
-     [(x.(2k), x.(2k+1))]; the arrays only grow. *)
-  mutable pairs_front : int list;
-  mutable lpairs : int array;  (* logical operands of the CF pairs *)
+  (* Per-cycle derived caches, keyed by the front's {!Cf_front.version}
+     and, for the physical resolution, the layout version. Pair [k] is
+     [(x.(2k), x.(2k+1))] in the scratch's [lpairs]/[ppairs]. *)
+  mutable pairs_version : int;
   mutable n_pairs : int;
-  mutable phys_front : int list;
+  mutable phys_front : int;  (* the front version [ppairs] resolved *)
   mutable phys_version : int;
-  mutable ppairs : int array;  (* [lpairs] under the layout *)
 }
 
-let cf_front st = Cf_front.front ~stats:st.stats st.cf st.head
+(* The front's length; its gates are [Cf_front.items st.cf]. *)
+let cf_front st = Cf_front.front ?stats:st.stats_opt st.cf st.head
 
 (* An edge is a pair at distance 1: one table load. *)
 let[@inline] adjacent st a b = st.dist.((a * st.n_physical) + b) = 1
@@ -94,9 +167,16 @@ let rec lock_all st until = function
     lock_all st until rest
 
 let emit st ~inserted gate duration =
-  st.events_rev <-
-    { Schedule.Routed.gate; start = st.time; duration; inserted }
-    :: st.events_rev;
+  let sc = st.sc in
+  let k = sc.n_events in
+  if k = Array.length sc.events then begin
+    let a = Array.make (Int.max 64 (2 * k)) no_event in
+    Array.blit sc.events 0 a 0 k;
+    sc.events <- a
+  end;
+  sc.events.(k) <-
+    { Schedule.Routed.gate; start = st.time; duration; inserted };
+  sc.n_events <- k + 1;
   let until = st.time + duration in
   match gate with
   | Qc.Gate.One (_, p) | Qc.Gate.Measure (p, _) -> lock st p until
@@ -106,7 +186,7 @@ let emit st ~inserted gate duration =
   | Qc.Gate.Barrier ps -> lock_all st until ps
 
 let advance_head st =
-  while st.head < Array.length st.gates && st.issued.(st.head) do
+  while st.head < st.n_gates && st.issued.(st.head) do
     st.head <- st.head + 1
   done
 
@@ -125,64 +205,70 @@ let issue_gate st i =
    sequence), so iterate to a fixpoint. Within one call locks only rise and
    the layout is fixed, so a gate found blocked stays blocked: it is
    stamped with the call and later passes test only gates new to the
-   front. Returns whether anything issued. *)
-let rec issue_pass st progressed = function
-  | [] -> progressed
-  | i :: rest ->
-    if st.blocked.(i) = st.call then issue_pass st progressed rest
+   front. Returns whether anything issued.
+   A pass walks the front's array without recomputing the front, so
+   nothing rewrites the array under it. *)
+let rec issue_pass st front len k progressed =
+  if k >= len then progressed
+  else begin
+    let i = front.(k) in
+    if st.blocked.(i) = st.call then issue_pass st front len (k + 1) progressed
     else if executable st st.gates.(i) then begin
       issue_gate st i;
-      issue_pass st true rest
+      issue_pass st front len (k + 1) true
     end
     else begin
       st.blocked.(i) <- st.call;
-      issue_pass st progressed rest
+      issue_pass st front len (k + 1) progressed
     end
+  end
 
 let rec issue_fixpoint st issued_any =
-  if issue_pass st false (cf_front st) then issue_fixpoint st true
+  let len = cf_front st in
+  if issue_pass st (Cf_front.items st.cf) len 0 false then
+    issue_fixpoint st true
   else issued_any
 
 let issue_executable st =
   st.call <- st.call + 1;
   issue_fixpoint st false
 
-(* [a] with room for [len] entries. *)
-let room a len = if Array.length a >= len then a else Array.make (2 * len) 0
-
-(* Logical operand pairs of CF two-qubit gates (for the heuristic), cached
-   per front. *)
-let rec fill_pairs st k = function
-  | [] -> k
-  | i :: rest -> (
-    match st.gates.(i) with
-    | Qc.Gate.Two (_, q1, q2) ->
-      st.lpairs.(2 * k) <- q1;
-      st.lpairs.((2 * k) + 1) <- q2;
-      fill_pairs st (k + 1) rest
-    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ ->
-      fill_pairs st k rest)
-
-let cf_pairs st front =
-  if st.pairs_front != front then begin
-    st.lpairs <- room st.lpairs (2 * List.length front);
-    st.n_pairs <- fill_pairs st 0 front;
-    st.pairs_front <- front
+(* Logical operand pairs of the CF two-qubit gates among the front's
+   [len] gates (for the heuristic), cached per front version. *)
+let cf_pairs st len =
+  let v = Cf_front.version st.cf in
+  if st.pairs_version <> v then begin
+    let sc = st.sc and front = Cf_front.items st.cf in
+    sc.lpairs <- room sc.lpairs (2 * len) 0;
+    let k = ref 0 in
+    for j = 0 to len - 1 do
+      match st.gates.(front.(j)) with
+      | Qc.Gate.Two (_, q1, q2) ->
+        sc.lpairs.(2 * !k) <- q1;
+        sc.lpairs.((2 * !k) + 1) <- q2;
+        incr k
+      | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> ()
+    done;
+    st.n_pairs <- !k;
+    st.pairs_version <- v
   end
 
 (* Physical endpoints of the CF pairs under the current layout, cached per
-   (front, layout version) so SWAP scoring does not re-resolve the layout
-   for every candidate edge. Pairs straddling disconnected components are a
-   typed routing failure, not a distance-table sentinel leaking into the
-   heuristic arithmetic; only a disconnected device can have them. *)
-let phys_pairs st front =
-  if st.phys_front != front || st.phys_version <> st.layout_version then begin
-    cf_pairs st front;
+   (front version, layout version) so SWAP scoring does not re-resolve
+   the layout for every candidate edge. Pairs straddling disconnected
+   components are a typed routing failure, not a distance-table sentinel
+   leaking into the heuristic arithmetic; only a disconnected device can
+   have them. *)
+let phys_pairs st len =
+  let v = Cf_front.version st.cf in
+  if st.phys_front <> v || st.phys_version <> st.layout_version then begin
+    cf_pairs st len;
+    let sc = st.sc in
     let coupling = Arch.Maqam.coupling st.maqam in
-    st.ppairs <- room st.ppairs (Array.length st.lpairs);
+    sc.ppairs <- room sc.ppairs (Array.length sc.lpairs) 0;
     for k = 0 to st.n_pairs - 1 do
-      let p1 = Arch.Layout.phys_of_log st.layout st.lpairs.(2 * k)
-      and p2 = Arch.Layout.phys_of_log st.layout st.lpairs.((2 * k) + 1) in
+      let p1 = Arch.Layout.phys_of_log st.layout sc.lpairs.(2 * k)
+      and p2 = Arch.Layout.phys_of_log st.layout sc.lpairs.((2 * k) + 1) in
       if (not st.connected) && not (Arch.Coupling.reachable coupling p1 p2)
       then
         raise
@@ -192,11 +278,11 @@ let phys_pairs st front =
                  disconnected components of %s — unroutable placement"
                 p1 p2
                 (Arch.Coupling.name coupling)));
-      st.ppairs.(2 * k) <- p1;
-      st.ppairs.((2 * k) + 1) <- p2
+      sc.ppairs.(2 * k) <- p1;
+      sc.ppairs.((2 * k) + 1) <- p2
     done;
     st.stats.Stats.pair_resolutions <- st.stats.Stats.pair_resolutions + 1;
-    st.phys_front <- front;
+    st.phys_front <- v;
     st.phys_version <- st.layout_version
   end
 
@@ -233,9 +319,8 @@ let rec swap_loop st sc issue_min issued_any =
   else issued_any
 
 let insert_swaps st =
-  let front = cf_front st in
-  phys_pairs st front;
-  Swap_scorer.begin_cycle st.scorer ~time:st.time ~pairs:st.ppairs
+  phys_pairs st (cf_front st);
+  Swap_scorer.begin_cycle st.scorer ~time:st.time ~pairs:st.sc.ppairs
     ~n_pairs:st.n_pairs;
   swap_loop st st.scorer (Swap_scorer.issue_min st.scorer) false
 
@@ -279,25 +364,35 @@ let next_unlock st =
   st.n_locked <- !kept;
   !next
 
-let run ?(config = default_config) ?stats ~maqam ~initial circuit =
-  let n_physical = Arch.Maqam.n_qubits maqam in
-  let n_logical = Qc.Circuit.n_qubits circuit in
-  if n_logical > n_physical then
-    invalid_arg "Remapper.run: circuit wider than device";
-  if
-    Arch.Layout.n_logical initial <> n_logical
-    || Arch.Layout.n_physical initial <> n_physical
-  then invalid_arg "Remapper.run: layout size mismatch";
-  let gates = Qc.Circuit.gate_array circuit in
-  let issued = Array.make (Array.length gates) false in
+(* Load the circuit into [sc] and route it. *)
+let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
+    circuit =
+  let n = Qc.Circuit.length circuit in
+  sc.gates <- room sc.gates n no_gate;
+  sc.loaded <- n;
+  List.iteri (fun i g -> sc.gates.(i) <- g) (Qc.Circuit.gates circuit);
+  sc.issued <- room sc.issued n false;
+  Array.fill sc.issued 0 n false;
+  sc.blocked <- room sc.blocked n 0;
+  Array.fill sc.blocked 0 n 0;
+  sc.locks <- room sc.locks n_physical 0;
+  Array.fill sc.locks 0 n_physical 0;
+  sc.locked <- room sc.locked n_physical 0;
+  sc.listed <- room sc.listed n_physical false;
+  Array.fill sc.listed 0 n_physical false;
+  sc.n_events <- 0;
   let commutes =
-    if config.use_commutativity then
-      let c = Qc.Commute.Compiled.make gates in
+    if config.use_commutativity then begin
+      let c = sc.commute in
+      Qc.Commute.Compiled.load c sc.gates n;
       fun i j -> Qc.Commute.Compiled.commutes c i j
+    end
     else fun _ _ -> false
   in
-  let stats = match stats with Some s -> s | None -> Stats.create () in
-  let locks = Array.make n_physical 0 in
+  Cf_front.load sc.cf ~window:config.window ~commutes ~gates:sc.gates
+    ~issued:sc.issued ~n;
+  Swap_scorer.load sc.scorer ~objective:config.objective ~maqam ~stats
+    ~use_fine:config.use_fine ~locks:sc.locks ();
   let layout = Arch.Layout.copy initial in
   let st =
     {
@@ -306,34 +401,31 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
       n_physical;
       config;
       stats;
-      gates;
-      issued;
-      blocked = Array.make (Array.length gates) 0;
+      stats_opt = Some stats;
+      sc;
+      gates = sc.gates;
+      n_gates = n;
+      issued = sc.issued;
+      blocked = sc.blocked;
       call = 0;
-      cf =
-        Cf_front.create ~window:config.window ~commutes ~gates ~issued ();
-      scorer =
-        Swap_scorer.create ~objective:config.objective ~maqam ~stats
-          ~use_fine:config.use_fine ~locks ();
+      cf = sc.cf;
+      scorer = sc.scorer;
       head = 0;
-      remaining = Array.length gates;
-      locks;
-      locked = Array.make n_physical 0;
+      remaining = n;
+      locks = sc.locks;
+      locked = sc.locked;
       n_locked = 0;
-      listed = Array.make n_physical false;
+      listed = sc.listed;
       connected = Arch.Coupling.connected (Arch.Maqam.coupling maqam);
       layout;
       phys_of = Arch.Layout.phys_of_log layout;
       layout_version = 0;
       time = 0;
-      events_rev = [];
-      swap_budget = 10 * (Array.length gates + 1) * (n_physical + 1);
-      pairs_front = [ -1 ];
-      lpairs = [||];
+      swap_budget = 10 * (n + 1) * (n_physical + 1);
+      pairs_version = -1;
       n_pairs = 0;
-      phys_front = [ -1 ];
+      phys_front = -1;
       phys_version = -1;
-      ppairs = [||];
     }
   in
   while st.remaining > 0 do
@@ -350,11 +442,32 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
          loop again at the same time. *)
     end
   done;
-  let makespan = Array.fold_left Int.max 0 st.locks in
+  let makespan = ref 0 in
+  for p = 0 to n_physical - 1 do
+    makespan := Int.max !makespan st.locks.(p)
+  done;
+  (* the event list, consed once in issue order *)
+  let events = ref [] in
+  for k = sc.n_events - 1 downto 0 do
+    events := sc.events.(k) :: !events
+  done;
   {
-    Schedule.Routed.events = List.rev st.events_rev;
+    Schedule.Routed.events = !events;
     initial;
     final = st.layout;
-    makespan;
+    makespan = !makespan;
     n_logical;
   }
+
+let run ?(config = default_config) ?stats ~maqam ~initial circuit =
+  let n_physical = Arch.Maqam.n_qubits maqam in
+  let n_logical = Qc.Circuit.n_qubits circuit in
+  if n_logical > n_physical then
+    invalid_arg "Remapper.run: circuit wider than device";
+  if
+    Arch.Layout.n_logical initial <> n_logical
+    || Arch.Layout.n_physical initial <> n_physical
+  then invalid_arg "Remapper.run: layout size mismatch";
+  let stats = match stats with Some s -> s | None -> Stats.create () in
+  Schedule.Scratch.use scratch (fun sc ->
+      route sc ~config ~stats ~maqam ~initial ~n_physical ~n_logical circuit)

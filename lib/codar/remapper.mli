@@ -20,7 +20,14 @@
       ROADMAP.md).
 
     The emitted events carry their start times; the makespan is the weighted
-    depth the paper reports. *)
+    depth the paper reports.
+
+    The route runs in its domain's working arrays ({!Schedule.Scratch}):
+    the gate, lock and event arrays, the {!Cf_front} tracker, the
+    {!Qc.Commute.Compiled} tables and the {!Swap_scorer}, all loaded with
+    this route instead of built for it. Once the domain has routed a
+    circuit at least as large, a route allocates its schedule and
+    layouts and no array proportional to the circuit. *)
 
 type config = {
   window : int;
@@ -52,7 +59,8 @@ val run :
   Schedule.Routed.t
 (** Route [circuit] onto the machine starting from [initial]. Raises
     [Invalid_argument] when the circuit is wider than the device or the
-    layout widths disagree; {!Stuck} on unroutable inputs.
+    layout widths disagree; {!Stuck} on unroutable inputs. Safe from
+    several domains and several systhreads at once.
 
     [stats], when given, accumulates {!Stats} instrumentation counters for
     this run (counters are not reset first, so one record can aggregate

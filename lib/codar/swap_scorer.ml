@@ -40,37 +40,34 @@
    incidence and pair distances (the {!Objective.S} contract), both of
    which the commit repair set already covers. *)
 
-(* Distances are read from the coupling's flat table. Edges are numbered
-   by their rank in the sorted edge list, so per-edge state has one slot
-   per coupling edge, and each qubit keeps the ids of its edges beside
-   its neighbour list. The numbering is lexicographic in [(u, v)], so a
-   "smallest edge id" tie-break selects the lexicographically smallest
-   physical edge. *)
-
-type eindex = {
-  eu : int array;  (* edge id -> lower endpoint *)
-  ev : int array;  (* edge id -> higher endpoint *)
-  nbe : int array array;  (* nbe.(p).(i): the id of (p, neighbors.(p).(i)) *)
-}
+(* Distances are read from the coupling's flat table, and neighbours and
+   edge ids from its flat edge index ({!Arch.Coupling.index}), which the
+   device builds once. Edges are numbered by their rank in the sorted
+   edge list, so per-edge state has one slot per coupling edge, and the
+   numbering is lexicographic in [(u, v)]: a "smallest edge id"
+   tie-break selects the lexicographically smallest physical edge. *)
 
 (* Every per-cycle structure is an int array: the scorer allocates only
    when one of them grows (more pairs, a fuller bucket or active set than
-   any earlier cycle), so a cycle's work is loads and stores. *)
+   any earlier cycle), so a cycle's work is loads and stores. The arrays
+   also outlive a route: [load] points the scorer at the next route's
+   device and objective and keeps every array that is large enough. The
+   epoch and the tokens only grow, so stamps of earlier routes never
+   match. *)
 type t = {
-  n : int;
-  dist : int array;  (* {!Arch.Coupling.distance_table} *)
-  eidx : eindex;
-  neighbors : int array array;
-  coords : (float * float) array option;
-  use_fine : bool;
-  stats : Stats.t;
-  locks : int array;  (* shared with the remapper, read-only here *)
-  (* ---- objective (PR 8), fixed for the scorer's lifetime ---- *)
-  scale : int;
-  bonus_bound : int;
-  obj_bonus : Objective.ctx -> u:int -> v:int -> int;
-  mutable octx : Objective.ctx;  (* closes over [t]; set once in [create] *)
-  mutable issue_min : int;  (* O.issue_min octx, computed once in [create] *)
+  mutable n : int;
+  mutable dist : int array;  (* {!Arch.Coupling.distance_table} *)
+  mutable index : Arch.Coupling.index;
+  mutable coords : (float * float) array option;
+  mutable use_fine : bool;
+  mutable stats : Stats.t;
+  mutable locks : int array;  (* shared with the remapper, read-only here *)
+  (* ---- objective, fixed for the route ---- *)
+  mutable scale : int;
+  mutable bonus_bound : int;
+  mutable obj_bonus : Objective.ctx -> u:int -> v:int -> int;
+  mutable octx : Objective.ctx;  (* closes over [t]; set in [load] *)
+  mutable issue_min : int;  (* O.issue_min octx, computed in [load] *)
   (* ---- per-cycle state, all epoch-stamped ---- *)
   mutable epoch : int;
   mutable time : int;
@@ -82,25 +79,26 @@ type t = {
   (* per phys qubit: its incident pairs as an intrusive list of nodes,
      node [2k] for pair [k]'s [pa] side and [2k+1] for its [pb] side,
      newest first *)
-  inc_head : int array;
-  inc_stamp : int array;
+  mutable inc_head : int array;
+  mutable inc_stamp : int array;
   mutable inc_next : int array;  (* per node *)
-  touch : int array;  (* per phys qubit: # incident non-adjacent pairs *)
-  touch_stamp : int array;
-  seen : int array;  (* per phys qubit: token-stamped dedup marker *)
+  mutable touch : int array;
+      (* per phys qubit: # incident non-adjacent pairs *)
+  mutable touch_stamp : int array;
+  mutable seen : int array;  (* per phys qubit: token-stamped dedup marker *)
   (* begin_cycle/commit scratch, per phys qubit at most once *)
-  trans_q : int array;
-  trans_old : int array;
+  mutable trans_q : int array;
+  mutable trans_old : int array;
   mutable ntrans : int;
-  zs : int array;  (* seeds, then far endpoints *)
+  mutable zs : int array;  (* seeds, then far endpoints *)
   mutable nz : int;
-  (* ---- per-edge state (ids per [eidx]) ---- *)
-  score : int array;  (* objective score: scale * sbasic + bonus *)
-  sbasic : int array;  (* the Hbasic component alone *)
-  in_set : bool array;
-  edge_stamp : int array;
-  visit : int array;  (* token-stamped dedup for extraction/iteration;
-                         sized >= n so it doubles as a qubit marker *)
+  (* ---- per-edge state (ids per [index]) ---- *)
+  mutable score : int array;  (* objective score: scale * sbasic + bonus *)
+  mutable sbasic : int array;  (* the Hbasic component alone *)
+  mutable in_set : bool array;
+  mutable edge_stamp : int array;
+  mutable visit : int array;  (* token-stamped dedup for extraction/iteration;
+                                 sized >= n so it doubles as a qubit marker *)
   mutable token : int;
   mutable active : int array;  (* edges activated this cycle (may repeat) *)
   mutable n_active : int;
@@ -123,13 +121,70 @@ let dummy_ctx =
     swap_cycles = 1;
   }
 
+let no_index =
+  { Arch.Coupling.off = [| 0 |]; nbr = [||]; eid = [||]; eu = [||]; ev = [||] }
+
+(* never written: [load] installs the route's counters before any use *)
+let dummy_stats = Stats.create ()
+
 let inc_first t p = if t.inc_stamp.(p) = t.epoch then t.inc_head.(p) else -1
 
 (* The objective's view of qubit [p]'s incident pairs, newest first. *)
 let rec incident_list t node =
   if node < 0 then [] else (node lsr 1) :: incident_list t t.inc_next.(node)
 
-let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
+let empty () =
+  {
+    n = 0;
+    dist = [||];
+    index = no_index;
+    coords = None;
+    use_fine = false;
+    stats = dummy_stats;
+    locks = [||];
+    scale = 1;
+    bonus_bound = 0;
+    obj_bonus = (fun _ ~u:_ ~v:_ -> 0);
+    octx = dummy_ctx;
+    issue_min = 0;
+    epoch = 0;
+    time = 0;
+    m = 0;
+    pa = [||];
+    pb = [||];
+    pnonadj = [||];
+    pair_seen = [||];
+    inc_head = [||];
+    inc_stamp = [||];
+    inc_next = [||];
+    touch = [||];
+    touch_stamp = [||];
+    seen = [||];
+    trans_q = [||];
+    trans_old = [||];
+    ntrans = 0;
+    zs = [||];
+    nz = 0;
+    score = [||];
+    sbasic = [||];
+    in_set = [||];
+    edge_stamp = [||];
+    visit = [||];
+    token = 0;
+    active = Array.make 16 0;
+    n_active = 0;
+    ties = Array.make 16 0;
+    bk = [||];
+    bk_len = [||];
+    qmax = -1;
+  }
+
+(* Room for [len] per-qubit or per-edge entries in arrays of current
+   capacity [cap]. *)
+let grown cap len = Int.max len (2 * cap)
+
+let load t ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks ()
+    =
   let module O = (val objective : Objective.S) in
   if not (0 <= O.bonus_bound && O.bonus_bound < O.scale) then
     invalid_arg
@@ -137,86 +192,44 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
                 < scale" O.name);
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
-  let neighbors =
-    Array.init n (fun p -> Array.of_list (Arch.Coupling.neighbors coupling p))
-  in
-  let eidx =
-    (* edges are normalised (lo, hi) and lex-sorted, so their list rank
-       is a lexicographic edge numbering *)
-    let edges = Array.of_list (Arch.Coupling.edges coupling) in
-    let m = Array.length edges in
-    let eu = Array.make m 0 and ev = Array.make m 0 in
-    let nbe =
-      Array.map (fun nbs -> Array.make (Array.length nbs) 0) neighbors
-    in
-    let set p q e =
-      let nbs = neighbors.(p) in
-      let i = ref 0 in
-      while nbs.(!i) <> q do
-        incr i
-      done;
-      nbe.(p).(!i) <- e
-    in
-    Array.iteri
-      (fun e (u, v) ->
-        eu.(e) <- u;
-        ev.(e) <- v;
-        set u v e;
-        set v u e)
-      edges;
-    { eu; ev; nbe }
-  in
-  let edge_slots = Array.length eidx.eu in
+  let index = Arch.Coupling.index coupling in
+  if Array.length t.inc_head < n then begin
+    let cap = grown (Array.length t.inc_head) n in
+    t.inc_head <- Array.make cap (-1);
+    t.inc_stamp <- Array.make cap (-1);
+    t.touch <- Array.make cap 0;
+    t.touch_stamp <- Array.make cap (-1);
+    t.seen <- Array.make cap 0;
+    t.trans_q <- Array.make cap 0;
+    t.trans_old <- Array.make cap 0;
+    t.zs <- Array.make cap 0
+  end;
   (* [visit] doubles as a per-qubit marker in [commit], so it must cover
      qubit ids even when the edge count is below n (trees) *)
-  let visit_slots = Int.max edge_slots n in
-  let t =
-    {
-      n;
-      dist = Arch.Coupling.distance_table coupling;
-      eidx;
-      neighbors;
-      coords = Arch.Coupling.coords coupling;
-      use_fine = use_fine && O.use_fine;
-      stats;
-      locks;
-      scale = O.scale;
-      bonus_bound = O.bonus_bound;
-      obj_bonus = O.bonus;
-      octx = dummy_ctx;
-      issue_min = 0;
-      epoch = 0;
-      time = 0;
-      m = 0;
-      pa = [||];
-      pb = [||];
-      pnonadj = [||];
-      pair_seen = [||];
-      inc_head = Array.make n (-1);
-      inc_stamp = Array.make n (-1);
-      inc_next = [||];
-      touch = Array.make n 0;
-      touch_stamp = Array.make n (-1);
-      seen = Array.make n 0;
-      trans_q = Array.make n 0;
-      trans_old = Array.make n 0;
-      ntrans = 0;
-      zs = Array.make n 0;
-      nz = 0;
-      score = Array.make edge_slots 0;
-      sbasic = Array.make edge_slots 0;
-      in_set = Array.make edge_slots false;
-      edge_stamp = Array.make edge_slots (-1);
-      visit = Array.make visit_slots 0;
-      token = 0;
-      active = Array.make 16 0;
-      n_active = 0;
-      ties = Array.make 16 0;
-      bk = [||];
-      bk_len = [||];
-      qmax = -1;
-    }
-  in
+  let edge_slots = Int.max (Array.length index.Arch.Coupling.eu) n in
+  if Array.length t.score < edge_slots then begin
+    let cap = grown (Array.length t.score) edge_slots in
+    t.score <- Array.make cap 0;
+    t.sbasic <- Array.make cap 0;
+    t.in_set <- Array.make cap false;
+    t.edge_stamp <- Array.make cap (-1);
+    t.visit <- Array.make cap 0
+  end;
+  t.n <- n;
+  t.dist <- Arch.Coupling.distance_table coupling;
+  t.index <- index;
+  t.coords <- Arch.Coupling.coords coupling;
+  t.use_fine <- use_fine && O.use_fine;
+  t.stats <- stats;
+  t.locks <- locks;
+  t.scale <- O.scale;
+  t.bonus_bound <- O.bonus_bound;
+  t.obj_bonus <- O.bonus;
+  (* nothing of an earlier route is current *)
+  t.epoch <- t.epoch + 1;
+  t.m <- 0;
+  t.n_active <- 0;
+  t.qmax <- -1;
   t.octx <-
     {
       Objective.n;
@@ -227,13 +240,34 @@ let create ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks () =
       calibration = Arch.Calibration.for_durations (Arch.Maqam.durations maqam);
       swap_cycles = Arch.Durations.swap (Arch.Maqam.durations maqam);
     };
-  t.issue_min <- O.issue_min t.octx;
+  t.issue_min <- O.issue_min t.octx
+
+let create ?objective ~maqam ~stats ~use_fine ~locks () =
+  let t = empty () in
+  load t ?objective ~maqam ~stats ~use_fine ~locks ();
   t
+
+(* Drop the route's device, objective and counters; the arrays stay. *)
+let clear t =
+  t.dist <- [||];
+  t.index <- no_index;
+  t.coords <- None;
+  t.stats <- dummy_stats;
+  t.locks <- [||];
+  t.octx <- dummy_ctx
+
+let words t =
+  (8 * Array.length t.inc_head)
+  + (5 * Array.length t.score)
+  + (4 * Array.length t.pa)
+  + Array.length t.inc_next + Array.length t.active + Array.length t.ties
+  + Array.length t.bk + Array.length t.bk_len
+  + Array.fold_left (fun acc b -> acc + Array.length b) 0 t.bk
 
 let issue_min t = t.issue_min
 
-let edge_u t e = t.eidx.eu.(e)
-let edge_v t e = t.eidx.ev.(e)
+let edge_u t e = t.index.Arch.Coupling.eu.(e)
+let edge_v t e = t.index.Arch.Coupling.ev.(e)
 let basic t e = t.sbasic.(e)
 let alive t e = t.edge_stamp.(e) = t.epoch && t.in_set.(e)
 let lock_free t p = t.locks.(p) <= t.time
@@ -320,9 +354,9 @@ let try_activate t u v e =
   end
 
 let activate_around t p =
-  let nbs = t.neighbors.(p) in
-  for i = 0 to Array.length nbs - 1 do
-    try_activate t p nbs.(i) t.eidx.nbe.(p).(i)
+  let { Arch.Coupling.off; nbr; eid; _ } = t.index in
+  for i = off.(p) to off.(p + 1) - 1 do
+    try_activate t p nbr.(i) eid.(i)
   done
 
 let deactivate t e = if alive t e then t.in_set.(e) <- false
@@ -480,26 +514,25 @@ let best t =
   end
 
 let deactivate_around t p =
-  let nbs = t.neighbors.(p) in
-  for i = 0 to Array.length nbs - 1 do
-    deactivate t t.eidx.nbe.(p).(i)
+  let { Arch.Coupling.off; eid; _ } = t.index in
+  for i = off.(p) to off.(p + 1) - 1 do
+    deactivate t eid.(i)
   done
 
 let rescore_around t z =
-  let nbs = t.neighbors.(z) in
-  for i = 0 to Array.length nbs - 1 do
-    let e = t.eidx.nbe.(z).(i) in
+  let { Arch.Coupling.off; eid; _ } = t.index in
+  for i = off.(z) to off.(z + 1) - 1 do
+    let e = eid.(i) in
     if alive t e then rescore t e
   done
 
 (* Edges around [p], whose last non-adjacent pair left, lose their
    justification unless the far endpoint still has one. *)
 let unjustify_around t p =
-  let nbs = t.neighbors.(p) in
-  for i = 0 to Array.length nbs - 1 do
-    let nb = nbs.(i) in
-    let e = t.eidx.nbe.(p).(i) in
-    if alive t e && touch_get t nb = 0 then deactivate t e
+  let { Arch.Coupling.off; nbr; eid; _ } = t.index in
+  for i = off.(p) to off.(p + 1) - 1 do
+    let e = eid.(i) in
+    if alive t e && touch_get t nbr.(i) = 0 then deactivate t e
   done
 
 (* Commit bookkeeping, with [x]/[y] the committed SWAP and [tok] its

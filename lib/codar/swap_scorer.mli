@@ -19,7 +19,10 @@
     The pairs, the per-qubit incidence lists, the bucket queue and the
     active set are int arrays reused across cycles, and {!best},
     {!commit} and {!begin_cycle} return ints or unit: a cycle allocates
-    only when one of the arrays grows.
+    only when one of the arrays grows. They are reused across routes too:
+    the remapper keeps one scorer per domain and {!load}s each route into
+    it. Neighbours and edge ids come from the device's own
+    {!Arch.Coupling.index}, built once per device.
 
     Selection replicates the reference fold exactly: maximal [Hbasic], then
     maximal [Hfine], then the smallest [(min p, max p)] edge. With
@@ -46,8 +49,8 @@ val create :
   t
 (** [locks] is the remapper's per-physical-qubit lock array, shared by
     reference and read at candidate-activation time. The scorer holds onto
-    the coupling's live distance table; O(n²) arrays are allocated once
-    here and epoch-stamped afterwards.
+    the coupling's live distance table and edge index; its per-qubit and
+    per-edge arrays are allocated here and epoch-stamped afterwards.
 
     [objective] (default {!Objective.makespan}) fixes the candidate
     ordering and issue threshold for the scorer's lifetime; its
@@ -55,6 +58,28 @@ val create :
     (via {!Arch.Calibration.for_durations}). The effective fine tie-break
     is [use_fine && objective's use_fine]. Raises [Invalid_argument] if
     the objective violates [0 <= bonus_bound < scale]. *)
+
+val empty : unit -> t
+(** A scorer with no device and no arrays yet: {!load} it. *)
+
+val load :
+  t ->
+  ?objective:Objective.t ->
+  maqam:Arch.Maqam.t ->
+  stats:Stats.t ->
+  use_fine:bool ->
+  locks:int array ->
+  unit ->
+  unit
+(** Point the scorer at a new route, as {!create} would build it: every
+    array large enough for the device stays, and no candidate or cycle
+    state of an earlier route survives. *)
+
+val clear : t -> unit
+(** Drop the route's device, objective and counters; the arrays stay. *)
+
+val words : t -> int
+(** Words held by the scorer's arrays. *)
 
 val issue_min : t -> int
 (** The objective's issue threshold: the caller issues a SWAP only while

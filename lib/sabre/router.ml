@@ -17,12 +17,10 @@ exception Stuck of string
 
 (* The dependency DAG ({!Qc.Dag}'s edges: each gate after the previous
    gate on each of its qubits) and the routing state over it, in flat
-   arrays: one set per domain, reused across routes and grown on demand, so
-   a pass allocates nothing proportional to the circuit ([batch --jobs N]
-   places in several domains at once). A route that finds its domain's set
-   busy — another systhread of the domain is routing — works on a fresh
-   one. Stamped arrays are never cleared: an entry counts as set only when
-   it equals the current stamp, and stamps only grow. *)
+   arrays: one set per domain ({!Schedule.Scratch}), reused across routes
+   and grown on demand, so a pass allocates nothing proportional to the
+   circuit. Stamped arrays are never cleared: an entry counts as set only
+   when it equals the current stamp, and stamps only grow. *)
 type scratch = {
   mutable gates : Qc.Gate.t array;  (* [0, loaded) cleared after each route *)
   mutable loaded : int;
@@ -58,7 +56,6 @@ type scratch = {
          route's decay epoch, else 1 *)
   mutable decay_stamp : int array;
   mutable stamp : int;
-  mutable busy : bool;
 }
 
 let no_gate = Qc.Gate.barrier []
@@ -87,20 +84,20 @@ let empty_scratch () =
     decay = [||];
     decay_stamp = [||];
     stamp = 0;
-    busy = false;
   }
 
-let scratch_key = Domain.DLS.new_key empty_scratch
+let scratch_words s =
+  Array.length s.gates + Array.length s.op_a + Array.length s.op_b
+  + Array.length s.succ_off + Array.length s.n_succ + Array.length s.succ
+  + Array.length s.last + Array.length s.pending + Array.length s.front
+  + Array.length s.seen + Array.length s.queue + Array.length s.marked
+  + Array.length s.pair_at + Array.length s.pair_stamp
+  + Array.length s.next_at + Array.length s.pl + Array.length s.pp
+  + Array.length s.pd + Array.length s.decay + Array.length s.decay_stamp
 
-(* No allocation between the test and the set: no other systhread can run
-   in between. *)
-let acquire () =
-  let s = Domain.DLS.get scratch_key in
-  if s.busy then empty_scratch ()
-  else begin
-    s.busy <- true;
-    s
-  end
+let scratch =
+  Schedule.Scratch.make ~create:empty_scratch ~words:scratch_words
+    ~clear:(fun s -> Array.fill s.gates 0 s.loaded no_gate)
 
 let arity = function
   | Qc.Gate.One _ | Qc.Gate.Measure _ -> 1
@@ -577,12 +574,7 @@ let route ~emit ~reverse ~config ~maqam ~initial circuit =
     Arch.Layout.n_logical initial <> n_logical
     || Arch.Layout.n_physical initial <> n_physical
   then invalid_arg "Sabre.route_gates: layout size mismatch";
-  let sc = acquire () in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.fill sc.gates 0 sc.loaded no_gate;
-      sc.busy <- false)
-    (fun () ->
+  Schedule.Scratch.use scratch (fun sc ->
       route_on sc ~emit ~reverse ~config ~maqam ~initial circuit ~n_physical
         ~n_logical)
 

@@ -144,6 +144,13 @@ let too_wide coupling qubits =
     (Arch.Coupling.name coupling)
     (Arch.Coupling.n_qubits coupling)
 
+let check_restarts n =
+  if n < 1 || n > Codar.Portfolio.max_restarts then
+    Error
+      (Printf.sprintf "restarts must be in 1..%d (got %d)"
+         Codar.Portfolio.max_restarts n)
+  else Ok ()
+
 let spec_of_route_req (r : Protocol.route_req) =
   (* the device bounds the parse; its own error still comes after the
      source's *)
@@ -198,14 +205,7 @@ let spec_of_route_req (r : Protocol.route_req) =
            "unknown placement strategy %S (sabre-<k> takes k in 1..%d)"
            r.Protocol.placement Placement.max_passes)
   in
-  let* () =
-    let n = r.Protocol.restarts in
-    if n < 1 || n > Codar.Portfolio.max_restarts then
-      Error
-        (Printf.sprintf "restarts must be in 1..%d (got %d)"
-           Codar.Portfolio.max_restarts n)
-    else Ok ()
-  in
+  let* () = check_restarts r.Protocol.restarts in
   let* () =
     if Qc.Circuit.n_qubits circuit > Arch.Coupling.n_qubits coupling then
       Error (too_wide coupling (Qc.Circuit.n_qubits circuit))

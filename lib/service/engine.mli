@@ -45,6 +45,11 @@ val resolve_router :
     outside the portfolio, and the esp metric on uncalibrated duration
     profiles — all as [Error] (the daemon's [bad_request]). *)
 
+val check_restarts : int -> (unit, string) result
+(** [Ok ()] for 1..{!Codar.Portfolio.max_restarts} restarts, else the
+    refusal {!spec_of_route_req} answers — for every router, the
+    portfolio or not. *)
+
 val spec_of_route_req : Protocol.route_req -> (spec, string) result
 (** Resolve names to live structures, parse inline QASM (errors become
     [Error], never exceptions), and validate that the circuit fits the

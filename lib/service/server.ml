@@ -96,16 +96,23 @@ let config ?(jobs = 1) ?(cache_entries = 1024) ?cache_bytes ?cache_file
     on_route_start;
   }
 
+(* A computed route's outcome is published as the cache entry: its record
+   JSON, encoded once on the routing domain, is what the cache stores and
+   what a top-level reply splices in. *)
 type pending = {
   fp : string;
   spec : Engine.spec;
-  mutable outcome : (Report.Record.t, string) result option;
+  mutable outcome : (Cache.hit, string) result option;
 }
 
-(* One route inside a reply unit: either already an item, or waiting on
+(* A route's answer: an item, or a record with its stored JSON — written
+   around that JSON in a top-level reply, lifted to an item in a batch. *)
+type answer = Item of Json.t | Stored of Cache.hit
+
+(* One route inside a reply unit: either already answered, or waiting on
    an in-flight computation (with its own deadline). *)
 type slot = {
-  mutable item : Json.t option;
+  mutable answer : answer option;
   mutable pend : pending option;
   mutable slot_deadline : float option;
 }
@@ -239,7 +246,10 @@ let dispatch_batch st batch =
           (match st.cfg.on_route_start with
           | Some hook -> hook p.fp
           | None -> ());
-          try Ok (fst (Engine.route p.spec))
+          try
+            Ok
+              (Cache.hit_of_record ~fingerprint:p.fp
+                 (fst (Engine.route p.spec)))
           with e -> Error (Printexc.to_string e))
         batch
     with e ->
@@ -250,7 +260,7 @@ let dispatch_batch st batch =
       Array.iteri
         (fun i p ->
           (match results.(i) with
-          | Ok record -> Cache.add st.cache p.fp record
+          | Ok hit -> Cache.add_hit st.cache hit
           | Error _ -> ());
           st.svc.routes_computed <- st.svc.routes_computed + 1;
           p.outcome <- Some results.(i);
@@ -321,7 +331,7 @@ let emit st c frame =
     true
   end
 
-let slot_ready s = s.item <> None
+let slot_ready s = s.answer <> None
 
 let reply_ready = function
   | Ready _ -> true
@@ -339,9 +349,17 @@ let rec drain_replies st c =
       match Queue.pop c.replies with
       | Ready frame -> emit st c frame
       | Route_r { id; slot } ->
-        emit st c (Ops.route_frame ?id (Option.get slot.item))
+        emit st c
+          (match Option.get slot.answer with
+          | Stored hit -> Ops.hit_frame ?id hit
+          | Item item -> Ops.route_frame ?id item)
       | Batch_r { id; slots } ->
-        let items = Array.to_list (Array.map (fun s -> Option.get s.item) slots) in
+        let item s =
+          match Option.get s.answer with
+          | Stored hit -> Ops.hit_item hit
+          | Item item -> item
+        in
+        let items = Array.to_list (Array.map item slots) in
         emit st c (Ops.batch_frame ?id items)
     in
     if alive then drain_replies st c
@@ -410,15 +428,16 @@ let resolve_route st ?line (rr : Protocol.route_req) =
 
 let slot_of st now = function
   | `Hit hit ->
-    { item = Some (Ops.hit_item hit); pend = None; slot_deadline = None }
-  | `Done item -> { item = Some item; pend = None; slot_deadline = None }
+    { answer = Some (Stored hit); pend = None; slot_deadline = None }
+  | `Done item ->
+    { answer = Some (Item item); pend = None; slot_deadline = None }
   | `Wait p ->
     let deadline =
       Option.map
         (fun ms -> now +. (float_of_int ms /. 1000.))
         st.cfg.timeout_ms
     in
-    { item = None; pend = Some p; slot_deadline = deadline }
+    { answer = None; pend = Some p; slot_deadline = deadline }
 
 let initiate_stop st =
   locked st (fun () ->
@@ -622,7 +641,11 @@ let sweep_slots st now =
     | Some p -> (
       match p.outcome with
       | Some o ->
-        s.item <- Some (Ops.outcome_item ~fp:p.fp o);
+        s.answer <-
+          Some
+            (match o with
+            | Ok hit -> Stored hit
+            | Error msg -> Item (Ops.item_err Protocol.Route_failed msg));
         s.pend <- None;
         s.slot_deadline <- None;
         changed := true
@@ -632,7 +655,7 @@ let sweep_slots st now =
           (* the job itself keeps running and will land in the cache;
              only this waiter gives up *)
           st.svc.timeouts <- st.svc.timeouts + 1;
-          s.item <- Some (Ops.deadline_item st.cfg.timeout_ms);
+          s.answer <- Some (Item (Ops.deadline_item st.cfg.timeout_ms));
           s.pend <- None;
           s.slot_deadline <- None;
           changed := true

@@ -5,14 +5,17 @@
 #
 #   2  usage errors (unknown benchmark, exclusive flags)
 #   3  QASM parse/lex errors
-#   4  routing/placement failures (circuit does not fit the device)
+#   4  routing/placement failures (circuit does not fit the device, a
+#      router or placement pass gives up, restarts out of bounds)
 #   5  I/O errors (unwritable output, no daemon on the socket)
 #   124  a bad option value, cmdliner's own code (an unknown device)
 #
 # Usage: cli_exit_codes.sh path/to/codar_cli.exe
+# (the .qasm fixtures are read from this script's directory)
 set -u
 
 CLI=$1
+HERE=$(dirname "$0")
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -93,10 +96,23 @@ expect 3 "macro nest past the gate bound" \
 
 # 4: a circuit that cannot be placed on the device
 expect 4 "circuit too big for device" "$CLI" map -b qft_8 -a q5
-# ... and portfolio restarts outside 1..Codar.Portfolio.max_restarts (64)
+# ... restarts outside 1..Codar.Portfolio.max_restarts (64), refused for
+# every router as the daemon refuses them, by map and batch alike
 expect 4 "no restarts" "$CLI" map -b qft_4 -r portfolio --restarts 0
 expect 4 "restarts past the bound" "$CLI" map -b qft_4 -r portfolio \
   --restarts 65
+expect 4 "no restarts, default router" "$CLI" map -b qft_4 --restarts 0
+expect 4 "restarts past the bound, default router" "$CLI" map -b qft_4 \
+  --restarts 65
+expect 4 "batch: no restarts" "$CLI" batch -b qft_4 --restarts 0
+expect 4 "batch: restarts past the bound" "$CLI" batch -b qft_4 \
+  --restarts 65
+# ... and a placement pass that gives up (SABRE's swap budget runs out on
+# this circuit: Sabre.Router.Stuck), under every router
+for r in codar sabre astar; do
+  expect 4 "stuck placement, -r $r" \
+    "$CLI" map -a melbourne -r "$r" -i "$HERE/sabre_stuck_cold_2824.qasm"
+done
 
 # 5: I/O failures
 expect 5 "unwritable output path" "$CLI" map -b qft_4 -o /nonexistent/dir/out.qasm

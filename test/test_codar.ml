@@ -145,15 +145,22 @@ let prop_cf_counted_matches_reference =
       = Codar.Cf_front.compute ~window ~max_chain ~commutes:Qc.Commute.commutes
           ~gates ~issued !head)
 
+(* The tracker's front as a list. *)
+let front_list ?stats t head =
+  let len = Codar.Cf_front.front ?stats t head in
+  Array.to_list (Array.sub (Codar.Cf_front.items t) 0 len)
+
 let test_cf_incremental_cache () =
   let gates = Qc.Circuit.gate_array (Workloads.Builders.qft 5) in
   let issued = Array.make (Array.length gates) false in
   let stats = Codar.Stats.create () in
   let commutes = Qc.Commute.Compiled.(commutes (make gates)) in
   let t = Codar.Cf_front.create ~commutes ~gates ~issued () in
-  let f1 = Codar.Cf_front.front ~stats t 0 in
-  let f2 = Codar.Cf_front.front ~stats t 0 in
-  Alcotest.(check bool) "hit returns the cached list (==)" true (f1 == f2);
+  let f1 = front_list ~stats t 0 in
+  let v1 = Codar.Cf_front.version t in
+  let f2 = front_list ~stats t 0 in
+  Alcotest.(check bool) "hit keeps the front and its version" true
+    (f1 = f2 && Codar.Cf_front.version t = v1);
   Alcotest.(check int) "one recompute" 1 stats.Codar.Stats.cf_recomputes;
   Alcotest.(check int) "one cache hit" 1 stats.Codar.Stats.cf_cache_hits;
   Alcotest.(check (list int)) "front = pure compute"
@@ -165,9 +172,11 @@ let test_cf_incremental_cache () =
   Codar.Cf_front.invalidate t;
   let head = ref 0 in
   while !head < Array.length gates && issued.(!head) do incr head done;
-  let f3 = Codar.Cf_front.front ~stats t !head in
+  let f3 = front_list ~stats t !head in
   Alcotest.(check int) "invalidate forces a recompute" 2
     stats.Codar.Stats.cf_recomputes;
+  Alcotest.(check bool) "a recompute bumps the version" true
+    (Codar.Cf_front.version t <> v1);
   Alcotest.(check (list int)) "rescanned front = pure compute"
     (Codar.Cf_front.compute ~commutes:Qc.Commute.commutes ~gates ~issued !head)
     f3
@@ -233,7 +242,7 @@ let prop_cf_tracker_matches_compute =
           Codar.Cf_front.compute ~window ~max_chain
             ~commutes:Qc.Commute.commutes ~gates ~issued !head
         in
-        let got = Codar.Cf_front.front t !head in
+        let got = front_list t !head in
         if got <> expected then
           QCheck.Test.fail_reportf
             "step %d (window %d, max_chain %d): tracker [%s], compute [%s]"
@@ -249,7 +258,7 @@ let prop_cf_tracker_matches_compute =
       check !step;
       while !head < n_gates do
         incr step;
-        let front = Codar.Cf_front.front t !head in
+        let front = front_list t !head in
         (match Random.State.int rng 10 with
         | 0 ->
           (* a gate outside the front, told to the tracker *)
@@ -1095,6 +1104,182 @@ let test_stats_counters () =
          && a.inserted = b.inserted)
        r.events r'.events)
 
+(* ---------------------------------------------------------------- scratch *)
+
+(* What a route returns or raises, with its counters: the routed output
+   the per-domain working arrays must not change. *)
+let route_outcome (maqam, config, circuit) =
+  let stats = Codar.Stats.create () in
+  let initial =
+    Arch.Layout.identity
+      ~n_logical:(Qc.Circuit.n_qubits circuit)
+      ~n_physical:(Arch.Maqam.n_qubits maqam)
+  in
+  match Codar.Remapper.run ~config ~stats ~maqam ~initial circuit with
+  | r ->
+    Ok
+      ( r.Schedule.Routed.events,
+        Arch.Layout.to_array r.Schedule.Routed.final,
+        r.Schedule.Routed.makespan,
+        stats )
+  | exception Codar.Remapper.Stuck msg -> Error msg
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* The makespan objective, but its once-per-route [issue_min] yields to
+   the other systhreads: the route is then midway, its gates loaded. *)
+module Yielding : Objective.S = struct
+  let name = "makespan"
+  let scale = 1
+  let bonus_bound = 0
+  let bonus _ ~u:_ ~v:_ = 0
+
+  let issue_min _ =
+    Thread.yield ();
+    0
+
+  let use_fine = true
+end
+
+(* Systhreads of one domain share its working arrays: a route that finds
+   them busy must work on its own, never on the other route's. Every
+   route yields midway, so the threads' routes interleave. *)
+let test_scratch_threads_share_domain () =
+  let inputs =
+    Array.init 4 (fun k ->
+        ( maqam_grid33,
+          { Codar.Remapper.default_config with objective = (module Yielding) },
+          Workloads.Builders.random_circuit ~n:(6 + k) ~gates:(150 + (50 * k))
+            ~two_qubit_fraction:0.45 ~seed:(31 + k) ))
+  in
+  let expected = Array.map route_outcome inputs in
+  let ok = Atomic.make true in
+  let threads =
+    List.init 4 (fun t ->
+        Thread.create
+          (fun () ->
+            for r = 1 to 25 do
+              let k = (t + r) mod 4 in
+              if route_outcome inputs.(k) <> expected.(k) then
+                Atomic.set ok false
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "every thread's route equals the sequential one" true
+    (Atomic.get ok)
+
+(* One domain routes a mixed sequence — devices of several sizes, a
+   disconnected one that raises [Stuck] mid-sequence, every objective,
+   both commutation modes, windows down to 1 — on arrays the earlier
+   routes grew and left dirty; each route must equal the same route in a
+   fresh domain. *)
+let prop_scratch_sequence_fresh =
+  let devices =
+    [|
+      Arch.Devices.ibm_q20_tokyo;
+      Arch.Devices.grid ~rows:3 ~cols:3;
+      Arch.Devices.ring 8;
+      Arch.Devices.linear 5;
+      Arch.Devices.ibm_q16_melbourne;
+      Arch.Coupling.make ~name:"islands" ~n:4 [ (0, 1); (2, 3) ];
+    |]
+  in
+  let durations =
+    [| sc; Arch.Durations.ion_trap; Arch.Durations.neutral_atom |]
+  in
+  let objectives = Array.of_list Objective.all in
+  let input_of rng =
+    let coupling = devices.(Random.State.int rng (Array.length devices)) in
+    let n_qubits = 1 + Random.State.int rng (Arch.Coupling.n_qubits coupling) in
+    let circuit =
+      Fuzz.Gen.circuit_rng rng
+        (Fuzz.Gen.config ~measures:Fuzz.Gen.Trailing ~n_qubits
+           ~gates:(Random.State.int rng 250) ())
+    in
+    let config =
+      {
+        Codar.Remapper.window = [| 1; 5; 200 |].(Random.State.int rng 3);
+        use_commutativity = Random.State.int rng 4 > 0;
+        use_fine = Random.State.bool rng;
+        objective = objectives.(Random.State.int rng (Array.length objectives));
+      }
+    in
+    let durations = durations.(Random.State.int rng (Array.length durations)) in
+    (Arch.Maqam.make ~coupling ~durations, config, circuit)
+  in
+  QCheck.Test.make ~count:25 ~name:"one domain's routes = fresh domains'"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
+    (fun (seed, len) ->
+      let rng = Random.State.make [| 0x5c; seed |] in
+      let inputs = List.init (max 1 len) (fun _ -> input_of rng) in
+      let shared = in_fresh_domain (fun () -> List.map route_outcome inputs) in
+      List.for_all2
+        (fun input got -> got = in_fresh_domain (fun () -> route_outcome input))
+        inputs shared)
+
+(* Words [f ()] allocates straight into the major heap (arrays over 256
+   words), read with the minor heap emptied at both ends. *)
+let direct_major_words f =
+  Gc.minor ();
+  let _, p0, j0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let _, p1, j1 = Gc.counters () in
+  j1 -. p1 -. (j0 -. p0)
+
+(* The cap covers the largest circuits the benchmark workloads route
+   (30,000 gates): after one such placement and route, a second one in
+   the same domain finds both routers' sets large enough, and allocates
+   a small fraction of the arrays the first grew. *)
+let test_scratch_30k_kept () =
+  let maqam =
+    Arch.Maqam.make ~coupling:Arch.Devices.ibm_q20_tokyo ~durations:sc
+  in
+  let route seed () =
+    let c =
+      Workloads.Builders.random_circuit ~n:16 ~gates:30_000
+        ~two_qubit_fraction:0.45 ~seed
+    in
+    let initial = Sabre.Initial_mapping.reverse_traversal ~maqam c in
+    Codar.Remapper.run ~maqam ~initial c
+  in
+  let first, second =
+    in_fresh_domain (fun () ->
+        let first = direct_major_words (route 1) in
+        (first, direct_major_words (route 2)))
+  in
+  if second > first /. 4. then
+    Alcotest.failf
+      "a second 30k-gate route allocated %.0f direct-major words after the \
+       first's %.0f: a set was dropped"
+      second first
+
+(* Live words after a full compaction. *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+(* A route whose working arrays grow past [Schedule.Scratch.cap_words]
+   (CODAR keeps 17 words per gate) leaves its domain no larger than
+   before it. *)
+let test_scratch_cap () =
+  let n = (Schedule.Scratch.cap_words / 8) + 1 in
+  let circuit =
+    Qc.Circuit.make ~n_qubits:2
+      (List.init n (fun i ->
+           if i land 1 = 0 then Qc.Gate.h 0 else Qc.Gate.cx 0 1))
+  in
+  let maqam = maqam_linear 2 in
+  let grown =
+    in_fresh_domain (fun () ->
+        let before = live_words () in
+        ignore (Sys.opaque_identity (run maqam circuit));
+        live_words () - before)
+  in
+  if grown * (Sys.word_size / 8) > 1 lsl 20 then
+    Alcotest.failf "a %d-gate route left its domain %d words larger" n grown
+
 let () =
   Alcotest.run "codar"
     [
@@ -1157,6 +1342,16 @@ let () =
             test_t2_uniform_is_makespan;
           Alcotest.test_case "bad objective rejected" `Quick
             test_objective_validation;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "systhreads of one domain" `Quick
+            test_scratch_threads_share_domain;
+          QCheck_alcotest.to_alcotest prop_scratch_sequence_fresh;
+          Alcotest.test_case "a set past the cap is dropped" `Quick
+            test_scratch_cap;
+          Alcotest.test_case "30k-gate sets are kept" `Quick
+            test_scratch_30k_kept;
         ] );
       ( "portfolio",
         [

@@ -353,6 +353,38 @@ let test_threads_share_domain () =
   Alcotest.(check bool) "every thread's layout equals the sequential one"
     true (Atomic.get ok)
 
+(* Live words after a full compaction. *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+(* A placement whose working arrays grow past [Schedule.Scratch.cap_words]
+   (SABRE keeps about 10 words per gate) leaves its domain no larger
+   than before it; the set it grew is dropped on release. *)
+let test_scratch_cap () =
+  let n = (Schedule.Scratch.cap_words / 8) + 1 in
+  let circuit =
+    Qc.Circuit.make ~n_qubits:2
+      (List.init n (fun i ->
+           if i land 1 = 0 then Qc.Gate.h 0 else Qc.Gate.cx 0 1))
+  in
+  let maqam =
+    Arch.Maqam.make ~coupling:(Arch.Devices.linear 2)
+      ~durations:Arch.Durations.superconducting
+  in
+  let grown =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let before = live_words () in
+           ignore
+             (Sys.opaque_identity
+                (Sabre.Initial_mapping.reverse_traversal ~maqam circuit));
+           live_words () - before))
+  in
+  if grown * (Sys.word_size / 8) > 1 lsl 20 then
+    Alcotest.failf "a %d-gate placement left its domain %d words larger" n
+      grown
+
 let () =
   Alcotest.run "sabre"
     [
@@ -375,6 +407,8 @@ let () =
             test_iterations_guard;
           Alcotest.test_case "systhreads of one domain" `Quick
             test_threads_share_domain;
+          Alcotest.test_case "a set past the cap is dropped" `Quick
+            test_scratch_cap;
         ] );
       ( "reference",
         [

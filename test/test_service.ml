@@ -516,6 +516,83 @@ let test_spliced_reply () =
              ]) );
     ]
 
+(* A computed route's reply is written around the JSON the cache stored
+   for its record; its bytes must be those the tree encoder gives for the
+   record, for a cold reply without an id, one with an id, and a waiter
+   that coalesced onto another request's computation. *)
+let test_cold_reply_bytes () =
+  let sock = temp_sock "coldbytes" in
+  let gate_m = Mutex.create () and gate_c = Condition.create () in
+  let gate_open = ref true in
+  let on_route_start _fp =
+    Mutex.lock gate_m;
+    while not !gate_open do
+      Condition.wait gate_c gate_m
+    done;
+    Mutex.unlock gate_m
+  in
+  let set_gate v =
+    Mutex.lock gate_m;
+    gate_open := v;
+    Condition.broadcast gate_c;
+    Mutex.unlock gate_m
+  in
+  let server =
+    start
+      (Service.Server.config ~jobs:1 ~on_route_start ~socket_path:sock ())
+  in
+  let tree_bytes ?id reply =
+    let j = parse_reply reply in
+    match (Json.member "fingerprint" j, Json.member "record" j) with
+    | Some (Json.String fp), Some r -> (
+      match Report.Record.of_json r with
+      | Ok record ->
+        Service.Ops.route_frame ?id (Service.Ops.item_ok ~fingerprint:fp record)
+      | Error msg -> Alcotest.failf "record does not decode: %s" msg)
+    | _ -> Alcotest.failf "not a route reply: %S" reply
+  in
+  let check name ?id reply =
+    Alcotest.(check bool) (name ^ " is ok") true (reply_ok reply);
+    Alcotest.(check string) name (tree_bytes ?id reply) reply
+  in
+  check "cold, no id" (request sock route_qft4);
+  check "cold, id" ~id:(Json.Int 7)
+    (request sock {|{"op":"route","bench":"ghz_8","restarts":2,"id":7}|});
+  (* hold the next route until its twin has coalesced onto it *)
+  set_gate false;
+  let frames =
+    [|
+      ( {|{"op":"route","bench":"qft_6","restarts":2,"id":"a"}|},
+        Some (Json.String "a") );
+      ({|{"op":"route","bench":"qft_6","restarts":2}|}, None);
+    |]
+  in
+  let replies = Array.make 2 "" in
+  let threads =
+    Array.mapi
+      (fun i (frame, _) ->
+        Thread.create (fun () -> replies.(i) <- request sock frame) ())
+      frames
+  in
+  let rec wait_coalesced () =
+    let stats = request sock {|{"op":"stats"}|} in
+    if counter [ "service"; "coalesced" ] stats < 1 then begin
+      Thread.yield ();
+      wait_coalesced ()
+    end
+  in
+  wait_coalesced ();
+  set_gate true;
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun i (_, id) ->
+      check (Printf.sprintf "computed or coalesced %d" i) ?id replies.(i))
+    frames;
+  let stats = request sock {|{"op":"stats"}|} in
+  Alcotest.(check int) "three routes computed" 3
+    (counter [ "service"; "routes_computed" ] stats);
+  ignore (shutdown_and_join sock server)
+
 (* parse_frame itself must be total: any byte string yields Ok or a
    typed error, never an exception. *)
 let prop_parse_frame_total =
@@ -1214,6 +1291,8 @@ let () =
         [
           Alcotest.test_case "warm reply from stored bytes" `Quick
             test_spliced_reply;
+          Alcotest.test_case "cold reply from stored bytes" `Quick
+            test_cold_reply_bytes;
           QCheck_alcotest.to_alcotest prop_parse_frame_total;
           QCheck_alcotest.to_alcotest prop_parse_frame_mutations;
         ] );
