@@ -401,118 +401,254 @@ let esp () =
 
 (* ------------------------------------------------------- Objectives table *)
 
-(* Cross-objective comparison: every routing objective on every
-   (device, durations) cell of the evaluation set, one workload at a time.
-   Reported per cell: makespan, raw depth, SWAP count and (for calibrated
-   profiles) the analytic ESP — the table behind BENCH_PR8.json. *)
-let objectives_table ?json () =
-  Fmt.pr "@.== Cross-objective comparison (CODAR router) ==@.";
-  let cells =
-    [
-      ("tokyo", Arch.Devices.ibm_q20_tokyo, superconducting);
-      ("melbourne", Arch.Devices.ibm_q16_melbourne, superconducting);
-      ("linear-16", Arch.Devices.linear 16, Arch.Durations.ion_trap);
-      ( "grid-4x4",
-        Arch.Devices.grid ~rows:4 ~cols:4,
-        Arch.Durations.neutral_atom );
-    ]
+(* Every routing objective against makespan on the whole [--fitting]
+   suite of the four paper devices (each benchmark that fits the device),
+   under each calibrated duration profile, placed by SABRE as
+   [codar_cli batch] places. Per profile and objective it reports the
+   cells whose routed events differ from makespan's, the geo-means of
+   the per-cell weighted-depth and ESP ratios to makespan (over all cells
+   and over those of at most 12 qubits), wins and losses on each metric,
+   and the change of the SWAP total. The bar (EXPERIMENTS.md): an
+   objective stays only if, under at least one profile, its geo-mean over
+   all cells beats makespan on the metric it claims. *)
+
+type objective_cell = {
+  qubits : int;
+  changed : bool;  (* routed events differ from makespan's *)
+  wdepth : int;  (* weighted depth: the routed makespan *)
+  swaps : int;
+  esp : float;
+}
+
+let objective_devices =
+  Arch.Devices.
+    [ ibm_q16_melbourne; ibm_q20_tokyo; enfield_6x6; sycamore_54 ]
+
+let objective_profiles =
+  Arch.Durations.[ superconducting; ion_trap; neutral_atom ]
+
+(* The metric an objective claims to improve: t2 claims ESP; the bonus
+   objectives measured with it (BENCH_PR28.json) claimed weighted depth. *)
+let claimed_metric o =
+  if Objective.name o = "t2" then "esp" else "weighted_depth"
+
+let same_events a b =
+  List.equal
+    (fun (x : Schedule.Routed.event) (y : Schedule.Routed.event) ->
+      Qc.Gate.equal x.gate y.gate
+      && x.start = y.start && x.duration = y.duration
+      && x.inserted = y.inserted)
+    a b
+
+(* The routed cells of one profile, per objective of [Objective.all]
+   (makespan, the baseline, first), in device then suite order. *)
+let objective_cells durations =
+  let calibration =
+    match Arch.Calibration.for_durations durations with
+    | Some c -> c
+    | None ->
+      Fmt.failwith "objectives: %s has no calibration"
+        (Arch.Durations.name durations)
   in
-  let workloads = [ "qft_8"; "ghz_8"; "qaoa_6" ] in
-  let rows = ref [] in
-  let t2_wins = ref 0 and t2_cells = ref 0 in
+  let cells = List.map (fun _ -> ref []) Objective.all in
   List.iter
-    (fun (device, coupling, durations) ->
+    (fun coupling ->
       let maqam = Arch.Maqam.make ~coupling ~durations in
       let n_physical = Arch.Coupling.n_qubits coupling in
-      let calibration = Arch.Calibration.for_durations durations in
       List.iter
-        (fun wname ->
-          let circuit =
-            match Workloads.Suite.find wname with
-            | Some e -> Lazy.force e.Workloads.Suite.circuit
-            | None -> Fmt.failwith "objectives: benchmark %s missing" wname
-          in
+        (fun (e : Workloads.Suite.entry) ->
+          let circuit = Lazy.force e.circuit in
           let initial =
-            Sabre.Initial_mapping.reverse_traversal ~maqam circuit
+            Placement.compute (Placement.Reverse_traversal 1) ~maqam circuit
           in
-          Fmt.pr "@.-- %s on %s [%s] --@." wname device
-            (Arch.Durations.name durations);
-          Fmt.pr "%-10s %9s %6s %6s %12s@." "objective" "makespan" "depth"
-            "swaps" "esp";
-          let esp_of = Hashtbl.create 4 in
-          List.iter
-            (fun objective ->
-              let name = Objective.name objective in
-              let routed =
-                Codar.Remapper.run
-                  ~config:{ Codar.Remapper.default_config with objective }
-                  ~maqam ~initial circuit
-              in
-              (match
-                 Schedule.Verify.check_all ~maqam ~original:circuit routed
-               with
-              | Ok () -> ()
-              | Error e ->
-                Fmt.failwith "objectives: %s/%s/%s verify failed: %a" wname
-                  device name Schedule.Verify.pp_error e);
-              let depth = Schedule.Routed.raw_depth ~n_physical routed in
-              let swaps = Schedule.Routed.swap_count routed in
-              let esp =
-                Option.map
-                  (fun calibration ->
+          let routes =
+            List.map
+              (fun objective ->
+                let routed =
+                  Codar.Remapper.run
+                    ~config:{ Codar.Remapper.default_config with objective }
+                    ~maqam ~initial circuit
+                in
+                (match
+                   Schedule.Verify.check_all ~maqam ~original:circuit routed
+                 with
+                | Ok () -> ()
+                | Error err ->
+                  Fmt.failwith "objectives: %s/%s/%s verify failed: %a" e.name
+                    (Arch.Coupling.name coupling) (Objective.name objective)
+                    Schedule.Verify.pp_error err);
+                routed)
+              Objective.all
+          in
+          let baseline = (List.hd routes).Schedule.Routed.events in
+          List.iter2
+            (fun (routed : Schedule.Routed.t) acc ->
+              acc :=
+                {
+                  qubits = e.n_qubits;
+                  changed = not (same_events routed.events baseline);
+                  wdepth = routed.makespan;
+                  swaps = Schedule.Routed.swap_count routed;
+                  esp =
                     Sim.Reliability.estimated_success ~calibration ~n_physical
-                      routed)
-                  calibration
+                      routed;
+                }
+                :: !acc)
+            routes cells)
+        (Workloads.Suite.fitting ~max_qubits:n_physical))
+    objective_devices;
+  List.map (fun acc -> Array.of_list (List.rev !acc)) cells
+
+(* Geo-mean of [f o b] over the cell pairs that [keep] admits. *)
+let ratio_gm ~keep f base cells =
+  let sum = ref 0. and k = ref 0 in
+  Array.iteri
+    (fun i b ->
+      let o = cells.(i) in
+      if keep o b then begin
+        sum := !sum +. log (f o b);
+        incr k
+      end)
+    base;
+  if !k = 0 then nan else exp (!sum /. float_of_int !k)
+
+let count p base cells =
+  let n = ref 0 in
+  Array.iteri (fun i b -> if p cells.(i) b then incr n) base;
+  !n
+
+let objectives_table ?json () =
+  Fmt.pr
+    "@.== Routing objectives against makespan (CODAR, every benchmark that \
+     fits each paper device, SABRE placement) ==@.";
+  let wd o b = float_of_int o.wdepth /. float_of_int b.wdepth in
+  let esp o b = o.esp /. b.esp in
+  let all _ _ = true and small o _ = o.qubits <= 12 in
+  (* an ESP that underflowed to 0 has no ratio *)
+  let esp_ok o b = o.esp > 0. && b.esp > 0. in
+  let won = Hashtbl.create 4 in
+  let profiles =
+    List.map
+      (fun durations ->
+        let dname = Arch.Durations.name durations in
+        let per_objective = objective_cells durations in
+        let base = List.hd per_objective in
+        let n_small = count small base base in
+        let base_swaps = Array.fold_left (fun a c -> a + c.swaps) 0 base in
+        Fmt.pr "@.-- %s: %d cells (%d of <= 12 qubits), makespan %d SWAPs --@."
+          dname (Array.length base) n_small base_swaps;
+        Fmt.pr "%-9s %-14s %7s %8s %8s %8s %8s %9s %9s %8s@." "objective"
+          "claims" "changed" "wd_gm" "wd_le12" "esp_gm" "esp_le12" "wd_w/l"
+          "esp_w/l" "swaps_d";
+        let rows =
+          List.map2
+            (fun objective cells ->
+              let name = Objective.name objective in
+              let claims = claimed_metric objective in
+              let changed = count (fun o _ -> o.changed) base cells in
+              let wd_gm = ratio_gm ~keep:all wd base cells in
+              let wd_small = ratio_gm ~keep:small wd base cells in
+              let esp_gm = ratio_gm ~keep:esp_ok esp base cells in
+              let esp_small =
+                ratio_gm ~keep:(fun o b -> small o b && esp_ok o b) esp base
+                  cells
               in
-              Option.iter (Hashtbl.replace esp_of name) esp;
-              (match esp with
-              | Some e ->
-                Fmt.pr "%-10s %9d %6d %6d %12.6f@." name
-                  routed.Schedule.Routed.makespan depth swaps e
-              | None ->
-                Fmt.pr "%-10s %9d %6d %6d %12s@." name
-                  routed.Schedule.Routed.makespan depth swaps "-");
-              rows :=
-                Report.Json.Obj
-                  ([
-                     ("workload", Report.Json.String wname);
-                     ("device", Report.Json.String device);
-                     ( "durations",
-                       Report.Json.String (Arch.Durations.name durations) );
-                     ("objective", Report.Json.String name);
-                     ( "makespan",
-                       Report.Json.Int routed.Schedule.Routed.makespan );
-                     ("depth", Report.Json.Int depth);
-                     ("swaps", Report.Json.Int swaps);
-                   ]
-                  @
-                  match esp with
-                  | Some e -> [ ("esp", Report.Json.Float e) ]
-                  | None -> [])
-                :: !rows)
-            Objective.all;
-          match
-            ( Hashtbl.find_opt esp_of "t2",
-              Hashtbl.find_opt esp_of "makespan" )
-          with
-          | Some t2, Some mk ->
-            incr t2_cells;
-            if t2 > mk then incr t2_wins
-          | _ -> ())
-        workloads)
-    cells;
-  Fmt.pr "@.t2 beats makespan on ESP in %d / %d calibrated cells@." !t2_wins
-    !t2_cells;
+              let wd_wins = count (fun o b -> o.wdepth < b.wdepth) base cells in
+              let wd_losses =
+                count (fun o b -> o.wdepth > b.wdepth) base cells
+              in
+              let esp_wins = count (fun o b -> o.esp > b.esp) base cells in
+              let esp_losses = count (fun o b -> o.esp < b.esp) base cells in
+              let esp_unrated = count (fun o b -> not (esp_ok o b)) base cells in
+              let swaps = Array.fold_left (fun a c -> a + c.swaps) 0 cells in
+              let beats =
+                if claims = "esp" then esp_gm > 1. else wd_gm < 1.
+              in
+              if beats then
+                Hashtbl.replace won name
+                  (dname :: Option.value ~default:[] (Hashtbl.find_opt won name));
+              Fmt.pr "%-9s %-14s %7d %8.4f %8.4f %8.4f %8.4f %4d/%-4d %4d/%-4d \
+                      %+8d@."
+                name claims changed wd_gm wd_small esp_gm esp_small wd_wins
+                wd_losses esp_wins esp_losses (swaps - base_swaps);
+              Report.Json.Obj
+                [
+                  ("objective", Report.Json.String name);
+                  ("claims", Report.Json.String claims);
+                  ("cells_changed", Report.Json.Int changed);
+                  ("weighted_depth_gm", Report.Json.Float wd_gm);
+                  ("weighted_depth_gm_le12", Report.Json.Float wd_small);
+                  ("esp_gm", Report.Json.Float esp_gm);
+                  ("esp_gm_le12", Report.Json.Float esp_small);
+                  ("weighted_depth_wins", Report.Json.Int wd_wins);
+                  ("weighted_depth_losses", Report.Json.Int wd_losses);
+                  ("esp_wins", Report.Json.Int esp_wins);
+                  ("esp_losses", Report.Json.Int esp_losses);
+                  ("esp_unrated_cells", Report.Json.Int esp_unrated);
+                  ("swaps", Report.Json.Int swaps);
+                  ("swap_delta", Report.Json.Int (swaps - base_swaps));
+                  ("beats_makespan", Report.Json.Bool beats);
+                ])
+            (List.tl Objective.all) (List.tl per_objective)
+        in
+        Report.Json.Obj
+          [
+            ("durations", Report.Json.String dname);
+            ("cells", Report.Json.Int (Array.length base));
+            ("cells_le12", Report.Json.Int n_small);
+            ("makespan_swaps", Report.Json.Int base_swaps);
+            ("objectives", Report.Json.List rows);
+          ])
+      objective_profiles
+  in
+  Fmt.pr "@.-- bar: beat makespan's geo-mean on the claimed metric under at \
+          least one profile --@.";
+  let decision =
+    List.map
+      (fun objective ->
+        let name = Objective.name objective in
+        let profiles =
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt won name))
+        in
+        Fmt.pr "%-9s %-14s %s@." name (claimed_metric objective)
+          (match profiles with
+          | [] -> "misses the bar"
+          | ps -> "meets the bar under " ^ String.concat ", " ps);
+        Report.Json.Obj
+          [
+            ("objective", Report.Json.String name);
+            ("claims", Report.Json.String (claimed_metric objective));
+            ("meets_bar", Report.Json.Bool (profiles <> []));
+            ( "profiles_won",
+              Report.Json.List (List.map (fun p -> Report.Json.String p) profiles)
+            );
+          ])
+      (List.tl Objective.all)
+  in
   match json with
   | None -> ()
   | Some path ->
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-objectives/1");
-          ("t2_esp_wins", Report.Json.Int !t2_wins);
-          ("calibrated_cells", Report.Json.Int !t2_cells);
-          ("rows", Report.Json.List (List.rev !rows));
+          ("schema", Report.Json.String "codar-bench-objectives/2");
+          ( "devices",
+            Report.Json.List
+              (List.map
+                 (fun c -> Report.Json.String (Arch.Coupling.name c))
+                 objective_devices) );
+          ("placement", Report.Json.String "sabre-1");
+          ( "objectives",
+            Report.Json.List
+              (List.map (fun o -> Report.Json.String (Objective.name o))
+                 Objective.all) );
+          ( "bar",
+            Report.Json.String
+              "an objective stays only if, under at least one profile, its \
+               geo-mean over all cells beats makespan on the metric it \
+               claims" );
+          ("profiles", Report.Json.List profiles);
+          ("decision", Report.Json.List decision);
         ]
     in
     let oc = open_out path in

@@ -117,29 +117,37 @@ let check_restarts restarts =
     exit exit_route
 
 (* Shared by [map] and [batch]: resolve the -r string (which may carry
-   "codar:slack" inline sugar) plus --objective/--metric into the typed
+   "codar:t2" inline sugar) plus --objective/--metric into the typed
    triple, turning resolution errors into usage failures. *)
 let resolve_router_exn ~router ~objective ~metric ~durations =
   match Service.Engine.resolve_router ~router ~objective ~metric ~durations with
   | Ok triple -> triple
   | Error msg -> Fmt.failwith "%s" msg
 
+(* The routing objectives, for help texts. *)
+let objective_names = String.concat ", " Objective.names
+
 let router_arg =
   Arg.(
     value & opt string "codar"
     & info [ "router"; "r" ]
-        ~doc:"Routing algorithm: codar, sabre, astar, or portfolio (CODAR \
-              over --restarts random-restart initial layouts, deterministic \
-              best-of-K). codar takes an inline objective as \
-              $(b,codar:slack); see --objective.")
+        ~doc:
+          ("Routing algorithm: codar, sabre, astar, or portfolio (CODAR over \
+            --restarts random-restart initial layouts, deterministic \
+            best-of-K). codar takes an inline objective as \
+            $(b,codar:)$(i,OBJECTIVE), one of " ^ objective_names
+         ^ "; see --objective."))
 
 let objective_arg =
   Arg.(
     value & opt (some string) None
     & info [ "objective" ]
-        ~doc:"Routing objective for the codar/portfolio routers: makespan \
-              (default), slack, depth, or t2. The portfolio accepts a comma \
-              list and cycles it over restarts.")
+        ~doc:
+          ("Routing objective for the codar/portfolio routers, one of "
+         ^ objective_names ^ " (default "
+          ^ Objective.name Objective.makespan
+          ^ "). The portfolio accepts a comma list and cycles it over \
+             restarts."))
 
 let metric_arg =
   Arg.(
@@ -670,8 +678,9 @@ let client_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "objective" ]
-          ~doc:"Routing objective (codar/portfolio routers): makespan, \
-                slack, depth, t2 — or a comma list for the portfolio.")
+          ~doc:
+            ("Routing objective (codar/portfolio routers): "
+           ^ objective_names ^ " — or a comma list for the portfolio."))
   in
   let metric =
     Arg.(
@@ -909,10 +918,14 @@ let fuzz_cmd =
   let objectives =
     Arg.(value & flag
          & info [ "objectives" ]
-             ~doc:"Additionally route every case under one rotated \
-                   non-makespan objective (slack, depth, t2 by case index); \
-                   the result must still pass verification and statevector \
-                   equivalence.")
+             ~doc:
+               ("Additionally route every case under the "
+              ^ Objective.name Objective.t2
+              ^ " objective; the result must still pass verification and \
+                 statevector equivalence. It routes as "
+              ^ Objective.name Objective.makespan
+              ^ " unless the duration profile makes its issue threshold 1 \
+                 (ion, atom)."))
   in
   let min_gates =
     Arg.(value & opt (some int) None

@@ -91,6 +91,7 @@ type state = {
   dist : int array;  (* {!Arch.Coupling.distance_table} *)
   n_physical : int;
   config : config;
+  issue_min : int;  (* the objective's issue threshold for this route *)
   stats : Stats.t;
   stats_opt : Stats.t option;
       (* [Some stats], built once: handing [Cf_front.front] its optional
@@ -322,7 +323,7 @@ let insert_swaps st =
   phys_pairs st (cf_front st);
   Swap_scorer.begin_cycle st.scorer ~time:st.time ~pairs:st.sc.ppairs
     ~n_pairs:st.n_pairs;
-  swap_loop st st.scorer (Swap_scorer.issue_min st.scorer) false
+  swap_loop st st.scorer st.issue_min false
 
 (* Deadlock escape: every qubit is free yet nothing could be issued. Force
    the SWAP that most reduces the oldest pending two-qubit gate, with the
@@ -391,7 +392,10 @@ let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
   in
   Cf_front.load sc.cf ~window:config.window ~commutes ~gates:sc.gates
     ~issued:sc.issued ~n;
-  Swap_scorer.load sc.scorer ~objective:config.objective ~maqam ~stats
+  let issue_min =
+    Objective.issue_min config.objective (Arch.Maqam.durations maqam)
+  in
+  Swap_scorer.load sc.scorer ~issue_min ~maqam ~stats
     ~use_fine:config.use_fine ~locks:sc.locks ();
   let layout = Arch.Layout.copy initial in
   let st =
@@ -400,6 +404,7 @@ let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
       dist = Arch.Coupling.distance_table (Arch.Maqam.coupling maqam);
       n_physical;
       config;
+      issue_min;
       stats;
       stats_opt = Some stats;
       sc;

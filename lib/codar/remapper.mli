@@ -9,8 +9,10 @@
       operand's qubit lock to [t + duration]);
     + for the remaining CF two-qubit gates, collects the lock-free coupling
       edges incident to their physical endpoints as candidate SWAPs and
-      greedily issues the highest-priority one while a positive-[Hbasic]
-      candidate remains, pruning candidates whose qubits get locked;
+      greedily issues the highest-priority one while a candidate's
+      [Hbasic] exceeds the objective's issue threshold (0: a positive
+      [Hbasic], the paper's rule), pruning candidates whose qubits get
+      locked;
     + advances [t] to the next lock-expiry; if instead every qubit is free
       and nothing could be issued ("deadlock", §IV-D), force-issues the best
       SWAP even with non-positive priority, preferring one that shortens the
@@ -37,9 +39,10 @@ type config = {
       (** [false] degrades the CF front to a plain DAG front (ablation) *)
   use_fine : bool;  (** [false] disables the [Hfine] tiebreak (ablation) *)
   objective : Objective.t;
-      (** routing objective — candidate ordering + issue threshold
-          ({!Objective.makespan} reproduces the paper's Hbasic/Hfine
-          exactly) *)
+      (** routing objective: the issue threshold
+          ({!Objective.issue_min}), computed once per route from the
+          device's durations. {!Objective.makespan} is the paper's rule;
+          every objective ranks candidates by Hbasic, then Hfine. *)
 }
 
 val default_config : config

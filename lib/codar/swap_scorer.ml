@@ -28,17 +28,8 @@
    All cycle state is epoch-stamped so [begin_cycle] is O(pairs), not
    O(device). Selection replicates the seed router's fold exactly: maximal
    [Hbasic], then maximal [Hfine], then the smallest [(min,max)] edge.
-
-   PR 8: the bucket key is no longer raw [Hbasic] but the objective score
-   [scale * Hbasic + bonus] (see {!Objective}). For the makespan objective
-   [scale = 1] and [bonus = 0], so key = Hbasic and every byte of the
-   routed output is unchanged. Other objectives refine the ordering inside
-   an Hbasic class: since [0 <= bonus < scale] the decomposition is unique
-   and all members of one bucket share both Hbasic and bonus, so the
-   repair machinery above carries over verbatim — a bonus change reprices
-   an edge exactly like an Hbasic change. A bonus reads only endpoint
-   incidence and pair distances (the {!Objective.S} contract), both of
-   which the commit repair set already covers. *)
+   The route's issue threshold only decides whether a best candidate's
+   tie-break is worth computing. *)
 
 (* Distances are read from the coupling's flat table, and neighbours and
    edge ids from its flat edge index ({!Arch.Coupling.index}), which the
@@ -51,7 +42,7 @@
    when one of them grows (more pairs, a fuller bucket or active set than
    any earlier cycle), so a cycle's work is loads and stores. The arrays
    also outlive a route: [load] points the scorer at the next route's
-   device and objective and keeps every array that is large enough. The
+   device and threshold and keeps every array that is large enough. The
    epoch and the tokens only grow, so stamps of earlier routes never
    match. *)
 type t = {
@@ -62,12 +53,7 @@ type t = {
   mutable use_fine : bool;
   mutable stats : Stats.t;
   mutable locks : int array;  (* shared with the remapper, read-only here *)
-  (* ---- objective, fixed for the route ---- *)
-  mutable scale : int;
-  mutable bonus_bound : int;
-  mutable obj_bonus : Objective.ctx -> u:int -> v:int -> int;
-  mutable octx : Objective.ctx;  (* closes over [t]; set in [load] *)
-  mutable issue_min : int;  (* O.issue_min octx, computed in [load] *)
+  mutable issue_min : int;  (* the route's issue threshold *)
   (* ---- per-cycle state, all epoch-stamped ---- *)
   mutable epoch : int;
   mutable time : int;
@@ -93,8 +79,7 @@ type t = {
   mutable zs : int array;  (* seeds, then far endpoints *)
   mutable nz : int;
   (* ---- per-edge state (ids per [index]) ---- *)
-  mutable score : int array;  (* objective score: scale * sbasic + bonus *)
-  mutable sbasic : int array;  (* the Hbasic component alone *)
+  mutable sbasic : int array;  (* maintained Hbasic *)
   mutable in_set : bool array;
   mutable edge_stamp : int array;
   mutable visit : int array;  (* token-stamped dedup for extraction/iteration;
@@ -103,23 +88,12 @@ type t = {
   mutable active : int array;  (* edges activated this cycle (may repeat) *)
   mutable n_active : int;
   mutable ties : int array;  (* force_best scratch *)
-  (* bucket queue: bucket [idx] (= score + scale * m) holds
+  (* bucket queue: bucket [idx] (= Hbasic + m) holds
      [bk.(idx).(0 .. bk_len.(idx) - 1)] *)
   mutable bk : int array array;
   mutable bk_len : int array;
   mutable qmax : int;  (* highest possibly non-empty bucket *)
 }
-
-let dummy_ctx =
-  {
-    Objective.n = 0;
-    dist = [||];
-    incident = (fun _ -> []);
-    pair_fst = (fun _ -> 0);
-    pair_snd = (fun _ -> 0);
-    calibration = None;
-    swap_cycles = 1;
-  }
 
 let no_index =
   { Arch.Coupling.off = [| 0 |]; nbr = [||]; eid = [||]; eu = [||]; ev = [||] }
@@ -128,10 +102,6 @@ let no_index =
 let dummy_stats = Stats.create ()
 
 let inc_first t p = if t.inc_stamp.(p) = t.epoch then t.inc_head.(p) else -1
-
-(* The objective's view of qubit [p]'s incident pairs, newest first. *)
-let rec incident_list t node =
-  if node < 0 then [] else (node lsr 1) :: incident_list t t.inc_next.(node)
 
 let empty () =
   {
@@ -142,10 +112,6 @@ let empty () =
     use_fine = false;
     stats = dummy_stats;
     locks = [||];
-    scale = 1;
-    bonus_bound = 0;
-    obj_bonus = (fun _ ~u:_ ~v:_ -> 0);
-    octx = dummy_ctx;
     issue_min = 0;
     epoch = 0;
     time = 0;
@@ -165,7 +131,6 @@ let empty () =
     ntrans = 0;
     zs = [||];
     nz = 0;
-    score = [||];
     sbasic = [||];
     in_set = [||];
     edge_stamp = [||];
@@ -183,13 +148,7 @@ let empty () =
    capacity [cap]. *)
 let grown cap len = Int.max len (2 * cap)
 
-let load t ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks ()
-    =
-  let module O = (val objective : Objective.S) in
-  if not (0 <= O.bonus_bound && O.bonus_bound < O.scale) then
-    invalid_arg
-      (Fmt.str "Swap_scorer.create: objective %s violates 0 <= bonus_bound \
-                < scale" O.name);
+let load t ~issue_min ~maqam ~stats ~use_fine ~locks () =
   let coupling = Arch.Maqam.coupling maqam in
   let n = Arch.Coupling.n_qubits coupling in
   let index = Arch.Coupling.index coupling in
@@ -207,9 +166,8 @@ let load t ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks ()
   (* [visit] doubles as a per-qubit marker in [commit], so it must cover
      qubit ids even when the edge count is below n (trees) *)
   let edge_slots = Int.max (Array.length index.Arch.Coupling.eu) n in
-  if Array.length t.score < edge_slots then begin
-    let cap = grown (Array.length t.score) edge_slots in
-    t.score <- Array.make cap 0;
+  if Array.length t.sbasic < edge_slots then begin
+    let cap = grown (Array.length t.sbasic) edge_slots in
     t.sbasic <- Array.make cap 0;
     t.in_set <- Array.make cap false;
     t.edge_stamp <- Array.make cap (-1);
@@ -219,52 +177,31 @@ let load t ?(objective = Objective.makespan) ~maqam ~stats ~use_fine ~locks ()
   t.dist <- Arch.Coupling.distance_table coupling;
   t.index <- index;
   t.coords <- Arch.Coupling.coords coupling;
-  t.use_fine <- use_fine && O.use_fine;
+  t.use_fine <- use_fine;
   t.stats <- stats;
   t.locks <- locks;
-  t.scale <- O.scale;
-  t.bonus_bound <- O.bonus_bound;
-  t.obj_bonus <- O.bonus;
+  t.issue_min <- issue_min;
   (* nothing of an earlier route is current *)
   t.epoch <- t.epoch + 1;
   t.m <- 0;
   t.n_active <- 0;
-  t.qmax <- -1;
-  t.octx <-
-    {
-      Objective.n;
-      dist = t.dist;
-      incident = (fun p -> incident_list t (inc_first t p));
-      pair_fst = (fun k -> t.pa.(k));
-      pair_snd = (fun k -> t.pb.(k));
-      calibration = Arch.Calibration.for_durations (Arch.Maqam.durations maqam);
-      swap_cycles = Arch.Durations.swap (Arch.Maqam.durations maqam);
-    };
-  t.issue_min <- O.issue_min t.octx
+  t.qmax <- -1
 
-let create ?objective ~maqam ~stats ~use_fine ~locks () =
-  let t = empty () in
-  load t ?objective ~maqam ~stats ~use_fine ~locks ();
-  t
-
-(* Drop the route's device, objective and counters; the arrays stay. *)
+(* Drop the route's device and counters; the arrays stay. *)
 let clear t =
   t.dist <- [||];
   t.index <- no_index;
   t.coords <- None;
   t.stats <- dummy_stats;
-  t.locks <- [||];
-  t.octx <- dummy_ctx
+  t.locks <- [||]
 
 let words t =
   (8 * Array.length t.inc_head)
-  + (5 * Array.length t.score)
+  + (4 * Array.length t.sbasic)
   + (4 * Array.length t.pa)
   + Array.length t.inc_next + Array.length t.active + Array.length t.ties
   + Array.length t.bk + Array.length t.bk_len
   + Array.fold_left (fun acc b -> acc + Array.length b) 0 t.bk
-
-let issue_min t = t.issue_min
 
 let edge_u t e = t.index.Arch.Coupling.eu.(e)
 let edge_v t e = t.index.Arch.Coupling.ev.(e)
@@ -304,16 +241,6 @@ let compute_basic t u v =
   let dist = t.dist in
   gain t dist v u (gain t dist u v 0 (inc_first t u)) (inc_first t v)
 
-(* Objective score of (u,v) given its Hbasic. Bonus-free objectives
-   (makespan, t2) have [bonus_bound = 0] and skip the call entirely, so
-   their hot path is byte-for-byte the PR 6 one. *)
-(* The bonus always sees the canonical (min, max) orientation — activation
-   reaches here as (seed, neighbour) in either order, and an asymmetric
-   objective must score an edge identically on both paths. *)
-let score_of t u v basic =
-  if t.bonus_bound = 0 then basic
-  else (t.scale * basic) + t.obj_bonus t.octx ~u:(Int.min u v) ~v:(Int.max u v)
-
 (* [a] with room for index [i], its first [len] entries kept. *)
 let room a len i =
   if i < Array.length a then a
@@ -323,8 +250,8 @@ let room a len i =
     a'
   end
 
-let push t e score =
-  let idx = score + (t.scale * t.m) in
+let push t e basic =
+  let idx = basic + t.m in
   let len = t.bk_len.(idx) in
   let b = room t.bk.(idx) len len in
   b.(len) <- e;
@@ -340,9 +267,7 @@ let try_activate t u v e =
     && lock_free t u && lock_free t v
   then begin
     let basic = compute_basic t u v in
-    let score = score_of t u v basic in
     t.sbasic.(e) <- basic;
-    t.score.(e) <- score;
     t.in_set.(e) <- true;
     t.edge_stamp.(e) <- t.epoch;
     let a = room t.active t.n_active t.n_active in
@@ -350,7 +275,7 @@ let try_activate t u v e =
     t.active <- a;
     t.n_active <- t.n_active + 1;
     t.stats.Stats.swap_candidates <- t.stats.Stats.swap_candidates + 1;
-    push t e score
+    push t e basic
   end
 
 let activate_around t p =
@@ -364,11 +289,9 @@ let deactivate t e = if alive t e then t.in_set.(e) <- false
 let rescore t e =
   let u = edge_u t e and v = edge_v t e in
   let basic = compute_basic t u v in
-  let score = score_of t u v basic in
-  if score <> t.score.(e) then begin
+  if basic <> t.sbasic.(e) then begin
     t.sbasic.(e) <- basic;
-    t.score.(e) <- score;
-    push t e score
+    push t e basic
   end
 
 let ensure_pair_capacity t m =
@@ -403,8 +326,8 @@ let begin_cycle t ~time ~pairs ~n_pairs =
   let m = n_pairs in
   ensure_pair_capacity t m;
   t.m <- m;
-  (* score range: [-scale*m, scale*m + bonus_bound] *)
-  let n_buckets = (2 * t.scale * m) + t.bonus_bound + 1 in
+  (* Hbasic range: [-m, m] *)
+  let n_buckets = (2 * m) + 1 in
   if Array.length t.bk < n_buckets then begin
     let cap = Int.max n_buckets (2 * Array.length t.bk) in
     let bk = Array.make cap [||] in
@@ -466,15 +389,15 @@ let break_ties t es len =
     !be
   end
 
-(* Keep the live members of bucket [idx] that are current at its score
+(* Keep the live members of bucket [idx] that are current at its Hbasic
    and not yet seen this extraction, in order, in place. *)
 let filter_bucket t idx tok =
   let b = t.bk.(idx) and len = t.bk_len.(idx) in
-  let target = idx - (t.scale * t.m) in
+  let target = idx - t.m in
   let j = ref 0 in
   for i = 0 to len - 1 do
     let e = b.(i) in
-    if alive t e && t.score.(e) = target && t.visit.(e) <> tok then begin
+    if alive t e && t.sbasic.(e) = target && t.visit.(e) <> tok then begin
       t.visit.(e) <- tok;
       b.(!j) <- e;
       incr j
@@ -491,10 +414,9 @@ let rec descend t idx tok =
     else begin
       t.qmax <- idx;
       let es = t.bk.(idx) in
-      (* same score => same Hbasic (unique decomposition). A best below
-         the issue threshold never issues (the CODAR rule, generalised to
-         the objective's [issue_min]), so its tie-break is
-         observationally irrelevant — skip the fine evaluations the
+      (* A best at or below the issue threshold never issues (the CODAR
+         rule, generalised to the route's [issue_min]), so its tie-break
+         is observationally irrelevant — skip the fine evaluations the
          reference burned on every cycle's final, rejected iteration and
          return the smallest edge directly. *)
       if t.sbasic.(es.(0)) > t.issue_min then break_ties t es len
@@ -506,9 +428,7 @@ let best t =
   if t.qmax < 0 then -1
   else begin
     t.token <- t.token + 1;
-    let e =
-      descend t (Int.min t.qmax ((2 * t.scale * t.m) + t.bonus_bound)) t.token
-    in
+    let e = descend t (Int.min t.qmax (2 * t.m)) t.token in
     if e < 0 then t.qmax <- -1;
     e
   end
@@ -634,28 +554,27 @@ let pair_gain t a b e =
   dist.((a * n) + b) - dist.((mapped u v a * n) + mapped u v b)
 
 (* Forced-SWAP selection (deadlock escape): maximal distance gain for the
-   oldest pending pair, then the regular objective-score priority (which
-   is exactly (Hbasic, Hfine) for makespan), then the smallest edge — the
+   oldest pending pair, then (Hbasic, Hfine), then the smallest edge — the
    seed fold's order. Reuses this cycle's candidate state: force_swap is
    only reached when nothing was issued or swapped since [begin_cycle]. *)
 let force_best t =
   t.token <- t.token + 1;
   let tok = t.token in
   let bg = ref min_int and bs = ref min_int and nt = ref 0 in
-  (* maximal (gain, score) first, over the active set newest first (the
+  (* maximal (gain, Hbasic) first, over the active set newest first (the
      ties' order is the fold's); Hfine only among the survivors *)
   for i = t.n_active - 1 downto 0 do
     let e = t.active.(i) in
     if alive t e && t.visit.(e) <> tok then begin
       t.visit.(e) <- tok;
       let g = if t.m = 0 then 0 else pair_gain t t.pa.(0) t.pb.(0) e in
-      let score = t.score.(e) in
-      if !nt = 0 || g > !bg || (g = !bg && score > !bs) then begin
+      let basic = t.sbasic.(e) in
+      if !nt = 0 || g > !bg || (g = !bg && basic > !bs) then begin
         bg := g;
-        bs := score;
+        bs := basic;
         nt := 0
       end;
-      if g = !bg && score = !bs then begin
+      if g = !bg && basic = !bs then begin
         t.ties <- room t.ties !nt !nt;
         t.ties.(!nt) <- e;
         incr nt
@@ -672,7 +591,7 @@ let candidates t =
     let e = t.active.(i) in
     if alive t e && t.visit.(e) <> tok then begin
       t.visit.(e) <- tok;
-      out := ((edge_u t e, edge_v t e), t.score.(e)) :: !out
+      out := ((edge_u t e, edge_v t e), t.sbasic.(e)) :: !out
     end
   done;
   (* [compare], typed at int *)

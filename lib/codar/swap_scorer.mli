@@ -31,60 +31,39 @@
 
     Counter contract (see {!Stats}): each incremental (re)scoring bumps
     [swap_rescores]; each candidate activation bumps [swap_candidates];
-    each fine evaluation bumps [heuristic_evals].
-
-    PR 8: candidates are keyed by the routing {!Objective}'s integer score
-    [scale * Hbasic + bonus] instead of raw [Hbasic]; for the default
-    makespan objective the two coincide and routing is byte-identical. *)
+    each fine evaluation bumps [heuristic_evals]. *)
 
 type t
-
-val create :
-  ?objective:Objective.t ->
-  maqam:Arch.Maqam.t ->
-  stats:Stats.t ->
-  use_fine:bool ->
-  locks:int array ->
-  unit ->
-  t
-(** [locks] is the remapper's per-physical-qubit lock array, shared by
-    reference and read at candidate-activation time. The scorer holds onto
-    the coupling's live distance table and edge index; its per-qubit and
-    per-edge arrays are allocated here and epoch-stamped afterwards.
-
-    [objective] (default {!Objective.makespan}) fixes the candidate
-    ordering and issue threshold for the scorer's lifetime; its
-    [issue_min] is evaluated once here against the device's calibration
-    (via {!Arch.Calibration.for_durations}). The effective fine tie-break
-    is [use_fine && objective's use_fine]. Raises [Invalid_argument] if
-    the objective violates [0 <= bonus_bound < scale]. *)
 
 val empty : unit -> t
 (** A scorer with no device and no arrays yet: {!load} it. *)
 
 val load :
   t ->
-  ?objective:Objective.t ->
+  issue_min:int ->
   maqam:Arch.Maqam.t ->
   stats:Stats.t ->
   use_fine:bool ->
   locks:int array ->
   unit ->
   unit
-(** Point the scorer at a new route, as {!create} would build it: every
-    array large enough for the device stays, and no candidate or cycle
-    state of an earlier route survives. *)
+(** Point the scorer at a new route: every array large enough for the
+    device stays, and no candidate or cycle state of an earlier route
+    survives. The scorer holds onto the coupling's distance table and
+    edge index. [locks] is the remapper's per-physical-qubit lock array,
+    shared by reference and read at candidate-activation time.
+
+    [issue_min] is the route's issue threshold (the routing objective's,
+    0 for the paper's rule): a best candidate whose [Hbasic] does not
+    exceed it will not be issued, so {!best} skips its [Hfine]
+    tie-break. [use_fine = false] disables [Hfine] altogether (the
+    ablation flag). *)
 
 val clear : t -> unit
-(** Drop the route's device, objective and counters; the arrays stay. *)
+(** Drop the route's device and counters; the arrays stay. *)
 
 val words : t -> int
 (** Words held by the scorer's arrays. *)
-
-val issue_min : t -> int
-(** The objective's issue threshold: the caller issues a SWAP only while
-    {!best} returns an [Hbasic] strictly above this (0 for makespan — the
-    classic CODAR rule). *)
 
 val begin_cycle : t -> time:int -> pairs:int array -> n_pairs:int -> unit
 (** Start a decision cycle at simulated time [time] with the CF two-qubit
@@ -96,11 +75,11 @@ val begin_cycle : t -> time:int -> pairs:int array -> n_pairs:int -> unit
     previous cycle is invalidated by epoch, not cleared. *)
 
 val best : t -> int
-(** The edge id of the highest-objective-score candidate, or [-1] when no
-    candidate is active; {!basic} gives its [Hbasic]. The caller issues
-    the SWAP only when that [Hbasic] exceeds {!issue_min} (the CODAR rule,
-    generalised); either way the candidate stays active until a {!commit}
-    deactivates it. *)
+(** The edge id of the best candidate, or [-1] when no candidate is
+    active; {!basic} gives its [Hbasic]. The caller issues the SWAP only
+    when that [Hbasic] exceeds the route's [issue_min] (the CODAR rule,
+    generalised); either way the candidate stays active until a
+    {!commit} deactivates it. *)
 
 val basic : t -> int -> int
 (** [basic t e]: the maintained [Hbasic] of the active candidate [e]. *)
@@ -126,6 +105,6 @@ val force_best : t -> int
     candidate is active. *)
 
 val candidates : t -> ((int * int) * int) list
-(** The active candidate edges with their maintained objective scores
-    ([= Hbasic] under makespan), sorted by edge — for tests asserting
-    incremental/from-scratch agreement; not on the router hot path. *)
+(** The active candidate edges with their maintained [Hbasic], sorted by
+    edge — for tests asserting incremental/from-scratch agreement; not on
+    the router hot path. *)

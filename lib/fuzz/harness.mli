@@ -26,10 +26,10 @@ type config = {
           violated persistence invariant fails the case under the oracle
           name ["fault-persistence"] *)
   objectives : bool;
-      (** when set, every case additionally routes under one rotated
-          non-makespan objective (slack, depth, t2 by case index) via
-          {!Oracle.check_objective} — verify + statevector equivalence
-          must still hold *)
+      (** when set, every case additionally routes under the [t2]
+          objective via {!Oracle.check_objective} — verify + statevector
+          equivalence must still hold. [t2] routes as makespan unless the
+          profile makes its threshold 1 (ion, atom) *)
   min_gates : int option;
       (** floor on each sampled case's body-gate count (width is
           unchanged) — the large-scale-tier knob: pairing a 100–400-qubit

@@ -39,7 +39,7 @@ let router_name = function
   | `Astar -> "astar"
   | `Portfolio -> "portfolio"
 
-(* "codar:slack" sugar: split a router name into the base name and an
+(* "codar:t2" sugar: split a router name into the base name and an
    inline objective suffix. *)
 let split_router s =
   match String.index_opt s ':' with

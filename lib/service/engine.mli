@@ -38,7 +38,7 @@ val resolve_router :
     * Codar.Portfolio.metric,
     string )
   result
-(** Resolve a router string (accepting ["codar:slack"]-style inline
+(** Resolve a router string (accepting ["codar:t2"]-style inline
     objective sugar) together with the optional [objective]/[metric]
     request fields. Rejects conflicting inline + explicit objectives,
     objectives on sabre/astar, comma lists outside the portfolio, metrics

@@ -18,7 +18,7 @@ type route_req = {
   objective : string option;
       (** routing objective ({!Objective.of_name}): one name for codar,
           optionally a comma list for the portfolio; [None] = the
-          router's default (makespan). [router = "codar:slack"] sugar is
+          router's default (makespan). [router = "codar:t2"] sugar is
           also accepted and resolved by {!Engine.spec_of_route_req}. *)
   metric : string option;
       (** portfolio selection metric: makespan, esp or depth;

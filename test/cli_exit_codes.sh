@@ -3,7 +3,7 @@
 # driving codar_cli must be able to tell failure classes apart without
 # scraping stderr.
 #
-#   2  usage errors (unknown benchmark, exclusive flags)
+#   2  usage errors (unknown benchmark or objective, exclusive flags)
 #   3  QASM parse/lex errors
 #   4  routing/placement failures (circuit does not fit the device, a
 #      router or placement pass gives up, restarts out of bounds)
@@ -45,6 +45,9 @@ printf 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbananas;\n' \
 # 2: usage errors (the --input file must exist — cmdliner checks first)
 expect 2 "unknown benchmark" "$CLI" map -b no_such_bench
 expect 2 "exclusive --input/--bench" "$CLI" map -b qft_4 -i "$DIR/bad.qasm"
+# the objectives measured and deleted (docs/ALGORITHM.md) are unknown names
+expect 2 "deleted objective inline" "$CLI" map -b qft_4 -r codar:slack
+expect 2 "deleted objective in batch" "$CLI" batch -b qft_4 --objective depth
 # 124 (cmdliner's own code for a bad option value): a device past
 # Coupling.max_qubits, refused before it is built
 expect 124 "device past the size bound" "$CLI" map -b qft_4 -a linear-1000000

@@ -9,7 +9,7 @@
 # `module Json = Report.Json`). An unqualified `Gate.x` counts only
 # inside Gate's own library, so `Sabre.Router` and `Astar.Router`, or
 # `Codar.Stats` and `Schedule.Stats`, are told apart. Comments are
-# skipped; members of module types (`Objective.S`) are not exports. A
+# skipped; members of a `module type ... = sig` are not exports. A
 # name used only under a local open (`M.( ... )`, `let open M in`) is
 # not seen: qualify one of its uses.
 #

@@ -329,6 +329,51 @@ let test_gantt_renders () =
   Alcotest.(check int) "one row per qubit + axis" 5
     (List.length (String.split_on_char '\n' rendered))
 
+(* ---------------------------------------------------------------- scratch *)
+
+(* Systhreads of one domain share its set: while one thread holds it
+   inside [use], a [use] from another thread of the domain must get a
+   set of its own, and the held set is the domain's again once
+   released. The holder blocks on a condition, so the second [use]
+   surely runs while the set is busy. *)
+let test_scratch_busy_set () =
+  let scratch =
+    Schedule.Scratch.make
+      ~create:(fun () -> ref 0)
+      ~words:(fun _ -> 0)
+      ~clear:(fun _ -> ())
+  in
+  let m = Mutex.create () and c = Condition.create () in
+  let held = ref None and release = ref false in
+  let holder =
+    Thread.create
+      (fun () ->
+        Schedule.Scratch.use scratch (fun s ->
+            Mutex.lock m;
+            held := Some s;
+            Condition.broadcast c;
+            while not !release do
+              Condition.wait c m
+            done;
+            Mutex.unlock m))
+      ()
+  in
+  Mutex.lock m;
+  while Option.is_none !held do
+    Condition.wait c m
+  done;
+  Mutex.unlock m;
+  let second = Schedule.Scratch.use scratch Fun.id in
+  Mutex.lock m;
+  release := true;
+  Condition.broadcast c;
+  Mutex.unlock m;
+  Thread.join holder;
+  let first = Option.get !held in
+  Alcotest.(check bool) "a busy set is not lent twice" true (first != second);
+  Alcotest.(check bool) "the released set is lent again" true
+    (Schedule.Scratch.use scratch Fun.id == first)
+
 let () =
   Alcotest.run "schedule"
     [
@@ -364,5 +409,10 @@ let () =
           Alcotest.test_case "metrics" `Quick test_stats;
           Alcotest.test_case "csv" `Quick test_stats_csv;
           Alcotest.test_case "gantt" `Quick test_gantt_renders;
+        ] );
+      ( "scratch",
+        [
+          Alcotest.test_case "a busy set is not lent twice" `Quick
+            test_scratch_busy_set;
         ] );
     ]

@@ -344,6 +344,18 @@ let test_hostile_frame_battery () =
     (reply_ok (request sock {|{"op":"ping"}|}));
   ignore (shutdown_and_join sock server)
 
+(* Objectives measured and deleted (docs/ALGORITHM.md) are unknown names:
+   alone, inline and in a portfolio list. *)
+let deleted_objectives =
+  [
+    ("deleted objective", {|{"op":"route","bench":"qft_4","objective":"slack"}|});
+    ( "deleted objective inline",
+      {|{"op":"route","bench":"qft_4","router":"codar:depth"}|} );
+    ( "deleted objective in a portfolio list",
+      {|{"op":"route","bench":"qft_4","router":"portfolio","objective":"makespan,slack"}|}
+    );
+  ]
+
 (* Route requests of a few dozen bytes that once escaped request handling
    as exceptions, which on the loop's thread stopped the daemon. Each must
    get a typed bad_request, on a connection that then still serves. *)
@@ -412,6 +424,7 @@ let hostile_requests =
           {|{"op":"route","bench":"qft_4","router":"portfolio","restarts":%d}|}
           (Codar.Portfolio.max_restarts + 1) );
     ]
+  @ deleted_objectives
 
 let test_hostile_requests () =
   let sock = temp_sock "requests" in
@@ -428,16 +441,24 @@ let test_hostile_requests () =
   let reply =
     request sock {|{"op":"route","bench":"ghz_3","arch":"full-129"}|}
   in
-  let needle = Printf.sprintf "%d qubits" Arch.Coupling.max_qubits in
-  let rec names_bound msg i =
+  let rec contains needle msg i =
     i + String.length needle <= String.length msg
     && (String.sub msg i (String.length needle) = needle
-       || names_bound msg (i + 1))
+       || contains needle msg (i + 1))
   in
-  (match Json.member "error" (parse_reply reply) with
-  | Some (Json.String msg) ->
-    Alcotest.(check bool) ("bound named: " ^ msg) true (names_bound msg 0)
-  | _ -> Alcotest.failf "refusal without an error message: %S" reply);
+  let names what needle reply =
+    match Json.member "error" (parse_reply reply) with
+    | Some (Json.String msg) ->
+      Alcotest.(check bool) (what ^ " named: " ^ msg) true
+        (contains needle msg 0)
+    | _ -> Alcotest.failf "refusal without an error message: %S" reply
+  in
+  names "bound" (Printf.sprintf "%d qubits" Arch.Coupling.max_qubits) reply;
+  (* ... and a deleted objective's refusal lists the objectives left *)
+  List.iter
+    (fun (_, frame) ->
+      names "objectives" "makespan, t2" (request sock frame))
+    deleted_objectives;
   Alcotest.(check bool) "daemon survives" true
     (reply_ok (request sock {|{"op":"ping"}|}));
   ignore (shutdown_and_join sock server)

@@ -357,7 +357,7 @@ let test_reliability_tokyo_vector () =
   in
   let calibration = Arch.Calibration.superconducting in
   (* preset values pinned here on purpose: changing them must wake this
-     test up, because BENCH_PR8.json and the t2 issue policy depend on them *)
+     test up, because BENCH_PR28.json and the t2 issue policy depend on them *)
   Alcotest.(check (float 0.)) "preset f1" 0.997
     (Arch.Calibration.one_qubit_fidelity calibration);
   Alcotest.(check (float 0.)) "preset f2" 0.965
