@@ -50,11 +50,16 @@ let arithmetic_mean = function
   | [] -> nan
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let route_pair maqam circuit =
+(* CODAR's and SABRE's schedules from SABRE's placement, flat. *)
+let timeline_pair maqam circuit =
   let initial = Sabre.Initial_mapping.reverse_traversal ~maqam circuit in
-  let codar = Codar.Remapper.run ~maqam ~initial circuit in
-  let sabre = Sabre.Router.run ~maqam ~initial circuit in
-  (codar, sabre)
+  ( Codar.Remapper.route ~maqam ~initial circuit Schedule.Timeline.copy,
+    Sabre.Router.timeline ~maqam ~initial circuit )
+
+(* The same pair in list form, for the simulator. *)
+let route_pair maqam circuit =
+  let codar, sabre = timeline_pair maqam circuit in
+  (Schedule.Timeline.to_routed codar, Schedule.Timeline.to_routed sabre)
 
 let paper_fig8 =
   [
@@ -101,12 +106,12 @@ let fig8 ?(fast = false) ~pool () =
       let rows =
         Pool.map pool
           (fun _ ((e : Workloads.Suite.entry), c) ->
-            let codar, sabre = route_pair maqam c in
+            let codar, sabre = timeline_pair maqam c in
             ( e.name,
               e.n_qubits,
               Qc.Circuit.length c,
-              codar.Schedule.Routed.makespan,
-              sabre.Schedule.Routed.makespan ))
+              codar.Schedule.Timeline.makespan,
+              sabre.Schedule.Timeline.makespan ))
           tasks
       in
       let speedups =
@@ -317,10 +322,10 @@ let swaps () =
         List.fold_left
           (fun (cs, ss, cp, sp, k) (e : Workloads.Suite.entry) ->
             let c = Lazy.force e.circuit in
-            let codar, sabre = route_pair maqam c in
-            let stat r = Schedule.Stats.of_routed ~n_physical ~original:c r in
-            ( cs + Schedule.Routed.swap_count codar,
-              ss + Schedule.Routed.swap_count sabre,
+            let codar, sabre = timeline_pair maqam c in
+            let stat r = Schedule.Stats.of_timeline ~n_physical ~original:c r in
+            ( cs + Schedule.Timeline.swap_count codar,
+              ss + Schedule.Timeline.swap_count sabre,
               cp +. (stat codar).Schedule.Stats.parallelism,
               sp +. (stat sabre).Schedule.Stats.parallelism,
               k + 1 ))
@@ -386,9 +391,9 @@ let esp () =
       if e.n_qubits <= 12 && e.name <> "rand_16_30k" then begin
         let c = Lazy.force e.circuit in
         if Qc.Circuit.length c <= 200 then begin
-          let codar, sabre = route_pair maqam c in
+          let codar, sabre = timeline_pair maqam c in
           let esp r =
-            Sim.Reliability.estimated_success ~calibration ~n_physical:20 r
+            (Sim.Reliability.estimate ~calibration ~n_physical:20 r).esp
           in
           let ec = esp codar and es = esp sabre in
           incr count;
@@ -417,7 +422,7 @@ type objective_cell = {
   changed : bool;  (* routed events differ from makespan's *)
   wdepth : int;  (* weighted depth: the routed makespan *)
   swaps : int;
-  esp : float;
+  ln_esp : float;  (* ln ESP, which a long schedule does not underflow *)
 }
 
 let objective_devices =
@@ -432,13 +437,13 @@ let objective_profiles =
 let claimed_metric o =
   if Objective.name o = "t2" then "esp" else "weighted_depth"
 
-let same_events a b =
-  List.equal
-    (fun (x : Schedule.Routed.event) (y : Schedule.Routed.event) ->
-      Qc.Gate.equal x.gate y.gate
-      && x.start = y.start && x.duration = y.duration
-      && x.inserted = y.inserted)
-    a b
+let same_events (a : Schedule.Timeline.t) (b : Schedule.Timeline.t) =
+  let rec from k =
+    k >= a.length
+    || (Schedule.Timeline.event a k = Schedule.Timeline.event b k
+       && from (k + 1))
+  in
+  a.length = b.length && from 0
 
 (* The routed cells of one profile, per objective of [Objective.all]
    (makespan, the baseline, first), in device then suite order. *)
@@ -465,13 +470,11 @@ let objective_cells durations =
             List.map
               (fun objective ->
                 let routed =
-                  Codar.Remapper.run
+                  Codar.Remapper.route
                     ~config:{ Codar.Remapper.default_config with objective }
-                    ~maqam ~initial circuit
+                    ~maqam ~initial circuit Schedule.Timeline.copy
                 in
-                (match
-                   Schedule.Verify.check_all ~maqam ~original:circuit routed
-                 with
+                (match Schedule.Verify.check ~maqam ~original:circuit routed with
                 | Ok () -> ()
                 | Error err ->
                   Fmt.failwith "objectives: %s/%s/%s verify failed: %a" e.name
@@ -480,18 +483,18 @@ let objective_cells durations =
                 routed)
               Objective.all
           in
-          let baseline = (List.hd routes).Schedule.Routed.events in
+          let baseline = List.hd routes in
           List.iter2
-            (fun (routed : Schedule.Routed.t) acc ->
+            (fun (routed : Schedule.Timeline.t) acc ->
               acc :=
                 {
                   qubits = e.n_qubits;
-                  changed = not (same_events routed.events baseline);
+                  changed = not (same_events routed baseline);
                   wdepth = routed.makespan;
-                  swaps = Schedule.Routed.swap_count routed;
-                  esp =
-                    Sim.Reliability.estimated_success ~calibration ~n_physical
-                      routed;
+                  swaps = Schedule.Timeline.swap_count routed;
+                  ln_esp =
+                    (Sim.Reliability.estimate ~calibration ~n_physical routed)
+                      .ln_esp;
                 }
                 :: !acc)
             routes cells)
@@ -522,10 +525,9 @@ let objectives_table ?json () =
     "@.== Routing objectives against makespan (CODAR, every benchmark that \
      fits each paper device, SABRE placement) ==@.";
   let wd o b = float_of_int o.wdepth /. float_of_int b.wdepth in
-  let esp o b = o.esp /. b.esp in
+  (* every cell has an ESP ratio: exp of the ln ESP difference *)
+  let esp o b = exp (o.ln_esp -. b.ln_esp) in
   let all _ _ = true and small o _ = o.qubits <= 12 in
-  (* an ESP that underflowed to 0 has no ratio *)
-  let esp_ok o b = o.esp > 0. && b.esp > 0. in
   let won = Hashtbl.create 4 in
   let profiles =
     List.map
@@ -548,18 +550,16 @@ let objectives_table ?json () =
               let changed = count (fun o _ -> o.changed) base cells in
               let wd_gm = ratio_gm ~keep:all wd base cells in
               let wd_small = ratio_gm ~keep:small wd base cells in
-              let esp_gm = ratio_gm ~keep:esp_ok esp base cells in
-              let esp_small =
-                ratio_gm ~keep:(fun o b -> small o b && esp_ok o b) esp base
-                  cells
-              in
+              let esp_gm = ratio_gm ~keep:all esp base cells in
+              let esp_small = ratio_gm ~keep:small esp base cells in
               let wd_wins = count (fun o b -> o.wdepth < b.wdepth) base cells in
               let wd_losses =
                 count (fun o b -> o.wdepth > b.wdepth) base cells
               in
-              let esp_wins = count (fun o b -> o.esp > b.esp) base cells in
-              let esp_losses = count (fun o b -> o.esp < b.esp) base cells in
-              let esp_unrated = count (fun o b -> not (esp_ok o b)) base cells in
+              let esp_wins = count (fun o b -> o.ln_esp > b.ln_esp) base cells in
+              let esp_losses =
+                count (fun o b -> o.ln_esp < b.ln_esp) base cells
+              in
               let swaps = Array.fold_left (fun a c -> a + c.swaps) 0 cells in
               let beats =
                 if claims = "esp" then esp_gm > 1. else wd_gm < 1.
@@ -584,7 +584,6 @@ let objectives_table ?json () =
                   ("weighted_depth_losses", Report.Json.Int wd_losses);
                   ("esp_wins", Report.Json.Int esp_wins);
                   ("esp_losses", Report.Json.Int esp_losses);
-                  ("esp_unrated_cells", Report.Json.Int esp_unrated);
                   ("swaps", Report.Json.Int swaps);
                   ("swap_delta", Report.Json.Int (swaps - base_swaps));
                   ("beats_makespan", Report.Json.Bool beats);
@@ -631,7 +630,7 @@ let objectives_table ?json () =
     let doc =
       Report.Json.Obj
         [
-          ("schema", Report.Json.String "codar-bench-objectives/2");
+          ("schema", Report.Json.String "codar-bench-objectives/3");
           ( "devices",
             Report.Json.List
               (List.map
@@ -711,8 +710,10 @@ let smoke () =
   in
   let initial = Sabre.Initial_mapping.reverse_traversal ~maqam circuit in
   let stats = Codar.Stats.create () in
-  let routed = Codar.Remapper.run ~stats ~maqam ~initial circuit in
-  (match Schedule.Verify.check_all ~maqam ~original:circuit routed with
+  let routed =
+    Codar.Remapper.route ~stats ~maqam ~initial circuit Schedule.Timeline.copy
+  in
+  (match Schedule.Verify.check ~maqam ~original:circuit routed with
   | Ok () -> ()
   | Error e -> Fmt.failwith "smoke: verify failed: %a" Schedule.Verify.pp_error e);
   if stats.Codar.Stats.gates_issued <> Qc.Circuit.length circuit then
@@ -723,8 +724,8 @@ let smoke () =
   if stats.Codar.Stats.cf_cache_hits = 0 then
     Fmt.failwith "smoke: CF cache never hit — incremental front broken?";
   Fmt.pr "smoke: routed qft_6 on tokyo (makespan %d, %d swaps)@."
-    routed.Schedule.Routed.makespan
-    (Schedule.Routed.swap_count routed);
+    routed.Schedule.Timeline.makespan
+    (Schedule.Timeline.swap_count routed);
   Fmt.pr "smoke: %a@." Codar.Stats.pp stats;
   (* incremental-scoring regression fence: the seed router performed 2140
      full heuristic evaluations routing qft_16 on Tokyo (BENCH_PR3.json).
@@ -738,8 +739,11 @@ let smoke () =
   in
   let initial16 = Sabre.Initial_mapping.reverse_traversal ~maqam circuit16 in
   let stats16 = Codar.Stats.create () in
-  let routed16 = Codar.Remapper.run ~stats:stats16 ~maqam ~initial:initial16 circuit16 in
-  (match Schedule.Verify.check_all ~maqam ~original:circuit16 routed16 with
+  let routed16 =
+    Codar.Remapper.route ~stats:stats16 ~maqam ~initial:initial16 circuit16
+      Schedule.Timeline.copy
+  in
+  (match Schedule.Verify.check ~maqam ~original:circuit16 routed16 with
   | Ok () -> ()
   | Error e ->
     Fmt.failwith "smoke: qft_16 verify failed: %a" Schedule.Verify.pp_error e);
@@ -764,12 +768,19 @@ let smoke () =
     Workloads.Builders.random_circuit ~n:12 ~gates:400
       ~two_qubit_fraction:0.45 ~seed:17
   in
+  (* placement and route, the schedule read where CODAR lends it, as the
+     daemon's record reads it: here, its makespan *)
   let cold_route c () =
     let initial = Sabre.Initial_mapping.reverse_traversal ~maqam c in
-    Codar.Remapper.run ~maqam ~initial c
+    Codar.Remapper.route ~maqam ~initial c (fun t -> t.Schedule.Timeline.makespan)
   in
-  let verified name c routed =
-    match Schedule.Verify.check_all ~maqam ~original:c routed with
+  (* the same route again, kept and verified *)
+  let verified name c makespan =
+    let initial = Sabre.Initial_mapping.reverse_traversal ~maqam c in
+    let t = Codar.Remapper.route ~maqam ~initial c Schedule.Timeline.copy in
+    if t.makespan <> makespan then
+      Fmt.failwith "smoke: %s does not repeat its makespan %d" name makespan;
+    match Schedule.Verify.check ~maqam ~original:c t with
     | Ok () -> ()
     | Error e ->
       Fmt.failwith "smoke: %s verify failed: %a" name Schedule.Verify.pp_error
@@ -784,24 +795,24 @@ let smoke () =
      domain. The first grows the routers' per-domain working arrays from
      nothing, and those over 256 words go straight into the major heap;
      most of its minor words are exact checks that fill parameter-free
-     verdicts this process has not met yet, and the schedule. The second,
-     another circuit of the same shape, runs on the arrays the first
-     grew: the schedule is most of what it allocates, and nothing goes
-     straight into the major heap. With CODAR's arrays per route they
-     took 33,712 + 13,841 and 15,311 + 9,652 words (minor +
-     direct-major); 190k minor words before the flat CF tracker and SWAP
-     cycle, 468k before the allocation-free scoring and commutation
-     paths. *)
+     verdicts this process has not met yet. The second, another circuit
+     of the same shape, runs on the arrays the first grew, the schedule
+     among them, and nothing goes straight into the major heap. With the
+     schedule as a list of event records they took 26,890 + 15,379 and
+     6,722 + 0 words (minor + direct-major); with CODAR's arrays per
+     route 33,712 + 13,841 and 15,311 + 9,652; 190k minor words before
+     the flat CF tracker and SWAP cycle, 468k before the
+     allocation-free scoring and commutation paths. *)
   let routed_cold, routed_cold2 =
     Domain.join
       (Domain.spawn (fun () ->
            let r1 =
              fence "cold 12q x 400 route on tokyo, fresh domain"
-               ~minor:40_449. ~major:23_069. (cold_route cold)
+               ~minor:30_548. ~major:23_069. (cold_route cold)
            in
            let r2 =
              fence ~repeat:true "second cold 12q x 400 route in that domain"
-               ~minor:10_124. ~major:0. (cold_route cold2)
+               ~minor:831. ~major:0. (cold_route cold2)
            in
            (r1, r2)))
   in
@@ -810,10 +821,11 @@ let smoke () =
   (* ingest: the same circuit as a daemon request frame, through the
      three calls every request crosses before the router — frame
      decoding, request resolution (QASM parsing included) and
-     fingerprinting (130,294 minor words when the frame decoder boxed a
-     char per peek, the QASM lexer consed a token list and the
-     fingerprint went through Printf). The direct-major words are the
-     decoded QASM text. *)
+     fingerprinting (7,401 minor words when the QASM parser reversed its
+     gate list and built a tree per parameter, 130,294 when the frame
+     decoder boxed a char per peek, the QASM lexer consed a token list
+     and the fingerprint went through Printf). The direct-major words
+     are the decoded QASM text. *)
   let frame =
     Report.Json.to_string ~indent:0
       (Report.Json.Obj
@@ -824,7 +836,7 @@ let smoke () =
          ])
   in
   let fp =
-    fence ~repeat:true "cold 12q x 400 frame ingest" ~minor:11_093.
+    fence ~repeat:true "cold 12q x 400 frame ingest" ~minor:5_942.
       ~major:2_244. (fun () ->
         match Service.Protocol.parse_frame frame with
         | Ok (_, Service.Protocol.Route rr) -> (
@@ -834,19 +846,30 @@ let smoke () =
         | Ok _ | Error _ -> Fmt.failwith "smoke: cold frame does not decode")
   in
   ignore (fp : string);
+  (* parse: the cold circuit's text alone through the QASM reader, one
+     list cell and the gate per gate (6,518 words when the gate list was
+     reversed at the end and every parameter went through an expression
+     tree and a list) *)
+  let text = Qasm.Printer.to_string cold in
+  let (_ : Qc.Circuit.t) =
+    fence ~repeat:true "cold 12q x 400 parse" ~minor:4_617. ~major:0.
+      (fun () -> Qasm.Parser.parse text)
+  in
   (* CODAR alone: qft_16 on Tokyo from the identity layout, routing only,
-     on this domain's warm working arrays (21,938 + 13,732 words with
-     CODAR's arrays per route; 228,682 minor words with the list- and
-     option-based CF tracker and SWAP cycle) *)
+     on this domain's warm working arrays, the schedule read where it is
+     lent (9,011 words when the route built an event list; 21,938 +
+     13,732 with CODAR's arrays per route; 228,682 minor words with the
+     list- and option-based CF tracker and SWAP cycle) *)
   let identity16 =
     Arch.Layout.identity
       ~n_logical:(Qc.Circuit.n_qubits circuit16)
       ~n_physical:(Arch.Maqam.n_qubits maqam)
   in
-  let (_ : Schedule.Routed.t) =
+  let (_ : int) =
     fence ~repeat:true "CODAR alone on qft_16/tokyo from identity"
-      ~minor:13_557. ~major:0. (fun () ->
-        Codar.Remapper.run ~maqam ~initial:identity16 circuit16)
+      ~minor:459. ~major:0. (fun () ->
+        Codar.Remapper.route ~maqam ~initial:identity16 circuit16 (fun t ->
+            t.Schedule.Timeline.makespan))
   in
   (* parallel path: the pool and the portfolio must agree with their
      sequential selves on every runtest *)
@@ -882,7 +905,7 @@ let smoke () =
           (makespan %d)@."
     p1.Codar.Portfolio.winner
     (Array.length p1.Codar.Portfolio.scores)
-    p1.Codar.Portfolio.routed.Schedule.Routed.makespan
+    p1.Codar.Portfolio.routed.Schedule.Timeline.makespan
 
 (* --------------------------------------------------------------- Loadgen *)
 

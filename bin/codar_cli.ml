@@ -90,10 +90,12 @@ let load_circuit ~arch input bench =
 let router_name = Service.Engine.router_name
 
 (* One timed routing job: the shared driver in [Service.Engine] produces
-   the record used by [map --json], every [batch] line, and the daemon. *)
+   the record used by [map --json], every [batch] line, and the daemon;
+   [k] reads the record and the schedule, lent as Engine.route_with lends
+   it. *)
 let route_record ?(restarts = 8) ?(seed = 0) ~collect_stats ~source ~placement
-    ~objectives ~metric router maqam circuit =
-  Service.Engine.route
+    ~objectives ~metric router maqam circuit k =
+  Service.Engine.route_with
     {
       Service.Engine.source_name = source;
       circuit;
@@ -106,6 +108,7 @@ let route_record ?(restarts = 8) ?(seed = 0) ~collect_stats ~source ~placement
       seed;
       collect_stats;
     }
+    k
 
 (* Shared by [map] and [batch]: the daemon's restarts bound, for every
    router, as a routing failure. *)
@@ -237,7 +240,8 @@ let map_cmd =
     let maqam = Arch.Maqam.make ~coupling:arch ~durations in
     let record, result =
       route_record ~restarts ~seed ~collect_stats:stats ~source ~placement
-        ~objectives ~metric router maqam circuit
+        ~objectives ~metric router maqam circuit (fun record t ->
+          (record, Schedule.Timeline.copy t))
     in
     let router_stats = record.Report.Record.stats in
     Fmt.pr "device:        %s (%d qubits)@." (Arch.Coupling.name arch)
@@ -247,9 +251,8 @@ let map_cmd =
       (Qc.Circuit.length circuit) (Qc.Circuit.n_qubits circuit)
       (Qc.Metrics.weighted_depth ~weight:(Arch.Durations.of_gate durations) circuit);
     Fmt.pr "routed:        %d events, %d swaps, makespan %d@."
-      (Schedule.Routed.gate_count result)
-      (Schedule.Routed.swap_count result)
-      result.Schedule.Routed.makespan;
+      record.Report.Record.events record.Report.Record.swaps
+      result.Schedule.Timeline.makespan;
     (match router with
     | `Codar | `Portfolio ->
       Fmt.pr "objective:     %s@." record.Report.Record.objective
@@ -276,30 +279,33 @@ let map_cmd =
       Fmt.pr "%s makespan: %d (ratio %.3f)@." (router_name other)
         o.Schedule.Routed.makespan
         (float_of_int o.Schedule.Routed.makespan
-        /. float_of_int result.Schedule.Routed.makespan)
+        /. float_of_int result.Schedule.Timeline.makespan)
     end;
     if verify then begin
-      match Schedule.Verify.check_all ~maqam ~original:circuit result with
+      match Schedule.Verify.check ~maqam ~original:circuit result with
       | Ok () -> Fmt.pr "verify:        OK@."
       | Error e ->
         Fmt.pr "verify:        FAILED: %a@." Schedule.Verify.pp_error e;
         exit exit_route
     end;
-    if timeline then Fmt.pr "%a@." Schedule.Routed.pp result;
+    let listed = lazy (Schedule.Timeline.to_routed result) in
+    if timeline then Fmt.pr "%a@." Schedule.Routed.pp (Lazy.force listed);
     let n_physical = Arch.Coupling.n_qubits arch in
     if stats then
       Fmt.pr "stats:         %a@." Schedule.Stats.pp
-        (Schedule.Stats.of_routed ~n_physical ~original:circuit result);
+        (Schedule.Stats.of_timeline ~n_physical ~original:circuit result);
     (match router_stats with
     | Some s -> Fmt.pr "router stats:  %a@." Codar.Stats.pp s
     | None -> ());
     if gantt then
-      Fmt.pr "%a@." (Schedule.Stats.pp_gantt ?width:None ~n_physical) result;
+      Fmt.pr "%a@."
+        (Schedule.Stats.pp_gantt ?width:None ~n_physical)
+        (Lazy.force listed);
     (match csv with
     | None -> ()
     | Some path ->
       let oc = open_out path in
-      output_string oc (Schedule.Stats.to_csv result);
+      output_string oc (Schedule.Stats.to_csv (Lazy.force listed));
       close_out oc;
       Fmt.pr "wrote %s@." path);
     (match json with
@@ -316,7 +322,7 @@ let map_cmd =
       let oc = open_out path in
       Qasm.Printer.to_channel oc
         (Schedule.Routed.to_physical_circuit
-           ~n_physical:(Arch.Coupling.n_qubits arch) result);
+           ~n_physical:(Arch.Coupling.n_qubits arch) (Lazy.force listed));
       close_out oc;
       Fmt.pr "wrote %s@." path
   in
@@ -430,20 +436,14 @@ let batch_cmd =
       Pool.with_pool ~jobs (fun pool ->
           Pool.map pool
             (fun _ (source, circuit) ->
-              let record, routed =
-                route_record ~restarts ~seed ~collect_stats:stats ~source
-                  ~placement ~objectives ~metric router maqam circuit
-              in
-              let verified =
-                if verify then
-                  match
-                    Schedule.Verify.check_all ~maqam ~original:circuit routed
-                  with
-                  | Ok () -> true
-                  | Error _ -> false
-                else true
-              in
-              (record, verified))
+              route_record ~restarts ~seed ~collect_stats:stats ~source
+                ~placement ~objectives ~metric router maqam circuit
+                (fun record routed ->
+                  ( record,
+                    (not verify)
+                    || Result.is_ok
+                         (Schedule.Verify.check ~maqam ~original:circuit routed)
+                  )))
             targets)
     in
     let wall_s = Unix.gettimeofday () -. t0 in

@@ -161,7 +161,7 @@ let solve_layer ~config maqam layout pairs =
     in
     go layout [] (100 * (List.length pairs + 1))
 
-let run ?(config = default_config) ~maqam ~initial circuit =
+let timeline ?(config = default_config) ~maqam ~initial circuit =
   let n_physical = Arch.Maqam.n_qubits maqam in
   let n_logical = Qc.Circuit.n_qubits circuit in
   if n_logical > n_physical then
@@ -188,15 +188,8 @@ let run ?(config = default_config) ~maqam ~initial circuit =
             :: !out_rev)
         layer)
     (Layers.partition circuit);
-  let tagged = List.rev !out_rev in
-  let events, makespan =
-    Schedule.Asap.schedule_tagged ~durations:(Arch.Maqam.durations maqam)
-      ~n_physical tagged
-  in
-  {
-    Schedule.Routed.events;
-    initial;
-    final = !layout;
-    makespan;
-    n_logical;
-  }
+  Schedule.Asap.timeline ~durations:(Arch.Maqam.durations maqam) ~n_physical
+    ~initial ~final:!layout ~n_logical (List.rev !out_rev)
+
+let run ?config ~maqam ~initial circuit =
+  Schedule.Timeline.to_routed (timeline ?config ~maqam ~initial circuit)

@@ -17,9 +17,17 @@ type config = { max_expansions : int }
 
 exception Stuck of string
 
+val timeline :
+  ?config:config ->
+  maqam:Arch.Maqam.t ->
+  initial:Arch.Layout.t ->
+  Qc.Circuit.t ->
+  Schedule.Timeline.t
+
 val run :
   ?config:config ->
   maqam:Arch.Maqam.t ->
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
   Schedule.Routed.t
+(** {!timeline} in list form ({!Schedule.Timeline.to_routed}). *)

@@ -326,11 +326,6 @@ module Compiled = struct
       end
     done
 
-  let make gates =
-    let c = empty () in
-    load c gates (Array.length gates);
-    c
-
   (* Interned on first use: most gates never reach the exact check. *)
   let class_of c i =
     let k = c.cls.(i) in

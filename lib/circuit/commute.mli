@@ -28,9 +28,6 @@ val memoised : unit -> Gate.t -> Gate.t -> bool
 module Compiled : sig
   type t
 
-  val make : Gate.t array -> t
-  (** [make gates] is {!empty} then {!load} of all of [gates]. *)
-
   val empty : unit -> t
   (** A checker with no gates and no arrays yet. *)
 

@@ -14,7 +14,7 @@ let metric_of_name = function
   | _ -> None
 
 type outcome = {
-  routed : Schedule.Routed.t;
+  routed : Schedule.Timeline.t;
   winner : int;
   objectives : Objective.t array;
   metric : metric;
@@ -30,23 +30,30 @@ let restart_layout ~seed ~initial ~n_logical ~n_physical ?refine k =
     let layout = Arch.Layout.random rng ~n_logical ~n_physical in
     match refine with None -> layout | Some f -> f layout
 
-(* Selection-metric value of one restart. Makespan and depth are
-   minimised, ESP maximised; [better] folds both into one order with
-   lowest-index tie-breaks, so the winner stays deterministic for every
-   pool size and member mix. *)
-let metric_value ~metric ~calibration ~n_physical (r : Schedule.Routed.t) =
+(* One restart's selection-metric value and the value it is ranked by.
+   Makespan and depth are minimised and ranked as they are. ESP is
+   maximised and ranked by its logarithm: a long schedule's product
+   underflows to 0 on every restart, its logarithm does not. *)
+let metric_value ~metric ~calibration ~n_physical (t : Schedule.Timeline.t) =
   match metric with
-  | Makespan -> float_of_int r.Schedule.Routed.makespan
+  | Makespan ->
+    let m = float_of_int t.makespan in
+    (m, m)
   | Depth ->
-    float_of_int (Schedule.Routed.raw_depth ~n_physical r)
+    let d = float_of_int (Schedule.Timeline.raw_depth ~n_physical t) in
+    (d, d)
   | Esp -> (
     match calibration with
-    | Some c -> Sim.Reliability.estimated_success ~calibration:c ~n_physical r
+    | Some c ->
+      let e = Sim.Reliability.estimate ~calibration:c ~n_physical t in
+      (e.esp, e.ln_esp)
     | None ->
       invalid_arg
         "Portfolio.run: esp selection metric needs a calibrated duration \
          profile (superconducting, ion-trap or neutral-atom)")
 
+(* [better] folds both orders into one, with lowest-index tie-breaks, so
+   the winner stays deterministic for every pool size and member mix. *)
 let better ~metric a b =
   match metric with Esp -> a > b | Makespan | Depth -> a < b
 
@@ -81,9 +88,9 @@ let run ?pool ?(config = Remapper.default_config) ?(restarts = 8) ?(seed = 0)
     let layout =
       restart_layout ~seed ~initial ~n_logical ~n_physical ?refine k
     in
-    Remapper.run
+    Remapper.route
       ~config:{ config with Remapper.objective = objective_of k }
-      ~maqam ~initial:layout circuit
+      ~maqam ~initial:layout circuit Schedule.Timeline.copy
   in
   let tasks = Array.init restarts (fun k -> k) in
   let results =
@@ -92,20 +99,18 @@ let run ?pool ?(config = Remapper.default_config) ?(restarts = 8) ?(seed = 0)
     | None -> Array.map (fun k -> route k ()) tasks
   in
   let scores =
-    Array.map (fun (r : Schedule.Routed.t) -> r.Schedule.Routed.makespan) results
+    Array.map (fun (t : Schedule.Timeline.t) -> t.makespan) results
   in
-  let metric_scores =
-    Array.map (metric_value ~metric ~calibration ~n_physical) results
-  in
+  let values = Array.map (metric_value ~metric ~calibration ~n_physical) results in
   let winner = ref 0 in
   Array.iteri
-    (fun k s -> if better ~metric s metric_scores.(!winner) then winner := k)
-    metric_scores;
+    (fun k (_, rank) -> if better ~metric rank (snd values.(!winner)) then winner := k)
+    values;
   {
     routed = results.(!winner);
     winner = !winner;
     objectives = Array.init restarts objective_of;
     metric;
     scores;
-    metric_scores;
+    metric_scores = Array.map fst values;
   }

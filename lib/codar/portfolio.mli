@@ -16,7 +16,9 @@
       objective [k mod length objectives] — again a pure function of the
       index;
     - the winner optimises [(selection metric, restart index)], so ties
-      break identically for every [--jobs].
+      break identically for every [--jobs]; ESP restarts are compared by
+      the logarithm of their estimate, which a long schedule does not
+      underflow.
 
     Restart routes are not instrumented: {!Stats.t} counters are plain
     mutable fields and must not be bumped from several domains. *)
@@ -32,7 +34,7 @@ val metric_names : string list
 val metric_of_name : string -> metric option
 
 type outcome = {
-  routed : Schedule.Routed.t;  (** the winning route *)
+  routed : Schedule.Timeline.t;  (** the winning route *)
   winner : int;  (** restart index of [routed] *)
   objectives : Objective.t array;
       (** objective used by each restart, indexed by restart *)
@@ -40,7 +42,9 @@ type outcome = {
   scores : int array;  (** weighted depth per restart, indexed by restart *)
   metric_scores : float array;
       (** selection-metric value per restart ([= float scores] under
-          {!Makespan}) *)
+          {!Makespan}); under {!Esp} the linear estimate, while the
+          restarts are ranked by its logarithm, which does not underflow
+          ({!Sim.Reliability.estimate}) *)
 }
 
 val max_restarts : int

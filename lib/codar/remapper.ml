@@ -19,9 +19,11 @@ exception Stuck of string
    ({!Schedule.Scratch}), reused across routes and grown geometrically,
    so a route allocates no array proportional to its circuit once its
    domain has routed one as large. Per-route entries are reset by fills
-   at the start of each route. [gates] and [events] hold references of
-   the route only in [0, loaded) and [0, n_events), and release clears
-   those ranges. *)
+   at the start of each route. The schedule is written in issue order
+   into [ev_gates] and [ev_data], the arrays of a {!Schedule.Timeline.t}
+   the route lends out. [gates] and
+   [ev_gates] hold references of the route only in [0, loaded) and
+   [0, n_events), and release clears those ranges. *)
 type scratch = {
   mutable gates : Qc.Gate.t array;
   mutable loaded : int;
@@ -32,7 +34,8 @@ type scratch = {
   mutable listed : bool array;
   mutable lpairs : int array;
   mutable ppairs : int array;
-  mutable events : Schedule.Routed.event array;  (* in issue order *)
+  mutable ev_gates : Qc.Gate.t array;
+  mutable ev_data : Bytes.t;  (* {!Schedule.Timeline.bytes_per_event} each *)
   mutable n_events : int;
   commute : Qc.Commute.Compiled.t;
   cf : Cf_front.t;
@@ -40,9 +43,6 @@ type scratch = {
 }
 
 let no_gate = Qc.Gate.barrier []
-
-let no_event =
-  { Schedule.Routed.gate = no_gate; start = 0; duration = 0; inserted = false }
 
 let empty_scratch () =
   {
@@ -55,7 +55,8 @@ let empty_scratch () =
     listed = [||];
     lpairs = [||];
     ppairs = [||];
-    events = [||];
+    ev_gates = [||];
+    ev_data = Bytes.empty;
     n_events = 0;
     commute = Qc.Commute.Compiled.empty ();
     cf = Cf_front.empty ();
@@ -65,14 +66,15 @@ let empty_scratch () =
 let scratch_words s =
   Array.length s.gates + Array.length s.issued + Array.length s.blocked
   + Array.length s.locks + Array.length s.locked + Array.length s.listed
-  + Array.length s.lpairs + Array.length s.ppairs + Array.length s.events
+  + Array.length s.lpairs + Array.length s.ppairs + Array.length s.ev_gates
+  + (Bytes.length s.ev_data / 8)
   + Qc.Commute.Compiled.words s.commute
   + Cf_front.words s.cf + Swap_scorer.words s.scorer
 
 let clear_scratch s =
   Array.fill s.gates 0 s.loaded no_gate;
   s.loaded <- 0;
-  Array.fill s.events 0 s.n_events no_event;
+  Array.fill s.ev_gates 0 s.n_events no_gate;
   s.n_events <- 0;
   Qc.Commute.Compiled.clear s.commute;
   Swap_scorer.clear s.scorer
@@ -167,34 +169,54 @@ let rec lock_all st until = function
     lock st p until;
     lock_all st until rest
 
-let emit st ~inserted gate duration =
+(* Room for [n] events, keeping the first [n_events]. *)
+let reserve_events sc n =
+  let k = sc.n_events in
+  let gates = Array.make n no_gate in
+  Array.blit sc.ev_gates 0 gates 0 k;
+  sc.ev_gates <- gates;
+  let w = Schedule.Timeline.bytes_per_event in
+  let data = Bytes.create (w * n) in
+  Bytes.blit sc.ev_data 0 data 0 (w * k);
+  sc.ev_data <- data
+
+(* Event [gate] at the current time on physical [a] and [b] ([-1] for
+   none; a barrier's qubits are in its physical [gate]), locking them. *)
+let emit st gate a b duration =
   let sc = st.sc in
   let k = sc.n_events in
-  if k = Array.length sc.events then begin
-    let a = Array.make (Int.max 64 (2 * k)) no_event in
-    Array.blit sc.events 0 a 0 k;
-    sc.events <- a
-  end;
-  sc.events.(k) <-
-    { Schedule.Routed.gate; start = st.time; duration; inserted };
+  if k = Array.length sc.ev_gates then reserve_events sc (2 * k);
+  sc.ev_gates.(k) <- gate;
+  Schedule.Timeline.write sc.ev_data k ~start:st.time ~duration a b;
   sc.n_events <- k + 1;
   let until = st.time + duration in
   match gate with
-  | Qc.Gate.One (_, p) | Qc.Gate.Measure (p, _) -> lock st p until
-  | Qc.Gate.Two (_, p1, p2) ->
-    lock st p1 until;
-    lock st p2 until
   | Qc.Gate.Barrier ps -> lock_all st until ps
+  | Qc.Gate.One _ | Qc.Gate.Measure _ -> lock st a until
+  | Qc.Gate.Two _ ->
+    lock st a until;
+    lock st b until
 
 let advance_head st =
   while st.head < st.n_gates && st.issued.(st.head) do
     st.head <- st.head + 1
   done
 
+(* A program gate is stored as the circuit's own gate with its physical
+   operands; a barrier, whose qubits do not fit two operands, as its
+   physical barrier. *)
 let issue_gate st i =
   let g = st.gates.(i) in
-  emit st ~inserted:false (Qc.Gate.remap st.phys_of g)
-    (Arch.Maqam.duration st.maqam g);
+  let duration = Arch.Maqam.duration st.maqam g in
+  (match g with
+  | Qc.Gate.One (_, q) | Qc.Gate.Measure (q, _) ->
+    emit st g (Arch.Layout.phys_of_log st.layout q) (-1) duration
+  | Qc.Gate.Two (_, q1, q2) ->
+    emit st g
+      (Arch.Layout.phys_of_log st.layout q1)
+      (Arch.Layout.phys_of_log st.layout q2)
+      duration
+  | Qc.Gate.Barrier _ -> emit st (Qc.Gate.remap st.phys_of g) (-1) (-1) duration);
   st.issued.(i) <- true;
   Cf_front.notify_issued st.cf i;
   st.remaining <- st.remaining - 1;
@@ -296,7 +318,7 @@ let issue_swap st p1 p2 =
              unroutable input?"
             st.time st.remaining));
   st.swap_budget <- st.swap_budget - 1;
-  emit st ~inserted:true (Qc.Gate.swap p1 p2)
+  emit st Schedule.Timeline.inserted_swap p1 p2
     (Arch.Durations.swap (Arch.Maqam.durations st.maqam));
   Arch.Layout.swap_physical_inplace st.layout p1 p2;
   st.layout_version <- st.layout_version + 1;
@@ -365,9 +387,10 @@ let next_unlock st =
   st.n_locked <- !kept;
   !next
 
-(* Load the circuit into [sc] and route it. *)
-let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
-    circuit =
+(* Load the circuit into [sc], route it and hand [k] the schedule in
+   [sc]'s arrays. *)
+let route_in (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical
+    ~n_logical circuit k =
   let n = Qc.Circuit.length circuit in
   sc.gates <- room sc.gates n no_gate;
   sc.loaded <- n;
@@ -382,6 +405,11 @@ let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
   sc.listed <- room sc.listed n_physical false;
   Array.fill sc.listed 0 n_physical false;
   sc.n_events <- 0;
+  (* a route issues every gate and, on the paper devices, fewer SWAPs than
+     gates: twice the gates up front, so the arrays grow at most once
+     more *)
+  if Array.length sc.ev_gates < 2 * n then
+    reserve_events sc (Int.max 64 (2 * n));
   let commutes =
     if config.use_commutativity then begin
       let c = sc.commute in
@@ -451,20 +479,18 @@ let route (sc : scratch) ~config ~stats ~maqam ~initial ~n_physical ~n_logical
   for p = 0 to n_physical - 1 do
     makespan := Int.max !makespan st.locks.(p)
   done;
-  (* the event list, consed once in issue order *)
-  let events = ref [] in
-  for k = sc.n_events - 1 downto 0 do
-    events := sc.events.(k) :: !events
-  done;
-  {
-    Schedule.Routed.events = !events;
-    initial;
-    final = st.layout;
-    makespan = !makespan;
-    n_logical;
-  }
+  k
+    {
+      Schedule.Timeline.length = sc.n_events;
+      gates = sc.ev_gates;
+      data = sc.ev_data;
+      initial;
+      final = st.layout;
+      makespan = !makespan;
+      n_logical;
+    }
 
-let run ?(config = default_config) ?stats ~maqam ~initial circuit =
+let route ?(config = default_config) ?stats ~maqam ~initial circuit k =
   let n_physical = Arch.Maqam.n_qubits maqam in
   let n_logical = Qc.Circuit.n_qubits circuit in
   if n_logical > n_physical then
@@ -475,4 +501,8 @@ let run ?(config = default_config) ?stats ~maqam ~initial circuit =
   then invalid_arg "Remapper.run: layout size mismatch";
   let stats = match stats with Some s -> s | None -> Stats.create () in
   Schedule.Scratch.use scratch (fun sc ->
-      route sc ~config ~stats ~maqam ~initial ~n_physical ~n_logical circuit)
+      route_in sc ~config ~stats ~maqam ~initial ~n_physical ~n_logical circuit
+        k)
+
+let run ?config ?stats ~maqam ~initial circuit =
+  route ?config ?stats ~maqam ~initial circuit Schedule.Timeline.to_routed

@@ -27,9 +27,10 @@
     The route runs in its domain's working arrays ({!Schedule.Scratch}):
     the gate, lock and event arrays, the {!Cf_front} tracker, the
     {!Qc.Commute.Compiled} tables and the {!Swap_scorer}, all loaded with
-    this route instead of built for it. Once the domain has routed a
-    circuit at least as large, a route allocates its schedule and
-    layouts and no array proportional to the circuit. *)
+    this route instead of built for it. The schedule is written into the
+    same set, four words per event in {!Schedule.Timeline}'s arrays, and
+    lent to the caller: once the domain has routed a circuit at least as
+    large, a route allocates its layouts and no word per gate or event. *)
 
 type config = {
   window : int;
@@ -53,6 +54,28 @@ exception Stuck of string
 (** Raised when the safety bound on inserted SWAPs is exceeded — indicates
     an unroutable input (e.g. a two-qubit gate on a disconnected device). *)
 
+val route :
+  ?config:config ->
+  ?stats:Stats.t ->
+  maqam:Arch.Maqam.t ->
+  initial:Arch.Layout.t ->
+  Qc.Circuit.t ->
+  (Schedule.Timeline.t -> 'a) ->
+  'a
+(** [route ~maqam ~initial circuit k] routes [circuit] onto the machine
+    starting from [initial] and returns [k] applied to the schedule. The
+    schedule's arrays are the domain's working arrays: they hold the route
+    until [k] returns and are reused after, so [k] reads them in place and
+    keeps nothing of them but a {!Schedule.Timeline.copy}. [k] must not
+    route with CODAR itself. Raises [Invalid_argument] when the circuit is
+    wider than the device or the layout widths disagree; {!Stuck} on
+    unroutable inputs. Safe from several domains and several systhreads at
+    once.
+
+    [stats], when given, accumulates {!Stats} instrumentation counters for
+    this run (counters are not reset first, so one record can aggregate
+    several runs). *)
+
 val run :
   ?config:config ->
   ?stats:Stats.t ->
@@ -60,11 +83,4 @@ val run :
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
   Schedule.Routed.t
-(** Route [circuit] onto the machine starting from [initial]. Raises
-    [Invalid_argument] when the circuit is wider than the device or the
-    layout widths disagree; {!Stuck} on unroutable inputs. Safe from
-    several domains and several systhreads at once.
-
-    [stats], when given, accumulates {!Stats} instrumentation counters for
-    this run (counters are not reset first, so one record can aggregate
-    several runs). *)
+(** {!route} to the list form ({!Schedule.Timeline.to_routed}). *)

@@ -29,7 +29,7 @@ type t = {
   mutable stop : int;
   mutable tline : int;
   mutable int_value : int;
-  mutable float_value : float;
+  value : float array;
 }
 
 let is_ident_start c =
@@ -42,9 +42,14 @@ let is_digit c = c >= '0' && c <= '9'
 let lower c =
   if c >= 'A' && c <= 'Z' then Char.unsafe_chr (Char.code c + 32) else c
 
+(* 2^53: every int below it is a float exactly, so float_of_int agrees
+   with float_of_string on its digits *)
+let exact_float_limit = 9007199254740992
+
 (* A number spans digits, '.', 'e'/'E' and a sign right after an exponent
    marker. Digit-only text is read exactly, with no float in between;
-   anything else must be a float literal. *)
+   anything else must be a float literal. Its value goes to the unboxed
+   [value] slot either way. *)
 let scan_number t i =
   let src = t.src and n = String.length t.src in
   let j = ref i and v = ref 0 and digits_only = ref true in
@@ -66,13 +71,18 @@ let scan_number t i =
   done;
   t.kind <- K_number;
   t.stop <- !j;
-  if !digits_only then t.int_value <- !v
+  if !digits_only then begin
+    t.int_value <- !v;
+    t.value.(0) <-
+      (if !v >= 0 && !v < exact_float_limit then float_of_int !v
+       else float_of_string (String.sub src i (!j - i)))
+  end
   else begin
     let text = String.sub src i (!j - i) in
     match float_of_string text with
     | f ->
       t.int_value <- -2;
-      t.float_value <- f
+      t.value.(0) <- f
     | exception Failure _ -> raise (Lex_error (t.line, "bad number: " ^ text))
   end
 
@@ -163,20 +173,10 @@ let create src =
       stop = 0;
       tline = 1;
       int_value = 0;
-      float_value = 0.;
+      value = [| 0. |];
     }
   in
   next t;
   t
 
 let text t = String.sub t.src t.start (t.stop - t.start)
-
-(* 2^53: every int below it is a float exactly, so float_of_int agrees
-   with float_of_string on its digits *)
-let exact_float_limit = 9007199254740992
-
-let number t =
-  if t.int_value = -2 then t.float_value
-  else if t.int_value >= 0 && t.int_value < exact_float_limit then
-    float_of_int t.int_value
-  else float_of_string (text t)

@@ -2,8 +2,9 @@
     are written in OpenQASM; ScaffCC/Qiskit emit it).
 
     The parser reads tokens one at a time from a {!t}, which holds the
-    lookahead token in mutable fields — its kind, byte offsets and line —
-    and builds an identifier's text or a number's value only when asked.
+    lookahead token in mutable fields — its kind, byte offsets and line,
+    and a number's value in an unboxed slot — and builds an identifier's
+    text only when asked.
     [//] comments are skipped. *)
 
 exception Lex_error of int * string
@@ -40,7 +41,9 @@ type t = private {
   mutable int_value : int;
       (** [K_number] written in digits only: its value, or [-1] when it
           exceeds [max_int]; [-2] for any other number *)
-  mutable float_value : float;  (** [K_number] with [int_value = -2] *)
+  value : float array;
+      (** one slot, unboxed: a [K_number]'s value, equal to
+          [float_of_string] of its text *)
 }
 
 val create : string -> t
@@ -51,9 +54,6 @@ val next : t -> unit
 
 val text : t -> string
 (** The lookahead token's bytes. *)
-
-val number : t -> float
-(** A [K_number]'s value, equal to [float_of_string] of its text. *)
 
 val lower : char -> char
 (** ASCII lower case. *)

@@ -1,9 +1,11 @@
 (* One pass over the source: the parser pulls tokens from [Lexer.t], which
-   holds a single lookahead token in mutable fields, and appends gates as
-   each statement is read. Identifiers become strings only where a string
-   is needed (register and macro names on first sight); a built-in gate
-   name is matched in place, and register operands resolve to qubit
-   indices in reused int arrays.
+   holds a single lookahead token in mutable fields. Each statement's
+   gates wait in a reused array until the circuit's list takes them, in
+   source order, one list cell per gate. Identifiers become strings only
+   where a string is needed (register and macro names on first sight); a
+   built-in gate name is matched in place, a gate statement's parameters
+   are evaluated as they are read, and register operands resolve to
+   qubit indices in reused int arrays.
 
    Braces read as the identifiers [__lbrace__] and [__rbrace__] wherever an
    identifier may stand, and those two identifiers read as braces. That
@@ -66,7 +68,8 @@ type state = {
   mutable n_qubits : int;
   mutable n_clbits : int;
   max_qubits : int;  (* the device's width, or max_int *)
-  mutable gates_rev : Qc.Gate.t list;
+  mutable pending : Qc.Gate.t array;  (* the statement's gates *)
+  mutable n_pending : int;
   mutable n_gates : int;  (* gates so far, a barrier once per qubit *)
   mutable n_applied : int;  (* gate-macro applications so far *)
   mutable stmt_line : int;  (* line of the statement being elaborated *)
@@ -74,9 +77,13 @@ type state = {
   mutable name_stop : int;
   qlast : reg;
   clast : reg;
-  (* statement scratch: evaluated parameters; resolved operands (offset,
-     and size or -1 for one qubit); one broadcast instance's qubits *)
+  (* statement scratch: evaluated parameters, and above them the operands
+     of the one being read; the first semantic error among them;
+     resolved operands (offset, and size or -1 for one qubit); one
+     broadcast instance's qubits *)
   mutable pbuf : float array;
+  mutable var : string;  (* the parameter's last variable, or "" *)
+  mutable param_error : string;  (* or "" *)
   mutable roff : int array;
   mutable rsize : int array;
   mutable qbuf : int array;
@@ -93,6 +100,9 @@ let fail st msg =
 let fail_stmt st msg = raise (Parse_error (st.stmt_line, msg))
 
 let end_of_input () = raise (Parse_error (0, "unexpected end of input"))
+
+(* [a], or twice its length when it has no slot [i] *)
+let grow a i = if i < Array.length a then a else Array.append a a
 
 (* consume the lookahead, whatever it is *)
 let skip st =
@@ -130,6 +140,12 @@ let rec same_from src start w i =
   || (String.unsafe_get src (start + i) = String.unsafe_get w i
      && same_from src start w (i + 1))
 
+(* the source bytes from [start], lower-cased, begin with [w] *)
+let rec lower_from src start w i =
+  i >= String.length w
+  || (L.lower (String.unsafe_get src (start + i)) = String.unsafe_get w i
+     && lower_from src start w (i + 1))
+
 (* the source bytes [start, stop) are [w] *)
 let source_is lx start stop w =
   stop - start = String.length w && same_from lx.L.src start w 0
@@ -153,7 +169,7 @@ let integer st =
     let v =
       if lx.L.int_value >= -1 then lx.L.int_value
       else
-        let f = lx.L.float_value in
+        let f = lx.L.value.(0) in
         if Float.is_integer f && f >= 0. then
           if f < int_limit then int_of_float f else -1
         else -2
@@ -202,7 +218,7 @@ and parse_factor st =
     L.next lx;
     Neg (parse_factor st)
   | L.K_number ->
-    let f = L.number lx in
+    let f = lx.L.value.(0) in
     L.next lx;
     Num f
   | L.K_pi ->
@@ -258,7 +274,7 @@ let rec params_rest st acc =
     L.next st.lx;
     fail st "expected , or ) in parameter list"
 
-(* [(e1, e2, …)] after a gate name, or nothing *)
+(* [(e1, e2, …)] after a gate name in a macro body, or nothing *)
 let parse_params st =
   if st.lx.L.kind <> L.K_lparen then []
   else begin
@@ -266,14 +282,124 @@ let parse_params st =
     params_rest st []
   end
 
+(* A gate statement's parameters bind no variable, so they are evaluated
+   as they are read, in the grammar above, with no expression tree: the
+   expression read into slot [i] of [pbuf] leaves its value there, and
+   the slots above [i] hold its operands meanwhile. A variable is unbound
+   here; its name is kept until the parameter ends, the last one read
+   standing, as the tree's evaluation meets the rightmost first. *)
+let rec value st i =
+  value_term st i;
+  value_rest st i
+
+and value_rest st i =
+  match st.lx.L.kind with
+  | L.K_plus ->
+    L.next st.lx;
+    value_term st (i + 1);
+    st.pbuf.(i) <- st.pbuf.(i) +. st.pbuf.(i + 1);
+    value_rest st i
+  | L.K_minus ->
+    L.next st.lx;
+    value_term st (i + 1);
+    st.pbuf.(i) <- st.pbuf.(i) -. st.pbuf.(i + 1);
+    value_rest st i
+  | _ -> ()
+
+and value_term st i =
+  value_factor st i;
+  value_term_rest st i
+
+and value_term_rest st i =
+  match st.lx.L.kind with
+  | L.K_star ->
+    L.next st.lx;
+    value_factor st (i + 1);
+    st.pbuf.(i) <- st.pbuf.(i) *. st.pbuf.(i + 1);
+    value_term_rest st i
+  | L.K_slash ->
+    L.next st.lx;
+    value_factor st (i + 1);
+    st.pbuf.(i) <- st.pbuf.(i) /. st.pbuf.(i + 1);
+    value_term_rest st i
+  | _ -> ()
+
+and value_factor st i =
+  let lx = st.lx in
+  st.pbuf <- grow st.pbuf i;
+  match lx.L.kind with
+  | L.K_minus ->
+    L.next lx;
+    value_factor st i;
+    st.pbuf.(i) <- -.st.pbuf.(i)
+  | L.K_number ->
+    st.pbuf.(i) <- lx.L.value.(0);
+    L.next lx
+  | L.K_pi ->
+    L.next lx;
+    st.pbuf.(i) <- Float.pi
+  | L.K_ident | L.K_lbrace | L.K_rbrace ->
+    st.var <- ident st;
+    st.pbuf.(i) <- 0.
+  | L.K_lparen ->
+    L.next lx;
+    value st i;
+    expect st L.K_rparen ")"
+  | L.K_eof -> end_of_input ()
+  | L.K_arrow | L.K_rparen | L.K_lbracket | L.K_rbracket | L.K_comma
+  | L.K_semicolon | L.K_plus | L.K_star | L.K_slash | L.K_string ->
+    L.next lx;
+    fail st "expected expression"
+
+(* Parameter [i] ends: the statement's first semantic error is the first
+   parameter's with a variable, or with a NaN or infinite value (see
+   [param]). *)
+let param_done st i =
+  if st.param_error = "" then
+    if st.var <> "" then st.param_error <- "unbound parameter " ^ st.var
+    else
+      let f = st.pbuf.(i) in
+      if Float.is_nan f then st.param_error <- "gate parameter is NaN"
+      else if not (Float.is_finite f) then
+        st.param_error <- "gate parameter is infinite";
+  st.var <- ""
+
+let rec values_rest st i =
+  value st i;
+  param_done st i;
+  match st.lx.L.kind with
+  | L.K_comma ->
+    L.next st.lx;
+    values_rest st (i + 1)
+  | L.K_rparen ->
+    L.next st.lx;
+    i + 1
+  | L.K_eof -> end_of_input ()
+  | _ ->
+    L.next st.lx;
+    fail st "expected , or ) in parameter list"
+
+(* [(e1, e2, …)] after a gate name into [pbuf], refused after its [)] as
+   an evaluation after the parse would refuse it; returns how many *)
+let values st =
+  if st.lx.L.kind <> L.K_lparen then 0
+  else begin
+    L.next st.lx;
+    st.param_error <- "";
+    let n = values_rest st 0 in
+    if st.param_error <> "" then fail_stmt st st.param_error;
+    n
+  end
+
 (* --- built-in gate applications --------------------------------------- *)
 
 (* Built-in names are matched in any case, in place. *)
+let ch src i k = L.lower (String.unsafe_get src (i + k))
+
 let builtin_of src i len =
-  let c k = L.lower (String.unsafe_get src (i + k)) in
   match len with
   | 1 -> (
-    match c 0 with
+    match ch src i 0 with
     | 'x' -> B_x
     | 'y' -> B_y
     | 'z' -> B_z
@@ -284,7 +410,7 @@ let builtin_of src i len =
     | 'u' -> B_u3
     | _ -> Other)
   | 2 -> (
-    match (c 0, c 1) with
+    match (ch src i 0, ch src i 1) with
     | 'i', 'd' -> B_id
     | 'r', 'x' -> B_rx
     | 'r', 'y' -> B_ry
@@ -298,7 +424,7 @@ let builtin_of src i len =
     | 'x', 'x' -> B_rxx
     | _ -> Other)
   | 3 -> (
-    match (c 0, c 1, c 2) with
+    match (ch src i 0, ch src i 1, ch src i 2) with
     | 's', 'd', 'g' -> B_sdg
     | 't', 'd', 'g' -> B_tdg
     | 'r', 'z', 'z' -> B_rzz
@@ -307,9 +433,8 @@ let builtin_of src i len =
     | 'c', 'u', '1' -> B_cu1
     | 'c', 'r', 'z' -> B_crz
     | _ -> Other)
-  | 4 when c 0 = 's' && c 1 = 'w' && c 2 = 'a' && c 3 = 'p' -> B_swap
-  | 5 when c 0 = 'c' && c 1 = 's' && c 2 = 'w' && c 3 = 'a' && c 4 = 'p' ->
-    B_cswap
+  | 4 when lower_from src i "swap" 0 -> B_swap
+  | 5 when lower_from src i "cswap" 0 -> B_cswap
   | _ -> Other
 
 let name_of st = function
@@ -333,9 +458,15 @@ let spend st k =
     fail_stmt st (Fmt.str "circuit expands past %d gates" max_gates);
   st.n_gates <- st.n_gates + k
 
+(* [g] after the statement's gates so far *)
+let pend st g =
+  st.pending <- grow st.pending st.n_pending;
+  st.pending.(st.n_pending) <- g;
+  st.n_pending <- st.n_pending + 1
+
 let push st g =
   spend st 1;
-  st.gates_rev <- g :: st.gates_rev
+  pend st g
 let push_all st gs = List.iter (push st) gs
 
 (* arity, and distinct qubits, of a two- or three-qubit gate *)
@@ -429,8 +560,6 @@ let rec apply st gname b p np q nq =
 
 (* --- operands ---------------------------------------------------------- *)
 
-let grow a i = if i < Array.length a then a else Array.append a a
-
 (* The register the lookahead identifier names, consuming it. *)
 let register st ~quantum =
   let lx = st.lx in
@@ -492,14 +621,6 @@ let rec operands st i =
 
 (* --- statements -------------------------------------------------------- *)
 
-(* top-level parameter values into [pbuf]; returns how many *)
-let rec eval_params st i = function
-  | [] -> i
-  | e :: rest ->
-    st.pbuf <- grow st.pbuf i;
-    st.pbuf.(i) <- param st [] e;
-    eval_params st (i + 1) rest
-
 (* A gate statement, broadcast over registers: registers must share a
    size; single qubits are repeated. *)
 let gate_statement st =
@@ -518,7 +639,7 @@ let gate_statement st =
     end
     else Named (ident st)
   in
-  let np = eval_params st 0 (parse_params st) in
+  let np = values st in
   let nops = operands st 0 in
   let size = ref (-1) in
   for i = 0 to nops - 1 do
@@ -552,7 +673,7 @@ let barrier_statement st =
         qubits := (st.roff.(i) + k) :: !qubits
       done
   done;
-  st.gates_rev <- Qc.Gate.barrier !qubits :: st.gates_rev
+  pend st (Qc.Gate.barrier !qubits)
 
 let measure_statement st =
   operand st ~quantum:true 0;
@@ -678,11 +799,12 @@ let gate_def st =
   let body = body [] in
   Hashtbl.replace st.macros name { formals; qformals; body; expanding = false }
 
-let rec statements st =
+(* One statement, its gates into [pending]; [false] at the end of input. *)
+let statement st =
   let lx = st.lx in
   st.stmt_line <- lx.L.tline;
   match lx.L.kind with
-  | L.K_eof -> ()
+  | L.K_eof -> false
   | L.K_ident ->
     (match lx.L.src.[lx.L.start] with
     | ('O' | 'o') when at_word st "OPENQASM" || at_word st "openqasm" ->
@@ -709,14 +831,23 @@ let rec statements st =
       L.next lx;
       measure_statement st
     | _ -> gate_statement st);
-    statements st
+    true
   | L.K_lbrace | L.K_rbrace ->
     gate_statement st;
-    statements st
+    true
   | L.K_number | L.K_pi | L.K_arrow | L.K_lparen | L.K_rparen | L.K_lbracket
   | L.K_rbracket | L.K_comma | L.K_semicolon | L.K_plus | L.K_minus
   | L.K_star | L.K_slash | L.K_string ->
     fail st "expected statement"
+
+(* The circuit's gates in source order, each consed once: the list takes
+   a statement's gates from [pending] before the next statement is read. *)
+let[@tail_mod_cons] rec gates st i =
+  if i < st.n_pending then st.pending.(i) :: gates st (i + 1)
+  else begin
+    st.n_pending <- 0;
+    if statement st then gates st 0 else []
+  end
 
 let parse ?(max_qubits = max_int) src =
   let st =
@@ -728,7 +859,8 @@ let parse ?(max_qubits = max_int) src =
       n_qubits = 0;
       n_clbits = 0;
       max_qubits;
-      gates_rev = [];
+      pending = Array.make 16 (Qc.Gate.barrier []);
+      n_pending = 0;
       n_gates = 0;
       n_applied = 0;
       stmt_line = 1;
@@ -737,13 +869,15 @@ let parse ?(max_qubits = max_int) src =
       qlast = { name = ""; off = 0; size = 0 };
       clast = { name = ""; off = 0; size = 0 };
       pbuf = Array.make 4 0.;
+      var = "";
+      param_error = "";
       roff = Array.make 4 0;
       rsize = Array.make 4 0;
       qbuf = Array.make 4 0;
     }
   in
-  statements st;
-  Qc.Circuit.make ~n_qubits:st.n_qubits (List.rev st.gates_rev)
+  let gates = gates st 0 in
+  Qc.Circuit.make ~n_qubits:st.n_qubits gates
 
 (* read to end of file, not to a length taken up front: a pipe has none *)
 let parse_file ?max_qubits path =

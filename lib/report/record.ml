@@ -28,11 +28,30 @@ type t = {
   portfolio : portfolio option;
 }
 
-let make ~source ~router ~placement ?(objective = "makespan") ~wall_s ?stats
-    ?portfolio ~maqam ~original (routed : Schedule.Routed.t) =
+(* One pass over the events: the unit-duration depth, the inserted SWAPs
+   and the ESP's gate-fidelity product and first-activity times, the
+   product taken in event order as Sim.Reliability takes it. *)
+let of_timeline ~source ~router ~placement ?(objective = "makespan") ~wall_s
+    ?stats ?portfolio ~maqam ~original (t : Schedule.Timeline.t) =
   let coupling = Arch.Maqam.coupling maqam in
   let durations = Arch.Maqam.durations maqam in
   let n_physical = Arch.Coupling.n_qubits coupling in
+  (* analytic success estimate, only when the duration profile has
+     calibration data — the cross-objective comparison column *)
+  let calibration = Arch.Calibration.for_durations durations in
+  let ready = Array.make n_physical 0 in
+  let first = Array.make n_physical max_int in
+  let depth = ref 0 and swaps = ref 0 and product = ref 1. in
+  for k = 0 to t.length - 1 do
+    depth := Int.max !depth (Schedule.Timeline.unit_finish ready t k);
+    if Schedule.Timeline.is_inserted t k then incr swaps;
+    match calibration with
+    | None -> ()
+    | Some c ->
+      Sim.Reliability.touch first t k;
+      product := !product *. Arch.Calibration.gate_fidelity c t.gates.(k)
+  done;
+  let gate_product = !product in
   {
     source;
     arch = Arch.Coupling.name coupling;
@@ -47,21 +66,27 @@ let make ~source ~router ~placement ?(objective = "makespan") ~wall_s ?stats
       Qc.Metrics.weighted_depth
         ~weight:(Arch.Durations.of_gate durations)
         original;
-    weighted_depth = routed.Schedule.Routed.makespan;
-    raw_depth = Schedule.Routed.raw_depth ~n_physical routed;
-    events = Schedule.Routed.gate_count routed;
-    swaps = Schedule.Routed.swap_count routed;
+    weighted_depth = t.makespan;
+    raw_depth = !depth;
+    events = t.length;
+    swaps = !swaps;
     esp =
-      (* analytic success estimate, only when the duration profile has
-         calibration data — the cross-objective comparison column *)
       Option.map
         (fun calibration ->
-          Sim.Reliability.estimated_success ~calibration ~n_physical routed)
-        (Arch.Calibration.for_durations durations);
+          gate_product
+          *. Sim.Reliability.decoherence ~calibration ~makespan:t.makespan
+               first)
+        calibration;
     wall_s;
     stats;
     portfolio;
   }
+
+let make ~source ~router ~placement ?objective ~wall_s ?stats ?portfolio ~maqam
+    ~original routed =
+  of_timeline ~source ~router ~placement ?objective ~wall_s ?stats ?portfolio
+    ~maqam ~original
+    (Schedule.Timeline.of_routed routed)
 
 let stats_to_json (s : Codar.Stats.t) =
   Json.Obj

@@ -38,6 +38,23 @@ type t = {
   portfolio : portfolio option;
 }
 
+val of_timeline :
+  source:string ->
+  router:string ->
+  placement:string ->
+  ?objective:string ->
+  wall_s:float ->
+  ?stats:Codar.Stats.t ->
+  ?portfolio:portfolio ->
+  maqam:Arch.Maqam.t ->
+  original:Qc.Circuit.t ->
+  Schedule.Timeline.t ->
+  t
+(** Derives every circuit/schedule field from [original] and the routed
+    schedule, read in place in one pass. [objective] defaults to
+    ["makespan"]; [esp] is derived from the maqam's calibration preset
+    when one exists (linear, as {!Sim.Reliability.estimate}'s [esp]). *)
+
 val make :
   source:string ->
   router:string ->
@@ -50,9 +67,7 @@ val make :
   original:Qc.Circuit.t ->
   Schedule.Routed.t ->
   t
-(** Derives every circuit/schedule field from [original] and the routed
-    result. [objective] defaults to ["makespan"]; [esp] is derived from
-    the maqam's calibration preset when one exists. *)
+(** {!of_timeline} on a list-form schedule. *)
 
 val to_json : t -> Json.t
 

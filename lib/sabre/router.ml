@@ -589,17 +589,11 @@ let final_layout ?(config = default_config) ?(reverse = false) ~maqam ~initial
     circuit =
   snd (route ~emit:false ~reverse ~config ~maqam ~initial circuit)
 
-let run ?(config = default_config) ~maqam ~initial circuit =
+let timeline ?(config = default_config) ~maqam ~initial circuit =
   let tagged, final = route_tagged ~config ~maqam ~initial circuit in
-  let n_physical = Arch.Maqam.n_qubits maqam in
-  let events, makespan =
-    Schedule.Asap.schedule_tagged ~durations:(Arch.Maqam.durations maqam)
-      ~n_physical tagged
-  in
-  {
-    Schedule.Routed.events;
-    initial;
-    final;
-    makespan;
-    n_logical = Qc.Circuit.n_qubits circuit;
-  }
+  Schedule.Asap.timeline ~durations:(Arch.Maqam.durations maqam)
+    ~n_physical:(Arch.Maqam.n_qubits maqam) ~initial ~final
+    ~n_logical:(Qc.Circuit.n_qubits circuit) tagged
+
+let run ?config ~maqam ~initial circuit =
+  Schedule.Timeline.to_routed (timeline ?config ~maqam ~initial circuit)

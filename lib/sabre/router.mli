@@ -10,7 +10,7 @@
     minimised over the SWAPs incident to the front gates' physical qubits,
     with per-qubit decay factors discouraging consecutive SWAPs on the same
     qubit. The emitted order is duration-{e un}aware; the caller scores it
-    with {!Schedule.Asap} under the device's real durations.
+    with {!Schedule.Asap} under the device's real durations ({!timeline}).
 
     The front is maintained incrementally: pending-predecessor counts per
     gate, the front kept in ascending gate order, and the extended set
@@ -28,14 +28,22 @@ val default_config : config
 
 exception Stuck of string
 
+val timeline :
+  ?config:config ->
+  maqam:Arch.Maqam.t ->
+  initial:Arch.Layout.t ->
+  Qc.Circuit.t ->
+  Schedule.Timeline.t
+(** Route and then ASAP-schedule with the machine's durations, so results
+    are directly comparable with CODAR's. *)
+
 val run :
   ?config:config ->
   maqam:Arch.Maqam.t ->
   initial:Arch.Layout.t ->
   Qc.Circuit.t ->
   Schedule.Routed.t
-(** Route and then ASAP-schedule with the machine's durations, so results
-    are directly comparable with CODAR's. *)
+(** {!timeline} in list form ({!Schedule.Timeline.to_routed}). *)
 
 val route_gates :
   ?config:config ->

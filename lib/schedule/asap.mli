@@ -6,22 +6,14 @@
     its output order is fixed, the clock merely replays it. A [Barrier]
     fences its qubits (all qubits when its list is empty) at zero cost. *)
 
-val schedule :
+val timeline :
   durations:Arch.Durations.t ->
   n_physical:int ->
-  Qc.Gate.t list ->
-  Routed.event list * int
-(** Returns the timed events (same order, all tagged as program gates) and
-    the makespan. *)
-
-val schedule_tagged :
-  durations:Arch.Durations.t ->
-  n_physical:int ->
+  initial:Arch.Layout.t ->
+  final:Arch.Layout.t ->
+  n_logical:int ->
   (Qc.Gate.t * bool) list ->
-  Routed.event list * int
-(** Like {!schedule} with a per-gate router-inserted tag (see
-    {!Routed.event}). *)
-
-val reschedule : durations:Arch.Durations.t -> n_physical:int -> Routed.t -> Routed.t
-(** Re-time an existing routed result's issue order with ASAP; useful to
-    check a router's native timeline is no worse than plain ASAP replay. *)
+  Timeline.t
+(** The timed events of a physical gate sequence, in its order, each
+    tagged [true] when the router inserted it (a SWAP), in exact-size
+    arrays, bracketed by the given layouts. *)

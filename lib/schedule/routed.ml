@@ -20,14 +20,6 @@ let gate_count t = List.length t.events
 let to_physical_circuit ~n_physical t =
   Qc.Circuit.make ~n_qubits:n_physical (List.map (fun e -> e.gate) t.events)
 
-let raw_depth ~n_physical t =
-  let ready = Array.make n_physical 0 in
-  let rec go acc = function
-    | [] -> acc
-    | e :: rest -> go (Int.max acc (Qc.Metrics.finish_time ready e.gate 1)) rest
-  in
-  go 0 t.events
-
 let events_by_start t =
   List.stable_sort (fun a b -> Int.compare a.start b.start) t.events
 

@@ -36,10 +36,6 @@ val gate_count : t -> int
 val to_physical_circuit : n_physical:int -> t -> Qc.Circuit.t
 (** The untimed physical gate sequence. *)
 
-val raw_depth : n_physical:int -> t -> int
-(** [Qc.Metrics.depth (to_physical_circuit ~n_physical t)], read straight
-    from [events] without building (and re-validating) the circuit. *)
-
 val events_by_start : t -> event list
 (** Stable sort by start time. *)
 

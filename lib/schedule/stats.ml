@@ -6,24 +6,29 @@ type t = {
   utilization : float array;
 }
 
-let of_routed ~n_physical ~original (r : Routed.t) =
+let of_timeline ~n_physical ~original (t : Timeline.t) =
   let per_qubit_busy = Array.make n_physical 0 in
   let busy_cycles = ref 0 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun q ->
-          per_qubit_busy.(q) <- per_qubit_busy.(q) + e.Routed.duration;
-          busy_cycles := !busy_cycles + e.Routed.duration)
-        (Qc.Gate.qubits e.Routed.gate))
-    r.events;
-  let makespan = max 1 r.makespan in
+  let busy q d =
+    per_qubit_busy.(q) <- per_qubit_busy.(q) + d;
+    busy_cycles := !busy_cycles + d
+  in
+  for k = 0 to t.length - 1 do
+    let d = Timeline.duration t k in
+    match t.gates.(k) with
+    | Qc.Gate.Barrier qs -> List.iter (fun q -> busy q d) qs
+    | Qc.Gate.One _ | Qc.Gate.Measure _ -> busy (Timeline.operand t k 0) d
+    | Qc.Gate.Two _ ->
+      busy (Timeline.operand t k 0) d;
+      busy (Timeline.operand t k 1) d
+  done;
+  let makespan = max 1 t.makespan in
   {
-    makespan = r.makespan;
+    makespan = t.makespan;
     busy_cycles = !busy_cycles;
     parallelism = float_of_int !busy_cycles /. float_of_int makespan;
     swap_overhead =
-      float_of_int (Routed.swap_count r)
+      float_of_int (Timeline.swap_count t)
       /. float_of_int (max 1 (Qc.Circuit.length original));
     utilization =
       Array.map

@@ -13,7 +13,8 @@ type t = {
   utilization : float array;  (** per physical qubit *)
 }
 
-val of_routed : n_physical:int -> original:Qc.Circuit.t -> Routed.t -> t
+val of_timeline : n_physical:int -> original:Qc.Circuit.t -> Timeline.t -> t
+(** Read from the flat schedule in place. *)
 
 val pp : Format.formatter -> t -> unit
 

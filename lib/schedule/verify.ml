@@ -23,80 +23,80 @@ let pp_error ppf = function
 
 let ( let* ) = Result.bind
 
-let check_hardware ~maqam (r : Routed.t) =
+(* The first [k] in [0, n) where [bad k], or [n]. *)
+let rec first_bad n bad k = if k >= n || bad k then k else first_bad n bad (k + 1)
+
+(* Every check reads the physical gate {!Timeline.gate} rebuilds from an
+   event's kind and operands, never the stored gate's own qubits. *)
+let check_hardware ~maqam (t : Timeline.t) =
   let coupling = Arch.Maqam.coupling maqam in
   let n_physical = Arch.Coupling.n_qubits coupling in
-  let* () =
-    List.fold_left
-      (fun acc e ->
-        let* () = acc in
-        match e.Routed.gate with
-        | Qc.Gate.Two (_, q1, q2) ->
-          if Arch.Coupling.adjacent coupling q1 q2 then Ok ()
-          else Error (Not_adjacent e)
-        | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> Ok ())
-      (Ok ()) r.events
+  let bad k =
+    match Timeline.gate t k with
+    | Qc.Gate.Two (_, q1, q2) -> not (Arch.Coupling.adjacent coupling q1 q2)
+    | Qc.Gate.One _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _ -> false
   in
-  (* per-qubit interval disjointness *)
-  let per_qubit = Array.make n_physical [] in
-  List.iter
-    (fun e ->
-      if e.Routed.duration > 0 then
+  let k = first_bad t.length bad 0 in
+  if k < t.length then Error (Not_adjacent (Timeline.event t k))
+  else begin
+    (* per-qubit interval disjointness: each qubit's events, latest
+       issued first, stably sorted by start *)
+    let per_qubit = Array.make n_physical [] in
+    for k = 0 to t.length - 1 do
+      if Timeline.duration t k > 0 then
         List.iter
-          (fun q -> per_qubit.(q) <- e :: per_qubit.(q))
-          (Qc.Gate.qubits e.Routed.gate))
-    r.events;
-  let check_qubit q evs =
-    let sorted =
-      List.sort (fun a b -> Stdlib.compare a.Routed.start b.Routed.start) evs
+          (fun q -> per_qubit.(q) <- k :: per_qubit.(q))
+          (Qc.Gate.qubits (Timeline.gate t k))
+    done;
+    let start = Timeline.start t in
+    let finish k = start k + Timeline.duration t k in
+    let check_qubit q ks =
+      let sorted = List.sort (fun a b -> Int.compare (start a) (start b)) ks in
+      let rec walk = function
+        | a :: (b :: _ as rest) ->
+          if finish a > start b then
+            Error (Overlap (q, Timeline.event t a, Timeline.event t b))
+          else walk rest
+        | [ _ ] | [] -> Ok ()
+      in
+      walk sorted
     in
-    let rec walk = function
-      | a :: (b :: _ as rest) ->
-        if Routed.finish a > b.Routed.start then Error (Overlap (q, a, b))
-        else walk rest
-      | [ _ ] | [] -> Ok ()
+    let rec walk_qubits q =
+      if q >= n_physical then Ok ()
+      else
+        let* () = check_qubit q per_qubit.(q) in
+        walk_qubits (q + 1)
     in
-    walk sorted
-  in
-  let rec walk_qubits q =
-    if q >= n_physical then Ok ()
-    else
-      let* () = check_qubit q per_qubit.(q) in
-      walk_qubits (q + 1)
-  in
-  walk_qubits 0
+    walk_qubits 0
+  end
 
-let check_timing ~maqam (r : Routed.t) =
-  List.fold_left
-    (fun acc e ->
-      let* () = acc in
-      let expect = Arch.Maqam.duration maqam e.Routed.gate in
-      if e.Routed.duration = expect then Ok ()
-      else Error (Bad_duration (e, expect)))
-    (Ok ()) r.events
+let check_timing ~maqam (t : Timeline.t) =
+  let expect k = Arch.Maqam.duration maqam t.gates.(k) in
+  let k = first_bad t.length (fun k -> Timeline.duration t k <> expect k) 0 in
+  if k < t.length then Error (Bad_duration (Timeline.event t k, expect k))
+  else Ok ()
 
-let replay_logical (r : Routed.t) =
-  let layout = ref r.initial in
+let replay_logical (t : Timeline.t) =
+  let layout = ref t.initial in
   let out = ref [] in
-  List.iter
-    (fun e ->
-      match e.Routed.gate with
-      | Qc.Gate.Two (Qc.Gate.Swap, p1, p2) when e.Routed.inserted ->
-        layout := Arch.Layout.swap_physical !layout p1 p2
-      | Qc.Gate.One _ | Qc.Gate.Two _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _
-        ->
-        let back p =
-          match Arch.Layout.log_of_phys !layout p with
-          | Some l -> l
-          | None -> -1
-        in
-        out := Qc.Gate.remap back e.Routed.gate :: !out)
-    r.events;
-  if Arch.Layout.equal !layout r.final then Ok (List.rev !out)
+  for k = 0 to t.length - 1 do
+    match Timeline.gate t k with
+    | Qc.Gate.Two (Qc.Gate.Swap, p1, p2) when Timeline.is_inserted t k ->
+      layout := Arch.Layout.swap_physical !layout p1 p2
+    | (Qc.Gate.One _ | Qc.Gate.Two _ | Qc.Gate.Barrier _ | Qc.Gate.Measure _)
+      as g ->
+      let back p =
+        match Arch.Layout.log_of_phys !layout p with
+        | Some l -> l
+        | None -> -1
+      in
+      out := Qc.Gate.remap back g :: !out
+  done;
+  if Arch.Layout.equal !layout t.final then Ok (List.rev !out)
   else Error Bad_final_layout
 
-let check_equivalence ~original (r : Routed.t) =
-  let* replay = replay_logical r in
+let check_equivalence ~original (t : Timeline.t) =
+  let* replay = replay_logical t in
   let originals = Qc.Circuit.gate_array original in
   let n = Array.length originals in
   let used = Array.make n false in
@@ -145,7 +145,9 @@ let check_equivalence ~original (r : Routed.t) =
   let leftover = Array.fold_left (fun acc u -> if u then acc else acc + 1) 0 used in
   if leftover = 0 then Ok () else Error (Leftover_original_gates leftover)
 
-let check_all ~maqam ~original r =
-  let* () = check_hardware ~maqam r in
-  let* () = check_timing ~maqam r in
-  check_equivalence ~original r
+let check ~maqam ~original t =
+  let* () = check_hardware ~maqam t in
+  let* () = check_timing ~maqam t in
+  check_equivalence ~original t
+
+let check_all ~maqam ~original r = check ~maqam ~original (Timeline.of_routed r)

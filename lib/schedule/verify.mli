@@ -1,6 +1,6 @@
 (** Routed-circuit verification.
 
-    Three independent checks, composable via {!check_all}:
+    Three independent checks, composable via {!check}:
 
     - {b Hardware validity}: every two-qubit event runs on coupled physical
       qubits, and no two events overlap in time on the same qubit.
@@ -8,6 +8,11 @@
     - {b Semantic equivalence}: replaying the events while tracking the
       layout through SWAPs yields a logical gate sequence that is a
       commutation-respecting reordering of the original circuit.
+
+    Each check reads the flat schedule in place and rebuilds every physical
+    gate from its stored kind and operands ({!Timeline.gate}): CODAR
+    stores the logical gate it issued, and the replay derives the logical
+    gate again through its own layout rather than trusting that one.
 
     Exact state-vector equivalence (for small devices) lives in the [sim]
     library ([Sim.Equiv]); this module is purely combinatorial and scales to
@@ -24,18 +29,25 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val check_hardware : maqam:Arch.Maqam.t -> Routed.t -> (unit, error) result
+val check_hardware : maqam:Arch.Maqam.t -> Timeline.t -> (unit, error) result
 
-val check_timing : maqam:Arch.Maqam.t -> Routed.t -> (unit, error) result
+val check_timing : maqam:Arch.Maqam.t -> Timeline.t -> (unit, error) result
 
-val replay_logical : Routed.t -> (Qc.Gate.t list, error) result
+val replay_logical : Timeline.t -> (Qc.Gate.t list, error) result
 (** The logical gate sequence implied by the events, with SWAPs folded into
     the evolving layout (SWAP events disappear from the output). Also checks
     the recorded final layout matches the replayed one. *)
 
-val check_equivalence : original:Qc.Circuit.t -> Routed.t -> (unit, error) result
+val check_equivalence :
+  original:Qc.Circuit.t -> Timeline.t -> (unit, error) result
 (** Greedy commutative matching of the replay against the original. *)
+
+val check :
+  maqam:Arch.Maqam.t -> original:Qc.Circuit.t -> Timeline.t ->
+  (unit, error) result
+(** All three, in the order above. *)
 
 val check_all :
   maqam:Arch.Maqam.t -> original:Qc.Circuit.t -> Routed.t ->
   (unit, error) result
+(** {!check} on a list-form schedule ({!Timeline.of_routed}). *)

@@ -283,17 +283,23 @@ let fingerprint spec =
     ~placement:(Placement.name spec.placement)
     ~restarts:spec.restarts ~seed:spec.seed ()
 
-let route_plain ?stats ?(objective = Objective.makespan) router maqam initial
-    circuit =
+(* One routing pass; [k] reads the schedule, which CODAR lends from its
+   domain's working arrays (Codar.Remapper.route). *)
+let route_timeline ?stats ~objective router maqam initial circuit k =
   match router with
   | `Codar ->
-    Codar.Remapper.run
+    Codar.Remapper.route
       ~config:{ Codar.Remapper.default_config with objective }
-      ?stats ~maqam ~initial circuit
-  | `Sabre -> Sabre.Router.run ~maqam ~initial circuit
-  | `Astar -> Astar.Router.run ~maqam ~initial circuit
+      ?stats ~maqam ~initial circuit k
+  | `Sabre -> k (Sabre.Router.timeline ~maqam ~initial circuit)
+  | `Astar -> k (Astar.Router.timeline ~maqam ~initial circuit)
 
-let route spec =
+let route_plain ?stats ?(objective = Objective.makespan) router maqam initial
+    circuit =
+  route_timeline ?stats ~objective router maqam initial circuit
+    Schedule.Timeline.to_routed
+
+let route_with spec k =
   let {
     circuit;
     maqam;
@@ -318,53 +324,57 @@ let route spec =
     match objectives with o :: _ -> o | [] -> Objective.makespan
   in
   let t0 = Unix.gettimeofday () in
-  let routed, record_objective, portfolio =
-    match router with
-    | (`Codar | `Sabre | `Astar) as r ->
-      ( route_plain ?stats ~objective r maqam initial circuit,
-        (match r with `Codar -> Objective.name objective | _ -> "makespan"),
-        None )
-    | `Portfolio ->
-      let refine layout =
-        Sabre.Initial_mapping.reverse_traversal ~initial:layout ~maqam circuit
-      in
-      let o =
-        Codar.Portfolio.run ~restarts ~seed ~refine ~objectives ~metric ~maqam
-          ~initial circuit
-      in
-      let winner_objective = o.Codar.Portfolio.objectives.(o.Codar.Portfolio.winner) in
-      (* portfolio restarts are uninstrumented (shared counters are not
-         domain-safe); re-route the winner alone — under the winner's own
-         objective — to report its stats *)
-      (match stats with
-      | Some s ->
-        ignore
-          (Codar.Remapper.run
-             ~config:
-               {
-                 Codar.Remapper.default_config with
-                 objective = winner_objective;
-               }
-             ~stats:s ~maqam
-             ~initial:o.Codar.Portfolio.routed.Schedule.Routed.initial circuit)
-      | None -> ());
-      ( o.Codar.Portfolio.routed,
-        Objective.name winner_objective,
-        Some
-          {
-            Report.Record.restarts = Array.length o.Codar.Portfolio.scores;
-            winner = o.Codar.Portfolio.winner;
-            scores = o.Codar.Portfolio.scores;
-            metric = Codar.Portfolio.metric_name o.Codar.Portfolio.metric;
-            metric_scores = o.Codar.Portfolio.metric_scores;
-            objectives =
-              Array.map Objective.name o.Codar.Portfolio.objectives;
-          } )
+  (* the record, timed up to the schedule's hand-over, and [k] *)
+  let finish ~objective portfolio timeline =
+    let wall_s = Unix.gettimeofday () -. t0 in
+    k
+      (Report.Record.of_timeline ~source:spec.source_name
+         ~router:(router_name router)
+         ~placement:(Placement.name placement)
+         ~objective ~wall_s ?stats ?portfolio ~maqam ~original:circuit
+         timeline)
+      timeline
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  ( Report.Record.make ~source:spec.source_name
-      ~router:(router_name router)
-      ~placement:(Placement.name placement)
-      ~objective:record_objective ~wall_s ?stats ?portfolio ~maqam
-      ~original:circuit routed,
-    routed )
+  match router with
+  | (`Codar | `Sabre | `Astar) as r ->
+    route_timeline ?stats ~objective r maqam initial circuit
+      (finish
+         ~objective:
+           (match r with `Codar -> Objective.name objective | _ -> "makespan")
+         None)
+  | `Portfolio ->
+    let refine layout =
+      Sabre.Initial_mapping.reverse_traversal ~initial:layout ~maqam circuit
+    in
+    let o =
+      Codar.Portfolio.run ~restarts ~seed ~refine ~objectives ~metric ~maqam
+        ~initial circuit
+    in
+    let winner_objective = o.Codar.Portfolio.objectives.(o.Codar.Portfolio.winner) in
+    (* portfolio restarts are uninstrumented (shared counters are not
+       domain-safe); re-route the winner alone — under the winner's own
+       objective — to report its stats *)
+    (match stats with
+    | Some s ->
+      Codar.Remapper.route
+        ~config:
+          { Codar.Remapper.default_config with objective = winner_objective }
+        ~stats:s ~maqam ~initial:o.Codar.Portfolio.routed.Schedule.Timeline.initial
+        circuit ignore
+    | None -> ());
+    finish ~objective:(Objective.name winner_objective)
+      (Some
+        {
+          Report.Record.restarts = Array.length o.Codar.Portfolio.scores;
+          winner = o.Codar.Portfolio.winner;
+          scores = o.Codar.Portfolio.scores;
+          metric = Codar.Portfolio.metric_name o.Codar.Portfolio.metric;
+          metric_scores = o.Codar.Portfolio.metric_scores;
+          objectives = Array.map Objective.name o.Codar.Portfolio.objectives;
+        })
+      o.Codar.Portfolio.routed
+
+let route spec =
+  route_with spec (fun record t -> (record, Schedule.Timeline.to_routed t))
+
+let record spec = route_with spec (fun record _ -> record)

@@ -64,10 +64,21 @@ val request_key : Protocol.route_req -> string
     name and every option, unparsed. Equal keys resolve to equal specs;
     texts that differ in any byte get distinct keys. *)
 
+val route_with : spec -> (Report.Record.t -> Schedule.Timeline.t -> 'a) -> 'a
+(** Compute the initial placement and route, timing the job up to the
+    schedule's hand-over into the record's [wall_s], and return [k] applied
+    to the record and the schedule. A CODAR schedule is lent from the
+    domain's working arrays ({!Codar.Remapper.route}): [k] reads it in
+    place and keeps nothing of it but a {!Schedule.Timeline.copy}. May
+    raise (router/placement internal errors); the daemon converts that
+    into a [route_failed] reply. *)
+
 val route : spec -> Report.Record.t * Schedule.Routed.t
-(** Compute the initial placement and route, timing the whole job into
-    the record's [wall_s]. May raise (router/placement internal errors);
-    the daemon converts that into a [route_failed] reply. *)
+(** {!route_with}, keeping the schedule in list form. *)
+
+val record : spec -> Report.Record.t
+(** {!route_with}, keeping the record alone — the daemon's route: no
+    word per event. *)
 
 val route_plain :
   ?stats:Codar.Stats.t ->

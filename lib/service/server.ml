@@ -249,7 +249,7 @@ let dispatch_batch st batch =
           try
             Ok
               (Cache.hit_of_record ~fingerprint:p.fp
-                 (fst (Engine.route p.spec)))
+                 (Engine.record p.spec))
           with e -> Error (Printexc.to_string e))
         batch
     with e ->

@@ -13,7 +13,7 @@ set -u
 
 MODULES="sabre__Router codar__Remapper codar__Cf_front codar__Swap_scorer
 codar__Heuristic qc__Commute qc__Metrics qasm__Lexer qasm__Parser
-schedule__Routed sim__Reliability"
+schedule__Routed schedule__Timeline sim__Reliability"
 SYMBOLS='caml_(equal|notequal|compare|lessthan|lessequal|greaterthan|greaterequal)$|camlStdlib\.(max|min)_[0-9]+$'
 
 undefined=$(nm -A -u "$@") || {

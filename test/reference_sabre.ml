@@ -199,18 +199,10 @@ let route_gates ?(config = default_config) ~maqam ~initial circuit =
 
 let run ?(config = default_config) ~maqam ~initial circuit =
   let tagged, final = route_tagged ~config ~maqam ~initial circuit in
-  let n_physical = Arch.Maqam.n_qubits maqam in
-  let events, makespan =
-    Schedule.Asap.schedule_tagged ~durations:(Arch.Maqam.durations maqam)
-      ~n_physical tagged
-  in
-  {
-    Schedule.Routed.events;
-    initial;
-    final;
-    makespan;
-    n_logical = Qc.Circuit.n_qubits circuit;
-  }
+  Schedule.Timeline.to_routed
+    (Schedule.Asap.timeline ~durations:(Arch.Maqam.durations maqam)
+       ~n_physical:(Arch.Maqam.n_qubits maqam) ~initial ~final
+       ~n_logical:(Qc.Circuit.n_qubits circuit) tagged)
 
 (* Initial_mapping.reverse_traversal over this router, verbatim. *)
 let reverse_traversal ?initial ?(iterations = 1)

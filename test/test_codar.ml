@@ -154,7 +154,9 @@ let test_cf_incremental_cache () =
   let gates = Qc.Circuit.gate_array (Workloads.Builders.qft 5) in
   let issued = Array.make (Array.length gates) false in
   let stats = Codar.Stats.create () in
-  let commutes = Qc.Commute.Compiled.(commutes (make gates)) in
+  let c = Qc.Commute.Compiled.empty () in
+  Qc.Commute.Compiled.load c gates (Array.length gates);
+  let commutes = Qc.Commute.Compiled.commutes c in
   let t = Codar.Cf_front.create ~commutes ~gates ~issued () in
   let f1 = front_list ~stats t 0 in
   let v1 = Codar.Cf_front.version t in
@@ -227,7 +229,8 @@ let prop_cf_tracker_matches_compute =
       let gates = Array.of_list gates in
       let n_gates = Array.length gates in
       let issued = Array.make n_gates false in
-      let c = Qc.Commute.Compiled.make gates in
+      let c = Qc.Commute.Compiled.empty () in
+      Qc.Commute.Compiled.load c gates n_gates;
       let t =
         Codar.Cf_front.create ~window ~max_chain
           ~commutes:(fun i j -> Qc.Commute.Compiled.commutes c i j)
@@ -836,7 +839,7 @@ let test_portfolio_restart0_baseline () =
     baseline.Schedule.Routed.makespan
     o.Codar.Portfolio.scores.(0);
   Alcotest.(check bool) "winner never worse than restart 0" true
-    (o.Codar.Portfolio.routed.Schedule.Routed.makespan
+    (o.Codar.Portfolio.routed.Schedule.Timeline.makespan
     <= o.Codar.Portfolio.scores.(0))
 
 let test_portfolio_mixed_membership () =
@@ -875,6 +878,31 @@ let test_portfolio_esp_needs_calibration () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "esp metric without calibration must be rejected"
+
+(* rand_16_30k's ESP underflows to 0 on every restart, so ranking the
+   linear estimates kept restart 0 (makespan 30662) on ties; ranked by
+   ln ESP, restart 2 (makespan 30352) wins. Placement and refinement as
+   the daemon's portfolio requests have them. *)
+let test_portfolio_esp_ranks_by_log () =
+  let maqam =
+    Arch.Maqam.make ~coupling:Arch.Devices.ibm_q20_tokyo ~durations:sc
+  in
+  let circuit =
+    Lazy.force (Option.get (Workloads.Suite.find "rand_16_30k")).circuit
+  in
+  let initial = Sabre.Initial_mapping.reverse_traversal ~maqam circuit in
+  let refine layout =
+    Sabre.Initial_mapping.reverse_traversal ~initial:layout ~maqam circuit
+  in
+  let o =
+    Codar.Portfolio.run ~restarts:3 ~refine ~metric:Codar.Portfolio.Esp
+      ~maqam ~initial circuit
+  in
+  Alcotest.(check (array (float 0.))) "every linear ESP underflows"
+    [| 0.; 0.; 0. |] o.Codar.Portfolio.metric_scores;
+  Alcotest.(check int) "the highest ln ESP wins" 2 o.Codar.Portfolio.winner;
+  Alcotest.(check (array int)) "scores" [| 30662; 31309; 30352 |]
+    o.Codar.Portfolio.scores
 
 (* --------------------------------------------------------- instrumentation *)
 
@@ -1147,5 +1175,7 @@ let () =
             test_portfolio_mixed_membership;
           Alcotest.test_case "esp needs calibration" `Quick
             test_portfolio_esp_needs_calibration;
+          Alcotest.test_case "esp ranks by ln ESP" `Quick
+            test_portfolio_esp_ranks_by_log;
         ] );
     ]

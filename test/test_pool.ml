@@ -89,12 +89,12 @@ let test_portfolio_identical_across_jobs () =
         a.Codar.Portfolio.scores b.Codar.Portfolio.scores;
       Alcotest.(check (list event_t))
         (name ^ ": winning route identical")
-        a.Codar.Portfolio.routed.Schedule.Routed.events
-        b.Codar.Portfolio.routed.Schedule.Routed.events;
+        (Schedule.Timeline.to_routed a.Codar.Portfolio.routed).events
+        (Schedule.Timeline.to_routed b.Codar.Portfolio.routed).events;
       (* restart 0 is the baseline: the portfolio can never lose to it *)
       Alcotest.(check bool)
         (name ^ ": portfolio <= baseline") true
-        (a.Codar.Portfolio.routed.Schedule.Routed.makespan
+        (a.Codar.Portfolio.routed.Schedule.Timeline.makespan
         <= a.Codar.Portfolio.scores.(0)))
     (Lazy.force circuits)
 

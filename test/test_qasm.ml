@@ -15,7 +15,7 @@ let scan src =
     else begin
       let tok = (lx.Qasm.Lexer.kind, Qasm.Lexer.text lx, lx.Qasm.Lexer.tline) in
       let number =
-        if lx.Qasm.Lexer.kind = Qasm.Lexer.K_number then [ Qasm.Lexer.number lx ]
+        if lx.Qasm.Lexer.kind = Qasm.Lexer.K_number then [ lx.Qasm.Lexer.value.(0) ]
         else []
       in
       Qasm.Lexer.next lx;

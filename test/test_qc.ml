@@ -256,8 +256,9 @@ let prop_compiled_matches_commutes =
           String.concat "; " (Array.to_list (Array.map Qc.Gate.to_string a)))
         QCheck.Gen.(array_size (int_range 1 24) compiled_gate_gen))
     (fun gates ->
-      let c = Qc.Commute.Compiled.make gates in
       let n = Array.length gates in
+      let c = Qc.Commute.Compiled.empty () in
+      Qc.Commute.Compiled.load c gates n;
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do

@@ -38,7 +38,7 @@ let test_verified_on_qft () =
   (* SABRE reorders only across independent DAG branches — never by
      commutation — so the replayed multiset of logical gates is exactly the
      original's *)
-  match Schedule.Verify.replay_logical r with
+  match Schedule.Verify.replay_logical (Schedule.Timeline.of_routed r) with
   | Ok replay ->
     Alcotest.(check int) "replay length" (Qc.Circuit.length circuit)
       (List.length replay);

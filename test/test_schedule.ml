@@ -8,16 +8,27 @@ let maqam_linear4 =
 
 (* ------------------------------------------------------------------- asap *)
 
+(* ASAP over [tagged] (gate, router-inserted) on [n_physical] qubits *)
+let asap_tagged ~n_physical tagged =
+  let l = Arch.Layout.identity ~n_logical:n_physical ~n_physical in
+  Schedule.Asap.timeline ~durations:sc ~n_physical ~initial:l ~final:l
+    ~n_logical:n_physical tagged
+
+(* program gates alone: the events in list form and the makespan *)
+let asap ~n_physical gates =
+  let t = asap_tagged ~n_physical (List.map (fun g -> (g, false)) gates) in
+  ((Schedule.Timeline.to_routed t).events, t.makespan)
+
 let test_asap_serial_chain () =
   let gates = [ Qc.Gate.h 0; Qc.Gate.cx 0 1; Qc.Gate.h 1 ] in
-  let events, makespan = Schedule.Asap.schedule ~durations:sc ~n_physical:2 gates in
+  let events, makespan = asap ~n_physical:2 gates in
   let starts = List.map (fun e -> e.Schedule.Routed.start) events in
   Alcotest.(check (list int)) "starts" [ 0; 1; 3 ] starts;
   Alcotest.(check int) "makespan" 4 makespan
 
 let test_asap_parallel () =
   let gates = [ Qc.Gate.h 0; Qc.Gate.h 1; Qc.Gate.cx 2 3 ] in
-  let _, makespan = Schedule.Asap.schedule ~durations:sc ~n_physical:4 gates in
+  let _, makespan = asap ~n_physical:4 gates in
   Alcotest.(check int) "parallel makespan" 2 makespan
 
 let test_asap_barrier () =
@@ -25,18 +36,18 @@ let test_asap_barrier () =
   let gates =
     [ Qc.Gate.cx 0 1; Qc.Gate.barrier [ 0; 1; 2 ]; Qc.Gate.h 2 ]
   in
-  let events, _ = Schedule.Asap.schedule ~durations:sc ~n_physical:3 gates in
+  let events, _ = asap ~n_physical:3 gates in
   let h2 = List.nth events 2 in
   Alcotest.(check int) "h2 fenced behind cx" 2 h2.Schedule.Routed.start;
   (* empty-list barrier fences the whole device *)
   let gates = [ Qc.Gate.cx 0 1; Qc.Gate.barrier []; Qc.Gate.h 3 ] in
-  let events, _ = Schedule.Asap.schedule ~durations:sc ~n_physical:4 gates in
+  let events, _ = asap ~n_physical:4 gates in
   Alcotest.(check int) "global fence" 2
     (List.nth events 2).Schedule.Routed.start
 
 let test_asap_durations_used () =
   let gates = [ Qc.Gate.swap 0 1; Qc.Gate.cx 0 1 ] in
-  let _, makespan = Schedule.Asap.schedule ~durations:sc ~n_physical:2 gates in
+  let _, makespan = asap ~n_physical:2 gates in
   Alcotest.(check int) "swap then cx" 8 makespan
 
 (* ----------------------------------------------------------------- routed *)
@@ -76,14 +87,15 @@ let event ?(inserted = false) gate start duration =
 
 let manual_result events =
   let initial = Arch.Layout.identity ~n_logical:4 ~n_physical:4 in
-  {
-    Schedule.Routed.events;
-    initial;
-    final = initial;
-    makespan =
-      List.fold_left (fun acc e -> max acc (Schedule.Routed.finish e)) 0 events;
-    n_logical = 4;
-  }
+  Schedule.Timeline.of_routed
+    {
+      Schedule.Routed.events;
+      initial;
+      final = initial;
+      makespan =
+        List.fold_left (fun acc e -> max acc (Schedule.Routed.finish e)) 0 events;
+      n_logical = 4;
+    }
 
 let test_verify_not_adjacent () =
   let r = manual_result [ event (Qc.Gate.cx 0 2) 0 2 ] in
@@ -271,11 +283,18 @@ let test_verify_degenerate_circuits () =
 
 let test_reschedule () =
   let circuit, r = route_linear4 [ Qc.Gate.cx 0 3; Qc.Gate.h 1 ] in
-  let r' = Schedule.Asap.reschedule ~durations:sc ~n_physical:4 r in
+  (* CODAR's issue order, re-timed by ASAP *)
+  let t = Schedule.Timeline.of_routed r in
+  let r' =
+    Schedule.Asap.timeline ~durations:sc ~n_physical:4 ~initial:t.initial
+      ~final:t.final ~n_logical:t.n_logical
+      (List.init t.length (fun k ->
+           (Schedule.Timeline.gate t k, Schedule.Timeline.is_inserted t k)))
+  in
   (* replaying CODAR's issue order with ASAP can only help or match *)
   Alcotest.(check bool) "reschedule no worse" true
-    (r'.Schedule.Routed.makespan <= r.Schedule.Routed.makespan);
-  match Schedule.Verify.check_all ~maqam:maqam_linear4 ~original:circuit r' with
+    (r'.Schedule.Timeline.makespan <= r.Schedule.Routed.makespan);
+  match Schedule.Verify.check ~maqam:maqam_linear4 ~original:circuit r' with
   | Ok () -> ()
   | Error e -> Alcotest.failf "rescheduled fails: %a" Schedule.Verify.pp_error e
 
@@ -284,15 +303,18 @@ let test_reschedule () =
 let test_stats () =
   let circuit = Qc.Circuit.make ~n_qubits:4 [ Qc.Gate.cx 0 3; Qc.Gate.h 1 ] in
   let initial = Arch.Layout.identity ~n_logical:4 ~n_physical:4 in
-  let r = Codar.Remapper.run ~maqam:maqam_linear4 ~initial circuit in
-  let s = Schedule.Stats.of_routed ~n_physical:4 ~original:circuit r in
+  let r =
+    Codar.Remapper.route ~maqam:maqam_linear4 ~initial circuit
+      Schedule.Timeline.copy
+  in
+  let s = Schedule.Stats.of_timeline ~n_physical:4 ~original:circuit r in
   Alcotest.(check int) "makespan agrees" r.makespan s.Schedule.Stats.makespan;
   Alcotest.(check bool) "positive parallelism" true
     (s.Schedule.Stats.parallelism >= 1.);
   Alcotest.(check bool) "swap overhead = swaps / gates" true
     (Float.abs
        (s.Schedule.Stats.swap_overhead
-       -. (float_of_int (Schedule.Routed.swap_count r) /. 2.))
+       -. (float_of_int (Schedule.Timeline.swap_count r) /. 2.))
     < 1e-9);
   Array.iter
     (fun u ->
@@ -302,7 +324,7 @@ let test_stats () =
 let test_stats_csv () =
   let circuit = Qc.Circuit.make ~n_qubits:2 [ Qc.Gate.h 0; Qc.Gate.cx 0 1 ] in
   let events, makespan =
-    Schedule.Asap.schedule ~durations:sc ~n_physical:2
+    asap ~n_physical:2
       (Qc.Circuit.gates circuit)
   in
   let r =

@@ -309,12 +309,28 @@ let test_gate_error_sampler_matches_density () =
 
 (* ------------------------------------------------------------ reliability *)
 
+(* ASAP over program gates on [n_physical] qubits: events and makespan *)
+let asap ~n_physical gates =
+  let l = Arch.Layout.identity ~n_logical:n_physical ~n_physical in
+  let t =
+    Schedule.Asap.timeline ~durations:sc ~n_physical ~initial:l ~final:l
+      ~n_logical:n_physical
+      (List.map (fun g -> (g, false)) gates)
+  in
+  ((Schedule.Timeline.to_routed t).events, t.makespan)
+
+let estimate ~calibration ~n_physical r =
+  Sim.Reliability.estimate ~calibration ~n_physical
+    (Schedule.Timeline.of_routed r)
+
+let estimated_success ~calibration ~n_physical r =
+  (estimate ~calibration ~n_physical r).esp
+
 let test_reliability_analytic () =
   (* hand-checkable schedule: H at [0,1), CX at [1,3) on a 2-qubit line *)
   let circuit = Qc.Circuit.make ~n_qubits:2 [ Qc.Gate.h 0; Qc.Gate.cx 0 1 ] in
   let events, makespan =
-    Schedule.Asap.schedule ~durations:sc ~n_physical:2
-      (Qc.Circuit.gates circuit)
+    asap ~n_physical:2 (Qc.Circuit.gates circuit)
   in
   let r =
     {
@@ -336,7 +352,7 @@ let test_reliability_analytic () =
   let dec t = exp (-.t /. 100.) *. exp (-.t /. tphi) in
   let expected = 0.99 *. 0.95 *. dec 3. *. dec 2. in
   Alcotest.(check (float 1e-9)) "analytic ESP" expected
-    (Sim.Reliability.estimated_success ~calibration ~n_physical:2 r)
+    (estimated_success ~calibration ~n_physical:2 r)
 
 let test_reliability_tokyo_vector () =
   (* hand-computed vector on the shipped superconducting (Tokyo) preset:
@@ -370,7 +386,7 @@ let test_reliability_tokyo_vector () =
   let dec t = exp (-.t /. 435.) *. exp (-.t /. 870.) in
   let expected = 0.997 *. (0.965 ** 3.) *. dec 7. *. dec 6. in
   Alcotest.(check (float 1e-12)) "tokyo ESP vector" expected
-    (Sim.Reliability.estimated_success ~calibration ~n_physical:2 r)
+    (estimated_success ~calibration ~n_physical:2 r)
 
 let test_reliability_untouched_qubits_free () =
   (* a qubit never touched by any gate contributes no decoherence, however
@@ -389,7 +405,7 @@ let test_reliability_untouched_qubits_free () =
   in
   let calibration = Arch.Calibration.superconducting in
   let esp n =
-    Sim.Reliability.estimated_success ~calibration ~n_physical:n (r n)
+    estimated_success ~calibration ~n_physical:n (r n)
   in
   Alcotest.(check (float 1e-15)) "spectators are free" (esp 2) (esp 20)
 
@@ -417,7 +433,7 @@ let test_reliability_direction () =
   (* a shorter schedule with the same gates must score higher *)
   let calibration = Arch.Calibration.superconducting in
   let gates = [ Qc.Gate.h 0; Qc.Gate.h 1; Qc.Gate.cx 0 1 ] in
-  let packed, m1 = Schedule.Asap.schedule ~durations:sc ~n_physical:2 gates in
+  let packed, m1 = asap ~n_physical:2 gates in
   (* delay only the two-qubit gate: the qubits now idle for 50 cycles *)
   let stretched =
     List.map
@@ -436,9 +452,45 @@ let test_reliability_direction () =
       n_logical = 2;
     }
   in
-  let esp r = Sim.Reliability.estimated_success ~calibration ~n_physical:2 r in
+  let esp r = estimated_success ~calibration ~n_physical:2 r in
   Alcotest.(check bool) "longer tail costs fidelity" true
     (esp (mk packed m1) > esp (mk stretched (m1 + 50)))
+
+(* A schedule long enough that its ESP product underflows to 0 still has
+   a finite ln ESP, the sum of the logs of the same factors, and a longer
+   one ranks below it there. *)
+let test_reliability_ln_underflow () =
+  let calibration = Arch.Calibration.superconducting in
+  (* one cx at a time on two qubits, f2 = 0.965 each: the gate product
+     reaches the subnormals, the two qubits' decoherence takes it to 0 *)
+  let chain n =
+    let events, makespan =
+      asap ~n_physical:2 (List.init n (fun _ -> Qc.Gate.cx 0 1))
+    in
+    {
+      Schedule.Routed.events;
+      initial = Arch.Layout.identity ~n_logical:2 ~n_physical:2;
+      final = Arch.Layout.identity ~n_logical:2 ~n_physical:2;
+      makespan;
+      n_logical = 2;
+    }
+  in
+  let n = 20_000 in
+  let short = estimate ~calibration ~n_physical:2 (chain n)
+  and long = estimate ~calibration ~n_physical:2 (chain (n + 1)) in
+  Alcotest.(check (float 0.)) "linear ESP underflows" 0. short.esp;
+  Alcotest.(check (float 0.)) "longer one too" 0. long.esp;
+  (* n ln 0.965, plus two qubits active for the whole makespan with
+     T1 = T2 = 435, so Tphi = 870 *)
+  let active = float_of_int (chain n).makespan in
+  let expected =
+    (float_of_int n *. log 0.965)
+    +. (2. *. (-.(active /. 435.) -. (active /. 870.)))
+  in
+  Alcotest.(check (float 1e-6)) "ln ESP is the sum of logs" expected
+    short.ln_esp;
+  Alcotest.(check bool) "the shorter schedule ranks higher" true
+    (short.ln_esp > long.ln_esp)
 
 (* ------------------------------------------------------------------ equiv *)
 
@@ -518,6 +570,8 @@ let () =
           Alcotest.test_case "calibration lookup" `Quick
             test_calibration_for_durations;
           Alcotest.test_case "direction" `Quick test_reliability_direction;
+          Alcotest.test_case "ln ESP where the product underflows" `Quick
+            test_reliability_ln_underflow;
         ] );
       ( "equiv",
         [ Alcotest.test_case "detects tampering" `Quick test_equiv_detects_tampering ]
